@@ -383,7 +383,10 @@ def _ssr(fam: _Family, params: np.ndarray, c: np.ndarray, a: np.ndarray):
     if not np.all(np.isfinite(pred)):
         return math.inf, None
     r = pred - a
-    return float(np.dot(r, r)), r
+    ssr = float(np.dot(r, r))  # overflow is silenced by the caller, fit_curve
+    if not math.isfinite(ssr):
+        return math.inf, None
+    return ssr, r
 
 
 def fit_curve(
@@ -425,35 +428,40 @@ def fit_curve(
     best_resid = None
     any_finite_start = False
 
-    for start in _starts(fam, c, a, n_starts, rng):
-        p = _feasible(fam, fam.project(start), c)
-        ssr, resid = _ssr(fam, p, c, a)
-        if not math.isfinite(ssr):
-            continue
-        any_finite_start = True
-        for _ in range(max_iter):
-            jac = fam.jacobian(p, c)
-            if not np.all(np.isfinite(jac)):
-                break
-            delta, *_ = np.linalg.lstsq(jac, -resid, rcond=None)
-            if not np.all(np.isfinite(delta)) or not np.any(delta):
-                break
-            step = 1.0
-            improved = False
-            while step >= _MIN_STEP:
-                cand = _feasible(fam, fam.project(p + step * delta), c)
-                ssr_c, resid_c = _ssr(fam, cand, c, a)
-                if ssr_c < ssr:
-                    p, ssr, resid = cand, ssr_c, resid_c
-                    improved = True
+    # A step that overflows yields a non-finite SSR, Jacobian or step,
+    # which the descent already rejects.  One errstate per fit rather than
+    # per SSR keeps its cost (~3 us) out of the tens of thousands of SSR
+    # calls a fit makes.
+    with np.errstate(over="ignore"):
+        for start in _starts(fam, c, a, n_starts, rng):
+            p = _feasible(fam, fam.project(start), c)
+            ssr, resid = _ssr(fam, p, c, a)
+            if not math.isfinite(ssr):
+                continue
+            any_finite_start = True
+            for _ in range(max_iter):
+                jac = fam.jacobian(p, c)
+                if not np.all(np.isfinite(jac)):
                     break
-                step *= 0.5
-            if not improved:
-                break
-            if improved and (ssr == 0.0):
-                break
-        if ssr < best_ssr:
-            best_params, best_ssr, best_resid = p, ssr, resid
+                delta, *_ = np.linalg.lstsq(jac, -resid, rcond=None)
+                if not np.all(np.isfinite(delta)) or not np.any(delta):
+                    break
+                step = 1.0
+                improved = False
+                while step >= _MIN_STEP:
+                    cand = _feasible(fam, fam.project(p + step * delta), c)
+                    ssr_c, resid_c = _ssr(fam, cand, c, a)
+                    if ssr_c < ssr:
+                        p, ssr, resid = cand, ssr_c, resid_c
+                        improved = True
+                        break
+                    step *= 0.5
+                if not improved:
+                    break
+                if improved and (ssr == 0.0):
+                    break
+            if ssr < best_ssr:
+                best_params, best_ssr, best_resid = p, ssr, resid
 
     if best_params is None:
         raise CurveFitError(

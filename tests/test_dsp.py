@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from isacsim import (
+    RngStream,
     SystemConfig,
     dechirp,
     dechirp_and_collapse,
     gray_pmf,
     read_pgm,
+    simulate_spectrogram,
     stack_cycles,
     stft,
     svd_denoise,
@@ -17,6 +19,27 @@ from isacsim import (
     to_gray_and_pmf,
     write_pgm,
 )
+from isacsim.dsp import numerical_rank
+
+
+def _full_svd_denoise(x, r):
+    """Reference clutter removal: subtract the top r-1 terms of a full SVD."""
+    u, s, vh = np.linalg.svd(x, full_matrices=False)
+    k = r - 1
+    return x - (u[:, :k] * s[:k]) @ vh[:k]
+
+
+def _complex_normal(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _graded(shape, seed):
+    """Complex matrix with singular values graded from 1 down to 1e-15."""
+    rng = np.random.default_rng(seed)
+    n = min(shape)
+    u, _ = np.linalg.qr(_complex_normal(rng, (shape[0], n)))
+    v, _ = np.linalg.qr(_complex_normal(rng, (shape[1], n)))
+    return (u * np.logspace(0, -15, n)) @ v.conj().T
 
 
 @pytest.fixture
@@ -136,6 +159,72 @@ class TestSvdDenoise:
         assert np.array_equal(svd_denoise(svd_denoise(x, 1), 1), x)
         wiped = svd_denoise(np.outer(np.ones(5), np.ones(7)).astype(complex), 2)
         assert np.linalg.norm(svd_denoise(wiped, 1)) == np.linalg.norm(wiped)
+
+
+class TestSvdDenoiseGram:
+    """The Gram/eigh path against the full-SVD reference and rank rules."""
+
+    @pytest.mark.parametrize("shape", [(40, 90), (90, 40)], ids=["wide", "tall"])
+    @pytest.mark.parametrize("r", [2, 3, 5])
+    def test_matches_full_svd(self, shape, r):
+        x = _complex_normal(np.random.default_rng(10 + r), shape)
+        diff = svd_denoise(x, r) - _full_svd_denoise(x, r)
+        assert np.linalg.norm(diff) <= 1e-12 * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("shape", [(100, 512), (100, 64)], ids=["wide", "tall"])
+    def test_matches_full_svd_on_clutter(self, shape):
+        # Strong static (rank-one) term, a weak moving tone, and noise.
+        n, c = shape
+        rng = np.random.default_rng(11)
+        static = 30.0 * np.outer(_complex_normal(rng, n), np.ones(c))
+        tone = 0.5 * np.outer(np.exp(1j * np.linspace(0, 5, n)),
+                              np.exp(1j * 2 * math.pi * 0.11 * np.arange(c)))
+        x = static + tone + 0.05 * _complex_normal(rng, shape)
+        diff = svd_denoise(x, 2) - _full_svd_denoise(x, 2)
+        assert np.linalg.norm(diff) <= 1e-12 * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("shape", [(12, 20), (20, 12)], ids=["wide", "tall"])
+    def test_rank_decision_matches_numerical_rank(self, shape):
+        x = _graded(shape, seed=12)
+        rank = numerical_rank(x)
+        assert 1 < rank < min(shape)  # the grading crosses the rank threshold
+        for r in range(1, rank + 2):
+            svd_denoise(x, r)
+        wiped = svd_denoise(x, rank + 1)
+        assert np.linalg.norm(wiped) <= 1e-12 * np.linalg.norm(x)
+        with pytest.raises(ValueError, match="valid range"):
+            svd_denoise(x, rank + 2)
+
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_non_positive_r_rejected(self, r):
+        x = _complex_normal(np.random.default_rng(13), (6, 9))
+        with pytest.raises(ValueError, match="valid range"):
+            svd_denoise(x, r)
+
+    def test_zero_matrix_rejected(self):
+        with pytest.raises(ValueError, match="valid range"):
+            svd_denoise(np.zeros((6, 9), complex), 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        x = _complex_normal(np.random.default_rng(14), (6, 9))
+        x[2, 3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            svd_denoise(x, 2)
+
+    @pytest.mark.parametrize("cycles,window", [(512, 64), (64, 32)], ids=["wide", "tall"])
+    def test_desk_spectrogram_bytes_match_reference(
+        self, monkeypatch, desk_cfg, clutter_cfg, walking_radial, cycles, window
+    ):
+        def run():
+            return simulate_spectrogram(desk_cfg, walking_radial, cycles,
+                                        RngStream(15, "gram"), clutter=clutter_cfg,
+                                        rho=0.997, stft_window=window)
+
+        gram = run()
+        monkeypatch.setattr("isacsim.simulate.svd_denoise", _full_svd_denoise)
+        reference = run()
+        assert gram.gray.tobytes() == reference.gray.tobytes()
 
 
 class TestDechirp:
