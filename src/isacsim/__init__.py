@@ -1,15 +1,7 @@
 """FMCW micro-Doppler sensing simulator and accuracy-rate tradeoff toolkit."""
 
 from .calibration import RhoFit, fit_rho, kl_divergence
-from .channel import (
-    ClutterConfig,
-    ClutterProcess,
-    TapList,
-    clutter_snapshot,
-    evolve_clutter,
-    received_cycle,
-    target_channel,
-)
+from .channel import ClutterConfig, ClutterProcess
 from .config import (
     ConfigError,
     RngStream,
@@ -36,7 +28,6 @@ from .dsp import (
     dechirp_and_collapse,
     gray_pmf,
     read_pgm,
-    stack_cycles,
     stft,
     svd_denoise,
     synthesize_chirp,

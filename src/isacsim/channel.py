@@ -1,6 +1,6 @@
 """Hybrid sensing channel: deterministic target taps plus evolving clutter.
 
-The impulse response of one sensing cycle is a sum of two tap lists:
+The impulse response of one sensing cycle is a sum of two sets of taps:
 
 * the target channel, with one tap per body primitive at round-trip delay
   ``2 D_b / c`` and amplitude proportional to ``sqrt(G_b) / D_b^2``;
@@ -8,6 +8,13 @@ The impulse response of one sensing cycle is a sum of two tap lists:
   evolve across cycles as a first-order autoregressive process with
   mixing coefficient ``rho`` (rho=1 freezes the clutter, rho=0 redraws it
   every cycle).
+
+Amplitudes come for all cycles of a sample at once, as (taps x cycles)
+matrices; ``simulate.synthesize_received_matrix`` places them on the
+fast-time grid.  ``rho`` is an argument of :class:`ClutterProcess` and of
+the pipeline functions above it, not part of :class:`ClutterConfig`, so a
+calibration sweep varies it per call on one scene; ``DEFAULT_RHO`` is the
+rate used when a caller gives none.
 
 Cluster delays come from single-bounce mirror images of the radar in the
 six walls of a rectangular room (plus the direct leakage path); ray
@@ -19,62 +26,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .config import SPEED_OF_LIGHT, RngStream, SystemConfig
-from .kinematics import PrimitiveTracks
-from .validation import as_float_array, check_in_range, check_positive
+from .validation import check_in_range, check_positive
 
-
-@dataclass
-class TapList:
-    """A channel impulse response as (delay, complex amplitude) taps."""
-
-    delays: np.ndarray
-    amps: np.ndarray
-
-    def __post_init__(self):
-        self.delays = np.asarray(self.delays, dtype=float)
-        self.amps = np.asarray(self.amps, dtype=complex)
-        if self.delays.shape != self.amps.shape or self.delays.ndim != 1:
-            raise ValueError(
-                f"delays {self.delays.shape} and amps {self.amps.shape} must be "
-                "equal-length 1-d arrays"
-            )
-        if self.delays.size:
-            if np.any(self.delays < 0) or not np.all(np.isfinite(self.delays)):
-                raise ValueError("delays must be finite and non-negative")
-            if not np.all(np.isfinite(self.amps)):
-                raise ValueError("amplitudes must be finite")
-            if np.any(np.diff(self.delays) < 0):
-                order = np.argsort(self.delays, kind="stable")
-                self.delays = self.delays[order]
-                self.amps = self.amps[order]
-
-    def __len__(self) -> int:
-        return self.delays.size
-
-    def power(self) -> float:
-        return float(np.sum(np.abs(self.amps) ** 2))
-
-    @staticmethod
-    def empty() -> "TapList":
-        return TapList(np.empty(0), np.empty(0, dtype=complex))
-
-    @staticmethod
-    def merge(*tap_lists: "TapList") -> "TapList":
-        delays = np.concatenate([tl.delays for tl in tap_lists])
-        amps = np.concatenate([tl.amps for tl in tap_lists])
-        return TapList(delays, amps)
-
-    def to_csv(self, path) -> None:
-        """Dump as CSV with header ``tau_s,re,im``."""
-        lines = ["tau_s,re,im"]
-        for tau, amp in zip(self.delays, self.amps):
-            lines.append(f"{tau!r},{amp.real!r},{amp.imag!r}")
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+DEFAULT_RHO = 0.997
 
 
 def target_amplitudes(
@@ -106,43 +64,6 @@ def draw_primitive_phases(num_primitives: int, rng: RngStream) -> np.ndarray:
     return rng.uniform(-math.pi, math.pi, num_primitives)
 
 
-def target_channel(
-    tracks: PrimitiveTracks,
-    cfg: SystemConfig,
-    cycle_index: int,
-    rng: RngStream | None = None,
-    phases=None,
-) -> TapList:
-    """Target tap list for one sensing cycle.
-
-    One tap per primitive at delay ``2 D_b / c``.  ``phases`` holds the
-    per-primitive initial phases; they are constant across the cycles of a
-    motion sample, so callers looping over cycles must draw them once (see
-    :func:`draw_primitive_phases`) and pass them in.  If omitted, they are
-    drawn from ``rng``.
-    """
-    B = tracks.num_primitives
-    if B == 0:
-        return TapList.empty()
-    if not 0 <= cycle_index < tracks.times.size:
-        raise ValueError(
-            f"cycle_index {cycle_index} outside the sampled grid "
-            f"[0, {tracks.times.size})"
-        )
-    if phases is None:
-        if rng is None:
-            raise ValueError("either phases or rng must be given")
-        phases = draw_primitive_phases(B, rng)
-    phases = as_float_array(phases, "phases", ndim=1)
-    if phases.size != B:
-        raise ValueError(f"phases: expected {B} entries, got {phases.size}")
-
-    D = tracks.distances[:, cycle_index]
-    G = tracks.gains[:, cycle_index]
-    amps = target_amplitudes(G, D, cfg, phases)
-    return TapList(2.0 * D / SPEED_OF_LIGHT, amps)
-
-
 @dataclass(frozen=True)
 class ClutterConfig:
     """Geometry and statistics of the target-unrelated returns.
@@ -161,7 +82,6 @@ class ClutterConfig:
     ray_arrival_rate: float = 2.0e8  # 1/s, Poisson intra-cluster arrivals
     ray_decay_const: float = 2.0e-8  # s, exponential mean-power decay
     reflection_factors: tuple[float, ...] | None = None
-    evolution_rate: float = 0.997
 
     def __post_init__(self):
         for i, dim in enumerate(self.room):
@@ -180,7 +100,6 @@ class ClutterConfig:
             )
         check_positive("ray_arrival_rate", self.ray_arrival_rate)
         check_positive("ray_decay_const", self.ray_decay_const)
-        check_in_range("evolution_rate", self.evolution_rate, 0.0, 1.0)
         if self.reflection_factors is not None:
             if len(self.reflection_factors) != self.num_clusters:
                 raise ValueError(
@@ -287,26 +206,18 @@ def build_clutter_support(
 
 
 def draw_clutter_amplitudes(
-    support: ClutterSupport, rng: RngStream, num_draws: int | None = None
+    support: ClutterSupport, rng: RngStream, num_draws: int
 ) -> np.ndarray:
     """Fresh complex tap amplitudes on a frozen support.
 
     Rayleigh magnitudes with mean power ``ray_power`` times uniform
-    phases, scaled per cluster.  With ``num_draws`` the result has shape
-    (num_draws, num_taps); cycle i uses row i.
+    phases, scaled per cluster.  The result has shape (num_draws,
+    num_taps); cycle i uses row i.
     """
-    shape = support.num_taps if num_draws is None else (num_draws, support.num_taps)
+    shape = (num_draws, support.num_taps)
     mag = rng.rayleigh(1.0, shape) * np.sqrt(support.ray_power / 2.0)
     phase = rng.uniform(-math.pi, math.pi, shape)
     return support.scales * mag * np.exp(1j * phase)
-
-
-def clutter_snapshot(
-    ccfg: ClutterConfig, cfg: SystemConfig, rng: RngStream
-) -> TapList:
-    """One fresh clutter realization (support and amplitudes)."""
-    support = build_clutter_support(ccfg, cfg, rng)
-    return TapList(support.delays, draw_clutter_amplitudes(support, rng))
 
 
 def ar_mix(prev_amps: np.ndarray, fresh_amps: np.ndarray, rho: float) -> np.ndarray:
@@ -314,35 +225,12 @@ def ar_mix(prev_amps: np.ndarray, fresh_amps: np.ndarray, rho: float) -> np.ndar
     return rho * prev_amps + (1.0 - rho) * fresh_amps
 
 
-def evolve_clutter(
-    prev: TapList | None,
-    snapshot_source,
-    rho: float,
-    cycle_index: int,
-) -> TapList:
-    """Advance the clutter tap list by one cycle.
-
-    Cycle 0 returns a fresh snapshot from ``snapshot_source`` (a callable
-    producing TapLists on a fixed delay support).  Later cycles mix the
-    previous amplitudes with a fresh snapshot tapwise.  Raises if ``rho``
-    leaves [0, 1] or the supports disagree.
-    """
-    check_in_range("rho", rho, 0.0, 1.0)
-    fresh = snapshot_source()
-    if cycle_index == 0 or prev is None:
-        return fresh
-    if len(prev) != len(fresh) or not np.array_equal(prev.delays, fresh.delays):
-        raise ValueError("mismatched tap supports between cycles")
-    return TapList(prev.delays, ar_mix(prev.amps, fresh.amps, rho))
-
-
 class ClutterProcess:
-    """Stateful clutter generator with a frozen support.
+    """Clutter generator with a frozen support and evolution rate ``rho``.
 
     The support (ray delays and mean powers) is drawn once at
-    construction; each :meth:`step` draws fresh amplitudes and applies the
-    autoregressive update.  :meth:`run` produces the amplitude matrix of a
-    whole sample at once.
+    construction; :meth:`run` draws fresh amplitudes for every cycle of a
+    sample and applies the autoregressive update across them.
     """
 
     def __init__(
@@ -350,74 +238,27 @@ class ClutterProcess:
         ccfg: ClutterConfig,
         cfg: SystemConfig,
         rng: RngStream,
-        rho: float | None = None,
+        rho: float,
     ):
-        self.rho = ccfg.evolution_rate if rho is None else rho
-        check_in_range("rho", self.rho, 0.0, 1.0)
+        check_in_range("rho", rho, 0.0, 1.0)
+        self.rho = rho
         self._rng = rng
         self.support = build_clutter_support(ccfg, cfg, rng)
-        self._state: np.ndarray | None = None
 
     @property
     def delays(self) -> np.ndarray:
         return self.support.delays
 
-    def step(self) -> TapList:
-        fresh = draw_clutter_amplitudes(self.support, self._rng)
-        if self._state is None:
-            self._state = fresh
-        else:
-            self._state = ar_mix(self._state, fresh, self.rho)
-        return TapList(self.support.delays, self._state.copy())
-
     def run(self, num_cycles: int) -> np.ndarray:
-        """Amplitudes for ``num_cycles`` cycles, shape (C, num_taps)."""
+        """Amplitudes for ``num_cycles`` cycles, shape (C, num_taps).
+
+        Cycle 0 is a fresh draw; each later cycle mixes its predecessor
+        with a fresh draw.
+        """
         fresh = draw_clutter_amplitudes(self.support, self._rng, num_cycles)
         out = np.empty_like(fresh)
-        state = self._state
+        state = None
         for i in range(num_cycles):
             state = fresh[i] if state is None else ar_mix(state, fresh[i], self.rho)
             out[i] = state
-        self._state = state
         return out
-
-
-def received_cycle(
-    u: TapList,
-    v: TapList,
-    waveform: np.ndarray,
-    cfg: SystemConfig,
-    rng: RngStream | None = None,
-) -> np.ndarray:
-    """Baseband received vector of one sensing cycle (length L).
-
-    The combined tap list is convolved with ``waveform`` (the chirp, at
-    most L samples): each tap places a copy of the chirp at the nearest
-    fast-time sample, scaled by the complex amplitude, which already
-    carries the continuous carrier phase.  Complex white noise with
-    per-sample power ``noise_power`` is added when ``rng`` is given.
-    Raises if any tap delay exceeds the slot time.
-    """
-    waveform = np.asarray(waveform, dtype=complex)
-    L = cfg.fast_time_len
-    if waveform.size > L:
-        raise ValueError(
-            f"waveform has {waveform.size} samples but the slot holds {L}"
-        )
-    taps = TapList.merge(u, v)
-    out = np.zeros(L, dtype=complex)
-    if len(taps):
-        if np.any(taps.delays > cfg.slot_time):
-            raise ValueError(
-                "tap delay exceeds the slot time (target outside the "
-                "unambiguous range)"
-            )
-        offsets = np.round(taps.delays * cfg.sample_rate).astype(int)
-        for k, amp in zip(offsets, taps.amps):
-            if k >= L:
-                continue
-            n = min(waveform.size, L - k)
-            out[k : k + n] += amp * waveform[:n]
-    if rng is not None and cfg.noise_power > 0:
-        out += math.sqrt(cfg.noise_power) * rng.standard_complex_normal(L)
-    return out

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import fit_rho, reference_pmf_from_pgms
-from .channel import ClutterConfig
+from .channel import DEFAULT_RHO, ClutterConfig
 from .config import ConfigError, RngStream, load_config, sample_user_gains
 from .curvefit import CurveFitError, eval_curve, make_fit, select_model
 from .dsp import write_pgm
@@ -101,7 +101,7 @@ def cmd_spectrogram(args) -> int:
     cfg, cfg_ref = _load_cfg(args)
     seed = _seed(args, cfg)
     out = _out_dir(args)
-    clutter = ClutterConfig(evolution_rate=args.rho)
+    clutter = ClutterConfig()
     duration = args.cycles * cfg.pri
     motion = _motion_from_args(args, duration)
     rng = RngStream(seed, "spectrogram")
@@ -139,7 +139,7 @@ def cmd_dataset(args) -> int:
     cfg, cfg_ref = _load_cfg(args)
     seed = _seed(args, cfg)
     out = _out_dir(args)
-    clutter = ClutterConfig(evolution_rate=args.rho)
+    clutter = ClutterConfig()
     rng = RngStream(seed, "dataset")
     ds = generate_dataset(
         cfg,
@@ -248,7 +248,7 @@ def cmd_pipeline(args) -> int:
     cfg, cfg_ref = _load_cfg(args)
     seed = _seed(args, cfg)
     out = _out_dir(args)
-    clutter = ClutterConfig(evolution_rate=args.rho)
+    clutter = ClutterConfig()
     rng = RngStream(seed, "pipeline")
     c_values = [int(tok) for tok in args.cycles_list.split(",")]
 
@@ -330,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     motion_args(p)
     p.add_argument("--cycles", type=int, default=3000)
-    p.add_argument("--rho", type=float, default=0.997)
+    p.add_argument("--rho", type=float, default=DEFAULT_RHO)
     p.add_argument("--svd-threshold", type=int, default=2)
     p.add_argument("--stft-window", type=int, default=128)
     p.add_argument("--dynamic-range-db", type=float, default=60.0)
@@ -344,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", default="motions3", choices=tuple(CLASS_SETS))
     p.add_argument("--n-per-class", type=int, default=10)
     p.add_argument("--cycles", type=int, default=512)
-    p.add_argument("--rho", type=float, default=0.997)
+    p.add_argument("--rho", type=float, default=DEFAULT_RHO)
     p.add_argument("--stft-window", type=int, default=128)
     p.set_defaults(func=cmd_dataset)
 
@@ -388,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-train", type=int, default=8)
     p.add_argument("--n-test", type=int, default=4)
     p.add_argument("--cycles-list", default="64,128,256,384")
-    p.add_argument("--rho", type=float, default=0.997)
+    p.add_argument("--rho", type=float, default=DEFAULT_RHO)
     p.add_argument("--stft-window", type=int, default=32)
     p.add_argument("--num-points", type=int, default=120)
     p.set_defaults(func=cmd_pipeline)

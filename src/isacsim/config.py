@@ -360,10 +360,19 @@ class RngStream:
     def normal(self, size=None):
         return self._rng.standard_normal(size)
 
-    def standard_complex_normal(self, size=None):
-        """Circularly symmetric complex normal with E|z|^2 = 1."""
-        z = self._rng.standard_normal(size) + 1j * self._rng.standard_normal(size)
-        return z / np.sqrt(2.0)
+    def standard_complex_normal(self, size):
+        """Circularly symmetric complex normal with E|z|^2 = 1.
+
+        The real parts are drawn before the imaginary parts.  Both are
+        written into one complex array and scaled in place, so a large
+        draw holds one complex and one real array at a time rather than
+        two of each.
+        """
+        z = np.empty(size, dtype=complex)
+        z.real = self._rng.standard_normal(size)
+        z.imag = self._rng.standard_normal(size)
+        z /= np.sqrt(2.0)
+        return z
 
     def rayleigh(self, scale: float = 1.0, size=None):
         return self._rng.rayleigh(scale, size)

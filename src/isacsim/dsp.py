@@ -1,8 +1,8 @@
-"""Spectrogram front end: chirp, stacking, SVD cleaning, dechirp, STFT.
+"""Spectrogram front end: chirp, SVD cleaning, dechirp, STFT.
 
-Processing chain for one motion sample:
+Processing chain for one motion sample, starting from the received
+slow-time matrix X (L x C, one column per cycle):
 
-    cycles -> stack_cycles -> X (L x C)
     X -> svd_denoise -> Y          (drop the strongest r-1 components)
     Y -> dechirp_and_collapse -> y (slow-time sequence, length C)
     y -> stft -> Z                 (|STFT|, frequency rows x time columns)
@@ -52,20 +52,6 @@ def synthesize_chirp(cfg: SystemConfig) -> np.ndarray:
     slope = cfg.bandwidth / cfg.sweep_time
     phase = 2.0 * math.pi * (-0.5 * cfg.bandwidth * t + 0.5 * slope * t**2)
     return math.sqrt(cfg.tx_power) * np.exp(1j * phase)
-
-
-def stack_cycles(cycles) -> np.ndarray:
-    """Concatenate per-cycle vectors into the L x C slow-time matrix."""
-    cycles = list(cycles)
-    if not cycles:
-        raise ValueError("no cycles to stack")
-    length = len(cycles[0])
-    for i, c in enumerate(cycles):
-        if len(c) != length:
-            raise ValueError(
-                f"ragged input: cycle {i} has {len(c)} samples, expected {length}"
-            )
-    return np.stack([np.asarray(c, dtype=complex) for c in cycles], axis=1)
 
 
 def numerical_rank(x: np.ndarray) -> int:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .base import ParamsMixin
-from .channel import ClutterConfig
+from .channel import DEFAULT_RHO, ClutterConfig
 from .config import RngStream, SystemConfig
 from .dsp import write_pgm
 from .kinematics import MotionSpec
@@ -398,7 +398,7 @@ def accuracy_vs_cycles(
     *,
     n_train: int = 50,
     n_test: int = 25,
-    rho: float = 0.997,
+    rho: float = DEFAULT_RHO,
     stft_window: int = 128,
     classifier_kwargs: dict | None = None,
     threads: int = 1,

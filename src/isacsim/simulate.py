@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (
+    DEFAULT_RHO,
     ClutterConfig,
     ClutterProcess,
     draw_primitive_phases,
@@ -39,6 +40,7 @@ from .dsp import (
     to_gray_and_pmf,
 )
 from .kinematics import MotionSpec, PrimitiveTracks, synthesize_tracks
+from .validation import as_float_array
 
 
 @dataclass
@@ -47,32 +49,6 @@ class SpectrogramResult:
     gray: np.ndarray
     pmf: np.ndarray
     tracks: PrimitiveTracks
-
-
-def place_taps(
-    amps: np.ndarray, offsets: np.ndarray, chirp: np.ndarray, fast_len: int
-) -> np.ndarray:
-    """Accumulate chirp copies into the L x C matrix, grouped by offset.
-
-    ``amps``/``offsets`` have shape (num_taps, C); offsets are integer
-    fast-time sample indices.  Indoor delays span only a handful of
-    distinct offsets, so accumulation per unique offset is cheap.
-    """
-    num_taps, num_cycles = amps.shape
-    out = np.zeros((fast_len, num_cycles), dtype=complex)
-    if num_taps == 0:
-        return out
-    if offsets.shape != amps.shape:
-        offsets = np.broadcast_to(offsets, amps.shape)
-    if np.any(offsets < 0) or np.any(offsets >= fast_len):
-        raise ValueError(
-            "tap delay exceeds the slot time (target outside the unambiguous range)"
-        )
-    for off in np.unique(offsets):
-        col = np.where(offsets == off, amps, 0.0).sum(axis=0)
-        n = min(chirp.size, fast_len - off)
-        out[off : off + n, :] += chirp[:n, None] * col[None, :]
-    return out
 
 
 def place_taps_fractional(
@@ -87,6 +63,11 @@ def place_taps_fractional(
     separate static returns from a slowly migrating target; rounding
     every delay onto one shared cell would collapse the matrix to rank
     one and the cleaning step would strip the target as well.
+
+    ``amps`` has shape (num_taps, C) and ``delays_samples`` broadcasts to
+    it; the result is the L x C matrix of accumulated chirp copies.  Indoor
+    delays span only a handful of distinct offsets, so the split taps are
+    summed per unique offset before the chirp is laid down.
     """
     pos = np.broadcast_to(delays_samples, amps.shape)
     if np.any(pos < 0) or np.any(pos > fast_len - 1):
@@ -97,7 +78,12 @@ def place_taps_fractional(
     frac = pos - base
     split_amps = np.concatenate([amps * (1.0 - frac), amps * frac])
     split_offsets = np.concatenate([base, np.minimum(base + 1, fast_len - 1)])
-    return place_taps(split_amps, split_offsets, chirp, fast_len)
+    out = np.zeros((fast_len, amps.shape[1]), dtype=complex)
+    for off in np.unique(split_offsets):
+        col = np.where(split_offsets == off, split_amps, 0.0).sum(axis=0)
+        n = min(chirp.size, fast_len - off)
+        out[off : off + n, :] += chirp[:n, None] * col[None, :]
+    return out
 
 
 def synthesize_received_matrix(
@@ -108,15 +94,21 @@ def synthesize_received_matrix(
     clutter_delays: np.ndarray | None,
     noise_rng: RngStream | None,
 ) -> np.ndarray:
-    """Received slow-time matrix X (L x C) for a whole motion sample."""
+    """Received slow-time matrix X (L x C) for a whole motion sample.
+
+    ``phases`` holds one finite initial phase per primitive.  Any target
+    or clutter tap beyond the last fast-time sample raises (outside the
+    unambiguous range).
+    """
+    phases = as_float_array(phases, "phases", ndim=1)
+    if phases.size != tracks.num_primitives:
+        raise ValueError(
+            f"phases: expected {tracks.num_primitives} entries, got {phases.size}"
+        )
     L = cfg.fast_time_len
     C = tracks.times.size
     chirp = synthesize_chirp(cfg)
 
-    if np.any(2.0 * tracks.distances / SPEED_OF_LIGHT > cfg.slot_time):
-        raise ValueError(
-            "tap delay exceeds the slot time (target outside the unambiguous range)"
-        )
     amps = target_amplitudes(tracks.gains, tracks.distances, cfg, phases[:, None])
     positions = 2.0 * tracks.distances / SPEED_OF_LIGHT * cfg.sample_rate
     x = place_taps_fractional(amps, positions, chirp, L)
@@ -138,7 +130,7 @@ def simulate_spectrogram(
     cycles: int,
     rng: RngStream,
     clutter: ClutterConfig | None = None,
-    rho: float | None = None,
+    rho: float = DEFAULT_RHO,
     *,
     svd_threshold: int = DEFAULT_SVD_THRESHOLD,
     stft_window: int = DEFAULT_STFT_WINDOW,
@@ -151,8 +143,8 @@ def simulate_spectrogram(
 ) -> SpectrogramResult:
     """Full pipeline: motion -> received cycles -> cleaned spectrogram.
 
-    ``clutter=None`` simulates a clutter-free scene.  ``rho`` overrides
-    the clutter config's evolution rate (used by the calibration sweep).
+    ``clutter=None`` simulates a clutter-free scene.  ``rho`` is the
+    clutter evolution rate (the calibration sweep varies it per call).
     ``phases`` pins the per-primitive initial phases, which keeps the
     target return identical across runs that redraw only clutter and
     noise (one fixed motion recording, many channel realizations).  The
@@ -175,11 +167,9 @@ def simulate_spectrogram(
     tracks = synthesize_tracks(motion, radar_position, grid)
     if phases is None:
         phases = draw_primitive_phases(tracks.num_primitives, rng.spawn("phases"))
-    else:
-        phases = np.asarray(phases, dtype=float)
 
     if clutter is not None:
-        process = ClutterProcess(clutter, cfg, rng.spawn("clutter"), rho=rho)
+        process = ClutterProcess(clutter, cfg, rng.spawn("clutter"), rho)
         clutter_amps = process.run(cycles)
         clutter_delays = process.delays
     else:

@@ -21,7 +21,6 @@ from isacsim import (
     RngStream,
     SPEED_OF_LIGHT,
     SystemConfig,
-    TapList,
     classify_zones,
     eval_curve,
     fit_curve,
@@ -29,7 +28,6 @@ from isacsim import (
     kl_divergence,
     make_fit,
     optimal_allocation,
-    received_cycle,
     region_boundary,
     sample_user_gains,
     select_model,
@@ -39,7 +37,11 @@ from isacsim.curvefit import FAMILIES, FAMILY_NAMES, curve_jacobian
 from isacsim.dsp import dechirp, dechirp_and_collapse, stft, svd_denoise
 from isacsim.kinematics import PrimitiveTracks
 from isacsim.recognition import accuracy_points_from_csv, accuracy_vs_cycles
-from isacsim.simulate import simulate_spectrogram, synthesize_received_matrix
+from isacsim.simulate import (
+    place_taps_fractional,
+    simulate_spectrogram,
+    synthesize_received_matrix,
+)
 from isacsim.tradeoff import ZONE_ADVERSARIAL, ZONE_COMM, ZONE_SENSING, zone_bands
 
 BENCH_POW3 = (6.1906e4, 2.4297, 0.9499)
@@ -185,8 +187,10 @@ def test_criterion_5_doppler_end_to_end():
         tx_power=1.0, noise_power=0.0,
     )
     tau = 2.0 * 3.0 / SPEED_OF_LIGHT
-    taps = TapList(np.array([tau]), np.array([1.0 + 0j]))
-    r = received_cycle(taps, TapList.empty(), synthesize_chirp(beat_cfg), beat_cfg)
+    r = place_taps_fractional(
+        np.ones((1, 1), complex), np.array([[tau * beat_cfg.sample_rate]]),
+        synthesize_chirp(beat_cfg), beat_cfg.fast_time_len,
+    )[:, 0]
     beat = np.conj(dechirp(r[:, None], synthesize_chirp(beat_cfg)))[:, 0]
     nfft = 1 << 17
     freqs = np.fft.fftfreq(nfft, d=1.0 / beat_cfg.sample_rate)

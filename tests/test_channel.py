@@ -9,20 +9,18 @@ from isacsim import (
     MotionSpec,
     RngStream,
     SPEED_OF_LIGHT,
-    TapList,
-    clutter_snapshot,
-    evolve_clutter,
-    received_cycle,
     synthesize_chirp,
-    target_channel,
 )
 from isacsim.channel import (
+    DEFAULT_RHO,
     ar_mix,
     build_clutter_support,
     cluster_delays,
     draw_clutter_amplitudes,
+    target_amplitudes,
 )
 from isacsim.kinematics import PrimitiveTracks
+from isacsim.simulate import synthesize_received_matrix
 
 
 def point_tracks(distances, gains=None, times=None):
@@ -42,60 +40,65 @@ def point_tracks(distances, gains=None, times=None):
     )
 
 
-class TestTapList:
-    def test_sorted_by_delay(self):
-        taps = TapList(np.array([3e-8, 1e-8]), np.array([1 + 0j, 2 + 0j]))
-        assert np.array_equal(taps.delays, [1e-8, 3e-8])
-        assert np.array_equal(taps.amps, [2 + 0j, 1 + 0j])
+def received(cfg, tracks=None, phases=None, clutter=None, noise=None):
+    """Received matrix of a few cycles; ``clutter`` is (amps (C, K), delays)."""
+    if tracks is None:
+        tracks = point_tracks(np.zeros((0, 1)))
+        phases = np.zeros(0)
+    amps, delays = clutter if clutter is not None else (None, None)
+    return synthesize_received_matrix(cfg, tracks, phases, amps, delays, noise)
 
-    def test_rejects_negative_delay(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            TapList(np.array([-1e-9]), np.array([1 + 0j]))
 
-    def test_csv_round_format(self, tmp_path):
-        taps = TapList(np.array([1e-8]), np.array([0.5 - 0.25j]))
-        out = tmp_path / "taps.csv"
-        taps.to_csv(out)
-        assert out.read_text().splitlines()[0] == "tau_s,re,im"
+def tap_at(tau, amp, cycles=1):
+    """One clutter tap with a fixed amplitude over ``cycles`` cycles."""
+    return np.full((cycles, 1), amp, dtype=complex), np.array([tau])
 
 
 class TestTargetChannel:
     def test_single_primitive_hand_values(self, base_cfg):
         # Direct evaluation: D=3 m, G=1, phase 0.
-        tracks = point_tracks([[3.0]])
-        taps = target_channel(tracks, base_cfg, 0, phases=np.zeros(1))
-        assert taps.delays[0] == pytest.approx(2.0 * 3.0 / SPEED_OF_LIGHT)
-        a_const = base_cfg.wavelength**2 * math.sqrt(base_cfg.sensing_antenna_gain)
+        cfg = base_cfg.replace(noise_power=0.0)
+        amp = target_amplitudes(1.0, 3.0, cfg, 0.0)
+        a_const = cfg.wavelength**2 * math.sqrt(cfg.sensing_antenna_gain)
         expected_mag = a_const / math.sqrt(4 * math.pi) / 9.0
-        assert abs(taps.amps[0]) == pytest.approx(expected_mag, rel=1e-12)
-        expected_phase = (-2 * math.pi * base_cfg.carrier_freq * 2 * 3.0
+        assert abs(amp) == pytest.approx(expected_mag, rel=1e-12)
+        expected_phase = (-2 * math.pi * cfg.carrier_freq * 2 * 3.0
                           / SPEED_OF_LIGHT) % (2 * math.pi)
-        assert np.angle(taps.amps[0]) % (2 * math.pi) == pytest.approx(
+        assert np.angle(amp) % (2 * math.pi) == pytest.approx(
             expected_phase, abs=1e-9
         )
+        # The tap sits at delay 2 D / c: fast-time position 0.2, split
+        # 0.8 / 0.2 between samples 0 and 1.
+        out = received(cfg, point_tracks([[3.0]]), np.zeros(1))[:, 0]
+        pos = 2.0 * 3.0 / SPEED_OF_LIGHT * cfg.sample_rate
+        chirp = synthesize_chirp(cfg)
+        expected = np.zeros(cfg.fast_time_len, complex)
+        expected[: chirp.size] += (1 - pos) * amp * chirp
+        expected[1 : 1 + chirp.size] += pos * amp * chirp
+        assert np.allclose(out, expected, rtol=1e-12, atol=0.0)
 
     def test_inverse_square_law(self, base_cfg):
-        near = target_channel(point_tracks([[2.0]]), base_cfg, 0, phases=np.zeros(1))
-        far = target_channel(point_tracks([[4.0]]), base_cfg, 0, phases=np.zeros(1))
-        assert abs(near.amps[0]) / abs(far.amps[0]) == pytest.approx(4.0, rel=1e-12)
+        near = target_amplitudes(1.0, 2.0, base_cfg, 0.0)
+        far = target_amplitudes(1.0, 4.0, base_cfg, 0.0)
+        assert abs(near) / abs(far) == pytest.approx(4.0, rel=1e-12)
 
     def test_empty_tracks_empty_taps(self, base_cfg):
         tracks = point_tracks(np.zeros((0, 1)))
-        taps = target_channel(tracks, base_cfg, 0, phases=np.zeros(0))
-        assert len(taps) == 0
-        out = received_cycle(taps, TapList.empty(),
-                             synthesize_chirp(base_cfg), base_cfg)
+        amps = target_amplitudes(tracks.gains, tracks.distances, base_cfg,
+                                 np.zeros((0, 1)))
+        assert amps.size == 0
+        out = received(base_cfg.replace(noise_power=0.0), tracks, np.zeros(0))
         assert np.all(out == 0)
 
     def test_phases_fixed_across_cycles(self, base_cfg, rng):
         tracks = point_tracks([[3.0, 3.001]])
         phases = np.array([0.3])
-        t0 = target_channel(tracks, base_cfg, 0, phases=phases)
-        t1 = target_channel(tracks, base_cfg, 1, phases=phases)
+        amps = target_amplitudes(tracks.gains, tracks.distances, base_cfg,
+                                 phases[:, None])
         # The initial phase contribution is identical; only propagation
         # phase moves between cycles.
         prop = -4 * math.pi * base_cfg.carrier_freq * 0.001 / SPEED_OF_LIGHT
-        measured = np.angle(t1.amps[0] / t0.amps[0])
+        measured = np.angle(amps[0, 1] / amps[0, 0])
         assert measured == pytest.approx(prop % (2 * math.pi) - 2 * math.pi, abs=1e-6)
 
 
@@ -114,15 +117,15 @@ class TestClutter:
         rng = RngStream(5, "c")
         support = build_clutter_support(ccfg, base_cfg, rng)
         assert support.delays[0] == 0.0  # direct cluster
-        amps = draw_clutter_amplitudes(support, rng)
+        amps = draw_clutter_amplitudes(support, rng, 1)
         expected_scale = base_cfg.wavelength / (4 * math.pi * ccfg.baseline)
         assert support.scales[0] == pytest.approx(expected_scale)
-        assert abs(amps[0]) <= expected_scale * 10  # Rayleigh draw, sane scale
+        assert abs(amps[0, 0]) <= expected_scale * 10  # Rayleigh draw, sane scale
 
     def test_zero_reflection_factors_mute_everything(self, base_cfg):
         ccfg = ClutterConfig(num_clusters=3, reflection_factors=(0.0, 0.0, 0.0))
-        taps = clutter_snapshot(ccfg, base_cfg, RngStream(1, "c"))
-        assert np.all(np.abs(taps.amps) == 0.0)
+        proc = ClutterProcess(ccfg, base_cfg, RngStream(1, "c"), DEFAULT_RHO)
+        assert np.all(np.abs(proc.run(5)) == 0.0)
 
     def test_ray_power_decay_monte_carlo(self, base_cfg):
         # Mean squared Rayleigh amplitude must follow the exponential decay
@@ -142,57 +145,41 @@ class TestClutter:
         with pytest.raises(ValueError, match="radar_position"):
             ClutterConfig(radar_position=(5.0, 1.0, 1.0))
 
-    def test_rho_outside_unit_interval_rejected(self):
-        with pytest.raises(ValueError, match="evolution_rate"):
-            ClutterConfig(evolution_rate=1.5)
+    def test_rho_outside_unit_interval_rejected(self, base_cfg):
+        with pytest.raises(ValueError, match="rho"):
+            ClutterProcess(ClutterConfig(), base_cfg, RngStream(1, "c"), 1.5)
 
 
 class TestEvolution:
     @staticmethod
-    def frozen_source(base_cfg, seed):
-        ccfg = ClutterConfig()
-        rng = RngStream(seed, "src")
-        support = build_clutter_support(ccfg, base_cfg, rng)
-
-        def source():
-            return TapList(support.delays,
-                           draw_clutter_amplitudes(support, rng))
-
-        return source
+    def run(base_cfg, seed, rho, cycles):
+        proc = ClutterProcess(ClutterConfig(), base_cfg, RngStream(seed, "src"), rho)
+        return proc.run(cycles)
 
     def test_rho_one_is_static(self, base_cfg):
-        source = self.frozen_source(base_cfg, 1)
-        v = evolve_clutter(None, source, 1.0, 0)
-        first = v.amps.copy()
-        for i in range(1, 20):
-            v = evolve_clutter(v, source, 1.0, i)
-        assert np.array_equal(v.amps, first)
+        amps = self.run(base_cfg, 1, 1.0, 20)
+        assert np.array_equal(amps, np.broadcast_to(amps[0], amps.shape))
 
     def test_rho_zero_is_memoryless(self, base_cfg):
-        source = self.frozen_source(base_cfg, 2)
-        v0 = evolve_clutter(None, source, 0.0, 0)
-        v1 = evolve_clutter(v0, source, 0.0, 1)
+        amps = self.run(base_cfg, 2, 0.0, 2)
         # Fresh draw each cycle: correlation with the previous state is
         # that of independent samples.
-        assert not np.allclose(v0.amps, v1.amps)
+        assert not np.allclose(amps[0], amps[1])
+        # Each cycle is exactly the fresh draw of the same stream.
+        rng = RngStream(2, "src")
+        support = build_clutter_support(ClutterConfig(), base_cfg, rng)
+        assert np.array_equal(amps, draw_clutter_amplitudes(support, rng, 2))
 
     def test_rho_out_of_range(self, base_cfg):
-        source = self.frozen_source(base_cfg, 3)
-        with pytest.raises(ValueError, match="rho"):
-            evolve_clutter(None, source, 1.2, 0)
-
-    def test_mismatched_support_rejected(self, base_cfg):
-        source = self.frozen_source(base_cfg, 4)
-        v0 = evolve_clutter(None, source, 0.5, 0)
-        bad = TapList(v0.delays[:-1], v0.amps[:-1])
-        with pytest.raises(ValueError, match="support"):
-            evolve_clutter(bad, source, 0.5, 1)
+        for rho in (1.2, -0.2):
+            with pytest.raises(ValueError, match="rho"):
+                self.run(base_cfg, 3, rho, 1)
 
     def test_lag_autocorrelation_matches_ar(self, base_cfg):
         # Pooled tap autocorrelation at lag k approaches rho^k.
         ccfg = ClutterConfig(rays_per_cluster=16)
         rho = 0.97
-        proc = ClutterProcess(ccfg, base_cfg, RngStream(11, "ar"), rho=rho)
+        proc = ClutterProcess(ccfg, base_cfg, RngStream(11, "ar"), rho)
         amps = proc.run(30_000)
         x = amps - amps.mean(axis=0)
         var = np.mean(np.abs(x) ** 2)
@@ -205,7 +192,7 @@ class TestEvolution:
         # shared ray layout.
         ccfg = ClutterConfig(rays_per_cluster=16)
         rho = 0.8
-        proc = ClutterProcess(ccfg, base_cfg, RngStream(13, "var"), rho=rho)
+        proc = ClutterProcess(ccfg, base_cfg, RngStream(13, "var"), rho)
         fresh = draw_clutter_amplitudes(proc.support, RngStream(99, "fresh"), 10_000)
         amps = proc.run(10_000)[200:]  # discard burn-in
         ratio = np.mean(np.abs(amps) ** 2) / np.mean(np.abs(fresh) ** 2)
@@ -220,51 +207,48 @@ class TestEvolution:
 
 
 class TestReceivedCycle:
+    """One sensing cycle is the C=1 case of the received matrix."""
+
     def test_empty_channel_zero_output(self, base_cfg):
         cfg = base_cfg.replace(noise_power=0.0)
-        out = received_cycle(TapList.empty(), TapList.empty(),
-                             synthesize_chirp(cfg), cfg)
+        out = received(cfg, clutter=(np.zeros((1, 0), complex), np.zeros(0)))
         assert np.all(out == 0)
-        assert out.size == cfg.fast_time_len
+        assert out.shape == (cfg.fast_time_len, 1)
 
     def test_single_tap_places_scaled_chirp(self, base_cfg):
         cfg = base_cfg.replace(noise_power=0.0)
         chirp = synthesize_chirp(cfg)
-        tau = 12.4 / cfg.sample_rate  # rounds to sample 12
+        tau = 12.0 / cfg.sample_rate  # on the grid: no split
         amp = 0.3 - 0.4j
-        taps = TapList(np.array([tau]), np.array([amp]))
-        out = received_cycle(taps, TapList.empty(), chirp, cfg)
+        out = received(cfg, clutter=tap_at(tau, amp))[:, 0]
         assert np.all(out[:12] == 0)
         assert np.allclose(out[12 : 12 + chirp.size], amp * chirp)
 
     def test_linearity_with_shared_noise(self, base_cfg):
-        chirp = synthesize_chirp(base_cfg)
-        u = TapList(np.array([2e-8]), np.array([1.0 + 0j]))
-        v = TapList(np.array([4e-8]), np.array([0.0 + 0.5j]))
-        noise = RngStream(3, "n")
-        both = received_cycle(u, v, chirp, base_cfg, noise)
+        u = point_tracks([[2e-8 * SPEED_OF_LIGHT / 2]])
+        v = tap_at(4e-8, 0.0 + 0.5j)
+        phases = np.zeros(1)
+        both = received(base_cfg, u, phases, v, RngStream(3, "n"))
         cfg0 = base_cfg.replace(noise_power=0.0)
-        parts = (received_cycle(u, TapList.empty(), chirp, cfg0)
-                 + received_cycle(TapList.empty(), v, chirp, cfg0))
-        noise_only = received_cycle(TapList.empty(), TapList.empty(), chirp,
-                                    base_cfg, RngStream(3, "n"))
+        parts = received(cfg0, u, phases) + received(cfg0, clutter=v)
+        noise_only = received(base_cfg, noise=RngStream(3, "n"))
         assert np.allclose(both, parts + noise_only, rtol=1e-12, atol=1e-18)
 
     def test_noise_power_level(self, base_cfg):
         cfg = base_cfg.replace(noise_power=1e-10)
-        out = received_cycle(TapList.empty(), TapList.empty(),
-                             synthesize_chirp(cfg), cfg, RngStream(8, "n"))
+        out = received(cfg, noise=RngStream(8, "n"))
         assert np.mean(np.abs(out) ** 2) == pytest.approx(1e-10, rel=0.2)
 
     def test_delay_beyond_slot_rejected(self, base_cfg):
-        taps = TapList(np.array([base_cfg.slot_time * 1.01]), np.array([1 + 0j]))
+        tau = base_cfg.slot_time * 1.01
         with pytest.raises(ValueError, match="unambiguous"):
-            received_cycle(taps, TapList.empty(), synthesize_chirp(base_cfg),
-                           base_cfg)
+            received(base_cfg, clutter=tap_at(tau, 1 + 0j))
+        with pytest.raises(ValueError, match="unambiguous"):
+            received(base_cfg, point_tracks([[tau * SPEED_OF_LIGHT / 2]]),
+                     np.zeros(1))
 
     def test_determinism(self, base_cfg):
-        chirp = synthesize_chirp(base_cfg)
-        u = TapList(np.array([2e-8]), np.array([1.0 + 0j]))
-        a = received_cycle(u, TapList.empty(), chirp, base_cfg, RngStream(5, "n"))
-        b = received_cycle(u, TapList.empty(), chirp, base_cfg, RngStream(5, "n"))
+        u = point_tracks([[3.0]])
+        a = received(base_cfg, u, np.zeros(1), noise=RngStream(5, "n"))
+        b = received(base_cfg, u, np.zeros(1), noise=RngStream(5, "n"))
         assert np.array_equal(a, b)

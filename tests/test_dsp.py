@@ -11,7 +11,6 @@ from isacsim import (
     gray_pmf,
     read_pgm,
     simulate_spectrogram,
-    stack_cycles,
     stft,
     svd_denoise,
     synthesize_chirp,
@@ -81,25 +80,6 @@ class TestChirp:
         null_lag = int(np.argmin(ac[1:]) + 1)
         expected = cfg.sample_rate / cfg.bandwidth  # samples per 1/B
         assert abs(null_lag - expected) <= 1.0
-
-
-class TestStack:
-    def test_single_cycle_column(self):
-        x = stack_cycles([np.arange(4, dtype=complex)])
-        assert x.shape == (4, 1)
-
-    def test_many_cycles(self):
-        x = stack_cycles([np.full(8, i, dtype=complex) for i in range(3000)])
-        assert x.shape == (8, 3000)
-        assert np.all(x[:, 17] == 17)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="no cycles"):
-            stack_cycles([])
-
-    def test_ragged_rejected(self):
-        with pytest.raises(ValueError, match="ragged"):
-            stack_cycles([np.zeros(4), np.zeros(5)])
 
 
 class TestSvdDenoise:
@@ -268,10 +248,11 @@ class TestDechirp:
         # fast-time samples.
         cfg = SystemConfig(carrier_freq=3.5e9, bandwidth=1e7, sample_rate=1e8,
                            sweep_time=1e-5, slot_time=1.2e-5, pri=1e-3)
-        from isacsim import TapList, received_cycle
+        from isacsim.simulate import place_taps_fractional
         tau = 2.0 * 3.0 / 3e8
-        taps = TapList(np.array([tau]), np.array([1.0 + 0j]))
-        r = received_cycle(taps, TapList.empty(), synthesize_chirp(cfg), cfg)
+        r = place_taps_fractional(np.ones((1, 1), complex),
+                                  np.array([[tau * cfg.sample_rate]]),
+                                  synthesize_chirp(cfg), cfg.fast_time_len)[:, 0]
         beat = np.conj(dechirp(r[:, None], synthesize_chirp(cfg)))[:, 0]
         nfft = 1 << 17
         spectrum = np.abs(np.fft.fft(beat, nfft))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from isacsim import MotionSpec, RngStream, kl_divergence
-from isacsim.channel import ClutterProcess, draw_primitive_phases, target_channel
+from isacsim.channel import ClutterProcess, draw_primitive_phases, target_amplitudes
 from isacsim.config import SPEED_OF_LIGHT
 from isacsim.kinematics import synthesize_tracks
 from isacsim.simulate import (
@@ -14,24 +14,6 @@ from isacsim.dsp import synthesize_chirp
 
 
 class TestPlacement:
-    def test_integer_delay_matches_received_cycle(self, base_cfg):
-        # The block synthesizer and the per-cycle operation agree exactly
-        # for on-grid delays and no noise.
-        from isacsim import TapList, received_cycle
-
-        cfg = base_cfg.replace(noise_power=0.0)
-        chirp = synthesize_chirp(cfg)
-        tau = 7.0 / cfg.sample_rate
-        amp = 0.5 - 0.2j
-        block = place_taps_fractional(
-            np.full((1, 3), amp), np.full((1, 3), tau * cfg.sample_rate),
-            chirp, cfg.fast_time_len,
-        )
-        cycle = received_cycle(
-            TapList(np.array([tau]), np.array([amp])), TapList.empty(), chirp, cfg
-        )
-        assert np.allclose(block[:, 0], cycle)
-
     def test_fractional_delay_splits_linearly(self, base_cfg):
         chirp = synthesize_chirp(base_cfg)
         L = base_cfg.fast_time_len
@@ -44,21 +26,27 @@ class TestPlacement:
         assert np.allclose(out[:, 0], expected)
 
     def test_vectorized_target_matches_per_cycle_op(self, base_cfg, walking_radial):
-        # The block path and the per-cycle tap operation share one formula.
+        # The (primitives x cycles) block equals the formula evaluated on
+        # one cycle's column at a time.
         grid = np.arange(64) * base_cfg.pri
         tracks = synthesize_tracks(walking_radial, (1.5, 1.0, 1.0), grid)
         phases = draw_primitive_phases(16, RngStream(3, "ph"))
-        from isacsim.channel import target_amplitudes
-
         amps = target_amplitudes(
             tracks.gains, tracks.distances, base_cfg, phases[:, None]
         )
         for i in (0, 13, 63):
-            taps = target_channel(tracks, base_cfg, i, phases=phases)
-            order = np.argsort(
-                2 * tracks.distances[:, i] / SPEED_OF_LIGHT, kind="stable"
+            column = target_amplitudes(
+                tracks.gains[:, i], tracks.distances[:, i], base_cfg, phases
             )
-            assert np.allclose(taps.amps, amps[order, i])
+            assert np.allclose(column, amps[:, i])
+
+    def test_negative_delay_rejected(self, base_cfg):
+        chirp = synthesize_chirp(base_cfg)
+        with pytest.raises(ValueError, match="unambiguous"):
+            place_taps_fractional(
+                np.array([[1.0 + 0j]]), np.array([[-0.5]]), chirp,
+                base_cfg.fast_time_len,
+            )
 
     def test_delay_beyond_slot_rejected(self, base_cfg):
         chirp = synthesize_chirp(base_cfg)
@@ -135,7 +123,7 @@ class TestPipeline:
         grid = np.arange(512) * cfg.pri
         tracks = synthesize_tracks(standing, clutter_cfg.radar_position, grid)
         phases = draw_primitive_phases(16, RngStream(3, "ph"))
-        proc = ClutterProcess(clutter_cfg, cfg, RngStream(3, "cl"), rho=1.0)
+        proc = ClutterProcess(clutter_cfg, cfg, RngStream(3, "cl"), 1.0)
         x = synthesize_received_matrix(
             cfg, tracks, phases, proc.run(512), proc.delays, None
         )
@@ -147,6 +135,20 @@ class TestPipeline:
         with pytest.raises(ValueError, match="dwell"):
             simulate_spectrogram(desk_cfg, short, 256, RngStream(0, "x"),
                                  clutter=clutter_cfg, stft_window=64)
+
+    def test_malformed_phases_rejected(self, desk_cfg, clutter_cfg, walking_radial):
+        # One phase per primitive, 1-d and finite; a short vector must not
+        # broadcast one phase over all sixteen primitives.
+        bad = {
+            "expected 16 entries": np.zeros(1),
+            "1-d": np.zeros((16, 1)),
+            "non-finite": np.full(16, np.nan),
+        }
+        for message, phases in bad.items():
+            with pytest.raises(ValueError, match=f"phases: .*{message}"):
+                simulate_spectrogram(desk_cfg, walking_radial, 128,
+                                     RngStream(0, "x"), clutter=clutter_cfg,
+                                     stft_window=64, phases=phases)
 
     def test_cycles_below_window_rejected(self, desk_cfg, clutter_cfg, walking_radial):
         with pytest.raises(ValueError, match="window"):
