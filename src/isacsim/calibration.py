@@ -14,25 +14,24 @@ import numpy as np
 
 from .config import RngStream
 from .dsp import DEFAULT_PMF_BINS, gray_pmf, read_pgm
-from .validation import check_pmf, check_positive
+from .validation import check_pmf
 
 KL_FLOOR = 1e-9  # pmf floor keeping the divergence finite on empty bins
 
 
-def kl_divergence(p, q, floor: float = KL_FLOOR) -> float:
-    """Kullback-Leibler divergence sum(p * log(p / max(q, floor))).
+def kl_divergence(p, q) -> float:
+    """Kullback-Leibler divergence sum(p * log(p / max(q, KL_FLOOR))).
 
     Natural log; terms with p=0 contribute nothing.  Flooring keeps the
     result finite when ``q`` has empty bins where ``p`` does not, at the
     cost of a vanishing negative bias, which is clamped to zero.
     """
-    check_positive("floor", floor)
     p = check_pmf(p, "p")
     q = check_pmf(q, "q")
     if p.size != q.size:
         raise ValueError(f"pmf length mismatch: {p.size} vs {q.size}")
     mask = p > 0
-    val = float(np.sum(p[mask] * np.log(p[mask] / np.maximum(q[mask], floor))))
+    val = float(np.sum(p[mask] * np.log(p[mask] / np.maximum(q[mask], KL_FLOOR))))
     return max(val, 0.0)
 
 
@@ -56,17 +55,15 @@ def fit_rho(
     grid,
     rng: RngStream,
     samples_per_point: int = 10,
-    estimator: str = "pooled",
 ) -> RhoFit:
     """Brute-force search for the evolution rate best matching a reference.
 
     ``simulate_pmf(rho, rng)`` must regenerate a full-pipeline spectrogram
     pmf at the given rate.  A single simulated draw is far too noisy for a
-    stable argmin, so each grid point uses ``samples_per_point``
-    independent simulations: with ``estimator="pooled"`` (default) they
-    are pooled into one Monte-Carlo estimate of the pmf before a single
-    divergence evaluation; ``estimator="mean"`` instead averages the
-    per-draw divergences.  Ties break toward the larger rate.
+    stable argmin, so each grid point pools ``samples_per_point``
+    independent simulations into one Monte-Carlo estimate of the pmf
+    before a single divergence evaluation.  Ties break toward the larger
+    rate.
     """
     reference = check_pmf(reference_pmf, "reference_pmf")
     grid = np.asarray(grid, dtype=float)
@@ -76,8 +73,6 @@ def fit_rho(
         raise ValueError("rho grid must lie within [0, 1]")
     if samples_per_point < 1:
         raise ValueError(f"samples_per_point must be >= 1, got {samples_per_point}")
-    if estimator not in ("pooled", "mean"):
-        raise ValueError(f"estimator must be 'pooled' or 'mean', got {estimator!r}")
 
     kl = np.empty(grid.size)
     for i, rho in enumerate(grid):
@@ -86,11 +81,8 @@ def fit_rho(
             simulate_pmf(rho, point_rng.spawn(f"s{j}"))
             for j in range(samples_per_point)
         ]
-        if estimator == "pooled":
-            pooled = np.mean(pmfs, axis=0)
-            kl[i] = kl_divergence(reference, pooled / pooled.sum())
-        else:
-            kl[i] = float(np.mean([kl_divergence(reference, p) for p in pmfs]))
+        pooled = np.mean(pmfs, axis=0)
+        kl[i] = kl_divergence(reference, pooled / pooled.sum())
 
     best = grid.size - 1 - int(np.argmin(kl[::-1]))
     return RhoFit(rho=float(grid[best]), grid=grid, kl=kl)

@@ -46,8 +46,8 @@ def target_amplitudes(
     G = np.asarray(gains, dtype=float)
     D = np.asarray(distances, dtype=float)
     phi = np.asarray(phases, dtype=float)
-    if np.any(D <= 0):
-        raise ValueError("distances must be strictly positive")
+    if not np.all((D > 0) & (D < np.inf)):  # NaN fails both comparisons
+        raise ValueError("distances: must be finite and strictly positive")
     a_const = cfg.wavelength**2 * math.sqrt(cfg.sensing_antenna_gain)
     carrier_phase = -2.0 * math.pi * cfg.carrier_freq * (2.0 * D) / SPEED_OF_LIGHT
     return (

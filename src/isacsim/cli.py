@@ -23,8 +23,20 @@ import numpy as np
 from .calibration import fit_rho, reference_pmf_from_pgms
 from .channel import DEFAULT_RHO, ClutterConfig
 from .config import ConfigError, RngStream, load_config, sample_user_gains
-from .curvefit import CurveFitError, eval_curve, make_fit, select_model
-from .dsp import write_pgm
+from .curvefit import (
+    DEFAULT_FIT_SEED,
+    CurveFitError,
+    eval_curve,
+    make_fit,
+    select_model,
+)
+from .dsp import (
+    DEFAULT_DYNAMIC_RANGE_DB,
+    DEFAULT_PMF_BINS,
+    DEFAULT_STFT_WINDOW,
+    DEFAULT_SVD_THRESHOLD,
+    write_pgm,
+)
 from .kinematics import MotionSpec
 from .manifest import write_manifest
 from .recognition import (
@@ -36,6 +48,8 @@ from .recognition import (
 )
 from .simulate import simulate_spectrogram
 from .tradeoff import (
+    DEFAULT_SLOPE_HI,
+    DEFAULT_SLOPE_LO,
     InfeasibleError,
     classify_zones,
     gains_from_csv,
@@ -197,7 +211,7 @@ def cmd_fit(args) -> int:
     )
     cycles, acc = accuracy_points_from_csv(points_path)
     families = args.families.split(",") if args.families else None
-    selection = select_model(cycles, acc, families, seed=args.seed or 0)
+    selection = select_model(cycles, acc, families, seed=args.seed)
     fits_csv = out / "fits.csv"
     selection.to_csv(fits_csv)
     best = selection.best
@@ -206,7 +220,7 @@ def cmd_fit(args) -> int:
     lines = ["C,A"]
     lines.extend(f"{c!r},{eval_curve(best, c)!r}" for c in grid)
     curve_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    write_manifest(out, "fit", str(points_path), args.seed or 0, [fits_csv, curve_csv])
+    write_manifest(out, "fit", str(points_path), args.seed, [fits_csv, curve_csv])
     print("family ranking by SSR:")
     for f in selection.fits:
         params = ", ".join(f"{n}={v:.6g}" for n, v in zip(f.param_names, f.params))
@@ -310,12 +324,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, *, threads=False):
         p.add_argument("--config", help="config file (default: bundled default.cfg)")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for sample generation")
+        if threads:
+            p.add_argument("--threads", type=int, default=1,
+                           help="worker threads for sample generation")
 
     def motion_args(p):
         p.add_argument("--motion", default="walking",
@@ -331,21 +346,21 @@ def build_parser() -> argparse.ArgumentParser:
     motion_args(p)
     p.add_argument("--cycles", type=int, default=3000)
     p.add_argument("--rho", type=float, default=DEFAULT_RHO)
-    p.add_argument("--svd-threshold", type=int, default=2)
-    p.add_argument("--stft-window", type=int, default=128)
-    p.add_argument("--dynamic-range-db", type=float, default=60.0)
-    p.add_argument("--pmf-bins", type=int, default=64)
+    p.add_argument("--svd-threshold", type=int, default=DEFAULT_SVD_THRESHOLD)
+    p.add_argument("--stft-window", type=int, default=DEFAULT_STFT_WINDOW)
+    p.add_argument("--dynamic-range-db", type=float, default=DEFAULT_DYNAMIC_RANGE_DB)
+    p.add_argument("--pmf-bins", type=int, default=DEFAULT_PMF_BINS)
     p.add_argument("--z-csv", action="store_true", help="also dump the dB matrix")
     p.add_argument("--tracks-csv", action="store_true", help="also dump the tracks")
     p.set_defaults(func=cmd_spectrogram)
 
     p = sub.add_parser("dataset", help="generate a labeled spectrogram dataset")
-    common(p)
+    common(p, threads=True)
     p.add_argument("--classes", default="motions3", choices=tuple(CLASS_SETS))
     p.add_argument("--n-per-class", type=int, default=10)
     p.add_argument("--cycles", type=int, default=512)
     p.add_argument("--rho", type=float, default=DEFAULT_RHO)
-    p.add_argument("--stft-window", type=int, default=128)
+    p.add_argument("--stft-window", type=int, default=DEFAULT_STFT_WINDOW)
     p.set_defaults(func=cmd_dataset)
 
     p = sub.add_parser("calibrate", help="fit the clutter evolution rate to a reference")
@@ -358,14 +373,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-step", type=float, default=0.001)
     p.add_argument("--samples-per-point", type=int, default=10)
     p.add_argument("--cycles", type=int, default=1000)
-    p.add_argument("--stft-window", type=int, default=128)
-    p.add_argument("--pmf-bins", type=int, default=64)
+    p.add_argument("--stft-window", type=int, default=DEFAULT_STFT_WINDOW)
+    p.add_argument("--pmf-bins", type=int, default=DEFAULT_PMF_BINS)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("fit", help="fit learning-curve families to accuracy points")
     p.add_argument("--points", help="C,A csv (default: bundled benchmark points)")
     p.add_argument("--families", help="comma list (default: all seven)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=DEFAULT_FIT_SEED)
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_fit)
 
@@ -375,15 +390,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", help="comma list (default: bundled fit parameters)")
     p.add_argument("--gains", help="per-user gains CSV (default: sample from config)")
     p.add_argument("--num-points", type=int, default=200)
-    p.add_argument("--slope-hi", type=float, default=5.0)
-    p.add_argument("--slope-lo", type=float, default=0.2)
+    p.add_argument("--slope-hi", type=float, default=DEFAULT_SLOPE_HI)
+    p.add_argument("--slope-lo", type=float, default=DEFAULT_SLOPE_LO)
     p.set_defaults(func=cmd_region)
 
     p = sub.add_parser(
         "pipeline",
         help="desk-scale end-to-end run: dataset, accuracy curve, fit, region",
     )
-    common(p)
+    common(p, threads=True)
     p.add_argument("--classes", default="motions3", choices=tuple(CLASS_SETS))
     p.add_argument("--n-train", type=int, default=8)
     p.add_argument("--n-test", type=int, default=4)

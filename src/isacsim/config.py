@@ -85,10 +85,8 @@ class SystemConfig:
     num_users : int
         Number of communication users.
     user_pathloss : tuple of float
-        Per-user mean channel power (linear), one entry per user.
-    user_gains : tuple of float, optional
-        Per-user channel power realizations.  When absent, gains are drawn
-        via :func:`sample_user_gains`.
+        Per-user mean channel power (linear), one entry per user; the
+        per-user gains are drawn from it by :func:`sample_user_gains`.
     seed : int
         Base seed for all random streams derived from this configuration.
     """
@@ -107,7 +105,6 @@ class SystemConfig:
     num_targets: int = 1
     num_users: int = 1
     user_pathloss: tuple[float, ...] = (1.0e-5,)
-    user_gains: tuple[float, ...] | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -163,15 +160,6 @@ class SystemConfig:
         for k, rho in enumerate(self.user_pathloss):
             if not (rho > 0 and np.isfinite(rho)):
                 raise ValueError(f"user_pathloss: entry {k} must be positive, got {rho!r}")
-        if self.user_gains is not None:
-            if len(self.user_gains) != self.num_users:
-                raise ValueError(
-                    f"user_gains: expected {self.num_users} entries, "
-                    f"got {len(self.user_gains)}"
-                )
-            for k, g in enumerate(self.user_gains):
-                if not (g >= 0 and np.isfinite(g)):
-                    raise ValueError(f"user_gains: entry {k} must be >= 0, got {g!r}")
 
     @property
     def wavelength(self) -> float:
@@ -278,35 +266,43 @@ def load_config(path) -> SystemConfig:
             f"user_pathloss_db: unparsable value {raw['user_pathloss_db']!r}"
         ) from None
 
+    # Optional keys absent from the file keep the SystemConfig defaults.
+    optional = {}
+    if "pri_s" in raw:
+        optional["pri"] = _parse_float(raw, "pri_s")
+    if "sensing_gain_db" in raw:
+        optional["sensing_antenna_gain"] = 10.0 ** (
+            _parse_float(raw, "sensing_gain_db") / 10.0
+        )
+    if "comm_gain_db" in raw:
+        optional["comm_antenna_gain"] = 10.0 ** (
+            _parse_float(raw, "comm_gain_db") / 10.0
+        )
+    if "num_targets" in raw:
+        optional["num_targets"] = _parse_int(raw, "num_targets")
+    if "seed" in raw:
+        optional["seed"] = _parse_int(raw, "seed")
+
     return SystemConfig(
         carrier_freq=_parse_float(raw, "carrier_freq_hz"),
         bandwidth=_parse_float(raw, "bandwidth_hz"),
         sample_rate=_parse_float(raw, "sample_rate_hz"),
         sweep_time=_parse_float(raw, "sweep_time_s"),
         slot_time=_parse_float(raw, "slot_time_s"),
-        pri=_parse_float(raw, "pri_s") if "pri_s" in raw else 1.0e-3,
         tx_power=_parse_float(raw, "tx_power_w"),
         noise_power=noise_power,
-        sensing_antenna_gain=10.0 ** (_parse_float(raw, "sensing_gain_db") / 10.0)
-        if "sensing_gain_db" in raw
-        else 10.0 ** 2.5,
-        comm_antenna_gain=10.0 ** (_parse_float(raw, "comm_gain_db") / 10.0)
-        if "comm_gain_db" in raw
-        else 1.0,
         total_time=_parse_float(raw, "total_time_s"),
-        num_targets=_parse_int(raw, "num_targets") if "num_targets" in raw else 1,
         num_users=_parse_int(raw, "num_users"),
         user_pathloss=pathloss,
-        seed=_parse_int(raw, "seed") if "seed" in raw else 0,
+        **optional,
     )
 
 
 def save_config(cfg: SystemConfig, path) -> None:
     """Write ``cfg`` in the canonical file format (linear watts, dB gains).
 
-    Only file-representable fields are stored; ``user_gains`` realizations
-    are not part of the format.  ``load_config(save_config(cfg))`` restores
-    every stored field.
+    ``load_config(save_config(cfg))`` restores every field, the linear
+    gains and path losses up to the rounding of the dB conversion.
     """
     path = Path(path)
     db = lambda x: float(10.0 * np.log10(x))
@@ -350,8 +346,12 @@ class RngStream:
         """Derive an independent stream addressed by ``label``.
 
         Spawning is a pure function of (seed, stream_id, label) and does
-        not consume draws from this stream.
+        not consume draws from this stream.  ``label`` may not contain
+        ``/``, the separator of stream ids: ``spawn("a/b")`` would alias
+        ``spawn("a").spawn("b")``.
         """
+        if "/" in label:
+            raise ValueError(f"label: must not contain '/', got {label!r}")
         return RngStream(self.seed, f"{self.stream_id}/{label}")
 
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
@@ -380,18 +380,10 @@ class RngStream:
     def integers(self, low: int, high: int | None = None, size=None):
         return self._rng.integers(low, high, size)
 
-    def poisson_arrivals(self, rate: float, max_count: int, max_time: float | None = None):
-        """Cumulative arrival times of a Poisson process of the given rate.
-
-        Returns up to ``max_count`` arrival times; truncated earlier if
-        ``max_time`` is exceeded.
-        """
+    def poisson_arrivals(self, rate: float, max_count: int):
+        """The first ``max_count`` arrival times of a Poisson process."""
         check_positive("rate", rate)
-        gaps = self._rng.exponential(1.0 / rate, max_count)
-        times = np.cumsum(gaps)
-        if max_time is not None:
-            times = times[times <= max_time]
-        return times
+        return np.cumsum(self._rng.exponential(1.0 / rate, max_count))
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id!r})"

@@ -29,6 +29,10 @@ import numpy as np
 from .base import ParamsMixin
 from .validation import as_float_array
 
+DEFAULT_N_STARTS = 64  # Gauss-Newton starts per family
+DEFAULT_MAX_ITER = 500  # iterations per start
+DEFAULT_FIT_SEED = 0  # seed of the random starts
+
 _EPS_SSR = 1e-15  # relative improvement considered progress
 _MIN_STEP = 1e-12
 
@@ -394,9 +398,9 @@ def fit_curve(
     accuracy,
     family: str = "pow3",
     *,
-    n_starts: int = 64,
-    max_iter: int = 500,
-    seed: int = 0,
+    n_starts: int = DEFAULT_N_STARTS,
+    max_iter: int = DEFAULT_MAX_ITER,
+    seed: int = DEFAULT_FIT_SEED,
 ) -> CurveFit:
     """Nonlinear least-squares fit of one family to (C, A) points.
 
@@ -615,8 +619,8 @@ class LearningCurveModel(ParamsMixin):
     underscore).
     """
 
-    def __init__(self, family: str = "pow3", n_starts: int = 64,
-                 max_iter: int = 500, seed: int = 0):
+    def __init__(self, family: str = "pow3", n_starts: int = DEFAULT_N_STARTS,
+                 max_iter: int = DEFAULT_MAX_ITER, seed: int = DEFAULT_FIT_SEED):
         self.family = family
         self.n_starts = n_starts
         self.max_iter = max_iter

@@ -116,7 +116,6 @@ class MotionSpec:
     start_position: tuple[float, float, float] = (3.0, 4.2, 0.0)
     heading: tuple[float, float] = (-1.0, 0.0)
     duration: float = 3.0
-    num_primitives: int = 16
     segment_length: float | None = None
 
     def __post_init__(self):
@@ -132,10 +131,6 @@ class MotionSpec:
             )
         if self.duration <= 0:
             raise ValueError(f"duration: must be positive, got {self.duration!r}")
-        if self.num_primitives != 16:
-            raise ValueError(
-                "num_primitives: only the 16-primitive body model is implemented"
-            )
         if self.speed is not None:
             if self.motion_class == "standing" and self.speed != 0.0:
                 raise ValueError("speed: standing requires speed 0")
@@ -297,7 +292,6 @@ def synthesize_tracks(
     H = spec.height
     speed = spec.effective_speed
     f_g = gait_frequency(speed, H)
-    scale = H / _REFERENCE_HEIGHT
 
     origin, sign = _body_origin(spec, t)
     h2 = np.array([spec.heading[0], spec.heading[1]])
@@ -384,9 +378,7 @@ def synthesize_tracks(
 
     gains = np.empty_like(dist)
     for b, name in enumerate(PRIMITIVE_NAMES):
-        base = name.rsplit("_", 1)[0] if name.endswith(("_l", "_r")) else name
-        axes = tuple(s * scale for s in _PRIMITIVE_AXES[base])
-        gains[b] = ellipsoid_rcs(axes, aspect[b])
+        gains[b] = primitive_gain(name, aspect[b], H)
 
     omega = 2.0 * math.pi * f_g
     leg_reach = (_LENGTHS["thigh"] + _LENGTHS["shank"] + _LENGTHS["foot_forward"]) * H

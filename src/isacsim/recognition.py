@@ -20,7 +20,7 @@ import numpy as np
 from .base import ParamsMixin
 from .channel import DEFAULT_RHO, ClutterConfig
 from .config import RngStream, SystemConfig
-from .dsp import write_pgm
+from .dsp import DEFAULT_STFT_WINDOW, write_pgm
 from .kinematics import MotionSpec
 from .simulate import simulate_spectrogram
 
@@ -155,10 +155,9 @@ def generate_dataset(
     rho: float,
     rng: RngStream,
     *,
-    stft_window: int = 128,
+    stft_window: int = DEFAULT_STFT_WINDOW,
     threads: int = 1,
     min_radial_fraction: float = 0.0,
-    **pipeline_kwargs,
 ) -> LabeledDataset:
     """Full-pipeline labeled spectrograms, ``n_per_class`` per class.
 
@@ -179,8 +178,9 @@ def generate_dataset(
     jobs = []
     for label, candidates in enumerate(classes):
         _, pairs = candidates
+        class_rng = rng.spawn(f"class{label}")
         for s in range(n_per_class):
-            jobs.append((label, pairs, rng.spawn(f"class{label}/sample{s}")))
+            jobs.append((label, pairs, class_rng.spawn(f"sample{s}")))
 
     def run(job):
         label, pairs, sample_rng = job
@@ -204,7 +204,6 @@ def generate_dataset(
             clutter=clutter,
             rho=rho,
             stft_window=stft_window,
-            **pipeline_kwargs,
         )
         return label, result.gray
 
@@ -358,10 +357,9 @@ class SpectrogramClassifier(ParamsMixin):
         return float(np.mean(self.predict(x) == np.asarray(y)))
 
 
-def train_classifier(train: LabeledDataset, **hyper) -> SpectrogramClassifier:
+def train_classifier(train: LabeledDataset) -> SpectrogramClassifier:
     """Fit the default classifier on a labeled dataset."""
-    clf = SpectrogramClassifier(**hyper)
-    return clf.fit(train.grays, train.labels)
+    return SpectrogramClassifier().fit(train.grays, train.labels)
 
 
 @dataclass(frozen=True)
@@ -399,11 +397,9 @@ def accuracy_vs_cycles(
     n_train: int = 50,
     n_test: int = 25,
     rho: float = DEFAULT_RHO,
-    stft_window: int = 128,
-    classifier_kwargs: dict | None = None,
+    stft_window: int = DEFAULT_STFT_WINDOW,
     threads: int = 1,
     min_radial_fraction: float = 0.0,
-    **pipeline_kwargs,
 ) -> list[AccuracyPoint]:
     """Measure accuracy at each cycle count with fresh train/test splits."""
     c_values = list(c_values)
@@ -415,14 +411,14 @@ def accuracy_vs_cycles(
         train = generate_dataset(
             cfg, clutter, class_set, n_train, c, rho, c_rng.spawn("train"),
             stft_window=stft_window, threads=threads,
-            min_radial_fraction=min_radial_fraction, **pipeline_kwargs,
+            min_radial_fraction=min_radial_fraction,
         )
         test = generate_dataset(
             cfg, clutter, class_set, n_test, c, rho, c_rng.spawn("test"),
             stft_window=stft_window, threads=threads,
-            min_radial_fraction=min_radial_fraction, **pipeline_kwargs,
+            min_radial_fraction=min_radial_fraction,
         )
-        clf = train_classifier(train, **(classifier_kwargs or {}))
+        clf = train_classifier(train)
         points.append(evaluate_accuracy(clf, test))
     return points
 

@@ -28,7 +28,6 @@ from .channel import (
 from .config import SPEED_OF_LIGHT, RngStream, SystemConfig
 from .dsp import (
     DEFAULT_DYNAMIC_RANGE_DB,
-    DEFAULT_KAISER_BETA,
     DEFAULT_PMF_BINS,
     DEFAULT_STFT_WINDOW,
     DEFAULT_SVD_THRESHOLD,
@@ -70,9 +69,12 @@ def place_taps_fractional(
     summed per unique offset before the chirp is laid down.
     """
     pos = np.broadcast_to(delays_samples, amps.shape)
-    if np.any(pos < 0) or np.any(pos > fast_len - 1):
+    # One pass rejects negative, beyond-slot and non-finite positions alike
+    # (NaN fails both comparisons).
+    if not np.all((pos >= 0) & (pos <= fast_len - 1)):
         raise ValueError(
-            "tap delay exceeds the slot time (target outside the unambiguous range)"
+            "delays_samples: tap delay is not finite or exceeds the slot time "
+            "(target outside the unambiguous range)"
         )
     base = np.floor(pos).astype(int)
     frac = pos - base
@@ -134,16 +136,14 @@ def simulate_spectrogram(
     *,
     svd_threshold: int = DEFAULT_SVD_THRESHOLD,
     stft_window: int = DEFAULT_STFT_WINDOW,
-    hop: int = 1,
-    kaiser_beta: float = DEFAULT_KAISER_BETA,
     dynamic_range_db: float = DEFAULT_DYNAMIC_RANGE_DB,
     pmf_bins: int = DEFAULT_PMF_BINS,
-    radar_position=None,
     phases=None,
 ) -> SpectrogramResult:
     """Full pipeline: motion -> received cycles -> cleaned spectrogram.
 
-    ``clutter=None`` simulates a clutter-free scene.  ``rho`` is the
+    ``clutter=None`` simulates a clutter-free scene seen from the default
+    :class:`ClutterConfig` radar position.  ``rho`` is the
     clutter evolution rate (the calibration sweep varies it per call).
     ``phases`` pins the per-primitive initial phases, which keeps the
     target return identical across runs that redraw only clutter and
@@ -160,11 +160,10 @@ def simulate_spectrogram(
             f"motion duration {motion.duration} s does not cover the "
             f"sensing dwell {dwell} s"
         )
-    if radar_position is None:
-        radar_position = clutter.radar_position if clutter is not None else (1.5, 1.0, 1.0)
+    scene = clutter if clutter is not None else ClutterConfig()
 
     grid = np.arange(cycles) * cfg.pri
-    tracks = synthesize_tracks(motion, radar_position, grid)
+    tracks = synthesize_tracks(motion, scene.radar_position, grid)
     if phases is None:
         phases = draw_primitive_phases(tracks.num_primitives, rng.spawn("phases"))
 
@@ -180,6 +179,6 @@ def simulate_spectrogram(
     )
     y = svd_denoise(x, svd_threshold)
     slow = dechirp_and_collapse(y, synthesize_chirp(cfg))
-    spec = stft(slow, cfg.pri, stft_window, hop, kaiser_beta)
+    spec = stft(slow, cfg.pri, stft_window)
     gray, pmf = to_gray_and_pmf(spec.values, dynamic_range_db, pmf_bins)
     return SpectrogramResult(spectrogram=spec, gray=gray, pmf=pmf, tracks=tracks)

@@ -28,6 +28,7 @@ from .validation import as_float_array
 
 DEFAULT_SLOPE_HI = 5.0  # |normalized slope| above this: sensing saturation
 DEFAULT_SLOPE_LO = 0.2  # |normalized slope| below this: comm saturation
+IDENTITY_RTOL = 1e-9  # budget-identity tolerance of each boundary point, relative to T
 
 ZONE_COMM = "comm_saturation"
 ZONE_ADVERSARIAL = "adversarial"
@@ -189,13 +190,12 @@ def region_boundary(
     gains,
     cfg: SystemConfig,
     num_points: int = 200,
-    identity_rtol: float = 1e-9,
 ) -> RegionBoundary:
     """Sweep integer cycle counts and collect Pareto boundary points.
 
     Every point is cross-checked against the budget identity
     ``N T0 curve_inverse(A) + (sum_k T/w_k) R = T`` within
-    ``identity_rtol * T``.
+    ``IDENTITY_RTOL * T``.
     """
     if num_points < 2:
         raise ValueError(f"num_points must be >= 2, got {num_points}")
@@ -224,7 +224,7 @@ def region_boundary(
             cfg.num_targets * cfg.slot_time * invert_curve(fit, acc)
             + time_over_rate * alloc.rate
         )
-        if abs(lhs - cfg.total_time) > identity_rtol * cfg.total_time:
+        if abs(lhs - cfg.total_time) > IDENTITY_RTOL * cfg.total_time:
             raise AssertionError(
                 f"budget identity violated at C={c}: {lhs!r} != {cfg.total_time!r}"
             )

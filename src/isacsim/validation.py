@@ -43,10 +43,3 @@ def check_pmf(p, name: str, *, tol: float = 1e-9) -> np.ndarray:
     if abs(total - 1.0) > tol:
         raise ValueError(f"{name}: probabilities sum to {total!r}, expected 1")
     return arr
-
-
-def check_consistent_length(name_a: str, a, name_b: str, b) -> None:
-    if len(a) != len(b):
-        raise ValueError(
-            f"{name_a} and {name_b} must have equal length, got {len(a)} vs {len(b)}"
-        )

@@ -82,6 +82,11 @@ class TestTargetChannel:
         far = target_amplitudes(1.0, 4.0, base_cfg, 0.0)
         assert abs(near) / abs(far) == pytest.approx(4.0, rel=1e-12)
 
+    @pytest.mark.parametrize("distance", [np.nan, np.inf])
+    def test_non_finite_distance_rejected(self, base_cfg, distance):
+        with pytest.raises(ValueError, match="distances"):
+            target_amplitudes(1.0, np.array([3.0, distance]), base_cfg, 0.0)
+
     def test_empty_tracks_empty_taps(self, base_cfg):
         tracks = point_tracks(np.zeros((0, 1)))
         amps = target_amplitudes(tracks.gains, tracks.distances, base_cfg,

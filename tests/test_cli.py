@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from isacsim.cli import main
+from isacsim.cli import build_parser, main
 from isacsim.dsp import read_pgm
 from isacsim.manifest import read_manifest
 
@@ -45,6 +45,19 @@ class TestHelp:
             main([cmd, "--help"])
         assert exc.value.code == 0
         assert "--" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "cmd", [["spectrogram"], ["calibrate", "--reference", "ref.pgm"], ["region"]]
+    )
+    def test_threads_rejected_where_unused(self, cmd, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(cmd + ["--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd", ["dataset", "pipeline"])
+    def test_threads_accepted_for_sample_generation(self, cmd):
+        assert build_parser().parse_args([cmd, "--threads", "2"]).threads == 2
 
     def test_top_level_help(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -144,6 +144,19 @@ class TestRngStream:
         assert np.array_equal(child1, child2)
         assert not np.array_equal(child1, RngStream(5, "root").spawn("b").normal(16))
 
+    def test_spawn_rejects_separator_in_label(self):
+        with pytest.raises(ValueError, match="label"):
+            RngStream(5, "root").spawn("class0/sample1")
+
+    def test_two_step_spawn_keeps_slash_stream(self):
+        # generate_dataset spawns class then sample; the stream equals the
+        # one a single "class0/sample1" label used to address.
+        two_step = RngStream(5, "root").spawn("class0").spawn("sample1")
+        assert two_step.stream_id == "root/class0/sample1"
+        assert np.array_equal(
+            two_step.normal(16), RngStream(5, "root/class0/sample1").normal(16)
+        )
+
     def test_complex_normal_unit_power(self):
         z = RngStream(0, "z").standard_complex_normal(200_000)
         assert np.mean(np.abs(z) ** 2) == pytest.approx(1.0, rel=0.01)

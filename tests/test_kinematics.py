@@ -27,10 +27,6 @@ class TestMotionSpec:
         with pytest.raises(ValueError, match="motion_class"):
             MotionSpec("running")
 
-    def test_sixteen_primitives_only(self):
-        with pytest.raises(ValueError, match="num_primitives"):
-            MotionSpec("walking", num_primitives=10)
-
 
 class TestTracks:
     def test_standing_distances_constant(self):

@@ -10,8 +10,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from isacsim import MotionSpec, SystemConfig, optimal_allocation, to_gray, user_rate
-from isacsim.kinematics import PrimitiveTracks
+from isacsim import (
+    ClutterConfig,
+    ClutterProcess,
+    MotionSpec,
+    RngStream,
+    SystemConfig,
+    fit_curve,
+    optimal_allocation,
+    to_gray,
+    user_rate,
+)
+from isacsim.channel import draw_primitive_phases
+from isacsim.curvefit import get_family
+from isacsim.dsp import dechirp_and_collapse, svd_denoise, synthesize_chirp
+from isacsim.kinematics import PrimitiveTracks, synthesize_tracks
 from isacsim.simulate import synthesize_received_matrix
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
@@ -88,3 +101,52 @@ def test_optimal_allocation_equal_rates_full_budget(gains, cycles):
     assert np.allclose(rates, result.rate, rtol=1e-12, atol=0.0)
     sensing = DESK.num_targets * DESK.slot_time * cycles
     assert result.times.sum() + sensing == pytest.approx(DESK.total_time, rel=1e-12)
+
+
+@PROPERTY
+@given(
+    st.sampled_from(("adult", "child")),
+    st.floats(0.5, 2.5),
+    st.floats(2.0, 4.0),
+    st.integers(0, 2**32 - 1),
+    st.integers(8, 64),
+)
+def test_static_scene_leaves_no_slow_time_signal(subject, x, y, seed, cycles):
+    # A standing subject and frozen clutter (rho=1) repeat the same column
+    # every cycle, so X has rank one and removing its strongest component
+    # leaves nothing to dechirp.
+    rng = RngStream(seed, "static")
+    clutter = ClutterConfig()
+    motion = MotionSpec("standing", subject, start_position=(x, y, 0.0))
+    tracks = synthesize_tracks(motion, clutter.radar_position,
+                               np.arange(cycles) * DESK.pri)
+    process = ClutterProcess(clutter, DESK, rng.spawn("clutter"), 1.0)
+    x_mat = synthesize_received_matrix(
+        DESK, tracks, draw_primitive_phases(16, rng.spawn("phases")),
+        process.run(cycles), process.delays, None,
+    )
+    slow = dechirp_and_collapse(svd_denoise(x_mat, 2), synthesize_chirp(DESK))
+    assert np.linalg.norm(slow) <= 1e-9 * np.linalg.norm(x_mat)
+
+
+PLANTED = {  # family -> parameter ranges inside its bounds and domain (C >= 2)
+    "vapor_pressure": ((-1.0, 0.5), (-300.0, 0.0)),
+    "log_log_linear": ((0.1, 5.0), (0.5, 5.0)),
+    "ilog2": ((0.1, 5.0), (0.5, 2.0)),
+}
+
+
+@PROPERTY
+@given(
+    st.sampled_from(sorted(PLANTED)),
+    st.data(),
+    st.lists(st.integers(2, 4000), min_size=3, max_size=8, unique=True),
+)
+def test_fit_curve_recovers_planted_curve(family, data, cycles):
+    # The first start of these families is a linear least-squares solve
+    # that is exact on noiseless points, so one start suffices.
+    params = [data.draw(st.floats(lo, hi)) for lo, hi in PLANTED[family]]
+    c = np.sort(np.asarray(cycles, dtype=float))
+    a = get_family(family).evaluate(params, c)
+    fit = fit_curve(c, a, family, n_starts=1)
+    assert fit.ssr <= 1e-20

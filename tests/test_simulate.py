@@ -48,6 +48,15 @@ class TestPlacement:
                 base_cfg.fast_time_len,
             )
 
+    @pytest.mark.parametrize("delay", [np.nan, np.inf])
+    def test_non_finite_delay_rejected(self, base_cfg, delay):
+        chirp = synthesize_chirp(base_cfg)
+        with pytest.raises(ValueError, match="delays_samples"):
+            place_taps_fractional(
+                np.array([[1.0 + 0j, 1.0 + 0j]]), np.array([[3.0, delay]]),
+                chirp, base_cfg.fast_time_len,
+            )
+
     def test_delay_beyond_slot_rejected(self, base_cfg):
         chirp = synthesize_chirp(base_cfg)
         with pytest.raises(ValueError, match="unambiguous"):
