@@ -17,6 +17,7 @@ from .dsp import DEFAULT_PMF_BINS, gray_pmf, read_pgm
 from .validation import check_pmf
 
 KL_FLOOR = 1e-9  # pmf floor keeping the divergence finite on empty bins
+DEFAULT_SAMPLES_PER_POINT = 10  # simulations pooled per grid point
 
 
 def kl_divergence(p, q) -> float:
@@ -45,7 +46,7 @@ class RhoFit:
 
     def to_csv(self, path) -> None:
         lines = ["rho,kl"]
-        lines.extend(f"{r!r},{k!r}" for r, k in zip(self.grid, self.kl))
+        lines.extend(f"{r!r},{k!r}" for r, k in zip(self.grid.tolist(), self.kl.tolist()))
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -54,7 +55,7 @@ def fit_rho(
     simulate_pmf,
     grid,
     rng: RngStream,
-    samples_per_point: int = 10,
+    samples_per_point: int = DEFAULT_SAMPLES_PER_POINT,
 ) -> RhoFit:
     """Brute-force search for the evolution rate best matching a reference.
 

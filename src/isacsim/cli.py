@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import fit_rho, reference_pmf_from_pgms
+from .calibration import DEFAULT_SAMPLES_PER_POINT, fit_rho, reference_pmf_from_pgms
 from .channel import DEFAULT_RHO, ClutterConfig
 from .config import ConfigError, RngStream, load_config, sample_user_gains
 from .curvefit import (
@@ -37,7 +37,7 @@ from .dsp import (
     DEFAULT_SVD_THRESHOLD,
     write_pgm,
 )
-from .kinematics import MotionSpec
+from .kinematics import DEFAULT_HEADING, DEFAULT_START, MotionSpec
 from .manifest import write_manifest
 from .recognition import (
     CLASS_SETS,
@@ -48,6 +48,7 @@ from .recognition import (
 )
 from .simulate import simulate_spectrogram
 from .tradeoff import (
+    DEFAULT_NUM_POINTS,
     DEFAULT_SLOPE_HI,
     DEFAULT_SLOPE_LO,
     InfeasibleError,
@@ -67,15 +68,18 @@ def _data_path(name: str) -> Path:
     return Path(resources.files("isacsim").joinpath("data", name))
 
 
+def _input(given, bundled: str) -> tuple[Path, str]:
+    """An input file and the name a manifest records; bundled ones by package path."""
+    if given is None:
+        return _data_path(bundled), f"isacsim/data/{bundled}"
+    return Path(given), str(Path(given))
+
+
 def _load_cfg(args):
-    if args.config is None:
-        path = _data_path("default.cfg")
-    else:
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-    cfg = load_config(path)
-    return cfg, str(path)
+    path, ref = _input(args.config, "default.cfg")
+    if not path.exists():
+        raise ConfigError(f"config file not found: {path}")
+    return load_config(path), ref
 
 
 def _seed(args, cfg) -> int:
@@ -206,9 +210,7 @@ def cmd_calibrate(args) -> int:
 
 def cmd_fit(args) -> int:
     out = _out_dir(args)
-    points_path = Path(args.points) if args.points else _data_path(
-        "reference_accuracy_points.csv"
-    )
+    points_path, points_ref = _input(args.points, "reference_accuracy_points.csv")
     cycles, acc = accuracy_points_from_csv(points_path)
     families = args.families.split(",") if args.families else None
     selection = select_model(cycles, acc, families, seed=args.seed)
@@ -218,9 +220,9 @@ def cmd_fit(args) -> int:
     grid = np.linspace(cycles.min(), cycles.max(), 200)
     curve_csv = out / "curve_best.csv"
     lines = ["C,A"]
-    lines.extend(f"{c!r},{eval_curve(best, c)!r}" for c in grid)
+    lines.extend(f"{c!r},{eval_curve(best, c)!r}" for c in grid.tolist())
     curve_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    write_manifest(out, "fit", str(points_path), args.seed, [fits_csv, curve_csv])
+    write_manifest(out, "fit", points_ref, args.seed, [fits_csv, curve_csv])
     print("family ranking by SSR:")
     for f in selection.fits:
         params = ", ".join(f"{n}={v:.6g}" for n, v in zip(f.param_names, f.params))
@@ -336,9 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--motion", default="walking",
                        choices=("standing", "walking", "pacing"))
         p.add_argument("--subject", default="adult", choices=("adult", "child"))
-        p.add_argument("--start", type=float, nargs=3, default=(3.0, 4.2, 0.0),
+        p.add_argument("--start", type=float, nargs=3, default=DEFAULT_START,
                        metavar=("X", "Y", "Z"))
-        p.add_argument("--heading", type=float, nargs=2, default=(-1.0, 0.0),
+        p.add_argument("--heading", type=float, nargs=2, default=DEFAULT_HEADING,
                        metavar=("HX", "HY"))
 
     p = sub.add_parser("spectrogram", help="simulate one motion spectrogram")
@@ -371,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-start", type=float, default=0.99)
     p.add_argument("--grid-stop", type=float, default=1.0)
     p.add_argument("--grid-step", type=float, default=0.001)
-    p.add_argument("--samples-per-point", type=int, default=10)
+    p.add_argument("--samples-per-point", type=int, default=DEFAULT_SAMPLES_PER_POINT)
     p.add_argument("--cycles", type=int, default=1000)
     p.add_argument("--stft-window", type=int, default=DEFAULT_STFT_WINDOW)
     p.add_argument("--pmf-bins", type=int, default=DEFAULT_PMF_BINS)
@@ -389,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default="pow3")
     p.add_argument("--params", help="comma list (default: bundled fit parameters)")
     p.add_argument("--gains", help="per-user gains CSV (default: sample from config)")
-    p.add_argument("--num-points", type=int, default=200)
+    p.add_argument("--num-points", type=int, default=DEFAULT_NUM_POINTS)
     p.add_argument("--slope-hi", type=float, default=DEFAULT_SLOPE_HI)
     p.add_argument("--slope-lo", type=float, default=DEFAULT_SLOPE_LO)
     p.set_defaults(func=cmd_region)

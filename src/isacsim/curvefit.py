@@ -14,8 +14,7 @@ Fitting minimizes the sum of squared residuals with a multi-start damped
 Gauss-Newton iteration: analytic Jacobians, step halving on residual
 increase, and parameter bounds enforced by projection.  Model selection
 ranks the families by attained SSR.  Every family is monotone in C over
-its domain for fixed parameters, so curves invert by bisection (pow3 in
-closed form).
+its domain for fixed parameters, so curves invert by bisection.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ class _Family:
             return self._jacobian(np.asarray(params, float), np.asarray(c, float))
 
     def domain(self, params):
-        return self._domain(np.asarray(params, float))
+        return tuple(float(v) for v in self._domain(np.asarray(params, float)))
 
     def increasing(self, params):
         return self._increasing(np.asarray(params, float))
@@ -515,7 +514,7 @@ class ModelSelection:
         """CSV ``family,param1..param4,ssr,ssr_over_q`` (ranked)."""
         lines = ["family,param1,param2,param3,param4,ssr,ssr_over_q"]
         for f in self.fits:
-            cells = [f"{v!r}" for v in f.params] + [""] * (4 - f.params.size)
+            cells = [f"{v!r}" for v in f.params.tolist()] + [""] * (4 - f.params.size)
             lines.append(f"{f.family}," + ",".join(cells) + f",{f.ssr!r},{f.ssr_over_q!r}")
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -554,12 +553,13 @@ def _supremum(fit: CurveFit) -> float:
     return float(val)
 
 
-def invert_curve(fit: CurveFit, accuracy: float, tol: float = 1e-10) -> float:
+def invert_curve(fit: CurveFit, accuracy: float) -> float:
     """Cycle count at which the fitted curve reaches ``accuracy``.
 
-    pow3 inverts in closed form; other families by bisection over the
-    monotone range.  Raises when the accuracy lies outside the achievable
-    range (e.g. at or above the curve's asymptote).
+    Bisects the monotone range down to two adjacent floats, so the curve
+    values next to the returned C bracket ``accuracy``.  Raises when the
+    accuracy lies outside the achievable range (e.g. at or above the
+    curve's asymptote).
     """
     a_target = float(accuracy)
     fam = get_family(fit.family)
@@ -568,14 +568,11 @@ def invert_curve(fit: CurveFit, accuracy: float, tol: float = 1e-10) -> float:
     if lo >= hi:
         raise ValueError(f"{fit.family}: empty domain")
 
-    if fit.family == "pow3" and fit.increasing:
-        alpha, beta, gamma = p
-        if a_target >= gamma:
-            raise ValueError(
-                f"accuracy {a_target!r} is unreachable: at or above the "
-                f"asymptote {gamma!r}"
-            )
-        return float((alpha / (gamma - a_target)) ** (1.0 / beta))
+    if fit.family == "pow3" and fit.increasing and a_target >= p[2]:
+        raise ValueError(
+            f"accuracy {a_target!r} is unreachable: at or above the "
+            f"asymptote {float(p[2])!r}"
+        )
 
     sign = 1.0 if fit.increasing else -1.0
     lo_b = max(lo * (1.0 + 1e-12), lo + 1e-12, 1e-12)
@@ -587,8 +584,8 @@ def invert_curve(fit: CurveFit, accuracy: float, tol: float = 1e-10) -> float:
             hi_b *= 4.0
             if hi_b > 1e18:
                 raise ValueError(
-                    f"accuracy {a_target!r} is unreachable: above the curve's "
-                    f"supremum {_supremum(fit)!r}"
+                    f"accuracy {a_target!r} is unreachable for C below 1e18 "
+                    f"(the curve's supremum is {_supremum(fit)!r})"
                 )
     f_lo = float(fam.evaluate(p, np.asarray(lo_b)))
     f_hi = float(fam.evaluate(p, np.asarray(hi_b)))
@@ -599,16 +596,14 @@ def invert_curve(fit: CurveFit, accuracy: float, tol: float = 1e-10) -> float:
             f"accuracy {a_target!r} is unreachable within the domain "
             f"({lo!r}, {hi!r})"
         )
-    for _ in range(200):
+    while True:
         mid = 0.5 * (lo_b + hi_b)
-        f_mid = float(fam.evaluate(p, np.asarray(mid)))
-        if sign * (f_mid - a_target) < 0:
+        if not lo_b < mid < hi_b:  # adjacent floats: their values bracket a_target
+            return mid
+        if sign * (float(fam.evaluate(p, np.asarray(mid))) - a_target) < 0:
             lo_b = mid
         else:
             hi_b = mid
-        if hi_b - lo_b <= 1e-14 * max(1.0, abs(hi_b)) and abs(f_mid - a_target) <= tol:
-            break
-    return 0.5 * (lo_b + hi_b)
 
 
 class LearningCurveModel(ParamsMixin):

@@ -24,6 +24,8 @@ from .validation import as_float_array
 MOTION_CLASSES = ("standing", "walking", "pacing")
 SUBJECT_HEIGHTS = {"adult": 1.75, "child": 1.0}
 DEFAULT_SPEEDS = {"standing": 0.0, "walking": 1.0, "pacing": 0.5}
+DEFAULT_START = (3.0, 4.2, 0.0)  # m, subject start position
+DEFAULT_HEADING = (-1.0, 0.0)  # walking direction in the floor plane
 
 GAIT_FREQ_COEFF = 1.346  # f_g = speed / (GAIT_FREQ_COEFF * sqrt(height))
 
@@ -113,8 +115,8 @@ class MotionSpec:
     motion_class: str
     subject: str = "adult"
     speed: float | None = None
-    start_position: tuple[float, float, float] = (3.0, 4.2, 0.0)
-    heading: tuple[float, float] = (-1.0, 0.0)
+    start_position: tuple[float, float, float] = DEFAULT_START
+    heading: tuple[float, float] = DEFAULT_HEADING
     duration: float = 3.0
     segment_length: float | None = None
 

@@ -10,8 +10,9 @@ giving the closed-form boundary
     R*(C) = (T - N T0 C) / (T * sum_j 1/w_j),    A(C) = curve(C).
 
 Sweeping integer C traces the Pareto boundary of the accuracy-rate
-region; its normalized slope splits it into a communication-saturation
-zone, an adversarial zone, and a sensing-saturation zone.
+region: R* falls strictly with C, so it keeps each C whose accuracy beats
+every smaller C.  Its normalized slope splits it into a communication-
+saturation zone, an adversarial zone, and a sensing-saturation zone.
 """
 
 from __future__ import annotations
@@ -23,12 +24,14 @@ from pathlib import Path
 import numpy as np
 
 from .config import SystemConfig
+# invert_curve is unused here but kept: perfbench/run.py traces tradeoff.invert_curve.
 from .curvefit import CurveFit, eval_curve, invert_curve
 from .validation import as_float_array
 
 DEFAULT_SLOPE_HI = 5.0  # |normalized slope| above this: sensing saturation
 DEFAULT_SLOPE_LO = 0.2  # |normalized slope| below this: comm saturation
 IDENTITY_RTOL = 1e-9  # budget-identity tolerance of each boundary point, relative to T
+DEFAULT_NUM_POINTS = 200  # cycle counts swept by region_boundary
 
 ZONE_COMM = "comm_saturation"
 ZONE_ADVERSARIAL = "adversarial"
@@ -70,13 +73,8 @@ class AllocationResult:
     times: np.ndarray  # t_k, s
     cycles: int
     rate: float  # R*, bit/s
-    accuracy: float | None
     multipliers: np.ndarray
     budget_multiplier: float
-
-    @property
-    def sensing_time(self) -> float:
-        return float(np.sum(self.times))
 
 
 def _rate_weights(gains: np.ndarray, cfg: SystemConfig) -> np.ndarray:
@@ -84,9 +82,7 @@ def _rate_weights(gains: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     return cfg.bandwidth * np.log2(1.0 + snr)
 
 
-def optimal_allocation(
-    cycles: int, gains, cfg: SystemConfig, accuracy: float | None = None
-) -> AllocationResult:
+def optimal_allocation(cycles: int, gains, cfg: SystemConfig) -> AllocationResult:
     """Max-min optimal time allocation for a fixed cycle count.
 
     All users end up with identical rates; the allocation exhausts the
@@ -121,7 +117,6 @@ def optimal_allocation(
         times=times,
         cycles=cycles,
         rate=rate,
-        accuracy=accuracy,
         multipliers=multipliers,
         budget_multiplier=budget_multiplier,
     )
@@ -189,13 +184,14 @@ def region_boundary(
     fit: CurveFit,
     gains,
     cfg: SystemConfig,
-    num_points: int = 200,
+    num_points: int = DEFAULT_NUM_POINTS,
 ) -> RegionBoundary:
     """Sweep integer cycle counts and collect Pareto boundary points.
 
-    Every point is cross-checked against the budget identity
-    ``N T0 curve_inverse(A) + (sum_k T/w_k) R = T`` within
-    ``IDENTITY_RTOL * T``.
+    Every swept C is checked against the budget identity
+    ``N T0 C + (sum_k T/w_k) R = T`` within ``IDENTITY_RTOL * T``.  R falls
+    strictly with C, so a C is kept only when its accuracy exceeds every
+    kept one; the others are Pareto-dominated (no more accuracy, less rate).
     """
     if num_points < 2:
         raise ValueError(f"num_points must be >= 2, got {num_points}")
@@ -214,22 +210,18 @@ def region_boundary(
             "no accuracy-rate tradeoff to trace"
         )
 
-    w = _rate_weights(gains, cfg)
-    time_over_rate = float(np.sum(cfg.total_time / w))
+    time_over_rate = float(np.sum(cfg.total_time / _rate_weights(gains, cfg)))
     points = []
-    for c in cs:
-        acc = float(eval_curve(fit, float(c)))
-        alloc = optimal_allocation(int(c), gains, cfg, accuracy=acc)
-        lhs = (
-            cfg.num_targets * cfg.slot_time * invert_curve(fit, acc)
-            + time_over_rate * alloc.rate
-        )
+    for c in cs.tolist():
+        rate = optimal_allocation(c, gains, cfg).rate
+        lhs = cfg.num_targets * cfg.slot_time * c + time_over_rate * rate
         if abs(lhs - cfg.total_time) > IDENTITY_RTOL * cfg.total_time:
             raise AssertionError(
                 f"budget identity violated at C={c}: {lhs!r} != {cfg.total_time!r}"
             )
-        points.append(BoundaryPoint(cycles=int(c), accuracy=acc, rate=alloc.rate))
-    points.sort(key=lambda p: p.accuracy)
+        acc = eval_curve(fit, float(c))
+        if not points or acc > points[-1].accuracy:
+            points.append(BoundaryPoint(cycles=c, accuracy=acc, rate=rate))
     return RegionBoundary(points=points)
 
 
@@ -248,7 +240,10 @@ def classify_zones(
     compete.  The labels always form at most three contiguous bands.
     """
     if len(boundary) < 3:
-        raise ValueError(f"need at least 3 boundary points, got {len(boundary)}")
+        raise InfeasibleError(
+            f"need at least 3 boundary points, got {len(boundary)}: accuracy "
+            "stops rising with C (the fitted curve saturates or decreases)"
+        )
     if slope_lo > slope_hi:
         raise ValueError("slope_lo must not exceed slope_hi")
     a = boundary.accuracies

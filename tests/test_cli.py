@@ -1,7 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
+import isacsim
 from isacsim.cli import build_parser, main
 from isacsim.dsp import read_pgm
 from isacsim.manifest import read_manifest
@@ -32,8 +34,19 @@ def cfg_file(tmp_path):
     return str(path)
 
 
+PACKAGE_DIR = str(Path(isacsim.__file__).resolve().parent)
+
+
 def manifest_of(out_dir):
     return (out_dir / "manifest.json").read_text()
+
+
+def assert_numeric_cells(path, skip_columns=0):
+    """Every non-empty cell after the header (and the skipped columns) is a number."""
+    for row in path.read_text().splitlines()[1:]:
+        for cell in row.split(",")[skip_columns:]:
+            if cell:
+                float(cell)
 
 
 class TestHelp:
@@ -145,6 +158,7 @@ class TestCalibrate:
         lines = (out / "rho_kl.csv").read_text().splitlines()
         assert lines[0] == "rho,kl"
         assert len(lines) == 4  # 0.95, 0.975, 1.0
+        assert_numeric_cells(out / "rho_kl.csv")
 
 
 class TestFit:
@@ -155,8 +169,12 @@ class TestFit:
         lines = (out / "fits.csv").read_text().splitlines()
         families = [row.split(",")[0] for row in lines[1:]]
         assert "pow3" in families[:2]
-        assert (out / "curve_best.csv").exists()
+        assert_numeric_cells(out / "fits.csv", skip_columns=1)
+        assert_numeric_cells(out / "curve_best.csv")
         assert "ranking" in capsys.readouterr().out
+        manifest = manifest_of(out)
+        assert PACKAGE_DIR not in manifest
+        assert json.loads(manifest)["config"] == "isacsim/data/reference_accuracy_points.csv"
 
     def test_custom_points(self, tmp_path):
         pts = tmp_path / "points.csv"
@@ -184,6 +202,19 @@ class TestRegion:
             if z != bands[-1]:
                 bands.append(z)
         assert bands == ["comm_saturation", "adversarial", "sensing_saturation"]
+
+    def test_bundled_config_named_by_package_path(self, tmp_path):
+        out = tmp_path / "region"
+        assert main(["region", "--out", str(out), "--num-points", "50"]) == 0
+        manifest = manifest_of(out)
+        assert PACKAGE_DIR not in manifest
+        assert json.loads(manifest)["config"] == "isacsim/data/default.cfg"
+
+    def test_saturating_fit_exit_4(self, tmp_path, capsys):
+        code = main(["region", "--params", "51.18,19.01,0.9375", "--out",
+                     str(tmp_path / "r")])
+        assert code == 4
+        assert "fitted curve saturates" in capsys.readouterr().err
 
     def test_infeasible_exit_4(self, tmp_path, capsys):
         cfg = tmp_path / "tiny.cfg"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from isacsim import (
     FAMILY_NAMES,
@@ -235,6 +237,25 @@ class TestInvertCurve:
                 a = eval_curve(fit, c_ref)
                 c_back = invert_curve(fit, a)
                 assert eval_curve(fit, c_back) == pytest.approx(a, abs=1e-9), family
+
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(st.data(), st.floats(math.log(2.0), math.log(1e5)))
+    def test_backward_error_within_float_neighbours(self, family, data, log_c):
+        # An inverse is judged by its backward error: the accuracy must lie
+        # between the curve values at the floats next to the returned C, up
+        # to rounding of the curve itself.  Drawn where the slope is
+        # resolvable: the accuracy moves over a relative step of 1e-12 in C.
+        params = [data.draw(st.floats(lo, hi)) for lo, hi in zip(*RANDOM_RANGES[family])]
+        fit = make_fit(family, params)
+        c = math.exp(log_c)
+        assume(fit.domain[0] < c < fit.domain[1])
+        a = eval_curve(fit, c)
+        assume(eval_curve(fit, c * (1.0 + 1e-12)) > a)
+        c_back = invert_curve(fit, a)
+        near = [eval_curve(fit, math.nextafter(c_back, side)) for side in (-math.inf, math.inf)]
+        slack = 2.0 * math.ulp(a)
+        assert min(near) - slack <= a <= max(near) + slack
 
     def test_round_trip_at_500(self):
         fit = fit_curve(BENCH_C, BENCH_A, "pow3")

@@ -1,4 +1,5 @@
 import heapq
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from isacsim import (
     RngStream,
     SystemConfig,
     classify_zones,
+    load_config,
     make_fit,
     min_rate,
     optimal_allocation,
@@ -15,6 +17,7 @@ from isacsim import (
     sample_user_gains,
     user_rate,
 )
+from isacsim import tradeoff
 from isacsim.tradeoff import (
     BoundaryPoint,
     RegionBoundary,
@@ -26,6 +29,7 @@ from isacsim.tradeoff import (
 )
 
 BENCH_POW3 = (6.1906e4, 2.4297, 0.9499)
+SATURATING_POW3 = (51.18, 19.01, 0.9375)  # A(C) rounds to gamma beyond C ~ 7
 
 
 @pytest.fixture
@@ -223,6 +227,43 @@ class TestRegionBoundary:
         assert boundary.points[0].accuracy < 0.05
         assert boundary.points[-1].accuracy > 0.94
 
+    def test_broken_allocation_violates_identity(self, fig_cfg, monkeypatch):
+        allocate = tradeoff.optimal_allocation
+
+        def skewed(*args):
+            alloc = allocate(*args)
+            alloc.rate *= 1.0 + 1e-6
+            return alloc
+
+        monkeypatch.setattr(tradeoff, "optimal_allocation", skewed)
+        gains = sample_user_gains(fig_cfg, RngStream(13, "g"))
+        fit = make_fit("pow3", BENCH_POW3)
+        with pytest.raises(AssertionError, match="budget identity violated"):
+            region_boundary(fit, gains, fig_cfg, num_points=50)
+
+    def test_saturating_curve_keeps_pareto_points_only(self, fig_cfg):
+        # Beyond C ~ 7 every swept C repeats the accuracy of an earlier C
+        # at a lower rate, so only the first two points are Pareto-optimal.
+        gains = sample_user_gains(fig_cfg, RngStream(1, "g"))
+        fit = make_fit("pow3", SATURATING_POW3)
+        boundary = region_boundary(fit, gains, fig_cfg, num_points=120)
+        assert len(boundary) == 2
+        assert boundary.accuracies[1] == 0.9375
+        with pytest.raises(InfeasibleError, match="saturates"):
+            classify_zones(boundary)
+
+    def test_bundled_log_power_traces_every_point(self):
+        # In the flat tail of this fit A no longer determines C in double
+        # precision, so the trace must not rest on inverting the curve.
+        cfg = load_config(resources.files("isacsim").joinpath("data", "default.cfg"))
+        gains = sample_user_gains(cfg, RngStream(1234, "gains"))
+        fit = make_fit("log_power", (0.9460, 4.7438, -2.9235))
+        boundary = classify_zones(region_boundary(fit, gains, cfg, num_points=300))
+        assert len(boundary) == 300
+        assert [z for z, _, _ in zone_bands(boundary)] == [
+            ZONE_COMM, ZONE_ADVERSARIAL, ZONE_SENSING
+        ]
+
     def test_empty_feasible_range_rejected(self, comm_cfg):
         tiny = comm_cfg.replace(total_time=1e-3)  # at most 20 cycles
         fit = make_fit("pow3", BENCH_POW3)  # needs C >= 96 for A >= 0
@@ -268,7 +309,7 @@ class TestZones:
         assert [z for z in bands if z == ZONE_ADVERSARIAL] in ([], [ZONE_ADVERSARIAL])
 
     def test_too_few_points_rejected(self):
-        with pytest.raises(ValueError, match="3"):
+        with pytest.raises(InfeasibleError, match="at least 3 boundary points, got 2"):
             classify_zones(synthetic_boundary([0.1, 0.2], [2.0, 1.0]))
 
     def test_csv_export(self, tmp_path):
