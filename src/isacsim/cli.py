@@ -260,6 +260,18 @@ def cmd_region(args) -> int:
     return EXIT_OK
 
 
+def _usable(fit) -> bool:
+    """Whether an increasing fit rises measurably between C=2 and C=1e6,
+    both ends moved inside the fit's domain."""
+    lo, hi = fit.domain
+    c_lo = max(lo * (1 + 1e-9), 2.0)
+    c_hi = min(hi * (1 - 1e-9), 1e6)
+    if not fit.increasing or c_lo >= c_hi:
+        return False
+    span = eval_curve(fit, c_hi) - eval_curve(fit, c_lo)
+    return np.isfinite(span) and span > 1e-6
+
+
 def cmd_pipeline(args) -> int:
     cfg, cfg_ref = _load_cfg(args)
     seed = _seed(args, cfg)
@@ -289,14 +301,7 @@ def cmd_pipeline(args) -> int:
     fits_csv = out / "fits.csv"
     selection.to_csv(fits_csv)
 
-    def usable(fit):
-        if not fit.increasing:
-            return False
-        lo = max(fit.domain[0] * (1 + 1e-9), 2.0)
-        span = eval_curve(fit, 1e6) - eval_curve(fit, lo)
-        return np.isfinite(span) and span > 1e-6
-
-    best = next((f for f in selection.fits if usable(f)), None)
+    best = next((f for f in selection.fits if _usable(f)), None)
     if best is None:
         # Degenerate measured points (e.g. saturated accuracy at desk
         # scale): trace the region with the bundled reference curve.

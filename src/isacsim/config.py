@@ -7,7 +7,7 @@ converted at the file boundary by :func:`load_config`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,28 +19,6 @@ SPEED_OF_LIGHT = 3.0e8  # m/s, propagation constant used throughout
 
 class ConfigError(ValueError):
     """Raised for unreadable, incomplete, or inconsistent configurations."""
-
-
-# Config-file keys and how each maps onto a SystemConfig field.  dB/dBm
-# variants are converted to linear units on load.
-_FILE_KEYS = (
-    "carrier_freq_hz",
-    "bandwidth_hz",
-    "sample_rate_hz",
-    "sweep_time_s",
-    "slot_time_s",
-    "pri_s",
-    "tx_power_w",
-    "noise_power_w",
-    "noise_power_dbm",
-    "sensing_gain_db",
-    "comm_gain_db",
-    "total_time_s",
-    "num_targets",
-    "num_users",
-    "user_pathloss_db",
-    "seed",
-)
 
 
 @dataclass(frozen=True)
@@ -176,15 +154,48 @@ class SystemConfig:
         """Number of fast-time samples in the chirp."""
         return round(self.sweep_time * self.sample_rate)
 
-    @property
-    def slow_rate(self) -> float:
-        """Slow-time sampling rate 1/pri in Hz."""
-        return 1.0 / self.pri
-
     def replace(self, **changes) -> "SystemConfig":
         from dataclasses import replace as _replace
 
         return _replace(self, **changes)
+
+
+def _from_db(text: str) -> float:
+    return 10.0 ** (float(text) / 10.0)
+
+
+def _to_db(value: float) -> str:
+    return repr(float(10.0 * np.log10(value)))
+
+
+# The file format, one row per key: key -> (SystemConfig field, required,
+# parser from file units, formatter back to them).  A key without a
+# formatter is read but never written.  Optional keys absent from a file
+# keep the SystemConfig defaults.  noise_power_w and noise_power_dbm set
+# the same field; load_config requires exactly one of them.
+_FILE_FORMAT = {
+    "carrier_freq_hz": ("carrier_freq", True, float, repr),
+    "bandwidth_hz": ("bandwidth", True, float, repr),
+    "sample_rate_hz": ("sample_rate", True, float, repr),
+    "sweep_time_s": ("sweep_time", True, float, repr),
+    "slot_time_s": ("slot_time", True, float, repr),
+    "pri_s": ("pri", False, float, repr),
+    "tx_power_w": ("tx_power", True, float, repr),
+    "noise_power_w": ("noise_power", False, float, repr),
+    "noise_power_dbm": ("noise_power", False, lambda t: _from_db(t) * 1e-3, None),
+    "sensing_gain_db": ("sensing_antenna_gain", False, _from_db, _to_db),
+    "comm_gain_db": ("comm_antenna_gain", False, _from_db, _to_db),
+    "total_time_s": ("total_time", True, float, repr),
+    "num_targets": ("num_targets", False, int, str),
+    "num_users": ("num_users", True, int, str),
+    "user_pathloss_db": (
+        "user_pathloss",
+        True,
+        lambda t: tuple(_from_db(tok) for tok in t.split(",")),
+        lambda v: ",".join(_to_db(p) for p in v),
+    ),
+    "seed": ("seed", False, int, str),
+}
 
 
 def _parse_kv_file(path: Path) -> dict[str, str]:
@@ -200,26 +211,12 @@ def _parse_kv_file(path: Path) -> dict[str, str]:
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _FILE_KEYS:
+        if key not in _FILE_FORMAT:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         raw[key] = value
     return raw
-
-
-def _parse_float(raw: dict[str, str], key: str) -> float:
-    try:
-        return float(raw[key])
-    except ValueError:
-        raise ConfigError(f"{key}: unparsable value {raw[key]!r}") from None
-
-
-def _parse_int(raw: dict[str, str], key: str) -> int:
-    try:
-        return int(raw[key])
-    except ValueError:
-        raise ConfigError(f"{key}: unparsable value {raw[key]!r}") from None
 
 
 def load_config(path) -> SystemConfig:
@@ -232,70 +229,22 @@ def load_config(path) -> SystemConfig:
     """
     path = Path(path)
     raw = _parse_kv_file(path)
-
-    required = [
-        "carrier_freq_hz",
-        "bandwidth_hz",
-        "sample_rate_hz",
-        "sweep_time_s",
-        "slot_time_s",
-        "tx_power_w",
-        "total_time_s",
-        "num_users",
-        "user_pathloss_db",
-    ]
-    for key in required:
-        if key not in raw:
+    for key, (_, required, _, _) in _FILE_FORMAT.items():
+        if required and key not in raw:
             raise ConfigError(f"{key}: missing required key")
-
     if "noise_power_w" in raw and "noise_power_dbm" in raw:
         raise ConfigError("noise_power_w: conflicts with noise_power_dbm; give one")
-    if "noise_power_w" in raw:
-        noise_power = _parse_float(raw, "noise_power_w")
-    elif "noise_power_dbm" in raw:
-        noise_power = 10.0 ** (_parse_float(raw, "noise_power_dbm") / 10.0) * 1e-3
-    else:
+    if "noise_power_w" not in raw and "noise_power_dbm" not in raw:
         raise ConfigError("noise_power_w: missing (or provide noise_power_dbm)")
 
-    try:
-        pathloss = tuple(
-            10.0 ** (float(tok) / 10.0) for tok in raw["user_pathloss_db"].split(",")
-        )
-    except ValueError:
-        raise ConfigError(
-            f"user_pathloss_db: unparsable value {raw['user_pathloss_db']!r}"
-        ) from None
-
-    # Optional keys absent from the file keep the SystemConfig defaults.
-    optional = {}
-    if "pri_s" in raw:
-        optional["pri"] = _parse_float(raw, "pri_s")
-    if "sensing_gain_db" in raw:
-        optional["sensing_antenna_gain"] = 10.0 ** (
-            _parse_float(raw, "sensing_gain_db") / 10.0
-        )
-    if "comm_gain_db" in raw:
-        optional["comm_antenna_gain"] = 10.0 ** (
-            _parse_float(raw, "comm_gain_db") / 10.0
-        )
-    if "num_targets" in raw:
-        optional["num_targets"] = _parse_int(raw, "num_targets")
-    if "seed" in raw:
-        optional["seed"] = _parse_int(raw, "seed")
-
-    return SystemConfig(
-        carrier_freq=_parse_float(raw, "carrier_freq_hz"),
-        bandwidth=_parse_float(raw, "bandwidth_hz"),
-        sample_rate=_parse_float(raw, "sample_rate_hz"),
-        sweep_time=_parse_float(raw, "sweep_time_s"),
-        slot_time=_parse_float(raw, "slot_time_s"),
-        tx_power=_parse_float(raw, "tx_power_w"),
-        noise_power=noise_power,
-        total_time=_parse_float(raw, "total_time_s"),
-        num_users=_parse_int(raw, "num_users"),
-        user_pathloss=pathloss,
-        **optional,
-    )
+    values = {}
+    for key, (name, _, parse, _) in _FILE_FORMAT.items():
+        if key in raw:
+            try:
+                values[name] = parse(raw[key])
+            except ValueError:
+                raise ConfigError(f"{key}: unparsable value {raw[key]!r}") from None
+    return SystemConfig(**values)
 
 
 def save_config(cfg: SystemConfig, path) -> None:
@@ -304,26 +253,12 @@ def save_config(cfg: SystemConfig, path) -> None:
     ``load_config(save_config(cfg))`` restores every field, the linear
     gains and path losses up to the rounding of the dB conversion.
     """
-    path = Path(path)
-    db = lambda x: float(10.0 * np.log10(x))
     lines = [
-        f"carrier_freq_hz = {cfg.carrier_freq!r}",
-        f"bandwidth_hz = {cfg.bandwidth!r}",
-        f"sample_rate_hz = {cfg.sample_rate!r}",
-        f"sweep_time_s = {cfg.sweep_time!r}",
-        f"slot_time_s = {cfg.slot_time!r}",
-        f"pri_s = {cfg.pri!r}",
-        f"tx_power_w = {cfg.tx_power!r}",
-        f"noise_power_w = {cfg.noise_power!r}",
-        f"sensing_gain_db = {db(cfg.sensing_antenna_gain)!r}",
-        f"comm_gain_db = {db(cfg.comm_antenna_gain)!r}",
-        f"total_time_s = {cfg.total_time!r}",
-        f"num_targets = {cfg.num_targets}",
-        f"num_users = {cfg.num_users}",
-        "user_pathloss_db = " + ",".join(repr(db(p)) for p in cfg.user_pathloss),
-        f"seed = {cfg.seed}",
+        f"{key} = {fmt(getattr(cfg, name))}"
+        for key, (name, _, _, fmt) in _FILE_FORMAT.items()
+        if fmt is not None
     ]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 class RngStream:

@@ -10,11 +10,18 @@ Seven candidate families map a cycle count C to an accuracy A:
     ilog2            beta - alpha / log(C)
     pow4             gamma - (alpha * C + beta)**epsilon
 
+Each family is declared once, in :data:`FAMILIES`: its expression and
+analytic Jacobian, its data-driven starts, parameter bounds, C-domain
+(with the nudge that keeps the data inside a parameter-dependent one),
+the sense of monotonicity, and its closed-form asymptote where one
+exists.
+
 Fitting minimizes the sum of squared residuals with a multi-start damped
-Gauss-Newton iteration: analytic Jacobians, step halving on residual
-increase, and parameter bounds enforced by projection.  Model selection
-ranks the families by attained SSR.  Every family is monotone in C over
-its domain for fixed parameters, so curves invert by bisection.
+Gauss-Newton iteration: step halving on residual increase, and parameter
+bounds enforced by projection.  Model selection ranks the families by
+attained SSR.  Every family is monotone in C over its domain for fixed
+parameters, so curves invert by bisection; an accuracy at or above a
+closed-form asymptote is rejected before bisecting.
 """
 
 from __future__ import annotations
@@ -46,7 +53,17 @@ def _ln(x):
 
 
 class _Family:
-    def __init__(self, name, param_names, evaluate, jacobian, domain, increasing, bounds):
+    """Every fact about one curve family, declared in one place.
+
+    ``starts(c, a)`` yields the data-driven initial parameter vectors;
+    ``feasible(p, c)``, where the domain depends on the parameters, nudges
+    ``p`` in place until every data point lies in it; ``asymptote(p)`` is
+    the closed-form supremum of an increasing curve, where one exists.
+    """
+
+    def __init__(self, name, param_names, evaluate, jacobian, starts, *, increasing,
+                 bounds, domain=lambda p: (0.0, math.inf), feasible=None,
+                 domain_message="C must be positive", asymptote=None):
         self.name = name
         self.param_names = param_names
         self.arity = len(param_names)
@@ -55,6 +72,10 @@ class _Family:
         self._domain = domain
         self._increasing = increasing
         self.bounds = (np.asarray(bounds[0], float), np.asarray(bounds[1], float))
+        self.starts = starts
+        self.feasible = feasible
+        self.domain_message = domain_message
+        self.asymptote = asymptote
 
     def evaluate(self, params, c):
         with np.errstate(all="ignore"):
@@ -74,6 +95,12 @@ class _Family:
         return np.clip(params, self.bounds[0], self.bounds[1])
 
 
+def _linear_ls(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Least-squares slope/intercept of y = m*x + q."""
+    m, q = np.polyfit(x, y, 1)
+    return float(m), float(q)
+
+
 def _vapor_eval(p, c):
     return np.exp(p[0] + p[1] / c)
 
@@ -83,6 +110,12 @@ def _vapor_jac(p, c):
     return np.stack([v, v / c], axis=-1)
 
 
+def _vapor_starts(c, a):
+    if np.all(a > 0):
+        m, q = _linear_ls(1.0 / c, np.log(a))
+        yield [q, m]
+
+
 def _pow3_eval(p, c):
     return p[2] - p[0] * c ** (-p[1])
 
@@ -90,6 +123,15 @@ def _pow3_eval(p, c):
 def _pow3_jac(p, c):
     cb = c ** (-p[1])
     return np.stack([-cb, p[0] * cb * _ln(c), np.ones_like(c)], axis=-1)
+
+
+def _pow3_starts(c, a):
+    a_max = float(a.max())
+    for gamma in (a_max + 0.005, a_max + 0.02, min(a_max + 0.1, 1.15), 1.0):
+        for beta in (0.3, 0.7, 1.2, 2.0, 3.0):
+            gap = np.maximum(gamma - a, 1e-9)
+            alpha = float(np.exp(np.median(np.log(gap) + beta * np.log(c))))
+            yield [alpha, beta, gamma]
 
 
 def _logpow_eval(p, c):
@@ -106,6 +148,15 @@ def _logpow_jac(p, c):
     return np.stack([d_alpha, d_beta, d_gamma], axis=-1)
 
 
+def _logpow_starts(c, a):
+    a_max = float(a.max())
+    for alpha in (a_max * 1.002, a_max * 1.05, min(a_max * 1.3, 1.2)):
+        for gamma in (-0.5, -1.5, -3.0, -5.0):
+            ratio = np.maximum(alpha / np.maximum(a, 1e-9) - 1.0, 1e-12)
+            beta = float(np.median(np.log(c) - np.log(ratio) / gamma))
+            yield [alpha, beta, gamma]
+
+
 def _exp4_eval(p, c):
     return p[2] - np.exp(-p[0] * c ** p[3] + p[1])
 
@@ -114,6 +165,15 @@ def _exp4_jac(p, c):
     ce = c ** p[3]
     e = np.exp(-p[0] * ce + p[1])
     return np.stack([ce * e, -e, np.ones_like(c), p[0] * ce * _ln(c) * e], axis=-1)
+
+
+def _exp4_starts(c, a):
+    a_max = float(a.max())
+    for gamma in (a_max + 0.005, a_max + 0.05, 1.0):
+        gap = np.maximum(gamma - a, 1e-9)
+        for eps in (0.1, 0.3, 0.6, 1.0):
+            m, q = _linear_ls(c**eps, np.log(gap))
+            yield [-m, q, gamma, eps]
 
 
 def _lll_eval(p, c):
@@ -125,12 +185,37 @@ def _lll_jac(p, c):
     return np.stack([_ln(c) / inner, 1.0 / inner], axis=-1)
 
 
+def _lll_starts(c, a):
+    m, q = _linear_ls(np.log(c), np.exp(a))
+    yield [m, q]
+
+
+def _lll_domain(p):
+    a, b = p
+    if a > 0:
+        return (math.exp(-b / a), math.inf)
+    if a < 0:
+        return (0.0, math.exp(-b / a))
+    return (0.0, math.inf) if b > 0 else (math.inf, math.inf)
+
+
+def _lll_feasible(p, c):
+    deficit = (p[0] * np.log(c) + p[1]).min()
+    if deficit <= 0:
+        p[1] += -deficit + 0.05
+
+
 def _ilog2_eval(p, c):
     return p[1] - p[0] / _ln(c)
 
 
 def _ilog2_jac(p, c):
     return np.stack([-1.0 / _ln(c), np.ones_like(c)], axis=-1)
+
+
+def _ilog2_starts(c, a):
+    m, q = _linear_ls(1.0 / np.log(c), a)
+    yield [-m, q]
 
 
 def _pow4_eval(p, c):
@@ -146,17 +231,14 @@ def _pow4_jac(p, c):
     )
 
 
-def _pos_domain(p):
-    return (0.0, math.inf)
-
-
-def _lll_domain(p):
-    a, b = p
-    if a > 0:
-        return (math.exp(-b / a), math.inf)
-    if a < 0:
-        return (0.0, math.exp(-b / a))
-    return (0.0, math.inf) if b > 0 else (math.inf, math.inf)
+def _pow4_starts(c, a):
+    a_max = float(a.max())
+    for gamma in (a_max + 0.005, a_max + 0.05, 1.0, 1.2):
+        gap = np.maximum(gamma - a, 1e-9)
+        m, q = _linear_ls(np.log(c), np.log(gap))  # slope = eps, intercept = eps*ln(alpha)
+        eps = m if abs(m) > 1e-3 else -0.5
+        alpha = math.exp(q / eps) if abs(eps) > 1e-6 else 1.0
+        yield [alpha, 0.0, gamma, eps]
 
 
 def _pow4_domain(p):
@@ -168,86 +250,69 @@ def _pow4_domain(p):
     return (0.0, math.inf) if b > 0 else (math.inf, math.inf)
 
 
+def _pow4_feasible(p, c):
+    deficit = (p[0] * c + p[1]).min()
+    if deficit <= 0:
+        p[1] += -deficit + 1e-3
+
+
 FAMILIES: dict[str, _Family] = {
     f.name: f
     for f in (
         _Family(
-            "vapor_pressure",
-            ("alpha", "beta"),
-            _vapor_eval,
-            _vapor_jac,
-            _pos_domain,
-            lambda p: p[1] < 0,
-            ([-50.0, -1e5], [50.0, 1e5]),
+            "vapor_pressure", ("alpha", "beta"), _vapor_eval, _vapor_jac, _vapor_starts,
+            increasing=lambda p: p[1] < 0,
+            bounds=([-50.0, -1e5], [50.0, 1e5]),
+            asymptote=lambda p: float(math.exp(p[0])),
         ),
         _Family(
-            "pow3",
-            ("alpha", "beta", "gamma"),
-            _pow3_eval,
-            _pow3_jac,
-            _pos_domain,
-            lambda p: p[0] * p[1] > 0,
-            ([1e-8, 1e-4, 0.0], [1e12, 20.0, 1.2]),
+            "pow3", ("alpha", "beta", "gamma"), _pow3_eval, _pow3_jac, _pow3_starts,
+            increasing=lambda p: p[0] * p[1] > 0,
+            bounds=([1e-8, 1e-4, 0.0], [1e12, 20.0, 1.2]),
+            # with alpha, beta < 0 the increasing curve grows without bound
+            asymptote=lambda p: float(p[2]) if p[1] > 0 else math.inf,
         ),
         _Family(
-            "log_power",
-            ("alpha", "beta", "gamma"),
-            _logpow_eval,
-            _logpow_jac,
-            _pos_domain,
-            lambda p: p[0] * p[2] < 0,
-            ([1e-8, -50.0, -50.0], [5.0, 100.0, 50.0]),
+            "log_power", ("alpha", "beta", "gamma"), _logpow_eval, _logpow_jac,
+            _logpow_starts,
+            increasing=lambda p: p[0] * p[2] < 0,
+            bounds=([1e-8, -50.0, -50.0], [5.0, 100.0, 50.0]),
         ),
         _Family(
-            "exp4",
-            ("alpha", "beta", "gamma", "epsilon"),
-            _exp4_eval,
-            _exp4_jac,
-            _pos_domain,
-            lambda p: p[0] * p[3] > 0,
-            ([-1e3, -100.0, 0.0, 1e-3], [1e3, 100.0, 1.5, 3.0]),
+            "exp4", ("alpha", "beta", "gamma", "epsilon"), _exp4_eval, _exp4_jac,
+            _exp4_starts,
+            increasing=lambda p: p[0] * p[3] > 0,
+            bounds=([-1e3, -100.0, 0.0, 1e-3], [1e3, 100.0, 1.5, 3.0]),
         ),
         _Family(
-            "log_log_linear",
-            ("alpha", "beta"),
-            _lll_eval,
-            _lll_jac,
-            _lll_domain,
-            lambda p: p[0] > 0,
-            ([-1e3, -1e3], [1e3, 1e3]),
+            "log_log_linear", ("alpha", "beta"), _lll_eval, _lll_jac, _lll_starts,
+            increasing=lambda p: p[0] > 0,
+            bounds=([-1e3, -1e3], [1e3, 1e3]),
+            domain=_lll_domain,
+            feasible=_lll_feasible,
+            domain_message="alpha*log(C) + beta must be positive",
         ),
         _Family(
-            "ilog2",
-            ("alpha", "beta"),
-            _ilog2_eval,
-            _ilog2_jac,
-            lambda p: (1.0, math.inf),
-            lambda p: p[0] > 0,
-            ([-1e3, -10.0], [1e3, 10.0]),
+            "ilog2", ("alpha", "beta"), _ilog2_eval, _ilog2_jac, _ilog2_starts,
+            increasing=lambda p: p[0] > 0,
+            bounds=([-1e3, -10.0], [1e3, 10.0]),
+            domain=lambda p: (1.0, math.inf),
+            domain_message="C must exceed 1",
+            asymptote=lambda p: float(p[1]),
         ),
         _Family(
-            "pow4",
-            ("alpha", "beta", "gamma", "epsilon"),
-            _pow4_eval,
-            _pow4_jac,
-            _pow4_domain,
-            lambda p: p[0] * p[3] < 0,
-            ([-1e6, -1e7, 0.0, -5.0], [1e6, 1e7, 1.5, 5.0]),
+            "pow4", ("alpha", "beta", "gamma", "epsilon"), _pow4_eval, _pow4_jac,
+            _pow4_starts,
+            increasing=lambda p: p[0] * p[3] < 0,
+            bounds=([-1e6, -1e7, 0.0, -5.0], [1e6, 1e7, 1.5, 5.0]),
+            domain=_pow4_domain,
+            feasible=_pow4_feasible,
+            domain_message="alpha*C + beta must be positive",
         ),
     )
 }
 
 FAMILY_NAMES = tuple(FAMILIES)
-
-_DOMAIN_MESSAGES = {
-    "vapor_pressure": "C must be positive",
-    "pow3": "C must be positive",
-    "log_power": "C must be positive",
-    "exp4": "C must be positive",
-    "log_log_linear": "alpha*log(C) + beta must be positive",
-    "ilog2": "C must exceed 1",
-    "pow4": "alpha*C + beta must be positive",
-}
 
 
 def get_family(name: str) -> _Family:
@@ -294,7 +359,7 @@ def eval_curve(fit: CurveFit, c) -> np.ndarray | float:
     c_arr = np.asarray(c, dtype=float)
     lo, hi = fit.domain
     if np.any(c_arr <= lo) or np.any(c_arr >= hi):
-        raise ValueError(f"{fit.family}: {_DOMAIN_MESSAGES[fit.family]} "
+        raise ValueError(f"{fit.family}: {fam.domain_message} "
                          f"(domain ({lo!r}, {hi!r}))")
     out = fam.evaluate(fit.params, c_arr)
     return float(out) if np.isscalar(c) or c_arr.ndim == 0 else out
@@ -305,79 +370,23 @@ def curve_jacobian(family: str, params, c) -> np.ndarray:
     return get_family(family).jacobian(params, c)
 
 
-def _linear_ls(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Least-squares slope/intercept of y = m*x + q."""
-    m, q = np.polyfit(x, y, 1)
-    return float(m), float(q)
-
-
 def _starts(fam: _Family, c: np.ndarray, a: np.ndarray, n: int, rng) -> list[np.ndarray]:
     """Data-driven initial points padded with random draws from the bounds."""
-    starts: list[np.ndarray] = []
-    a_max = float(a.max())
-    lnc = np.log(c)
-
-    def add(vec):
-        starts.append(np.asarray(vec, dtype=float))
-
-    if fam.name == "vapor_pressure":
-        if np.all(a > 0):
-            m, q = _linear_ls(1.0 / c, np.log(a))
-            add([q, m])
-    elif fam.name == "pow3":
-        for gamma in (a_max + 0.005, a_max + 0.02, min(a_max + 0.1, 1.15), 1.0):
-            for beta in (0.3, 0.7, 1.2, 2.0, 3.0):
-                gap = np.maximum(gamma - a, 1e-9)
-                alpha = float(np.exp(np.median(np.log(gap) + beta * lnc)))
-                add([alpha, beta, gamma])
-    elif fam.name == "log_power":
-        for alpha in (a_max * 1.002, a_max * 1.05, min(a_max * 1.3, 1.2)):
-            for gamma in (-0.5, -1.5, -3.0, -5.0):
-                ratio = np.maximum(alpha / np.maximum(a, 1e-9) - 1.0, 1e-12)
-                beta = float(np.median(lnc - np.log(ratio) / gamma))
-                add([alpha, beta, gamma])
-    elif fam.name == "exp4":
-        for gamma in (a_max + 0.005, a_max + 0.05, 1.0):
-            gap = np.maximum(gamma - a, 1e-9)
-            for eps in (0.1, 0.3, 0.6, 1.0):
-                m, q = _linear_ls(c**eps, np.log(gap))
-                add([-m, q, gamma, eps])
-    elif fam.name == "log_log_linear":
-        m, q = _linear_ls(lnc, np.exp(a))
-        add([m, q])
-    elif fam.name == "ilog2":
-        m, q = _linear_ls(1.0 / lnc, a)
-        add([-m, q])
-    elif fam.name == "pow4":
-        for gamma in (a_max + 0.005, a_max + 0.05, 1.0, 1.2):
-            gap = np.maximum(gamma - a, 1e-9)
-            m, q = _linear_ls(lnc, np.log(gap))  # slope = eps, intercept = eps*ln(alpha)
-            eps = m if abs(m) > 1e-3 else -0.5
-            alpha = math.exp(q / eps) if abs(eps) > 1e-6 else 1.0
-            add([alpha, 0.0, gamma, eps])
-
+    starts = [np.asarray(vec, dtype=float) for vec in fam.starts(c, a)]
     lo, hi = fam.bounds
     # Random fill within a moderate box (full bounds are too diffuse).
     span_lo = np.maximum(lo, -100.0)
     span_hi = np.minimum(hi, 100.0)
     while len(starts) < n:
-        add(span_lo + rng.uniform(size=fam.arity) * (span_hi - span_lo))
+        starts.append(span_lo + rng.uniform(size=fam.arity) * (span_hi - span_lo))
     return [fam.project(s) for s in starts[:n]]
 
 
 def _feasible(fam: _Family, params: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Nudge parameters so every data point lies in the family domain."""
     p = params.copy()
-    if fam.name == "log_log_linear":
-        inner = p[0] * np.log(c) + p[1]
-        deficit = inner.min()
-        if deficit <= 0:
-            p[1] += -deficit + 0.05
-    elif fam.name == "pow4":
-        inner = p[0] * c + p[1]
-        deficit = inner.min()
-        if deficit <= 0:
-            p[1] += -deficit + 1e-3
+    if fam.feasible is not None:
+        fam.feasible(p, c)
     return p
 
 
@@ -461,7 +470,7 @@ def fit_curve(
                     step *= 0.5
                 if not improved:
                     break
-                if improved and (ssr == 0.0):
+                if ssr == 0.0:
                     break
             if ssr < best_ssr:
                 best_params, best_ssr, best_resid = p, ssr, resid
@@ -537,22 +546,6 @@ def select_model(
     return ModelSelection(fits=fits, failures=failures)
 
 
-def _supremum(fit: CurveFit) -> float:
-    """Least upper bound of an increasing curve over its domain."""
-    fam = get_family(fit.family)
-    p = fit.params
-    if fit.family == "pow3":
-        return float(p[2])
-    if fit.family == "ilog2":
-        return float(p[1])
-    if fit.family == "vapor_pressure":
-        return float(math.exp(p[0]))
-    lo, hi = fit.domain
-    probe = min(hi * (1 - 1e-12) if math.isfinite(hi) else 1e15, 1e15)
-    val = fam.evaluate(p, np.asarray(probe))
-    return float(val)
-
-
 def invert_curve(fit: CurveFit, accuracy: float) -> float:
     """Cycle count at which the fitted curve reaches ``accuracy``.
 
@@ -567,31 +560,29 @@ def invert_curve(fit: CurveFit, accuracy: float) -> float:
     lo, hi = fit.domain
     if lo >= hi:
         raise ValueError(f"{fit.family}: empty domain")
-
-    if fit.family == "pow3" and fit.increasing and a_target >= p[2]:
+    if fit.increasing and fam.asymptote is not None and a_target >= fam.asymptote(p):
         raise ValueError(
             f"accuracy {a_target!r} is unreachable: at or above the "
-            f"asymptote {float(p[2])!r}"
+            f"asymptote {fam.asymptote(p)!r}"
         )
 
+    at = lambda c: float(fam.evaluate(p, np.asarray(c)))
     sign = 1.0 if fit.increasing else -1.0
     lo_b = max(lo * (1.0 + 1e-12), lo + 1e-12, 1e-12)
     if math.isfinite(hi):
         hi_b = hi - max(1e-12, hi * 1e-12)
     else:
         hi_b = max(4.0 * lo_b, 64.0)
-        while sign * (float(fam.evaluate(p, np.asarray(hi_b))) - a_target) < 0:
-            hi_b *= 4.0
-            if hi_b > 1e18:
+        while sign * (at(hi_b) - a_target) < 0:
+            if 4.0 * hi_b > 1e18:
                 raise ValueError(
                     f"accuracy {a_target!r} is unreachable for C below 1e18 "
-                    f"(the curve's supremum is {_supremum(fit)!r})"
+                    f"(the curve is {at(hi_b)!r} at C={hi_b!r})"
                 )
-    f_lo = float(fam.evaluate(p, np.asarray(lo_b)))
-    f_hi = float(fam.evaluate(p, np.asarray(hi_b)))
-    if sign * (f_lo - a_target) > 0:
+            hi_b *= 4.0
+    if sign * (at(lo_b) - a_target) > 0:
         raise ValueError(f"accuracy {a_target!r} lies below the achievable range")
-    if sign * (f_hi - a_target) < 0:
+    if sign * (at(hi_b) - a_target) < 0:
         raise ValueError(
             f"accuracy {a_target!r} is unreachable within the domain "
             f"({lo!r}, {hi!r})"
@@ -600,7 +591,7 @@ def invert_curve(fit: CurveFit, accuracy: float) -> float:
         mid = 0.5 * (lo_b + hi_b)
         if not lo_b < mid < hi_b:  # adjacent floats: their values bracket a_target
             return mid
-        if sign * (float(fam.evaluate(p, np.asarray(mid))) - a_target) < 0:
+        if sign * (at(mid) - a_target) < 0:
             lo_b = mid
         else:
             hi_b = mid

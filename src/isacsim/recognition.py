@@ -82,6 +82,10 @@ class LabeledDataset:
         return written
 
 
+_MARGIN = 0.4  # m, kept between a sampled trajectory and the walls
+_RADAR_CLEARANCE = 0.8  # m, least distance from a sampled trajectory to the radar
+
+
 def _segment_point_distance(ax, ay, bx, by, px, py) -> float:
     """Distance from point (px, py) to the segment (a, b)."""
     abx, aby = bx - ax, by - ay
@@ -99,8 +103,6 @@ def _sample_motion(
     radar_position,
     duration: float,
     rng: RngStream,
-    margin: float = 0.4,
-    radar_clearance: float = 0.8,
     min_radial_fraction: float = 0.0,
 ) -> MotionSpec:
     """Random placement keeping the trajectory inside the room and clear
@@ -115,8 +117,8 @@ def _sample_motion(
     lx, ly, _ = room
     rx, ry = radar_position[0], radar_position[1]
     for _ in range(500):
-        x = rng.uniform(margin, lx - margin)
-        y = rng.uniform(margin, ly - margin)
+        x = rng.uniform(_MARGIN, lx - _MARGIN)
+        y = rng.uniform(_MARGIN, ly - _MARGIN)
         theta = rng.uniform(-math.pi, math.pi)
         heading = (math.cos(theta), math.sin(theta))
         spec = MotionSpec(
@@ -131,9 +133,9 @@ def _sample_motion(
             reach = spec.effective_segment
         end_x = x + heading[0] * reach
         end_y = y + heading[1] * reach
-        if not (margin <= end_x <= lx - margin and margin <= end_y <= ly - margin):
+        if not (_MARGIN <= end_x <= lx - _MARGIN and _MARGIN <= end_y <= ly - _MARGIN):
             continue
-        if _segment_point_distance(x, y, end_x, end_y, rx, ry) < radar_clearance:
+        if _segment_point_distance(x, y, end_x, end_y, rx, ry) < _RADAR_CLEARANCE:
             continue
         if min_radial_fraction > 0.0 and spec.motion_class != "standing":
             to_radar = np.array([rx - x, ry - y])

@@ -24,7 +24,6 @@ from pathlib import Path
 import numpy as np
 
 from .config import SystemConfig
-# invert_curve is unused here but kept: perfbench/run.py traces tradeoff.invert_curve.
 from .curvefit import CurveFit, eval_curve, invert_curve
 from .validation import as_float_array
 
@@ -158,26 +157,15 @@ class RegionBoundary:
 
 def _min_feasible_cycles(fit: CurveFit) -> int:
     """Smallest integer cycle count with a defined, non-negative accuracy."""
-    lo, hi = fit.domain
-    c_lo = max(int(math.floor(lo)) + 1, 1)
-    if not fit.increasing:
-        return c_lo
-    if eval_curve(fit, float(c_lo)) >= 0.0:
+    c_lo = max(int(math.floor(fit.domain[0])) + 1, 1)
+    if not fit.increasing or eval_curve(fit, float(c_lo)) >= 0.0:
         return c_lo
     # Accuracy is a probability: advance to the first C with curve(C) >= 0.
-    c_hi = c_lo
-    while eval_curve(fit, float(c_hi)) < 0.0:
-        nxt = c_hi * 2
-        if nxt >= hi or nxt > 2**62:
-            raise InfeasibleError("the fitted curve never reaches a valid accuracy")
-        c_hi = nxt
-    while c_hi - c_lo > 1:
-        mid = (c_lo + c_hi) // 2
-        if eval_curve(fit, float(mid)) < 0.0:
-            c_lo = mid
-        else:
-            c_hi = mid
-    return c_hi
+    try:
+        c = math.ceil(invert_curve(fit, 0.0))
+        return c + 1 if eval_curve(fit, float(c)) < 0.0 else c
+    except ValueError:
+        raise InfeasibleError("the fitted curve never reaches a valid accuracy") from None
 
 
 def region_boundary(

@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 
 import isacsim
-from isacsim.cli import build_parser, main
+from isacsim.cli import _usable, build_parser, main
+from isacsim.curvefit import make_fit
 from isacsim.dsp import read_pgm
 from isacsim.manifest import read_manifest
 
@@ -227,6 +228,11 @@ class TestRegion:
 
 
 class TestPipeline:
+    def test_usable_probes_inside_a_bounded_domain(self):
+        # Increasing on its domain (0, 1000): the probe may not reach 1e6.
+        assert _usable(make_fit("pow4", (-1.0, 1000.0, 1.0, 0.5)))
+        assert not _usable(make_fit("pow4", (1.0, 1.0, 0.9, 0.5)))  # decreasing
+
     def test_runs_and_reproduces_manifest(self, cfg_file, tmp_path):
         args = [
             "pipeline", "--config", cfg_file, "--seed", "9",

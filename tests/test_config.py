@@ -10,6 +10,7 @@ from isacsim import (
     sample_user_gains,
     save_config,
 )
+from isacsim.config import _FILE_FORMAT
 
 REFERENCE_CFG = """\
 # sub-6 GHz sensing link
@@ -35,6 +36,16 @@ def write_cfg(tmp_path, text):
     path = tmp_path / "link.cfg"
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def drop_keys(text, *keys):
+    return "".join(
+        line + "\n" for line in text.splitlines() if line.split("=")[0].strip() not in keys
+    )
+
+
+REQUIRED_KEYS = [key for key, (_, required, _, _) in _FILE_FORMAT.items() if required]
+OPTIONAL_KEYS = [key for key, (_, required, _, _) in _FILE_FORMAT.items() if not required]
 
 
 class TestLoadConfig:
@@ -73,6 +84,40 @@ class TestLoadConfig:
         text = REFERENCE_CFG.replace("tx_power_w = 1.0", "tx_power_w = one")
         with pytest.raises(ConfigError, match="tx_power_w"):
             load_config(write_cfg(tmp_path, text))
+
+    @pytest.mark.parametrize("key", REQUIRED_KEYS)
+    def test_each_missing_required_key_named(self, tmp_path, key):
+        text = drop_keys(REFERENCE_CFG, key)
+        with pytest.raises(ConfigError, match=f"^{key}: missing required key$"):
+            load_config(write_cfg(tmp_path, text))
+
+    @pytest.mark.parametrize("key", list(_FILE_FORMAT))
+    def test_each_unparsable_value_named(self, tmp_path, key):
+        # Drop every key of the same field: both noise keys set noise_power.
+        field = _FILE_FORMAT[key][0]
+        same_field = [k for k, row in _FILE_FORMAT.items() if row[0] == field]
+        text = drop_keys(REFERENCE_CFG, *same_field) + f"{key} = one\n"
+        with pytest.raises(ConfigError, match=f"^{key}: unparsable value 'one'$"):
+            load_config(write_cfg(tmp_path, text))
+
+    def test_every_optional_key_round_trips(self, tmp_path):
+        # noise_power_dbm is not written back: save_config gives watts.
+        values = {"pri_s": "2.0e-3", "noise_power_w": "1.0e-12",
+                  "sensing_gain_db": "20", "comm_gain_db": "3",
+                  "num_targets": "2", "seed": "99"}
+        assert set(values) == set(OPTIONAL_KEYS) - {"noise_power_dbm"}
+        text = drop_keys(REFERENCE_CFG, "noise_power_dbm", *values) + "".join(
+            f"{key} = {value}\n" for key, value in values.items()
+        )
+        cfg = load_config(write_cfg(tmp_path, text))
+        default = SystemConfig(carrier_freq=3.5e9, bandwidth=1e7, sample_rate=1e7,
+                               sweep_time=1e-5, slot_time=5e-5)
+        for key in values:
+            field = _FILE_FORMAT[key][0]
+            assert getattr(cfg, field) != getattr(default, field), key
+        out = tmp_path / "saved.cfg"
+        save_config(cfg, out)
+        assert load_config(out) == cfg
 
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="bogus"):

@@ -1,4 +1,6 @@
+import csv
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -154,6 +156,19 @@ class TestFitCurve:
         ssr = float(resid @ resid)
         assert 3.0e-4 <= ssr <= 3.8e-4
 
+    @pytest.mark.parametrize("row", list(csv.DictReader(
+        line for line in resources.files("isacsim").joinpath(
+            "data", "reference_curve_fits.csv").read_text().splitlines()
+        if not line.startswith("#")
+    )), ids=lambda row: row["family"])
+    def test_bundled_published_fit(self, row):
+        # Every bundled fit rises with C and reproduces its published SSR.
+        params = [float(row[k]) for k in ("alpha", "beta", "gamma", "epsilon") if row[k]]
+        fit = make_fit(row["family"], params)
+        assert fit.increasing
+        resid = eval_curve(fit, BENCH_C) - BENCH_A
+        assert float(resid @ resid) == pytest.approx(float(row["ssr"]), rel=0.02)
+
     def test_insufficient_points_rejected(self):
         with pytest.raises(ValueError, match="insufficient"):
             fit_curve([100.0, 200.0], [0.5, 0.6], "pow3")
@@ -267,6 +282,27 @@ class TestInvertCurve:
         with pytest.raises(ValueError, match="unreachable"):
             invert_curve(fit, 0.9499)
         with pytest.raises(ValueError, match="unreachable"):
+            invert_curve(fit, 0.99)
+
+    @pytest.mark.parametrize("family", ["pow3", "ilog2", "vapor_pressure"])
+    def test_closed_form_asymptote_unreachable(self, family):
+        params, asymptote = {
+            "pow3": (BENCH_POW3, 0.9499),
+            "ilog2": ((3.5228, 1.4863), 1.4863),
+            "vapor_pressure": ((0.0117, -44.518), math.exp(0.0117)),
+        }[family]
+        with pytest.raises(ValueError, match="at or above the asymptote"):
+            invert_curve(make_fit(family, params), asymptote)
+
+    def test_unbounded_pow3_inverts_above_gamma(self):
+        # alpha, beta < 0: A = 0.5 + sqrt(C) is increasing and unbounded.
+        fit = make_fit("pow3", (-1.0, -0.5, 0.5))
+        assert invert_curve(fit, 0.9) == pytest.approx(0.16, rel=1e-12)
+
+    def test_unreachable_below_1e18_reports_last_probe(self):
+        # log_power tends to alpha = 0.946 without a closed-form asymptote.
+        fit = make_fit("log_power", (0.9460, 4.7438, -2.9235))
+        with pytest.raises(ValueError, match=r"below 1e18 \(the curve is 0\.94"):
             invert_curve(fit, 0.99)
 
     def test_below_range_rejected(self):

@@ -9,6 +9,7 @@ from isacsim import (
     RngStream,
     SystemConfig,
     classify_zones,
+    eval_curve,
     load_config,
     make_fit,
     min_rate,
@@ -263,6 +264,25 @@ class TestRegionBoundary:
         assert [z for z, _, _ in zone_bands(boundary)] == [
             ZONE_COMM, ZONE_ADVERSARIAL, ZONE_SENSING
         ]
+
+    @pytest.mark.parametrize("family, params", [
+        ("pow3", BENCH_POW3),
+        ("ilog2", (3.5228, 1.4863)),
+        ("exp4", (2.9129, 6.9568, 0.9576, 0.2082)),
+        ("log_log_linear", (0.3, -0.5)),
+        ("pow4", (-1.0, 1000.0, 1.0, 0.5)),  # domain (0, 1000)
+    ])
+    def test_min_feasible_cycles_matches_scan(self, family, params):
+        fit = make_fit(family, params)
+        c = int(fit.domain[0]) + 1
+        assert eval_curve(fit, float(c)) < 0.0
+        while eval_curve(fit, float(c)) < 0.0:
+            c += 1
+        assert tradeoff._min_feasible_cycles(fit) == c
+
+    def test_curve_below_zero_everywhere_infeasible(self):
+        with pytest.raises(InfeasibleError, match="never reaches a valid accuracy"):
+            tradeoff._min_feasible_cycles(make_fit("ilog2", (1.0, -0.5)))
 
     def test_empty_feasible_range_rejected(self, comm_cfg):
         tiny = comm_cfg.replace(total_time=1e-3)  # at most 20 cycles
