@@ -14,6 +14,7 @@ import numpy as np
 
 from .config import RngStream
 from .dsp import DEFAULT_PMF_BINS, gray_pmf, read_pgm
+from .manifest import write_csv
 from .validation import check_pmf
 
 KL_FLOOR = 1e-9  # pmf floor keeping the divergence finite on empty bins
@@ -44,10 +45,9 @@ class RhoFit:
     grid: np.ndarray
     kl: np.ndarray  # mean divergence per grid point
 
-    def to_csv(self, path) -> None:
-        lines = ["rho,kl"]
-        lines.extend(f"{r!r},{k!r}" for r, k in zip(self.grid.tolist(), self.kl.tolist()))
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    def to_csv(self, path):
+        """CSV ``rho,kl``; returns the path."""
+        return write_csv(path, ("rho", "kl"), zip(self.grid, self.kl))
 
 
 def fit_rho(

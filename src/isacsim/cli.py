@@ -2,9 +2,10 @@
 
 Subcommands: ``spectrogram``, ``dataset``, ``calibrate``, ``fit``,
 ``region``, and ``pipeline`` (dataset -> accuracy-vs-cycles -> fit ->
-region in one run).  Every command writes a manifest.json listing the
-content hashes of its artifacts; identical inputs reproduce identical
-manifests.
+region in one run).  Each command writes its artifacts into ``--out`` and
+returns its input reference, seed and files; :func:`main` then writes the
+one manifest.json listing their content hashes, so identical inputs
+reproduce identical manifests.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 pipeline
 failure, 4 infeasible model or problem.
@@ -13,7 +14,6 @@ failure, 4 infeasible model or problem.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from importlib import resources
 from pathlib import Path
@@ -38,7 +38,7 @@ from .dsp import (
     write_pgm,
 )
 from .kinematics import DEFAULT_HEADING, DEFAULT_START, MotionSpec
-from .manifest import write_manifest
+from .manifest import read_csv, write_csv, write_manifest
 from .recognition import (
     CLASS_SETS,
     accuracy_points_from_csv,
@@ -76,32 +76,19 @@ def _input(given, bundled: str) -> tuple[Path, str]:
 
 
 def _load_cfg(args):
+    """The config, the name the manifest records, and the run's seed."""
     path, ref = _input(args.config, "default.cfg")
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    return load_config(path), ref
-
-
-def _seed(args, cfg) -> int:
-    return cfg.seed if args.seed is None else args.seed
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    cfg = load_config(path)
+    return cfg, ref, cfg.seed if args.seed is None else args.seed
 
 
 def _default_fit_params(family: str) -> list[float]:
-    with open(_data_path("reference_curve_fits.csv"), newline="", encoding="utf-8") as fh:
-        rows = csv.DictReader(line for line in fh if not line.startswith("#"))
-        for row in rows:
-            if row["family"] == family:
-                return [
-                    float(row[k])
-                    for k in ("alpha", "beta", "gamma", "epsilon")
-                    if row[k] != ""
-                ]
+    for row in read_csv(_data_path("reference_curve_fits.csv")):
+        if row["family"] == family:
+            keys = ("alpha", "beta", "gamma", "epsilon")
+            return [float(row[k]) for k in keys if row[k]]
     raise ConfigError(f"no bundled parameters for family {family!r}")
 
 
@@ -115,10 +102,8 @@ def _motion_from_args(args, duration: float) -> MotionSpec:
     )
 
 
-def cmd_spectrogram(args) -> int:
-    cfg, cfg_ref = _load_cfg(args)
-    seed = _seed(args, cfg)
-    out = _out_dir(args)
+def cmd_spectrogram(args, out: Path):
+    cfg, cfg_ref, seed = _load_cfg(args)
     clutter = ClutterConfig()
     duration = args.cycles * cfg.pri
     motion = _motion_from_args(args, duration)
@@ -135,28 +120,23 @@ def cmd_spectrogram(args) -> int:
         dynamic_range_db=args.dynamic_range_db,
         pmf_bins=args.pmf_bins,
     )
-    files = []
     pgm = out / "spectrogram.pgm"
     write_pgm(pgm, result.gray)
-    files.append(pgm)
+    files = [pgm]
     if args.z_csv:
+        # A lossy dump of the dB matrix, not a table: no header, six digits.
         z = out / "zmatrix.csv"
         db = 20.0 * np.log10(np.maximum(result.spectrogram.values, 1e-300))
         np.savetxt(z, db, fmt="%.6e", delimiter=",")
         files.append(z)
     if args.tracks_csv:
-        tr = out / "tracks.csv"
-        result.tracks.to_csv(tr)
-        files.append(tr)
-    write_manifest(out, "spectrogram", cfg_ref, seed, files)
+        files.append(result.tracks.to_csv(out / "tracks.csv"))
     print(f"wrote {pgm} ({result.gray.shape[1]}x{result.gray.shape[0]})")
-    return EXIT_OK
+    return cfg_ref, seed, files
 
 
-def cmd_dataset(args) -> int:
-    cfg, cfg_ref = _load_cfg(args)
-    seed = _seed(args, cfg)
-    out = _out_dir(args)
+def cmd_dataset(args, out: Path):
+    cfg, cfg_ref, seed = _load_cfg(args)
     clutter = ClutterConfig()
     rng = RngStream(seed, "dataset")
     ds = generate_dataset(
@@ -171,15 +151,12 @@ def cmd_dataset(args) -> int:
         threads=args.threads,
     )
     files = ds.save(out)
-    write_manifest(out, "dataset", cfg_ref, seed, files)
     print(f"wrote {len(ds)} samples ({ds.num_classes} classes) to {out}")
-    return EXIT_OK
+    return cfg_ref, seed, files
 
 
-def cmd_calibrate(args) -> int:
-    cfg, cfg_ref = _load_cfg(args)
-    seed = _seed(args, cfg)
-    out = _out_dir(args)
+def cmd_calibrate(args, out: Path):
+    cfg, cfg_ref, seed = _load_cfg(args)
     reference = reference_pmf_from_pgms(args.reference, bins=args.pmf_bins)
     clutter = ClutterConfig()
     duration = args.cycles * cfg.pri
@@ -201,41 +178,30 @@ def cmd_calibrate(args) -> int:
     grid = np.clip(grid, 0.0, 1.0)
     rng = RngStream(seed, "calibrate")
     fit = fit_rho(reference, simulate_pmf, grid, rng, args.samples_per_point)
-    curve = out / "rho_kl.csv"
-    fit.to_csv(curve)
-    write_manifest(out, "calibrate", cfg_ref, seed, [curve])
     print(f"rho_star = {fit.rho}")
-    return EXIT_OK
+    return cfg_ref, seed, [fit.to_csv(out / "rho_kl.csv")]
 
 
-def cmd_fit(args) -> int:
-    out = _out_dir(args)
+def cmd_fit(args, out: Path):
     points_path, points_ref = _input(args.points, "reference_accuracy_points.csv")
     cycles, acc = accuracy_points_from_csv(points_path)
     families = args.families.split(",") if args.families else None
     selection = select_model(cycles, acc, families, seed=args.seed)
-    fits_csv = out / "fits.csv"
-    selection.to_csv(fits_csv)
-    best = selection.best
+    fits_csv = selection.to_csv(out / "fits.csv")
     grid = np.linspace(cycles.min(), cycles.max(), 200)
-    curve_csv = out / "curve_best.csv"
-    lines = ["C,A"]
-    lines.extend(f"{c!r},{eval_curve(best, c)!r}" for c in grid.tolist())
-    curve_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    write_manifest(out, "fit", points_ref, args.seed, [fits_csv, curve_csv])
+    curve = ((c, eval_curve(selection.best, c)) for c in grid)
+    curve_csv = write_csv(out / "curve_best.csv", ("C", "A"), curve)
     print("family ranking by SSR:")
     for f in selection.fits:
         params = ", ".join(f"{n}={v:.6g}" for n, v in zip(f.param_names, f.params))
         print(f"  {f.family}: ssr={f.ssr:.6g} ({params})")
     for name, reason in selection.failures.items():
         print(f"  {name}: FAILED ({reason})")
-    return EXIT_OK
+    return points_ref, args.seed, [fits_csv, curve_csv]
 
 
-def cmd_region(args) -> int:
-    cfg, cfg_ref = _load_cfg(args)
-    seed = _seed(args, cfg)
-    out = _out_dir(args)
+def cmd_region(args, out: Path):
+    cfg, cfg_ref, seed = _load_cfg(args)
     params = (
         [float(tok) for tok in args.params.split(",")]
         if args.params
@@ -248,16 +214,14 @@ def cmd_region(args) -> int:
         gains = sample_user_gains(cfg, RngStream(seed, "gains"))
     boundary = region_boundary(fit, gains, cfg, num_points=args.num_points)
     classify_zones(boundary, slope_hi=args.slope_hi, slope_lo=args.slope_lo)
-    csv_path = out / "boundary.csv"
-    boundary.to_csv(csv_path)
-    write_manifest(out, "region", cfg_ref, seed, [csv_path])
+    csv_path = boundary.to_csv(out / "boundary.csv")
     for zone, first, last in zone_bands(boundary):
         a = boundary.points
         print(
             f"{zone}: A in [{a[first].accuracy:.4f}, {a[last].accuracy:.4f}], "
             f"{last - first + 1} points"
         )
-    return EXIT_OK
+    return cfg_ref, seed, [csv_path]
 
 
 def _usable(fit) -> bool:
@@ -272,10 +236,8 @@ def _usable(fit) -> bool:
     return np.isfinite(span) and span > 1e-6
 
 
-def cmd_pipeline(args) -> int:
-    cfg, cfg_ref = _load_cfg(args)
-    seed = _seed(args, cfg)
-    out = _out_dir(args)
+def cmd_pipeline(args, out: Path):
+    cfg, cfg_ref, seed = _load_cfg(args)
     clutter = ClutterConfig()
     rng = RngStream(seed, "pipeline")
     c_values = [int(tok) for tok in args.cycles_list.split(",")]
@@ -292,14 +254,12 @@ def cmd_pipeline(args) -> int:
         stft_window=args.stft_window,
         threads=args.threads,
     )
-    acc_csv = out / "accuracy.csv"
-    accuracy_points_to_csv(points, acc_csv)
+    acc_csv = accuracy_points_to_csv(points, out / "accuracy.csv")
 
     cycles = np.asarray([p.cycles for p in points], float)
     acc = np.asarray([p.accuracy for p in points])
     selection = select_model(cycles, acc, seed=seed)
-    fits_csv = out / "fits.csv"
-    selection.to_csv(fits_csv)
+    fits_csv = selection.to_csv(out / "fits.csv")
 
     best = next((f for f in selection.fits if _usable(f)), None)
     if best is None:
@@ -310,17 +270,13 @@ def cmd_pipeline(args) -> int:
     gains = sample_user_gains(cfg, RngStream(seed, "gains"))
     boundary = region_boundary(best, gains, cfg, num_points=args.num_points)
     classify_zones(boundary)
-    boundary_csv = out / "boundary.csv"
-    boundary.to_csv(boundary_csv)
+    boundary_csv = boundary.to_csv(out / "boundary.csv")
 
-    write_manifest(
-        out, "pipeline", cfg_ref, seed, [acc_csv, fits_csv, boundary_csv]
-    )
     print(f"accuracy points: {[(p.cycles, p.accuracy) for p in points]}")
     print(f"best increasing fit: {best.family} (ssr={best.ssr:.6g})")
     print(f"boundary: {len(boundary)} points, zones "
           f"{[z for z, _, _ in zone_bands(boundary)]}")
-    return EXIT_OK
+    return cfg_ref, seed, [acc_csv, fits_csv, boundary_csv]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -422,7 +378,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        ref, seed, files = args.func(args, out)
+        write_manifest(out, args.command, ref, seed, files)
+        return EXIT_OK
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .base import ParamsMixin
+from .manifest import write_csv
 from .validation import as_float_array
 
 DEFAULT_N_STARTS = 64  # Gauss-Newton starts per family
@@ -431,8 +431,11 @@ def fit_curve(
         raise ValueError("cycles must be positive")
     if np.unique(c).size != c.size:
         raise ValueError("cycles must be distinct")
-    if fam.name == "ilog2" and np.any(c <= 1):
-        raise CurveFitError("ilog2: all cycle counts must exceed 1")
+    if fam.feasible is None:  # a fixed domain: no parameter can move it onto the data
+        lo, hi = fam.domain(np.zeros(fam.arity))
+        if np.any(c <= lo) or np.any(c >= hi):
+            raise CurveFitError(f"{fam.name}: {fam.domain_message} "
+                                f"(domain ({lo!r}, {hi!r}))")
 
     rng = np.random.default_rng(seed)
     best_params = None
@@ -519,13 +522,13 @@ class ModelSelection:
     def best(self) -> CurveFit:
         return self.fits[0]
 
-    def to_csv(self, path) -> None:
-        """CSV ``family,param1..param4,ssr,ssr_over_q`` (ranked)."""
-        lines = ["family,param1,param2,param3,param4,ssr,ssr_over_q"]
-        for f in self.fits:
-            cells = [f"{v!r}" for v in f.params.tolist()] + [""] * (4 - f.params.size)
-            lines.append(f"{f.family}," + ",".join(cells) + f",{f.ssr!r},{f.ssr_over_q!r}")
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    def to_csv(self, path):
+        """CSV ``family,param1..param4,ssr,ssr_over_q`` (ranked); returns the path."""
+        header = ("family", "param1", "param2", "param3", "param4", "ssr", "ssr_over_q")
+        pad = [None] * 4  # empty cells after a family's last parameter
+        rows = ((f.family, *f.params, *pad[f.params.size:], f.ssr, f.ssr_over_q)
+                for f in self.fits)
+        return write_csv(path, header, rows)
 
 
 def select_model(

@@ -155,7 +155,6 @@ def stft(
     slow_time_step: float,
     window: int = DEFAULT_STFT_WINDOW,
     hop: int = 1,
-    kaiser_beta: float = DEFAULT_KAISER_BETA,
 ) -> Spectrogram:
     """Short-time Fourier magnitude of the slow-time sequence.
 
@@ -175,7 +174,7 @@ def stft(
         raise ValueError(
             f"sequence of {y.size} samples shorter than the window ({window})"
         )
-    taper = np.kaiser(window, kaiser_beta)
+    taper = np.kaiser(window, DEFAULT_KAISER_BETA)
     frames = np.lib.stride_tricks.sliding_window_view(y, window)[::hop]
     spec = np.fft.fftshift(np.fft.fft(frames * taper, axis=1), axes=1)
     values = np.abs(spec).T[::-1]  # rows: descending frequency

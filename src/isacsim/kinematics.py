@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .manifest import write_csv
 from .validation import as_float_array
 
 MOTION_CLASSES = ("standing", "walking", "pacing")
@@ -106,19 +106,16 @@ def gait_frequency(speed: float, height: float) -> float:
 class MotionSpec:
     """A single human motion sample.
 
-    ``speed=None`` selects the class default (standing 0, walking 1.0,
-    pacing 0.5 m/s).  ``segment_length`` applies to pacing only and
-    defaults to half the distance covered in ``duration``, i.e. one
-    out-and-back lap.
+    The speed is the class default (standing 0, walking 1.0, pacing
+    0.5 m/s).  A pacing segment is half the distance covered in
+    ``duration``, i.e. one out-and-back lap.
     """
 
     motion_class: str
     subject: str = "adult"
-    speed: float | None = None
     start_position: tuple[float, float, float] = DEFAULT_START
     heading: tuple[float, float] = DEFAULT_HEADING
     duration: float = 3.0
-    segment_length: float | None = None
 
     def __post_init__(self):
         if self.motion_class not in MOTION_CLASSES:
@@ -133,15 +130,8 @@ class MotionSpec:
             )
         if self.duration <= 0:
             raise ValueError(f"duration: must be positive, got {self.duration!r}")
-        if self.speed is not None:
-            if self.motion_class == "standing" and self.speed != 0.0:
-                raise ValueError("speed: standing requires speed 0")
-            if self.motion_class != "standing" and self.speed <= 0:
-                raise ValueError(f"speed: must be positive, got {self.speed!r}")
         if math.hypot(*self.heading) == 0.0:
             raise ValueError("heading: must be a non-zero direction")
-        if self.segment_length is not None and self.segment_length <= 0:
-            raise ValueError(f"segment_length: must be positive, got {self.segment_length!r}")
 
     @property
     def height(self) -> float:
@@ -149,16 +139,12 @@ class MotionSpec:
 
     @property
     def effective_speed(self) -> float:
-        if self.speed is not None:
-            return float(self.speed)
         return DEFAULT_SPEEDS[self.motion_class]
 
     @property
     def effective_segment(self) -> float:
         if self.motion_class != "pacing":
             return math.inf
-        if self.segment_length is not None:
-            return float(self.segment_length)
         return max(self.effective_speed * self.duration / 2.0, 1e-6)
 
 
@@ -183,18 +169,14 @@ class PrimitiveTracks:
     def num_primitives(self) -> int:
         return self.positions.shape[0]
 
-    def to_csv(self, path) -> None:
-        """Export as CSV with header ``t_s,b,x_m,y_m,z_m,D_m,G``."""
-        path = Path(path)
-        lines = ["t_s,b,x_m,y_m,z_m,D_m,G"]
-        for b in range(self.num_primitives):
-            for i, t in enumerate(self.times):
-                x, y, z = self.positions[b, i]
-                lines.append(
-                    f"{t!r},{b},{x!r},{y!r},{z!r},"
-                    f"{self.distances[b, i]!r},{self.gains[b, i]!r}"
-                )
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    def to_csv(self, path):
+        """Export as CSV with header ``t_s,b,x_m,y_m,z_m,D_m,G``; returns the path."""
+        rows = (
+            (t, b, *self.positions[b, i], self.distances[b, i], self.gains[b, i])
+            for b in range(self.num_primitives)
+            for i, t in enumerate(self.times)
+        )
+        return write_csv(path, ("t_s", "b", "x_m", "y_m", "z_m", "D_m", "G"), rows)
 
 
 def ellipsoid_rcs(semi_axes, direction) -> float | np.ndarray:

@@ -1,17 +1,24 @@
-"""Run manifests: reproducibility records for every CLI invocation.
+"""Run manifests and the artifact text format they hash.
 
 A manifest lists the command, its inputs (config reference and seed), and
 the content hash of every artifact the run produced.  Identical inputs
 must reproduce identical manifests byte for byte, so no volatile data
 (timestamps, hostnames) is recorded.
+
+The hashes cover artifact bytes, so the text format is part of that
+contract and is decided here once: :func:`write_csv` writes every CSV
+table and :func:`read_csv` reads every tabular CSV input.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
+
+import numpy as np
 
 MANIFEST_NAME = "manifest.json"
 
@@ -22,6 +29,33 @@ def file_sha256(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def write_csv(path, header, rows) -> Path:
+    """Write a header line and one line per row: floats (numpy ones too) as
+    ``repr(float(v))``, the shortest text that reads back to the same double;
+    ints and strings as ``str``; ``None`` as an empty cell."""
+    lines = [",".join(header)]
+    lines.extend(",".join(_cell(v) for v in row) for row in rows)
+    path = Path(path)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def read_csv(path) -> list[dict]:
+    """Rows keyed by the header line.  ``#`` starts a comment running to the
+    end of the line, as in config files; blank lines are skipped."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        lines = [line.split("#", 1)[0].strip() for line in fh]
+    return list(csv.DictReader(line for line in lines if line))
 
 
 @dataclass

@@ -9,7 +9,6 @@ to match the absolute accuracy of a deep network.
 
 from __future__ import annotations
 
-import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -22,6 +21,7 @@ from .channel import DEFAULT_RHO, ClutterConfig
 from .config import RngStream, SystemConfig
 from .dsp import DEFAULT_STFT_WINDOW, write_pgm
 from .kinematics import MotionSpec
+from .manifest import read_csv, write_csv
 from .simulate import simulate_spectrogram
 
 # Class presets: name -> list of (label, candidate (subject, motion) pairs).
@@ -69,17 +69,12 @@ class LabeledDataset:
         """Write PGM files plus ``labels.csv`` (file,label,C,seed)."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        written = []
-        rows = ["file,label,C,seed"]
-        for i in range(len(self)):
-            name = f"sample_{i:05d}.pgm"
-            write_pgm(out / name, self.grays[i])
-            rows.append(f"{name},{self.labels[i]},{self.cycles},{self.seed}")
-            written.append(out / name)
-        labels_path = out / "labels.csv"
-        labels_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-        written.append(labels_path)
-        return written
+        names = [f"sample_{i:05d}.pgm" for i in range(len(self))]
+        for name, gray in zip(names, self.grays):
+            write_pgm(out / name, gray)
+        rows = ((n, lab, self.cycles, self.seed) for n, lab in zip(names, self.labels))
+        labels = write_csv(out / "labels.csv", ("file", "label", "C", "seed"), rows)
+        return [out / name for name in names] + [labels]
 
 
 _MARGIN = 0.4  # m, kept between a sampled trajectory and the walls
@@ -425,20 +420,14 @@ def accuracy_vs_cycles(
     return points
 
 
-def accuracy_points_to_csv(points, path) -> None:
-    """CSV ``C,A,n_test``."""
-    lines = ["C,A,n_test"]
-    lines.extend(f"{p.cycles},{p.accuracy!r},{p.n_test}" for p in points)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def accuracy_points_to_csv(points, path):
+    """CSV ``C,A,n_test``; returns the path."""
+    rows = ((p.cycles, p.accuracy, p.n_test) for p in points)
+    return write_csv(path, ("C", "A", "n_test"), rows)
 
 
 def accuracy_points_from_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read ``C,A[,n_test]`` rows; returns (cycles, accuracy) arrays."""
-    cycles, acc = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(
-            (line for line in fh if not line.lstrip().startswith("#"))
-        ):
-            cycles.append(float(row["C"]))
-            acc.append(float(row["A"]))
-    return np.asarray(cycles), np.asarray(acc)
+    rows = read_csv(path)
+    return (np.asarray([float(r["C"]) for r in rows]),
+            np.asarray([float(r["A"]) for r in rows]))

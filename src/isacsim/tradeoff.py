@@ -25,6 +25,7 @@ import numpy as np
 
 from .config import SystemConfig
 from .curvefit import CurveFit, eval_curve, invert_curve
+from .manifest import write_csv
 from .validation import as_float_array
 
 DEFAULT_SLOPE_HI = 5.0  # |normalized slope| above this: sensing saturation
@@ -146,13 +147,10 @@ class RegionBoundary:
     def rates(self) -> np.ndarray:
         return np.asarray([p.rate for p in self.points])
 
-    def to_csv(self, path) -> None:
-        """CSV ``C,A,R_bps,zone``."""
-        lines = ["C,A,R_bps,zone"]
-        lines.extend(
-            f"{p.cycles},{p.accuracy!r},{p.rate!r},{p.zone}" for p in self.points
-        )
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    def to_csv(self, path):
+        """CSV ``C,A,R_bps,zone``; returns the path."""
+        rows = ((p.cycles, p.accuracy, p.rate, p.zone) for p in self.points)
+        return write_csv(path, ("C", "A", "R_bps", "zone"), rows)
 
 
 def _min_feasible_cycles(fit: CurveFit) -> int:
@@ -186,6 +184,8 @@ def region_boundary(
     gains = as_float_array(gains, "gains", ndim=1)
     c_min = _min_feasible_cycles(fit)
     c_max = int(math.floor(cfg.total_time / (cfg.num_targets * cfg.slot_time)))
+    if math.isfinite(fit.domain[1]):  # the largest integer strictly inside the domain
+        c_max = min(c_max, math.ceil(fit.domain[1]) - 1)
     if c_max < c_min:
         raise InfeasibleError(
             f"no feasible cycle count: need C in [{c_min}, {c_max}]"
@@ -194,8 +194,8 @@ def region_boundary(
     span = abs(eval_curve(fit, float(c_max)) - eval_curve(fit, float(c_min)))
     if span < 1e-9:
         raise InfeasibleError(
-            "the fitted curve is constant over the feasible cycle range; "
-            "no accuracy-rate tradeoff to trace"
+            f"the fitted curve is constant over the feasible cycle range "
+            f"[{c_min}, {c_max}]; no accuracy-rate tradeoff to trace"
         )
 
     time_over_rate = float(np.sum(cfg.total_time / _rate_weights(gains, cfg)))

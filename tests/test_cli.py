@@ -94,6 +94,7 @@ class TestSpectrogram:
         manifest = read_manifest(out / "manifest.json")
         names = {a["file"] for a in manifest.artifacts}
         assert names == {"spectrogram.pgm", "zmatrix.csv", "tracks.csv"}
+        assert_numeric_cells(out / "tracks.csv")
 
     def test_same_seed_same_hashes(self, cfg_file, tmp_path):
         args = ["spectrogram", "--config", cfg_file, "--cycles", "192",
@@ -216,6 +217,14 @@ class TestRegion:
                      str(tmp_path / "r")])
         assert code == 4
         assert "fitted curve saturates" in capsys.readouterr().err
+
+    def test_fit_domain_ending_below_budget_exit_4(self, tmp_path, capsys):
+        code = main(["region", "--family", "pow4", "--params=-1,1000,1,0.5",
+                     "--out", str(tmp_path / "r")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "feasible cycle range [999, 999]" in err
+        assert "must be positive" not in err
 
     def test_infeasible_exit_4(self, tmp_path, capsys):
         cfg = tmp_path / "tiny.cfg"

@@ -16,7 +16,7 @@ from isacsim import (
     make_fit,
     select_model,
 )
-from isacsim.curvefit import FAMILIES, curve_jacobian
+from isacsim.curvefit import FAMILIES, CurveFitError, curve_jacobian
 
 # Published benchmark: accuracy of a deep spectrogram classifier vs the
 # number of sensing cycles, with its reported pow3 parameters.
@@ -176,6 +176,10 @@ class TestFitCurve:
     def test_duplicate_cycles_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
             fit_curve([100.0, 100.0, 300.0], [0.5, 0.6, 0.7], "pow3")
+
+    def test_points_outside_fixed_domain_rejected(self):
+        with pytest.raises(CurveFitError, match="ilog2: C must exceed 1"):
+            fit_curve([1.0, 2.0, 3.0], [0.5, 0.6, 0.7], "ilog2")
 
     def test_ssr_never_worse_than_any_start(self):
         # Monotone acceptance: the returned SSR is bounded by the best

@@ -284,6 +284,20 @@ class TestRegionBoundary:
         with pytest.raises(InfeasibleError, match="never reaches a valid accuracy"):
             tradeoff._min_feasible_cycles(make_fit("ilog2", (1.0, -0.5)))
 
+    def test_sweep_ends_inside_a_bounded_domain(self, comm_cfg):
+        # A = 1 - sqrt(1 - C/1000) is defined for C < 1000 only, well below
+        # the budget's 20000 cycles: the sweep stops at the last integer.
+        fit = make_fit("pow4", (-1e-3, 1.0, 1.0, 0.5))
+        boundary = region_boundary(fit, np.full(5, 1e-5), comm_cfg, num_points=50)
+        assert boundary.points[-1].cycles == 999
+        assert np.all(np.diff(boundary.accuracies) > 0)
+
+    def test_single_cycle_count_inside_domain_infeasible(self, comm_cfg):
+        # A >= 0 needs C >= 999 and the domain ends at 1000: one cycle count.
+        fit = make_fit("pow4", (-1.0, 1000.0, 1.0, 0.5))
+        with pytest.raises(InfeasibleError, match=r"\[999, 999\]"):
+            region_boundary(fit, np.full(5, 1e-5), comm_cfg)
+
     def test_empty_feasible_range_rejected(self, comm_cfg):
         tiny = comm_cfg.replace(total_time=1e-3)  # at most 20 cycles
         fit = make_fit("pow3", BENCH_POW3)  # needs C >= 96 for A >= 0
