@@ -14,6 +14,7 @@ failure, 4 infeasible model or problem.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -90,6 +91,25 @@ def _default_fit_params(family: str) -> list[float]:
             keys = ("alpha", "beta", "gamma", "epsilon")
             return [float(row[k]) for k in keys if row[k]]
     raise ConfigError(f"no bundled parameters for family {family!r}")
+
+
+def _arg_type(convert, what: str):
+    """An argparse ``type=``: a value ``convert`` rejects with ValueError
+    exits 2 with a message naming the flag and ``what`` it must be."""
+
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}") from None
+
+    return parse
+
+
+def _positive(value):
+    if not 0 < value < math.inf:
+        raise ValueError(value)
+    return value
 
 
 def _motion_from_args(args, duration: float) -> MotionSpec:
@@ -202,12 +222,7 @@ def cmd_fit(args, out: Path):
 
 def cmd_region(args, out: Path):
     cfg, cfg_ref, seed = _load_cfg(args)
-    params = (
-        [float(tok) for tok in args.params.split(",")]
-        if args.params
-        else _default_fit_params(args.family)
-    )
-    fit = make_fit(args.family, params)
+    fit = make_fit(args.family, args.params or _default_fit_params(args.family))
     if args.gains:
         gains = gains_from_csv(args.gains)
     else:
@@ -240,13 +255,12 @@ def cmd_pipeline(args, out: Path):
     cfg, cfg_ref, seed = _load_cfg(args)
     clutter = ClutterConfig()
     rng = RngStream(seed, "pipeline")
-    c_values = [int(tok) for tok in args.cycles_list.split(",")]
 
     points = accuracy_vs_cycles(
         cfg,
         clutter,
         args.classes,
-        c_values,
+        args.cycles_list,
         rng,
         n_train=args.n_train,
         n_test=args.n_test,
@@ -333,7 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="reference spectrogram PGM file or directory")
     p.add_argument("--grid-start", type=float, default=0.99)
     p.add_argument("--grid-stop", type=float, default=1.0)
-    p.add_argument("--grid-step", type=float, default=0.001)
+    p.add_argument("--grid-step", default=0.001,
+                   type=_arg_type(lambda t: _positive(float(t)), "a positive number"))
     p.add_argument("--samples-per-point", type=int, default=DEFAULT_SAMPLES_PER_POINT)
     p.add_argument("--cycles", type=int, default=1000)
     p.add_argument("--stft-window", type=int, default=DEFAULT_STFT_WINDOW)
@@ -350,7 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("region", help="trace the accuracy-rate boundary and zones")
     common(p)
     p.add_argument("--family", default="pow3")
-    p.add_argument("--params", help="comma list (default: bundled fit parameters)")
+    p.add_argument("--params", help="comma list (default: bundled fit parameters)",
+                   type=_arg_type(lambda t: [float(tok) for tok in t.split(",")],
+                                  "a comma list of numbers"))
     p.add_argument("--gains", help="per-user gains CSV (default: sample from config)")
     p.add_argument("--num-points", type=int, default=DEFAULT_NUM_POINTS)
     p.add_argument("--slope-hi", type=float, default=DEFAULT_SLOPE_HI)
@@ -365,7 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", default="motions3", choices=tuple(CLASS_SETS))
     p.add_argument("--n-train", type=int, default=8)
     p.add_argument("--n-test", type=int, default=4)
-    p.add_argument("--cycles-list", default="64,128,256,384")
+    p.add_argument("--cycles-list", default="64,128,256,384",
+                   type=_arg_type(lambda t: [_positive(int(tok)) for tok in t.split(",")],
+                                  "a comma list of positive integers"))
     p.add_argument("--rho", type=float, default=DEFAULT_RHO)
     p.add_argument("--stft-window", type=int, default=32)
     p.add_argument("--num-points", type=int, default=120)

@@ -22,6 +22,12 @@ bounds enforced by projection.  Model selection ranks the families by
 attained SSR.  Every family is monotone in C over its domain for fixed
 parameters, so curves invert by bisection; an accuracy at or above a
 closed-form asymptote is rejected before bisecting.
+
+The expressions leave numpy's floating-point warnings to their callers:
+``fit_curve`` and ``invert_curve`` each silence them once, around their
+whole loop, and the public ``_Family.evaluate``/``jacobian`` wrappers
+silence them per call.  A non-finite result is caught by an explicit
+finiteness check instead.
 """
 
 from __future__ import annotations
@@ -39,17 +45,11 @@ DEFAULT_N_STARTS = 64  # Gauss-Newton starts per family
 DEFAULT_MAX_ITER = 500  # iterations per start
 DEFAULT_FIT_SEED = 0  # seed of the random starts
 
-_EPS_SSR = 1e-15  # relative improvement considered progress
-_MIN_STEP = 1e-12
+_STEPS = tuple(0.5**k for k in range(40))  # step halving from 1 down to 1.8e-12
 
 
 class CurveFitError(RuntimeError):
     """Raised when a family cannot be fitted to the given points."""
-
-
-def _ln(x):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.log(x)
 
 
 class _Family:
@@ -59,6 +59,10 @@ class _Family:
     ``feasible(p, c)``, where the domain depends on the parameters, nudges
     ``p`` in place until every data point lies in it; ``asymptote(p)`` is
     the closed-form supremum of an increasing curve, where one exists.
+
+    The raw expressions ``_evaluate``/``_jacobian`` expect float arrays
+    and run under the caller's ``np.errstate``; ``evaluate``/``jacobian``
+    cast their arguments and silence numpy warnings themselves.
     """
 
     def __init__(self, name, param_names, evaluate, jacobian, starts, *, increasing,
@@ -70,7 +74,7 @@ class _Family:
         self._evaluate = evaluate
         self._jacobian = jacobian
         self._domain = domain
-        self._increasing = increasing
+        self.increasing = increasing
         self.bounds = (np.asarray(bounds[0], float), np.asarray(bounds[1], float))
         self.starts = starts
         self.feasible = feasible
@@ -88,17 +92,19 @@ class _Family:
     def domain(self, params):
         return tuple(float(v) for v in self._domain(np.asarray(params, float)))
 
-    def increasing(self, params):
-        return self._increasing(np.asarray(params, float))
+    def admit(self, params, c):
+        """A fresh copy of ``params`` projected into the bounds, then
+        nudged so every data point lies in the domain."""
+        p = np.clip(params, self.bounds[0], self.bounds[1])
+        if self.feasible is not None:
+            self.feasible(p, c)
+        return p
 
-    def project(self, params):
-        return np.clip(params, self.bounds[0], self.bounds[1])
 
-
-def _linear_ls(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Least-squares slope/intercept of y = m*x + q."""
-    m, q = np.polyfit(x, y, 1)
-    return float(m), float(q)
+def _check_domain(fam: _Family, c, lo: float, hi: float, error: type[Exception]):
+    """Raise ``error`` naming the family's domain when a C lies outside (lo, hi)."""
+    if np.any(c <= lo) or np.any(c >= hi):
+        raise error(f"{fam.name}: {fam.domain_message} (domain ({lo!r}, {hi!r}))")
 
 
 def _vapor_eval(p, c):
@@ -112,7 +118,7 @@ def _vapor_jac(p, c):
 
 def _vapor_starts(c, a):
     if np.all(a > 0):
-        m, q = _linear_ls(1.0 / c, np.log(a))
+        m, q = np.polyfit(1.0 / c, np.log(a), 1)
         yield [q, m]
 
 
@@ -122,7 +128,7 @@ def _pow3_eval(p, c):
 
 def _pow3_jac(p, c):
     cb = c ** (-p[1])
-    return np.stack([-cb, p[0] * cb * _ln(c), np.ones_like(c)], axis=-1)
+    return np.stack([-cb, p[0] * cb * np.log(c), np.ones_like(c)], axis=-1)
 
 
 def _pow3_starts(c, a):
@@ -144,7 +150,7 @@ def _logpow_jac(p, c):
     denom = (1.0 + u) ** 2
     d_alpha = 1.0 / (1.0 + u)
     d_beta = p[0] * p[2] * u / denom
-    d_gamma = -p[0] * u * (_ln(c) - p[1]) / denom
+    d_gamma = -p[0] * u * (np.log(c) - p[1]) / denom
     return np.stack([d_alpha, d_beta, d_gamma], axis=-1)
 
 
@@ -164,7 +170,7 @@ def _exp4_eval(p, c):
 def _exp4_jac(p, c):
     ce = c ** p[3]
     e = np.exp(-p[0] * ce + p[1])
-    return np.stack([ce * e, -e, np.ones_like(c), p[0] * ce * _ln(c) * e], axis=-1)
+    return np.stack([ce * e, -e, np.ones_like(c), p[0] * ce * np.log(c) * e], axis=-1)
 
 
 def _exp4_starts(c, a):
@@ -172,21 +178,21 @@ def _exp4_starts(c, a):
     for gamma in (a_max + 0.005, a_max + 0.05, 1.0):
         gap = np.maximum(gamma - a, 1e-9)
         for eps in (0.1, 0.3, 0.6, 1.0):
-            m, q = _linear_ls(c**eps, np.log(gap))
+            m, q = np.polyfit(c**eps, np.log(gap), 1)
             yield [-m, q, gamma, eps]
 
 
 def _lll_eval(p, c):
-    return _ln(p[0] * _ln(c) + p[1])
+    return np.log(p[0] * np.log(c) + p[1])
 
 
 def _lll_jac(p, c):
-    inner = p[0] * _ln(c) + p[1]
-    return np.stack([_ln(c) / inner, 1.0 / inner], axis=-1)
+    inner = p[0] * np.log(c) + p[1]
+    return np.stack([np.log(c) / inner, 1.0 / inner], axis=-1)
 
 
 def _lll_starts(c, a):
-    m, q = _linear_ls(np.log(c), np.exp(a))
+    m, q = np.polyfit(np.log(c), np.exp(a), 1)
     yield [m, q]
 
 
@@ -206,15 +212,15 @@ def _lll_feasible(p, c):
 
 
 def _ilog2_eval(p, c):
-    return p[1] - p[0] / _ln(c)
+    return p[1] - p[0] / np.log(c)
 
 
 def _ilog2_jac(p, c):
-    return np.stack([-1.0 / _ln(c), np.ones_like(c)], axis=-1)
+    return np.stack([-1.0 / np.log(c), np.ones_like(c)], axis=-1)
 
 
 def _ilog2_starts(c, a):
-    m, q = _linear_ls(1.0 / np.log(c), a)
+    m, q = np.polyfit(1.0 / np.log(c), a, 1)
     yield [-m, q]
 
 
@@ -226,7 +232,7 @@ def _pow4_jac(p, c):
     s = p[0] * c + p[1]
     se1 = s ** (p[3] - 1.0)
     return np.stack(
-        [-p[3] * se1 * c, -p[3] * se1, np.ones_like(c), -(s ** p[3]) * _ln(s)],
+        [-p[3] * se1 * c, -p[3] * se1, np.ones_like(c), -(s ** p[3]) * np.log(s)],
         axis=-1,
     )
 
@@ -235,7 +241,7 @@ def _pow4_starts(c, a):
     a_max = float(a.max())
     for gamma in (a_max + 0.005, a_max + 0.05, 1.0, 1.2):
         gap = np.maximum(gamma - a, 1e-9)
-        m, q = _linear_ls(np.log(c), np.log(gap))  # slope = eps, intercept = eps*ln(alpha)
+        m, q = np.polyfit(np.log(c), np.log(gap), 1)  # slope eps, intercept eps*ln(alpha)
         eps = m if abs(m) > 1e-3 else -0.5
         alpha = math.exp(q / eps) if abs(eps) > 1e-6 else 1.0
         yield [alpha, 0.0, gamma, eps]
@@ -357,10 +363,7 @@ def eval_curve(fit: CurveFit, c) -> np.ndarray | float:
     """Evaluate a fitted curve, enforcing the family's C-domain."""
     fam = get_family(fit.family)
     c_arr = np.asarray(c, dtype=float)
-    lo, hi = fit.domain
-    if np.any(c_arr <= lo) or np.any(c_arr >= hi):
-        raise ValueError(f"{fit.family}: {fam.domain_message} "
-                         f"(domain ({lo!r}, {hi!r}))")
+    _check_domain(fam, c_arr, *fit.domain, ValueError)
     out = fam.evaluate(fit.params, c_arr)
     return float(out) if np.isscalar(c) or c_arr.ndim == 0 else out
 
@@ -371,34 +374,24 @@ def curve_jacobian(family: str, params, c) -> np.ndarray:
 
 
 def _starts(fam: _Family, c: np.ndarray, a: np.ndarray, n: int, rng) -> list[np.ndarray]:
-    """Data-driven initial points padded with random draws from the bounds."""
-    starts = [np.asarray(vec, dtype=float) for vec in fam.starts(c, a)]
+    """Data-driven initial points padded with random draws from the bounds,
+    each admitted (projected and nudged) once."""
+    starts = list(fam.starts(c, a))
     lo, hi = fam.bounds
     # Random fill within a moderate box (full bounds are too diffuse).
     span_lo = np.maximum(lo, -100.0)
     span_hi = np.minimum(hi, 100.0)
     while len(starts) < n:
         starts.append(span_lo + rng.uniform(size=fam.arity) * (span_hi - span_lo))
-    return [fam.project(s) for s in starts[:n]]
-
-
-def _feasible(fam: _Family, params: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Nudge parameters so every data point lies in the family domain."""
-    p = params.copy()
-    if fam.feasible is not None:
-        fam.feasible(p, c)
-    return p
+    return [fam.admit(np.asarray(s, dtype=float), c) for s in starts[:n]]
 
 
 def _ssr(fam: _Family, params: np.ndarray, c: np.ndarray, a: np.ndarray):
-    pred = fam.evaluate(params, c)
-    if not np.all(np.isfinite(pred)):
-        return math.inf, None
-    r = pred - a
-    ssr = float(np.dot(r, r))  # overflow is silenced by the caller, fit_curve
-    if not math.isfinite(ssr):
-        return math.inf, None
-    return ssr, r
+    """SSR and residuals, or ``(inf, None)`` when the prediction is not
+    finite (a non-finite prediction always gives a non-finite SSR)."""
+    r = fam._evaluate(params, c) - a
+    ssr = float(np.dot(r, r))
+    return (ssr, r) if math.isfinite(ssr) else (math.inf, None)
 
 
 def fit_curve(
@@ -432,68 +425,43 @@ def fit_curve(
     if np.unique(c).size != c.size:
         raise ValueError("cycles must be distinct")
     if fam.feasible is None:  # a fixed domain: no parameter can move it onto the data
-        lo, hi = fam.domain(np.zeros(fam.arity))
-        if np.any(c <= lo) or np.any(c >= hi):
-            raise CurveFitError(f"{fam.name}: {fam.domain_message} "
-                                f"(domain ({lo!r}, {hi!r}))")
+        _check_domain(fam, c, *fam.domain(np.zeros(fam.arity)), CurveFitError)
 
-    rng = np.random.default_rng(seed)
-    best_params = None
-    best_ssr = math.inf
-    best_resid = None
-    any_finite_start = False
-
-    # A step that overflows yields a non-finite SSR, Jacobian or step,
-    # which the descent already rejects.  One errstate per fit rather than
-    # per SSR keeps its cost (~3 us) out of the tens of thousands of SSR
-    # calls a fit makes.
-    with np.errstate(over="ignore"):
-        for start in _starts(fam, c, a, n_starts, rng):
-            p = _feasible(fam, fam.project(start), c)
+    best_params, best_ssr, best_resid = None, math.inf, None
+    # A step that overflows or leaves the domain gives a non-finite SSR,
+    # Jacobian or step, which the descent rejects.  One errstate per fit keeps
+    # its cost (~3 us) out of the tens of thousands of SSR calls a fit makes.
+    with np.errstate(all="ignore"):
+        for p in _starts(fam, c, a, n_starts, np.random.default_rng(seed)):
             ssr, resid = _ssr(fam, p, c, a)
             if not math.isfinite(ssr):
                 continue
-            any_finite_start = True
             for _ in range(max_iter):
-                jac = fam.jacobian(p, c)
+                jac = fam._jacobian(p, c)
                 if not np.all(np.isfinite(jac)):
                     break
                 delta, *_ = np.linalg.lstsq(jac, -resid, rcond=None)
                 if not np.all(np.isfinite(delta)) or not np.any(delta):
                     break
-                step = 1.0
-                improved = False
-                while step >= _MIN_STEP:
-                    cand = _feasible(fam, fam.project(p + step * delta), c)
+                for step in _STEPS:
+                    cand = fam.admit(p + step * delta, c)
                     ssr_c, resid_c = _ssr(fam, cand, c, a)
                     if ssr_c < ssr:
-                        p, ssr, resid = cand, ssr_c, resid_c
-                        improved = True
                         break
-                    step *= 0.5
-                if not improved:
+                else:  # no step decreases the SSR
                     break
-                if ssr == 0.0:
-                    break
+                p, ssr, resid = cand, ssr_c, resid_c
             if ssr < best_ssr:
                 best_params, best_ssr, best_resid = p, ssr, resid
-
+    # The descent only accepts decreasing, hence finite, SSRs: a fit is
+    # missing only when every start was non-finite.
     if best_params is None:
         raise CurveFitError(
-            f"{fam.name}: all {n_starts} starts diverged on the given points"
-            if not any_finite_start
-            else f"{fam.name}: no start converged to a finite fit"
-        )
+            f"{fam.name}: all {n_starts} starts diverged on the given points")
 
-    return CurveFit(
-        family=fam.name,
-        params=best_params,
-        ssr=best_ssr,
-        residuals=best_resid,
-        num_points=c.size,
-        domain=fam.domain(best_params),
-        increasing=bool(fam.increasing(best_params)),
-    )
+    fit = make_fit(fam.name, best_params)
+    fit.ssr, fit.residuals, fit.num_points = best_ssr, best_resid, c.size
+    return fit
 
 
 def make_fit(family: str, params) -> CurveFit:
@@ -549,6 +517,7 @@ def select_model(
     return ModelSelection(fits=fits, failures=failures)
 
 
+@np.errstate(all="ignore")
 def invert_curve(fit: CurveFit, accuracy: float) -> float:
     """Cycle count at which the fitted curve reaches ``accuracy``.
 
@@ -559,7 +528,7 @@ def invert_curve(fit: CurveFit, accuracy: float) -> float:
     """
     a_target = float(accuracy)
     fam = get_family(fit.family)
-    p = fit.params
+    p = np.asarray(fit.params, dtype=float)
     lo, hi = fit.domain
     if lo >= hi:
         raise ValueError(f"{fit.family}: empty domain")
@@ -569,7 +538,8 @@ def invert_curve(fit: CurveFit, accuracy: float) -> float:
             f"asymptote {fam.asymptote(p)!r}"
         )
 
-    at = lambda c: float(fam.evaluate(p, np.asarray(c)))
+    # At a 0-d array, not a scalar: scalar and array pow may differ by 1 ulp.
+    at = lambda c: float(fam._evaluate(p, np.asarray(c, dtype=float)))
     sign = 1.0 if fit.increasing else -1.0
     lo_b = max(lo * (1.0 + 1e-12), lo + 1e-12, 1e-12)
     if math.isfinite(hi):

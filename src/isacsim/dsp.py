@@ -242,7 +242,12 @@ def write_pgm(path, gray: np.ndarray) -> None:
 
 
 def read_pgm(path) -> np.ndarray:
-    """Read a binary PGM (P5) image written by :func:`write_pgm`."""
+    """Read a binary PGM (P5) image written by :func:`write_pgm`.
+
+    A truncated or non-numeric header, a size that is not positive, a
+    maxval other than 255 or a short pixel block raises ``ValueError``
+    naming the path and the cause.
+    """
     data = Path(path).read_bytes()
     if not data.startswith(b"P5"):
         raise ValueError(f"{path}: not a binary PGM (P5) file")
@@ -258,10 +263,20 @@ def read_pgm(path) -> np.ndarray:
         start = pos
         while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
+        if start == pos:
+            raise ValueError(f"{path}: truncated PGM header")
+        if not data[start:pos].isdigit():
+            raise ValueError(f"{path}: PGM header field {data[start:pos]!r} is not "
+                             "a non-negative integer")
         fields.append(data[start:pos])
     pos += 1  # single whitespace after maxval
     w, h, maxval = (int(f) for f in fields)
+    if w == 0 or h == 0:
+        raise ValueError(f"{path}: PGM size {w} x {h} is empty")
     if maxval != 255:
         raise ValueError(f"{path}: unsupported maxval {maxval}")
+    if len(data) - pos < w * h:
+        raise ValueError(f"{path}: PGM pixel block holds {max(len(data) - pos, 0)} "
+                         f"bytes, {w} x {h} needs {w * h}")
     pixels = np.frombuffer(data, dtype=np.uint8, count=w * h, offset=pos)
     return pixels.reshape(h, w).copy()

@@ -73,6 +73,23 @@ class TestHelp:
     def test_threads_accepted_for_sample_generation(self, cmd):
         assert build_parser().parse_args([cmd, "--threads", "2"]).threads == 2
 
+    @pytest.mark.parametrize(
+        "cmd, flag",
+        [
+            (["calibrate", "--reference", "ref.pgm", "--grid-step", "0"], "--grid-step"),
+            (["calibrate", "--reference", "ref.pgm", "--grid-step", "nan"], "--grid-step"),
+            (["pipeline", "--cycles-list", "64,abc"], "--cycles-list"),
+            (["pipeline", "--cycles-list", "64,-128"], "--cycles-list"),
+            (["region", "--params", "1,x,2"], "--params"),
+        ],
+    )
+    def test_malformed_value_exits_2_naming_its_flag(self, cmd, flag, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(cmd + ["--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert f"argument {flag}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_top_level_help(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])

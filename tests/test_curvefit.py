@@ -1,5 +1,6 @@
 import csv
 import math
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -16,7 +17,13 @@ from isacsim import (
     make_fit,
     select_model,
 )
-from isacsim.curvefit import FAMILIES, CurveFitError, curve_jacobian
+from isacsim.curvefit import (
+    DEFAULT_FIT_SEED,
+    FAMILIES,
+    CurveFitError,
+    _starts,
+    curve_jacobian,
+)
 
 # Published benchmark: accuracy of a deep spectrogram classifier vs the
 # number of sensing cycles, with its reported pow3 parameters.
@@ -182,14 +189,30 @@ class TestFitCurve:
             fit_curve([1.0, 2.0, 3.0], [0.5, 0.6, 0.7], "ilog2")
 
     def test_ssr_never_worse_than_any_start(self):
-        # Monotone acceptance: the returned SSR is bounded by the best
-        # start's initial residual, checked against a fresh evaluation.
+        # Monotone acceptance: the returned SSR, checked against a fresh
+        # evaluation, is bounded by every start's initial SSR.
         c = BENCH_C
         a = BENCH_A
-        for family in ("pow3", "ilog2", "vapor_pressure", "log_power"):
+        for family in ("pow3", "ilog2", "vapor_pressure", "log_power", "pow4"):
+            fam = FAMILIES[family]
             fit = fit_curve(c, a, family, n_starts=16)
             pred = np.array([eval_curve(fit, x) for x in c])
             assert fit.ssr == pytest.approx(float(np.sum((pred - a) ** 2)), rel=1e-9)
+            starts = _starts(fam, c, a, 16, np.random.default_rng(DEFAULT_FIT_SEED))
+            with np.errstate(over="ignore"):  # a diverging start may square to inf
+                initial = [float(np.sum((fam.evaluate(p, c) - a) ** 2)) for p in starts]
+            assert len(starts) == 16 and any(math.isfinite(s) for s in initial)
+            assert all(fit.ssr <= s for s in initial if not math.isnan(s))
+
+    def test_all_starts_diverged(self):
+        # A random vapor_pressure start overflows exp(alpha + beta / C) at
+        # C ~ 1e-6, and no data-driven start exists for negative accuracies.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CurveFitError,
+                               match=r"^vapor_pressure: all 1 starts diverged"):
+                fit_curve([1e-6, 2e-6, 3e-6], [-0.1, 0.5, 0.6], "vapor_pressure",
+                          n_starts=1, seed=1)
 
     def test_residuals_reported_per_point(self):
         fit = fit_curve(BENCH_C, BENCH_A, "ilog2")

@@ -355,3 +355,24 @@ class TestPgm:
     def test_rejects_non_uint8(self, tmp_path):
         with pytest.raises(ValueError, match="uint8"):
             write_pgm(tmp_path / "x.pgm", np.zeros((4, 4)))
+
+    @pytest.mark.parametrize(
+        "raw, cause",
+        [
+            (b"P6\n2 2\n255\n" + bytes(4), "not a binary PGM"),
+            (b"P5\n-2 4\n255\n" + bytes(8), r"field b'-2' is not a non-negative integer"),
+            (b"P5\n2 x\n255\n" + bytes(8), r"field b'x' is not a non-negative integer"),
+            (b"P5\n0 4\n255\n", "size 0 x 4 is empty"),
+            (b"P5\n2 4\n", "truncated PGM header"),
+            (b"P5\n2 4\n# comment only\n", "truncated PGM header"),
+            (b"P5\n2 4\n65535\n" + bytes(16), "unsupported maxval 65535"),
+            (b"P5\n2 4\n255\n" + bytes(5), "pixel block holds 5 bytes, 2 x 4 needs 8"),
+            (b"P5\n2 4\n255", "pixel block holds 0 bytes"),
+        ],
+    )
+    def test_malformed_file_names_path_and_cause(self, tmp_path, raw, cause):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match=cause) as exc:
+            read_pgm(path)
+        assert str(path) in str(exc.value)

@@ -2,17 +2,24 @@
 
 ``perfbench/run.py`` puts spans around public names looked up in the
 package's modules (``tradeoff.invert_curve``, ``simulate.ClutterProcess``
-and its ``run`` method, ...).  A source change that removes or renames one
-of them breaks every ``--trace 1`` run, so installing the tracer, calling
-through a wrapped class, and restoring the originals must keep working.
+and its ``run`` method, ``curvefit.fit_curve``, ...).  A source change that
+removes or renames one of them breaks every ``--trace 1`` run, so
+installing the tracer, calling through a wrapped class and a wrapped
+function, and restoring the originals in all five patched modules must
+keep working.
 """
 
 import importlib.util
 from pathlib import Path
 
+import isacsim.calibration as calibration
+import isacsim.curvefit as curvefit
+import isacsim.recognition as recognition
 import isacsim.simulate as simulate
 import isacsim.tradeoff as tradeoff
 from isacsim import ClutterConfig, RngStream
+
+PATCHED = (calibration, curvefit, recognition, simulate, tradeoff)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -28,7 +35,7 @@ def load(name):
 
 def test_install_tracer_wraps_and_restores(desk_cfg):
     run, tracing = load("run"), load("tracing")
-    before = {m: dict(vars(m)) for m in (simulate, tradeoff)}
+    before = {m: dict(vars(m)) for m in PATCHED}
     tracer = tracing.Tracer()
     try:
         run.install_tracer(tracer)
@@ -36,7 +43,9 @@ def test_install_tracer_wraps_and_restores(desk_cfg):
             ClutterConfig(), desk_cfg, RngStream(3, "tracer"), 0.99
         )
         process.run(2)
+        curvefit.fit_curve([10.0, 20.0, 40.0], [0.5, 0.6, 0.65], "ilog2", n_starts=1)
     finally:
         tracer.restore()
     assert len(tracer.durations["channel.clutter.run"]) == 1
+    assert len(tracer.durations["curvefit.fit_curve"]) == 1
     assert all(dict(vars(m)) == names for m, names in before.items())
