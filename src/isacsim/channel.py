@@ -9,12 +9,12 @@ The impulse response of one sensing cycle is a sum of two sets of taps:
   mixing coefficient ``rho`` (rho=1 freezes the clutter, rho=0 redraws it
   every cycle).
 
-Amplitudes come for all cycles of a sample at once, as (taps x cycles)
-matrices; ``simulate.synthesize_received_matrix`` places them on the
-fast-time grid.  ``rho`` is an argument of :class:`ClutterProcess` and of
-the pipeline functions above it, not part of :class:`ClutterConfig`, so a
-calibration sweep varies it per call on one scene; ``DEFAULT_RHO`` is the
-rate used when a caller gives none.
+Both tap sets come for all cycles of a sample at once, as (taps x
+cycles) amplitude matrices; ``simulate.synthesize_received_matrix``
+places them on the fast-time grid.  ``rho`` is an argument of
+:class:`ClutterProcess` and of the pipeline functions above it, not part
+of :class:`ClutterConfig`, so a calibration sweep varies it per call on
+one scene; ``DEFAULT_RHO`` is the rate used when a caller gives none.
 
 Cluster delays come from single-bounce mirror images of the radar in the
 six walls of a rectangular room (plus the direct leakage path); ray
@@ -157,80 +157,15 @@ def cluster_delays(ccfg: ClutterConfig) -> np.ndarray:
     return excess
 
 
-@dataclass
-class ClutterSupport:
-    """Frozen delay support and per-tap scales of the clutter channel.
-
-    ``scales[k]`` carries the cluster amplitude factor
-    ``sqrt(H_n) * lambda / (4 pi (D_0 + tau_n c))`` and ``ray_power[k]``
-    the mean squared Rayleigh amplitude of tap k.
-    """
-
-    delays: np.ndarray
-    scales: np.ndarray
-    ray_power: np.ndarray
-
-    @property
-    def num_taps(self) -> int:
-        return self.delays.size
-
-
-def build_clutter_support(
-    ccfg: ClutterConfig, cfg: SystemConfig, rng: RngStream
-) -> ClutterSupport:
-    """Draw the (then frozen) ray layout of the clutter channel."""
-    tau_cluster = cluster_delays(ccfg)
-    factors = ccfg.factors()
-    lam = cfg.wavelength
-
-    delays, scales, power = [], [], []
-    for n, tau_n in enumerate(tau_cluster):
-        scale_n = math.sqrt(factors[n]) * lam / (
-            4.0 * math.pi * (ccfg.baseline + tau_n * SPEED_OF_LIGHT)
-        )
-        # First ray rides on the cluster arrival; later rays are Poisson.
-        offsets = np.concatenate(
-            [[0.0], rng.poisson_arrivals(ccfg.ray_arrival_rate, ccfg.rays_per_cluster - 1)]
-        )
-        delays.extend(tau_n + offsets)
-        scales.extend([scale_n] * offsets.size)
-        power.extend(np.exp(-offsets / ccfg.ray_decay_const))
-
-    delays = np.asarray(delays)
-    order = np.argsort(delays, kind="stable")
-    return ClutterSupport(
-        delays=delays[order],
-        scales=np.asarray(scales)[order],
-        ray_power=np.asarray(power)[order],
-    )
-
-
-def draw_clutter_amplitudes(
-    support: ClutterSupport, rng: RngStream, num_draws: int
-) -> np.ndarray:
-    """Fresh complex tap amplitudes on a frozen support.
-
-    Rayleigh magnitudes with mean power ``ray_power`` times uniform
-    phases, scaled per cluster.  The result has shape (num_draws,
-    num_taps); cycle i uses row i.
-    """
-    shape = (num_draws, support.num_taps)
-    mag = rng.rayleigh(1.0, shape) * np.sqrt(support.ray_power / 2.0)
-    phase = rng.uniform(-math.pi, math.pi, shape)
-    return support.scales * mag * np.exp(1j * phase)
-
-
-def ar_mix(prev_amps: np.ndarray, fresh_amps: np.ndarray, rho: float) -> np.ndarray:
-    """One autoregressive update: rho * previous + (1 - rho) * fresh."""
-    return rho * prev_amps + (1.0 - rho) * fresh_amps
-
-
 class ClutterProcess:
-    """Clutter generator with a frozen support and evolution rate ``rho``.
+    """Clutter taps on a frozen ray layout, evolving at rate ``rho``.
 
-    The support (ray delays and mean powers) is drawn once at
-    construction; :meth:`run` draws fresh amplitudes for every cycle of a
-    sample and applies the autoregressive update across them.
+    Construction draws the ray layout once: tap ``delays`` (s, ascending),
+    per-tap ``scales`` carrying the cluster amplitude factor
+    ``sqrt(H_n) * lambda / (4 pi (D_0 + tau_n c))``, and ``ray_power``,
+    the mean squared Rayleigh amplitude of each tap.  :meth:`run` draws
+    fresh amplitudes for every cycle of a sample and applies the
+    autoregressive update across them.
     """
 
     def __init__(
@@ -243,22 +178,36 @@ class ClutterProcess:
         check_in_range("rho", rho, 0.0, 1.0)
         self.rho = rho
         self._rng = rng
-        self.support = build_clutter_support(ccfg, cfg, rng)
-
-    @property
-    def delays(self) -> np.ndarray:
-        return self.support.delays
+        delays, scales, power = [], [], []
+        for tau_n, h_n in zip(cluster_delays(ccfg), ccfg.factors()):
+            scale_n = math.sqrt(h_n) * cfg.wavelength / (
+                4.0 * math.pi * (ccfg.baseline + tau_n * SPEED_OF_LIGHT)
+            )
+            # First ray rides on the cluster arrival; later rays are Poisson.
+            offsets = np.concatenate(
+                [[0.0], rng.poisson_arrivals(ccfg.ray_arrival_rate, ccfg.rays_per_cluster - 1)]
+            )
+            delays.extend(tau_n + offsets)
+            scales.extend([scale_n] * offsets.size)
+            power.extend(np.exp(-offsets / ccfg.ray_decay_const))
+        order = np.argsort(delays, kind="stable")
+        self.delays = np.asarray(delays)[order]
+        self.scales = np.asarray(scales)[order]
+        self.ray_power = np.asarray(power)[order]
 
     def run(self, num_cycles: int) -> np.ndarray:
-        """Amplitudes for ``num_cycles`` cycles, shape (C, num_taps).
+        """Amplitudes for ``num_cycles`` cycles, shape (num_taps, C).
 
-        Cycle 0 is a fresh draw; each later cycle mixes its predecessor
-        with a fresh draw.
+        Fresh amplitudes are Rayleigh magnitudes with mean power
+        ``ray_power`` times uniform phases, scaled per cluster.  Cycle 0
+        is its fresh draw; each later cycle is ``rho * previous + (1 -
+        rho) * fresh``.
         """
-        fresh = draw_clutter_amplitudes(self.support, self._rng, num_cycles)
-        out = np.empty_like(fresh)
-        state = None
-        for i in range(num_cycles):
-            state = fresh[i] if state is None else ar_mix(state, fresh[i], self.rho)
-            out[i] = state
-        return out
+        shape = (num_cycles, self.delays.size)
+        mag = self._rng.rayleigh(1.0, shape) * np.sqrt(self.ray_power / 2.0)
+        phase = self._rng.uniform(-math.pi, math.pi, shape)
+        out = self.scales * mag * np.exp(1j * phase)
+        for prev, cur in zip(out[:-1], out[1:]):  # row views, updated in place
+            cur *= 1.0 - self.rho
+            cur += self.rho * prev
+        return out.T

@@ -196,12 +196,20 @@ def _lll_starts(c, a):
     yield [m, q]
 
 
+def _exp(x: float) -> float:
+    """``math.exp`` that gives inf where it would raise ``OverflowError``."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def _lll_domain(p):
     a, b = p
     if a > 0:
-        return (math.exp(-b / a), math.inf)
+        return (_exp(-b / a), math.inf)
     if a < 0:
-        return (0.0, math.exp(-b / a))
+        return (0.0, _exp(-b / a))
     return (0.0, math.inf) if b > 0 else (math.inf, math.inf)
 
 
@@ -243,7 +251,7 @@ def _pow4_starts(c, a):
         gap = np.maximum(gamma - a, 1e-9)
         m, q = np.polyfit(np.log(c), np.log(gap), 1)  # slope eps, intercept eps*ln(alpha)
         eps = m if abs(m) > 1e-3 else -0.5
-        alpha = math.exp(q / eps) if abs(eps) > 1e-6 else 1.0
+        alpha = _exp(q / eps) if abs(eps) > 1e-6 else 1.0  # admit clips inf
         yield [alpha, 0.0, gamma, eps]
 
 

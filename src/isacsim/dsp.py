@@ -12,7 +12,7 @@ Clutter suppression reads the strongest r-1 singular directions from one
 Hermitian eigendecomposition of the short-side Gram matrix (L x L for
 L <= C, else C x C) instead of a full SVD, and checks r against that
 spectrum; only matrices whose removed components lie below about 1e-4 of
-the largest fall back to a full SVD.
+the largest fall back to one full SVD for both the check and the removal.
 
 Spectrogram rows are ordered by descending frequency, so the 8-bit image
 writes straight to PGM with +f_slow/2 at the top.
@@ -54,13 +54,6 @@ def synthesize_chirp(cfg: SystemConfig) -> np.ndarray:
     return math.sqrt(cfg.tx_power) * np.exp(1j * phase)
 
 
-def numerical_rank(x: np.ndarray) -> int:
-    s = np.linalg.svd(x, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > s[0] * max(x.shape) * np.finfo(float).eps))
-
-
 def svd_denoise(x: np.ndarray, r: int = DEFAULT_SVD_THRESHOLD) -> np.ndarray:
     """Remove the strongest r-1 rank-one components of ``x``.
 
@@ -74,7 +67,8 @@ def svd_denoise(x: np.ndarray, r: int = DEFAULT_SVD_THRESHOLD) -> np.ndarray:
     The rank check needs s[k-1] > s[0] * max(L, C) * eps, which the Gram
     spectrum (eigenvalues s**2) resolves only down to about sqrt(eps) *
     s[0]; when w[k-1] <= 1e-8 * w[0] the check and the projection fall
-    back to a full SVD.  Non-finite entries raise ``ValueError``.
+    back to one full SVD, which gives both the rank and the removed
+    components.  Non-finite entries raise ``ValueError``.
     """
     x = np.asarray(x)
     if x.ndim != 2:
@@ -96,10 +90,11 @@ def svd_denoise(x: np.ndarray, r: int = DEFAULT_SVD_THRESHOLD) -> np.ndarray:
         top = v[:, :k]
         removed = top @ (top.conj().T @ x) if wide else (x @ top) @ top.conj().T
         return np.subtract(x, removed, out=removed)
-    rank = numerical_rank(x)
+    u, s, vh = np.linalg.svd(x, full_matrices=False)
+    # np.linalg.matrix_rank's tolerance; an empty or all-zero x has rank 0.
+    rank = int(np.sum(s > s[:1] * max(x.shape) * np.finfo(float).eps))
     if r > rank + 1:
         raise ValueError(f"r={r} outside the valid range [1, rank+1] = [1, {rank + 1}]")
-    u, s, vh = np.linalg.svd(x, full_matrices=False)
     # Subtracting the removed components is cheaper and better conditioned
     # than reconstructing the kept ones.
     top = (u[:, : r - 1] * s[: r - 1]) @ vh[: r - 1]
@@ -143,7 +138,6 @@ class Spectrogram:
     freqs: np.ndarray
     times: np.ndarray
     window: int
-    hop: int
 
     @property
     def freq_resolution(self) -> float:
@@ -154,11 +148,10 @@ def stft(
     y: np.ndarray,
     slow_time_step: float,
     window: int = DEFAULT_STFT_WINDOW,
-    hop: int = 1,
 ) -> Spectrogram:
     """Short-time Fourier magnitude of the slow-time sequence.
 
-    Frames of ``window`` samples advance by ``hop`` samples and are
+    Frames of ``window`` samples advance by one sample and are
     tapered with a Kaiser window.  Frequencies span
     [-1/(2 dt), +1/(2 dt)) with dt = ``slow_time_step``.
     """
@@ -168,20 +161,17 @@ def stft(
     check_positive("slow_time_step", slow_time_step)
     if window < 2:
         raise ValueError(f"window must be >= 2, got {window}")
-    if hop < 1:
-        raise ValueError(f"hop must be >= 1, got {hop}")
     if y.size < window:
         raise ValueError(
             f"sequence of {y.size} samples shorter than the window ({window})"
         )
     taper = np.kaiser(window, DEFAULT_KAISER_BETA)
-    frames = np.lib.stride_tricks.sliding_window_view(y, window)[::hop]
+    frames = np.lib.stride_tricks.sliding_window_view(y, window)
     spec = np.fft.fftshift(np.fft.fft(frames * taper, axis=1), axes=1)
     values = np.abs(spec).T[::-1]  # rows: descending frequency
     freqs = np.fft.fftshift(np.fft.fftfreq(window, d=slow_time_step))[::-1]
-    n_frames = frames.shape[0]
-    times = (np.arange(n_frames) * hop + window / 2.0) * slow_time_step
-    return Spectrogram(values=values, freqs=freqs, times=times, window=window, hop=hop)
+    times = (np.arange(frames.shape[0]) + window / 2.0) * slow_time_step
+    return Spectrogram(values=values, freqs=freqs, times=times, window=window)
 
 
 def to_gray(z: np.ndarray, dynamic_range_db: float = DEFAULT_DYNAMIC_RANGE_DB) -> np.ndarray:

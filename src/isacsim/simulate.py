@@ -98,7 +98,9 @@ def synthesize_received_matrix(
 ) -> np.ndarray:
     """Received slow-time matrix X (L x C) for a whole motion sample.
 
-    ``phases`` holds one finite initial phase per primitive.  Any target
+    ``phases`` holds one finite initial phase per primitive;
+    ``clutter_amps`` is (taps x cycles), like the target amplitudes, with
+    one static delay (s) per tap in ``clutter_delays``.  Any target
     or clutter tap beyond the last fast-time sample raises (outside the
     unambiguous range).
     """
@@ -117,12 +119,12 @@ def synthesize_received_matrix(
 
     if clutter_amps is not None and clutter_amps.size:
         c_pos = clutter_delays * cfg.sample_rate
-        x += place_taps_fractional(
-            clutter_amps.T, np.repeat(c_pos[:, None], C, axis=1), chirp, L
-        )
+        x += place_taps_fractional(clutter_amps, c_pos[:, None], chirp, L)
 
     if noise_rng is not None and cfg.noise_power > 0:
-        x += math.sqrt(cfg.noise_power) * noise_rng.standard_complex_normal((L, C))
+        noise = noise_rng.standard_complex_normal((L, C))
+        noise *= math.sqrt(cfg.noise_power)  # in place: no scaled L x C copy
+        x += noise
     return x
 
 
@@ -178,6 +180,7 @@ def simulate_spectrogram(
         cfg, tracks, phases, clutter_amps, clutter_delays, rng.spawn("noise")
     )
     y = svd_denoise(x, svd_threshold)
+    del x  # free the L x C received matrix before the slow-time stages
     slow = dechirp_and_collapse(y, synthesize_chirp(cfg))
     spec = stft(slow, cfg.pri, stft_window)
     gray, pmf = to_gray_and_pmf(spec.values, dynamic_range_db, pmf_bins)

@@ -176,7 +176,7 @@ def test_criterion_5_doppler_end_to_end():
     )
     x = synthesize_received_matrix(cfg, tracks, np.zeros(1), None, None, None)
     slow = dechirp_and_collapse(svd_denoise(x, 1), synthesize_chirp(cfg))
-    spec = stft(slow, cfg.pri, 128, 1)
+    spec = stft(slow, cfg.pri, 128)
     ridge = spec.freqs[np.argmax(spec.values, axis=0)]
     f_expected = 2.0 * 1.0 * cfg.carrier_freq / SPEED_OF_LIGHT  # 23.33 Hz
     ridge_ok = bool(np.all(np.abs(ridge - f_expected) <= spec.freq_resolution + 1e-9))
@@ -320,7 +320,7 @@ def test_criterion_8_numerical_hygiene():
     svd_ok = np.linalg.norm(x - (u * s) @ vh) <= 1e-8 * np.linalg.norm(x)
 
     y = rng.normal(size=600) + 1j * rng.normal(size=600)
-    spec = stft(y, 1e-3, window=128, hop=1)
+    spec = stft(y, 1e-3, window=128)
     taper = np.kaiser(128, 8.0)
     parseval_ok = True
     for frame in range(0, spec.values.shape[1], 37):

@@ -13,10 +13,7 @@ from isacsim import (
 )
 from isacsim.channel import (
     DEFAULT_RHO,
-    ar_mix,
-    build_clutter_support,
     cluster_delays,
-    draw_clutter_amplitudes,
     target_amplitudes,
 )
 from isacsim.kinematics import PrimitiveTracks
@@ -41,7 +38,7 @@ def point_tracks(distances, gains=None, times=None):
 
 
 def received(cfg, tracks=None, phases=None, clutter=None, noise=None):
-    """Received matrix of a few cycles; ``clutter`` is (amps (C, K), delays)."""
+    """Received matrix of a few cycles; ``clutter`` is (amps (K, C), delays)."""
     if tracks is None:
         tracks = point_tracks(np.zeros((0, 1)))
         phases = np.zeros(0)
@@ -51,7 +48,7 @@ def received(cfg, tracks=None, phases=None, clutter=None, noise=None):
 
 def tap_at(tau, amp, cycles=1):
     """One clutter tap with a fixed amplitude over ``cycles`` cycles."""
-    return np.full((cycles, 1), amp, dtype=complex), np.array([tau])
+    return np.full((1, cycles), amp, dtype=complex), np.array([tau])
 
 
 class TestTargetChannel:
@@ -119,12 +116,11 @@ class TestClutter:
         # wavelength / (4 pi (baseline + tau * c)) times the Rayleigh draw.
         ccfg = ClutterConfig(num_clusters=1, rays_per_cluster=1,
                              reflection_factors=(1.0,))
-        rng = RngStream(5, "c")
-        support = build_clutter_support(ccfg, base_cfg, rng)
-        assert support.delays[0] == 0.0  # direct cluster
-        amps = draw_clutter_amplitudes(support, rng, 1)
+        proc = ClutterProcess(ccfg, base_cfg, RngStream(5, "c"), DEFAULT_RHO)
+        assert proc.delays[0] == 0.0  # direct cluster
+        amps = proc.run(1)
         expected_scale = base_cfg.wavelength / (4 * math.pi * ccfg.baseline)
-        assert support.scales[0] == pytest.approx(expected_scale)
+        assert proc.scales[0] == pytest.approx(expected_scale)
         assert abs(amps[0, 0]) <= expected_scale * 10  # Rayleigh draw, sane scale
 
     def test_zero_reflection_factors_mute_everything(self, base_cfg):
@@ -134,16 +130,13 @@ class TestClutter:
 
     def test_ray_power_decay_monte_carlo(self, base_cfg):
         # Mean squared Rayleigh amplitude must follow the exponential decay
-        # in the ray offset within 2%.
+        # in the ray offset within 2%; rho=0 makes every cycle a fresh draw.
         ccfg = ClutterConfig(num_clusters=1, rays_per_cluster=6,
                              reflection_factors=(1.0,))
-        rng = RngStream(9, "mc")
-        support = build_clutter_support(ccfg, base_cfg, rng)
-        draws = draw_clutter_amplitudes(support, rng, 100_000)
-        mean_power = np.mean(np.abs(draws / support.scales) ** 2, axis=0)
-        expected = np.exp(
-            -(support.delays - support.delays[0]) / ccfg.ray_decay_const
-        )
+        proc = ClutterProcess(ccfg, base_cfg, RngStream(9, "mc"), 0.0)
+        draws = proc.run(100_000)
+        mean_power = np.mean(np.abs(draws / proc.scales[:, None]) ** 2, axis=1)
+        expected = np.exp(-(proc.delays - proc.delays[0]) / ccfg.ray_decay_const)
         assert np.allclose(mean_power, expected, rtol=0.02)
 
     def test_radar_outside_room_rejected(self):
@@ -163,17 +156,22 @@ class TestEvolution:
 
     def test_rho_one_is_static(self, base_cfg):
         amps = self.run(base_cfg, 1, 1.0, 20)
-        assert np.array_equal(amps, np.broadcast_to(amps[0], amps.shape))
+        assert np.array_equal(amps, np.broadcast_to(amps[:, :1], amps.shape))
 
     def test_rho_zero_is_memoryless(self, base_cfg):
         amps = self.run(base_cfg, 2, 0.0, 2)
         # Fresh draw each cycle: correlation with the previous state is
         # that of independent samples.
-        assert not np.allclose(amps[0], amps[1])
-        # Each cycle is exactly the fresh draw of the same stream.
-        rng = RngStream(2, "src")
-        support = build_clutter_support(ClutterConfig(), base_cfg, rng)
-        assert np.array_equal(amps, draw_clutter_amplitudes(support, rng, 2))
+        assert not np.allclose(amps[:, 0], amps[:, 1])
+
+    def test_ar_recursion_exact(self, base_cfg):
+        # Two processes on one stream share their fresh draws; rho=0 returns
+        # them as they are, and rho=0.25 mixes them bit for bit.
+        fresh = self.run(base_cfg, 4, 0.0, 6)
+        amps = self.run(base_cfg, 4, 0.25, 6)
+        assert amps.shape == (7 * 8, 6)  # taps x cycles
+        assert np.array_equal(amps[:, 0], fresh[:, 0])
+        assert np.array_equal(amps[:, 1:], 0.25 * amps[:, :-1] + 0.75 * fresh[:, 1:])
 
     def test_rho_out_of_range(self, base_cfg):
         for rho in (1.2, -0.2):
@@ -186,29 +184,23 @@ class TestEvolution:
         rho = 0.97
         proc = ClutterProcess(ccfg, base_cfg, RngStream(11, "ar"), rho)
         amps = proc.run(30_000)
-        x = amps - amps.mean(axis=0)
+        x = amps - amps.mean(axis=1, keepdims=True)
         var = np.mean(np.abs(x) ** 2)
         for lag in (1, 10, 50):
-            corr = np.mean(np.real(x[lag:] * np.conj(x[:-lag]))) / var
+            corr = np.mean(np.real(x[:, lag:] * np.conj(x[:, :-lag]))) / var
             assert corr == pytest.approx(rho**lag, abs=0.03)
 
     def test_stationary_variance(self, base_cfg):
         # Var(v) -> (1-rho)^2 / (1-rho^2) * Var(fresh) within 5%, on one
-        # shared ray layout.
+        # shared ray layout (one stream gives one layout; rho=0 is fresh).
         ccfg = ClutterConfig(rays_per_cluster=16)
         rho = 0.8
+        fresh = ClutterProcess(ccfg, base_cfg, RngStream(13, "var"), 0.0).run(10_000)
         proc = ClutterProcess(ccfg, base_cfg, RngStream(13, "var"), rho)
-        fresh = draw_clutter_amplitudes(proc.support, RngStream(99, "fresh"), 10_000)
-        amps = proc.run(10_000)[200:]  # discard burn-in
+        amps = proc.run(10_000)[:, 200:]  # discard burn-in
         ratio = np.mean(np.abs(amps) ** 2) / np.mean(np.abs(fresh) ** 2)
         expected = (1 - rho) ** 2 / (1 - rho**2)
         assert ratio == pytest.approx(expected, rel=0.05)
-
-    def test_ar_mix_formula(self):
-        prev = np.array([1 + 1j, 2.0])
-        fresh = np.array([3.0, -1j])
-        out = ar_mix(prev, fresh, 0.25)
-        assert np.allclose(out, 0.25 * prev + 0.75 * fresh)
 
 
 class TestReceivedCycle:
@@ -216,7 +208,7 @@ class TestReceivedCycle:
 
     def test_empty_channel_zero_output(self, base_cfg):
         cfg = base_cfg.replace(noise_power=0.0)
-        out = received(cfg, clutter=(np.zeros((1, 0), complex), np.zeros(0)))
+        out = received(cfg, clutter=(np.zeros((0, 1), complex), np.zeros(0)))
         assert np.all(out == 0)
         assert out.shape == (cfg.fast_time_len, 1)
 

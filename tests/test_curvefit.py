@@ -248,6 +248,21 @@ class TestSelectModel:
         assert any(f.family in ("ilog2", "vapor_pressure", "log_log_linear")
                    for f in selection.fits)
 
+    @pytest.mark.parametrize("family, c, a", [
+        ("log_log_linear",
+         [210.634, 749.871, 777.245, 967.004, 1015.018, 1520.085, 1646.243, 1895.088],
+         [0.8634, 0.921, 0.7586, 0.8227, 0.934, 0.8718, 0.8303, 0.8675]),
+        ("pow4",
+         [136.473, 672.19, 734.881, 883.551, 1005.352, 1577.13, 1894.022],
+         [0.8841, 0.8102, 0.9645, 0.9167, 0.8748, 0.8673, 0.8919]),
+    ])
+    def test_exp_overflow_on_noisy_points_is_not_fatal(self, family, c, a):
+        # Noisy, non-monotone points drive exp(-b/a) in the log_log_linear
+        # domain and exp(q/eps) in a pow4 start past the float range; the
+        # family must still come out fitted or failed.
+        selection = select_model(np.array(c), np.array(a), families=[family])
+        assert [f.family for f in selection.fits] + list(selection.failures) == [family]
+
     def test_csv_format(self, tmp_path):
         selection = select_model(BENCH_C, BENCH_A, families=["pow3", "ilog2"])
         out = tmp_path / "fits.csv"

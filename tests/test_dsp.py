@@ -18,7 +18,6 @@ from isacsim import (
     to_gray_and_pmf,
     write_pgm,
 )
-from isacsim.dsp import numerical_rank
 
 
 def _full_svd_denoise(x, r):
@@ -166,7 +165,7 @@ class TestSvdDenoiseGram:
     @pytest.mark.parametrize("shape", [(12, 20), (20, 12)], ids=["wide", "tall"])
     def test_rank_decision_matches_numerical_rank(self, shape):
         x = _graded(shape, seed=12)
-        rank = numerical_rank(x)
+        rank = np.linalg.matrix_rank(x)
         assert 1 < rank < min(shape)  # the grading crosses the rank threshold
         for r in range(1, rank + 2):
             svd_denoise(x, r)
@@ -269,7 +268,7 @@ class TestStft:
         pri = 1e-3
         f0 = 100.0
         y = np.exp(1j * 2 * math.pi * f0 * np.arange(2000) * pri)
-        spec = stft(y, pri, window=128, hop=1)
+        spec = stft(y, pri, window=128)
         ridge = spec.freqs[np.argmax(spec.values, axis=0)]
         assert np.all(np.abs(ridge - f0) <= spec.freq_resolution)
 
@@ -281,7 +280,7 @@ class TestStft:
         rng = np.random.default_rng(3)
         y = rng.normal(size=1000) + 1j * rng.normal(size=1000)
         w = 128
-        spec = stft(y, 1e-3, window=w, hop=1)
+        spec = stft(y, 1e-3, window=w)
         taper = np.kaiser(w, 8.0)
         for frame in (0, 17, 500):
             lhs = np.sum(spec.values[:, frame] ** 2)
@@ -294,7 +293,7 @@ class TestStft:
             stft(np.zeros(50, complex), 1e-3, window=128)
 
     def test_shape_and_freq_order(self):
-        spec = stft(np.zeros(300, complex), 1e-3, window=64, hop=1)
+        spec = stft(np.zeros(300, complex), 1e-3, window=64)
         assert spec.values.shape == (64, 300 - 64 + 1)
         assert spec.freqs[0] > 0 > spec.freqs[-1]  # descending, +f/2 top
         assert spec.freqs[-1] == pytest.approx(-500.0)

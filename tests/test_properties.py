@@ -48,8 +48,8 @@ def clutter_taps(draw):
     delays = draw(arrays(float, k, elements=st.floats(0.0, last))) / DESK.sample_rate
 
     def amps():
-        re = draw(arrays(float, (c, k), elements=unit))
-        im = draw(arrays(float, (c, k), elements=unit))
+        re = draw(arrays(float, (k, c), elements=unit))
+        im = draw(arrays(float, (k, c), elements=unit))
         return re + 1j * im
 
     return amps(), amps(), delays
@@ -57,7 +57,7 @@ def clutter_taps(draw):
 
 def _received(amps, delays):
     """Noiseless received matrix of clutter taps only (no primitives)."""
-    c = amps.shape[0]
+    c = amps.shape[1]
     tracks = PrimitiveTracks(
         names=(), times=np.arange(c) * DESK.pri, positions=np.zeros((0, c, 3)),
         distances=np.zeros((0, c)), gains=np.zeros((0, c)), v_max=1.0,

@@ -184,7 +184,7 @@ class TestPipeline:
         x = synthesize_received_matrix(cfg, tracks, np.zeros(1), None, None, None)
         y = svd_denoise(x, 1)
         slow = dechirp_and_collapse(y, synthesize_chirp(cfg))
-        spec = stft(slow, cfg.pri, 128, 1)
+        spec = stft(slow, cfg.pri, 128)
         ridge = spec.freqs[np.argmax(spec.values, axis=0)]
         expected = 2.0 * 1.0 * cfg.carrier_freq / SPEED_OF_LIGHT
         assert np.all(np.abs(ridge - expected) <= spec.freq_resolution + 1e-9)
