@@ -9,7 +9,6 @@ from .config import (
     SystemConfig,
     load_config,
     sample_user_gains,
-    save_config,
 )
 from .curvefit import (
     CurveFit,
@@ -40,7 +39,6 @@ from .kinematics import (
     PrimitiveTracks,
     ellipsoid_rcs,
     gait_frequency,
-    primitive_gain,
     synthesize_tracks,
 )
 from .recognition import (
@@ -58,10 +56,8 @@ from .tradeoff import (
     InfeasibleError,
     RegionBoundary,
     classify_zones,
-    min_rate,
     optimal_allocation,
     region_boundary,
-    user_rate,
 )
 
 __version__ = "0.1.0"

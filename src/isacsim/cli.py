@@ -86,7 +86,7 @@ def _load_cfg(args):
 
 
 def _default_fit_params(family: str) -> list[float]:
-    for row in read_csv(_data_path("reference_curve_fits.csv")):
+    for _, row in read_csv(_data_path("reference_curve_fits.csv")):
         if row["family"] == family:
             keys = ("alpha", "beta", "gamma", "epsilon")
             return [float(row[k]) for k in keys if row[k]]
@@ -110,6 +110,9 @@ def _positive(value):
     if not 0 < value < math.inf:
         raise ValueError(value)
     return value
+
+
+_positive_int = _arg_type(lambda t: _positive(int(t)), "a positive integer")
 
 
 def _motion_from_args(args, duration: float) -> MotionSpec:
@@ -306,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", default="out", help="output directory")
         if threads:
-            p.add_argument("--threads", type=int, default=1,
+            p.add_argument("--threads", type=_positive_int, default=1,
                            help="worker threads for sample generation")
 
     def motion_args(p):
@@ -321,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrogram", help="simulate one motion spectrogram")
     common(p)
     motion_args(p)
-    p.add_argument("--cycles", type=int, default=3000)
+    p.add_argument("--cycles", type=_positive_int, default=3000)
     p.add_argument("--rho", type=float, default=DEFAULT_RHO)
     p.add_argument("--svd-threshold", type=int, default=DEFAULT_SVD_THRESHOLD)
     p.add_argument("--stft-window", type=int, default=DEFAULT_STFT_WINDOW)
@@ -334,8 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dataset", help="generate a labeled spectrogram dataset")
     common(p, threads=True)
     p.add_argument("--classes", default="motions3", choices=tuple(CLASS_SETS))
-    p.add_argument("--n-per-class", type=int, default=10)
-    p.add_argument("--cycles", type=int, default=512)
+    p.add_argument("--n-per-class", type=_positive_int, default=10)
+    p.add_argument("--cycles", type=_positive_int, default=512)
     p.add_argument("--rho", type=float, default=DEFAULT_RHO)
     p.add_argument("--stft-window", type=int, default=DEFAULT_STFT_WINDOW)
     p.set_defaults(func=cmd_dataset)
@@ -349,8 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-stop", type=float, default=1.0)
     p.add_argument("--grid-step", default=0.001,
                    type=_arg_type(lambda t: _positive(float(t)), "a positive number"))
-    p.add_argument("--samples-per-point", type=int, default=DEFAULT_SAMPLES_PER_POINT)
-    p.add_argument("--cycles", type=int, default=1000)
+    p.add_argument("--samples-per-point", type=_positive_int,
+                   default=DEFAULT_SAMPLES_PER_POINT)
+    p.add_argument("--cycles", type=_positive_int, default=1000)
     p.add_argument("--stft-window", type=int, default=DEFAULT_STFT_WINDOW)
     p.add_argument("--pmf-bins", type=int, default=DEFAULT_PMF_BINS)
     p.set_defaults(func=cmd_calibrate)
@@ -369,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
                    type=_arg_type(lambda t: [float(tok) for tok in t.split(",")],
                                   "a comma list of numbers"))
     p.add_argument("--gains", help="per-user gains CSV (default: sample from config)")
-    p.add_argument("--num-points", type=int, default=DEFAULT_NUM_POINTS)
+    p.add_argument("--num-points", type=_positive_int, default=DEFAULT_NUM_POINTS)
     p.add_argument("--slope-hi", type=float, default=DEFAULT_SLOPE_HI)
     p.add_argument("--slope-lo", type=float, default=DEFAULT_SLOPE_LO)
     p.set_defaults(func=cmd_region)
@@ -380,14 +384,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common(p, threads=True)
     p.add_argument("--classes", default="motions3", choices=tuple(CLASS_SETS))
-    p.add_argument("--n-train", type=int, default=8)
-    p.add_argument("--n-test", type=int, default=4)
+    p.add_argument("--n-train", type=_positive_int, default=8)
+    p.add_argument("--n-test", type=_positive_int, default=4)
     p.add_argument("--cycles-list", default="64,128,256,384",
                    type=_arg_type(lambda t: [_positive(int(tok)) for tok in t.split(",")],
                                   "a comma list of positive integers"))
     p.add_argument("--rho", type=float, default=DEFAULT_RHO)
     p.add_argument("--stft-window", type=int, default=32)
-    p.add_argument("--num-points", type=int, default=120)
+    p.add_argument("--num-points", type=_positive_int, default=120)
     p.set_defaults(func=cmd_pipeline)
 
     return parser

@@ -164,37 +164,31 @@ def _from_db(text: str) -> float:
     return 10.0 ** (float(text) / 10.0)
 
 
-def _to_db(value: float) -> str:
-    return repr(float(10.0 * np.log10(value)))
-
-
 # The file format, one row per key: key -> (SystemConfig field, required,
-# parser from file units, formatter back to them).  A key without a
-# formatter is read but never written.  Optional keys absent from a file
-# keep the SystemConfig defaults.  noise_power_w and noise_power_dbm set
-# the same field; load_config requires exactly one of them.
+# parser from file units).  Optional keys absent from a file keep the
+# SystemConfig defaults.  noise_power_w and noise_power_dbm set the same
+# field; load_config requires exactly one of them.
 _FILE_FORMAT = {
-    "carrier_freq_hz": ("carrier_freq", True, float, repr),
-    "bandwidth_hz": ("bandwidth", True, float, repr),
-    "sample_rate_hz": ("sample_rate", True, float, repr),
-    "sweep_time_s": ("sweep_time", True, float, repr),
-    "slot_time_s": ("slot_time", True, float, repr),
-    "pri_s": ("pri", False, float, repr),
-    "tx_power_w": ("tx_power", True, float, repr),
-    "noise_power_w": ("noise_power", False, float, repr),
-    "noise_power_dbm": ("noise_power", False, lambda t: _from_db(t) * 1e-3, None),
-    "sensing_gain_db": ("sensing_antenna_gain", False, _from_db, _to_db),
-    "comm_gain_db": ("comm_antenna_gain", False, _from_db, _to_db),
-    "total_time_s": ("total_time", True, float, repr),
-    "num_targets": ("num_targets", False, int, str),
-    "num_users": ("num_users", True, int, str),
+    "carrier_freq_hz": ("carrier_freq", True, float),
+    "bandwidth_hz": ("bandwidth", True, float),
+    "sample_rate_hz": ("sample_rate", True, float),
+    "sweep_time_s": ("sweep_time", True, float),
+    "slot_time_s": ("slot_time", True, float),
+    "pri_s": ("pri", False, float),
+    "tx_power_w": ("tx_power", True, float),
+    "noise_power_w": ("noise_power", False, float),
+    "noise_power_dbm": ("noise_power", False, lambda t: _from_db(t) * 1e-3),
+    "sensing_gain_db": ("sensing_antenna_gain", False, _from_db),
+    "comm_gain_db": ("comm_antenna_gain", False, _from_db),
+    "total_time_s": ("total_time", True, float),
+    "num_targets": ("num_targets", False, int),
+    "num_users": ("num_users", True, int),
     "user_pathloss_db": (
         "user_pathloss",
         True,
         lambda t: tuple(_from_db(tok) for tok in t.split(",")),
-        lambda v: ",".join(_to_db(p) for p in v),
     ),
-    "seed": ("seed", False, int, str),
+    "seed": ("seed", False, int),
 }
 
 
@@ -229,7 +223,7 @@ def load_config(path) -> SystemConfig:
     """
     path = Path(path)
     raw = _parse_kv_file(path)
-    for key, (_, required, _, _) in _FILE_FORMAT.items():
+    for key, (_, required, _) in _FILE_FORMAT.items():
         if required and key not in raw:
             raise ConfigError(f"{key}: missing required key")
     if "noise_power_w" in raw and "noise_power_dbm" in raw:
@@ -238,27 +232,13 @@ def load_config(path) -> SystemConfig:
         raise ConfigError("noise_power_w: missing (or provide noise_power_dbm)")
 
     values = {}
-    for key, (name, _, parse, _) in _FILE_FORMAT.items():
+    for key, (name, _, parse) in _FILE_FORMAT.items():
         if key in raw:
             try:
                 values[name] = parse(raw[key])
             except ValueError:
                 raise ConfigError(f"{key}: unparsable value {raw[key]!r}") from None
     return SystemConfig(**values)
-
-
-def save_config(cfg: SystemConfig, path) -> None:
-    """Write ``cfg`` in the canonical file format (linear watts, dB gains).
-
-    ``load_config(save_config(cfg))`` restores every field, the linear
-    gains and path losses up to the rounding of the dB conversion.
-    """
-    lines = [
-        f"{key} = {fmt(getattr(cfg, name))}"
-        for key, (name, _, _, fmt) in _FILE_FORMAT.items()
-        if fmt is not None
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 class RngStream:

@@ -1,4 +1,4 @@
-"""Human motion synthesis: per-primitive trajectories, distanceses and gains.
+"""Human motion synthesis: per-primitive trajectories, distances and gains.
 
 A subject is a cloud of 16 ellipsoidal primitives (head, neck, two torso
 segments, and three segments per limb).  The torso translates rigidly at
@@ -58,13 +58,16 @@ _ARM_SWING_RATIO = 0.60  # arm amplitude relative to thigh amplitude
 _ELBOW_FLEX = 0.35  # rad, constant elbow flexion
 
 # Ellipsoid semi-axes in metres for a 1.75 m subject, in the body frame
-# (forward, lateral, vertical); scaled linearly with height.
+# (forward, lateral, vertical); scaled linearly with height.  Each limb part
+# exists on the left and on the right side.
 _REFERENCE_HEIGHT = 1.75
-_PRIMITIVE_AXES = {
+_TORSO_AXES = {
     "head": (0.080, 0.080, 0.110),
     "neck": (0.055, 0.055, 0.045),
     "chest": (0.110, 0.150, 0.250),
     "abdomen": (0.100, 0.140, 0.150),
+}
+_LIMB_AXES = {
     "upper_arm": (0.045, 0.045, 0.140),
     "lower_arm": (0.040, 0.040, 0.130),
     "hand": (0.035, 0.040, 0.090),
@@ -73,23 +76,13 @@ _PRIMITIVE_AXES = {
     "foot": (0.120, 0.040, 0.035),
 }
 
+# The torso, then each limb part left and right; _AXES (B, 3) is aligned.
 PRIMITIVE_NAMES = (
-    "head",
-    "neck",
-    "chest",
-    "abdomen",
-    "upper_arm_l",
-    "upper_arm_r",
-    "lower_arm_l",
-    "lower_arm_r",
-    "hand_l",
-    "hand_r",
-    "upper_leg_l",
-    "upper_leg_r",
-    "lower_leg_l",
-    "lower_leg_r",
-    "foot_l",
-    "foot_r",
+    *_TORSO_AXES,
+    *(f"{part}_{side}" for part in _LIMB_AXES for side in "lr"),
+)
+_AXES = np.concatenate(
+    [list(_TORSO_AXES.values()), np.repeat(list(_LIMB_AXES.values()), 2, axis=0)]
 )
 
 
@@ -190,29 +183,25 @@ def ellipsoid_rcs(semi_axes, direction) -> float | np.ndarray:
     which reduces to ``pi r^2`` for a sphere and to
     ``pi (b c)^2 / a^2`` when viewed along the ``a`` axis.
 
-    ``direction`` may carry leading batch dimensions (..., 3); directions
-    are normalized internally.
+    ``semi_axes`` (..., 3) and ``direction`` (..., 3) may carry leading
+    batch dimensions that broadcast against each other; directions are
+    normalized internally.
     """
-    a, b, c = (float(s) for s in semi_axes)
-    if min(a, b, c) <= 0:
-        raise ValueError(f"semi_axes: must all be positive, got {semi_axes!r}")
+    s = np.asarray(semi_axes, dtype=float)
+    if s.shape[-1:] != (3,) or not np.all(s > 0):
+        raise ValueError(f"semi_axes: expected positive (..., 3) values, got {semi_axes!r}")
+    a, b, c = np.moveaxis(s, -1, 0)
     u = np.asarray(direction, dtype=float)
     norm = np.linalg.norm(u, axis=-1)
     if np.any(norm == 0):
         raise ValueError("direction: zero vector")
     u = u / norm[..., None]
-    denom = (a * u[..., 0]) ** 2 + (b * u[..., 1]) ** 2 + (c * u[..., 2]) ** 2
-    return math.pi * (a * b * c) ** 2 / denom**2
-
-
-def primitive_gain(name: str, direction, height: float = _REFERENCE_HEIGHT):
-    """Reflection gain of one named primitive seen from ``direction``."""
-    base = name.rsplit("_", 1)[0] if name.endswith(("_l", "_r")) else name
-    if base not in _PRIMITIVE_AXES:
-        raise ValueError(f"unknown primitive {name!r}")
-    scale = height / _REFERENCE_HEIGHT
-    axes = tuple(s * scale for s in _PRIMITIVE_AXES[base])
-    return ellipsoid_rcs(axes, direction)
+    # np.square, not ** 2: a numpy scalar's ** 2 calls pow(), which can round
+    # differently from x * x, and a batched call must equal the single calls.
+    denom = (
+        np.square(a * u[..., 0]) + np.square(b * u[..., 1]) + np.square(c * u[..., 2])
+    )
+    return math.pi * np.square(a * b * c) / np.square(denom)
 
 
 def _body_origin(spec: MotionSpec, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -246,7 +235,7 @@ def _body_origin(spec: MotionSpec, t: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def _limb_dir(theta: np.ndarray) -> np.ndarray:
     """Unit vector of a pendulum segment: theta=0 points straight down.
 
-    Returned in (forward, vertical) components, shape (T, 2).
+    Returned in (forward, vertical) components, shape (..., 2).
     """
     return np.stack([np.sin(theta), -np.cos(theta)], axis=-1)
 
@@ -288,61 +277,51 @@ def synthesize_tracks(
     amp_shank = _SHANK_SWING_RATIO * amp_thigh
     amp_arm = _ARM_SWING_RATIO * amp_thigh
 
-    def place(forward_offset, lateral_offset, vertical):
-        """World position (T, 3) from body-frame offsets (per-time arrays)."""
-        pos = origin.copy()
-        pos[:, :2] += forward_offset[:, None] * fwd + lateral_offset[:, None] * lat
-        pos[:, 2] += vertical
-        return pos
+    # Both sides at once: row 0 is the left limb, row 1 the right one.
+    swing = phase + np.array([[0.0], [math.pi]])  # (2, T)
+    side = np.array([[1.0], [-1.0]])  # lateral sign, (2, 1)
+    th_thigh = amp_thigh * np.sin(swing)
+    th_shank = amp_shank * np.sin(swing - _SHANK_PHASE_LAG)
+    th_arm = amp_arm * np.sin(swing + math.pi)
+    th_fore = th_arm + _ELBOW_FLEX
 
-    zeros = np.zeros(t.size)
-    positions = {}
-    positions["head"] = place(zeros, zeros, np.full(t.size, _STATIONS["head"] * H))
-    positions["neck"] = place(zeros, zeros, np.full(t.size, _STATIONS["neck"] * H))
-    positions["chest"] = place(zeros, zeros, np.full(t.size, _STATIONS["chest"] * H))
-    positions["abdomen"] = place(zeros, zeros, np.full(t.size, _STATIONS["abdomen"] * H))
+    # Legs: hip -> knee -> ankle -> foot.
+    d_th = _limb_dir(th_thigh) * (_LENGTHS["thigh"] * H)
+    d_sh = _limb_dir(th_shank) * (_LENGTHS["shank"] * H)
+    hip_z = _STATIONS["hip"] * H
+    knee_f, knee_z = d_th[..., 0], hip_z + d_th[..., 1]
+    ankle_f, ankle_z = knee_f + d_sh[..., 0], knee_z + d_sh[..., 1]
+    lat_hip = side * _LATERAL["hip"] * H
 
-    for side, side_sign, leg_phase in (("l", +1.0, 0.0), ("r", -1.0, math.pi)):
-        th_thigh = amp_thigh * np.sin(phase + leg_phase)
-        th_shank = amp_shank * np.sin(phase + leg_phase - _SHANK_PHASE_LAG)
-        th_arm = amp_arm * np.sin(phase + leg_phase + math.pi)
-        th_fore = th_arm + _ELBOW_FLEX
+    # Arms: shoulder -> elbow -> wrist -> hand.
+    d_ua = _limb_dir(th_arm) * (_LENGTHS["upper_arm"] * H)
+    d_fa = _limb_dir(th_fore) * (_LENGTHS["forearm"] * H)
+    sh_z = _STATIONS["shoulder"] * H
+    elbow_f, elbow_z = d_ua[..., 0], sh_z + d_ua[..., 1]
+    wrist_f, wrist_z = elbow_f + d_fa[..., 0], elbow_z + d_fa[..., 1]
+    d_hand = _limb_dir(th_fore) * (_LENGTHS["hand"] * H)
+    lat_sh = side * _LATERAL["shoulder"] * H
 
-        lat_hip = np.full(t.size, side_sign * _LATERAL["hip"] * H)
-        lat_sh = np.full(t.size, side_sign * _LATERAL["shoulder"] * H)
+    # Body-frame (forward, lateral, vertical) offsets of each limb part, in
+    # _LIMB_AXES order; forward and vertical are (2, T), lateral (2, 1).
+    limbs = (
+        (elbow_f / 2.0, lat_sh, (sh_z + elbow_z) / 2.0),
+        ((elbow_f + wrist_f) / 2.0, lat_sh, (elbow_z + wrist_z) / 2.0),
+        (wrist_f + d_hand[..., 0], lat_sh, wrist_z + d_hand[..., 1]),
+        (knee_f / 2.0, lat_hip, (hip_z + knee_z) / 2.0),
+        ((knee_f + ankle_f) / 2.0, lat_hip, (knee_z + ankle_z) / 2.0),
+        (ankle_f + _LENGTHS["foot_forward"] * H, lat_hip, ankle_z - _LENGTHS["foot_drop"] * H),
+    )
+    f_limb, l_limb, z_limb = zip(*limbs)
+    torso_z = np.array([[_STATIONS[name] * H] for name in _TORSO_AXES])  # (4, 1)
+    forward = np.concatenate([np.zeros((torso_z.size, t.size)), *f_limb])
+    lateral = np.concatenate([np.zeros_like(torso_z), *l_limb])
+    vertical = np.concatenate([np.repeat(torso_z, t.size, axis=1), *z_limb])
 
-        # Legs: hip -> knee -> ankle -> foot.
-        d_th = _limb_dir(th_thigh) * (_LENGTHS["thigh"] * H)
-        d_sh = _limb_dir(th_shank) * (_LENGTHS["shank"] * H)
-        hip_z = _STATIONS["hip"] * H
-        knee_f, knee_z = d_th[:, 0], hip_z + d_th[:, 1]
-        ankle_f, ankle_z = knee_f + d_sh[:, 0], knee_z + d_sh[:, 1]
-        positions[f"upper_leg_{side}"] = place(knee_f / 2.0, lat_hip, (hip_z + knee_z) / 2.0)
-        positions[f"lower_leg_{side}"] = place(
-            (knee_f + ankle_f) / 2.0, lat_hip, (knee_z + ankle_z) / 2.0
-        )
-        positions[f"foot_{side}"] = place(
-            ankle_f + _LENGTHS["foot_forward"] * H,
-            lat_hip,
-            ankle_z - _LENGTHS["foot_drop"] * H,
-        )
-
-        # Arms: shoulder -> elbow -> wrist -> hand.
-        d_ua = _limb_dir(th_arm) * (_LENGTHS["upper_arm"] * H)
-        d_fa = _limb_dir(th_fore) * (_LENGTHS["forearm"] * H)
-        sh_z = _STATIONS["shoulder"] * H
-        elbow_f, elbow_z = d_ua[:, 0], sh_z + d_ua[:, 1]
-        wrist_f, wrist_z = elbow_f + d_fa[:, 0], elbow_z + d_fa[:, 1]
-        d_hand = _limb_dir(th_fore) * (_LENGTHS["hand"] * H)
-        positions[f"upper_arm_{side}"] = place(elbow_f / 2.0, lat_sh, (sh_z + elbow_z) / 2.0)
-        positions[f"lower_arm_{side}"] = place(
-            (elbow_f + wrist_f) / 2.0, lat_sh, (elbow_z + wrist_z) / 2.0
-        )
-        positions[f"hand_{side}"] = place(
-            wrist_f + d_hand[:, 0], lat_sh, wrist_z + d_hand[:, 1]
-        )
-
-    pos = np.stack([positions[name] for name in PRIMITIVE_NAMES])  # (B, T, 3)
+    # World positions (B, T, 3): the ground origin plus the offsets.
+    pos = np.repeat(origin[None], len(PRIMITIVE_NAMES), axis=0)
+    pos[..., :2] += forward[..., None] * fwd + lateral[..., None] * lat
+    pos[..., 2] += vertical
 
     lo = pos.min(axis=(0, 1)) - 0.05
     hi = pos.max(axis=(0, 1)) + 0.05
@@ -360,9 +339,7 @@ def synthesize_tracks(
     u_lat = delta[..., 0] * lat[None, :, 0] + delta[..., 1] * lat[None, :, 1]
     aspect = np.stack([u_fwd, u_lat, delta[..., 2]], axis=-1)
 
-    gains = np.empty_like(dist)
-    for b, name in enumerate(PRIMITIVE_NAMES):
-        gains[b] = primitive_gain(name, aspect[b], H)
+    gains = ellipsoid_rcs(_AXES[:, None, :] * (H / _REFERENCE_HEIGHT), aspect)
 
     omega = 2.0 * math.pi * f_g
     leg_reach = (_LENGTHS["thigh"] + _LENGTHS["shank"] + _LENGTHS["foot_forward"]) * H

@@ -50,12 +50,15 @@ def write_csv(path, header, rows) -> Path:
     return path
 
 
-def read_csv(path) -> list[dict]:
-    """Rows keyed by the header line.  ``#`` starts a comment running to the
-    end of the line, as in config files; blank lines are skipped."""
+def read_csv(path) -> list[tuple[int, dict]]:
+    """``(line number, row)`` pairs, each row keyed by the header line, so a
+    reader can name the line of a bad cell.  ``#`` starts a comment running
+    to the end of the line, as in config files; blank lines are skipped."""
     with open(path, newline="", encoding="utf-8") as fh:
-        lines = [line.split("#", 1)[0].strip() for line in fh]
-    return list(csv.DictReader(line for line in lines if line))
+        lines = [(n, line.split("#", 1)[0].strip()) for n, line in enumerate(fh, start=1)]
+    lines = [(n, text) for n, text in lines if text]
+    rows = csv.DictReader(text for _, text in lines)
+    return [(n, row) for (n, _), row in zip(lines[1:], rows)]
 
 
 @dataclass

@@ -300,20 +300,20 @@ class SpectrogramClassifier(ParamsMixin):
         losses = []
 
         def loss_of(weights):
+            """Mean cross-entropy at ``weights``, and the softmax it came from."""
             p = self._softmax(feats @ weights)
-            return -float(np.mean(np.log(np.sum(p * onehot, axis=1) + 1e-300)))
+            return -float(np.mean(np.log(np.sum(p * onehot, axis=1) + 1e-300))), p
 
-        cur = loss_of(w)
+        cur, p = loss_of(w)
         losses.append(cur)
         for _ in range(self.max_epochs):
-            p = self._softmax(feats @ w)
             grad = feats.T @ (p - onehot) / n
             stepped = False
             while lr >= 1e-12:
                 cand = w - lr * grad
-                cand_loss = loss_of(cand)
+                cand_loss, cand_p = loss_of(cand)
                 if cand_loss <= cur:
-                    w, prev, cur = cand, cur, cand_loss
+                    w, p, prev, cur = cand, cand_p, cur, cand_loss
                     stepped = True
                     break
                 lr *= 0.5
@@ -427,7 +427,19 @@ def accuracy_points_to_csv(points, path):
 
 
 def accuracy_points_from_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read ``C,A[,n_test]`` rows; returns (cycles, accuracy) arrays."""
-    rows = read_csv(path)
-    return (np.asarray([float(r["C"]) for r in rows]),
-            np.asarray([float(r["A"]) for r in rows]))
+    """Read ``C,A[,n_test]`` rows; returns (cycles, accuracy) arrays.
+
+    A missing column or a cell that is not a number raises ValueError
+    naming the path, the line and the column.
+    """
+    columns = {"C": [], "A": []}
+    for line, row in read_csv(path):
+        for key, values in columns.items():
+            text = row.get(key)
+            if text is None:
+                raise ValueError(f"{path}:{line}: missing column {key!r}")
+            try:
+                values.append(float(text))
+            except ValueError:
+                raise ValueError(f"{path}:{line}: {key}: not a number: {text!r}") from None
+    return np.asarray(columns["C"]), np.asarray(columns["A"])

@@ -42,39 +42,13 @@ class InfeasibleError(ValueError):
     """Raised when the requested operating point cannot be scheduled."""
 
 
-def user_rate(t_k: float, gain: float, cfg: SystemConfig) -> float:
-    """Rate of one user given its communication time share (bit/s)."""
-    if t_k < 0:
-        raise ValueError(f"t_k must be >= 0, got {t_k!r}")
-    if gain < 0:
-        raise ValueError(f"gain must be >= 0, got {gain!r}")
-    snr = gain * cfg.tx_power / cfg.noise_power
-    return t_k / cfg.total_time * cfg.bandwidth * math.log2(1.0 + snr)
-
-
-def min_rate(times, gains, cfg: SystemConfig) -> float:
-    """Worst-user rate of an allocation (bit/s)."""
-    times = as_float_array(times, "times", ndim=1)
-    gains = as_float_array(gains, "gains", ndim=1)
-    if times.size != gains.size:
-        raise ValueError(f"times and gains differ in length: {times.size} vs {gains.size}")
-    return min(user_rate(t, g, cfg) for t, g in zip(times, gains))
-
-
 @dataclass
 class AllocationResult:
-    """Optimal communication time split for a fixed cycle count.
-
-    ``multipliers`` are the reconstructed stationarity multipliers (one
-    per user, summing to one) and ``budget_multiplier`` the one attached
-    to the time-budget constraint; both diagnostic.
-    """
+    """Optimal communication time split for a fixed cycle count."""
 
     times: np.ndarray  # t_k, s
     cycles: int
     rate: float  # R*, bit/s
-    multipliers: np.ndarray
-    budget_multiplier: float
 
 
 def _rate_weights(gains: np.ndarray, cfg: SystemConfig) -> np.ndarray:
@@ -111,15 +85,7 @@ def optimal_allocation(cycles: int, gains, cfg: SystemConfig) -> AllocationResul
     inv_sum = float(np.sum(1.0 / w))
     times = remaining / (w * inv_sum)
     rate = remaining / (cfg.total_time * inv_sum)
-    multipliers = 1.0 / (w * inv_sum)
-    budget_multiplier = -1.0 / (cfg.total_time * inv_sum)
-    return AllocationResult(
-        times=times,
-        cycles=cycles,
-        rate=rate,
-        multipliers=multipliers,
-        budget_multiplier=budget_multiplier,
-    )
+    return AllocationResult(times=times, cycles=cycles, rate=rate)
 
 
 @dataclass
@@ -272,13 +238,21 @@ def zone_bands(boundary: RegionBoundary) -> list[tuple[str, int, int]]:
 
 
 def gains_from_csv(path) -> np.ndarray:
-    """Read per-user linear gains: one value per line, optional header."""
+    """Read per-user linear gains: one value per line, optional header.
+
+    A line that is not a number raises ValueError naming the path and the
+    line.
+    """
     values = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    for n, line in enumerate(lines, start=1):
         tok = line.split("#", 1)[0].strip()
         if not tok or tok.lower() in ("gain", "g", "gains"):
             continue
-        values.append(float(tok))
+        try:
+            values.append(float(tok))
+        except ValueError:
+            raise ValueError(f"{path}:{n}: not a number: {tok!r}") from None
     if not values:
         raise ValueError(f"{path}: no gains found")
     return np.asarray(values)

@@ -81,6 +81,15 @@ class TestHelp:
             (["pipeline", "--cycles-list", "64,abc"], "--cycles-list"),
             (["pipeline", "--cycles-list", "64,-128"], "--cycles-list"),
             (["region", "--params", "1,x,2"], "--params"),
+            (["dataset", "--threads", "-2"], "--threads"),
+            (["spectrogram", "--cycles", "0"], "--cycles"),
+            (["dataset", "--n-per-class", "0"], "--n-per-class"),
+            (["pipeline", "--n-train", "-1"], "--n-train"),
+            (["pipeline", "--n-test", "0"], "--n-test"),
+            (["region", "--num-points", "0"], "--num-points"),
+            (["calibrate", "--reference", "ref.pgm", "--samples-per-point", "0"],
+             "--samples-per-point"),
+            (["dataset", "--cycles", "1.5"], "--cycles"),
         ],
     )
     def test_malformed_value_exits_2_naming_its_flag(self, cmd, flag, tmp_path, capsys):
@@ -204,6 +213,12 @@ class TestFit:
         lines = (out / "fits.csv").read_text().splitlines()
         assert len(lines) == 3
 
+    def test_points_without_accuracy_column_exit_3(self, tmp_path, capsys):
+        pts = tmp_path / "points.csv"
+        pts.write_text("C,B\n100,0.5\n200,0.7\n")
+        assert main(["fit", "--points", str(pts), "--out", str(tmp_path / "fit")]) == 3
+        assert f"error: {pts}:2: missing column 'A'" in capsys.readouterr().err
+
 
 class TestRegion:
     def test_boundary_csv_with_three_zones(self, cfg_file, tmp_path, capsys):
@@ -242,6 +257,13 @@ class TestRegion:
         err = capsys.readouterr().err
         assert "feasible cycle range [999, 999]" in err
         assert "must be positive" not in err
+
+    def test_malformed_gain_exit_3(self, tmp_path, capsys):
+        gains = tmp_path / "gains.csv"
+        gains.write_text("gain\n1e-5\nabc\n")
+        code = main(["region", "--gains", str(gains), "--out", str(tmp_path / "r")])
+        assert code == 3
+        assert f"error: {gains}:3: not a number: 'abc'" in capsys.readouterr().err
 
     def test_infeasible_exit_4(self, tmp_path, capsys):
         cfg = tmp_path / "tiny.cfg"

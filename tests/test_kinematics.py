@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from isacsim import MotionSpec, ellipsoid_rcs, gait_frequency, synthesize_tracks
-from isacsim.kinematics import PRIMITIVE_NAMES, primitive_gain
+from isacsim.kinematics import PRIMITIVE_NAMES
 
 RADAR = (1.5, 1.0, 1.0)
 
@@ -124,6 +124,36 @@ class TestTracks:
         assert np.all(tracks.distances > 0)
         assert np.all(tracks.gains > 0)
 
+    def test_sides_in_anti_phase(self):
+        # Half a gait period later, each right limb primitive sits where the
+        # left one was, mirrored across the sagittal plane (body frame,
+        # relative to the chest); left primitives sit on the left-hand side.
+        spec = MotionSpec("walking", "adult", duration=3.0, heading=(0.6, -0.8))
+        half = 0.5 / gait_frequency(spec.effective_speed, spec.height)
+        t0 = np.linspace(0.0, 0.4, 9)
+        tracks = synthesize_tracks(spec, RADAR, np.concatenate([t0, t0 + half]))
+        fwd = np.array([0.6, -0.8])
+        lat = np.array([0.8, 0.6])
+        rel = tracks.positions - tracks.positions[PRIMITIVE_NAMES.index("chest")]
+        body = np.stack([rel[..., :2] @ fwd, rel[..., :2] @ lat, rel[..., 2]], axis=-1)
+        limbs = [n[:-2] for n in PRIMITIVE_NAMES if n.endswith("_l")]
+        assert len(limbs) == 6
+        for part in limbs:
+            left = body[PRIMITIVE_NAMES.index(part + "_l"), : t0.size]
+            right = body[PRIMITIVE_NAMES.index(part + "_r"), t0.size :]
+            assert np.allclose(right, left * [1.0, -1.0, 1.0], rtol=0, atol=1e-9), part
+            assert np.all(left[:, 1] > 0), part
+
+    def test_standing_height_order(self):
+        spec = MotionSpec("standing", "adult", duration=1.0,
+                          start_position=(1.5, 4.0, 0.0))
+        tracks = synthesize_tracks(spec, RADAR, grid(0.1))
+        z = dict(zip(tracks.names, tracks.positions[:, 0, 2]))
+        assert z["head"] > z["neck"] > z["chest"] > z["abdomen"]
+        for side in "lr":
+            assert z[f"upper_leg_{side}"] > z[f"lower_leg_{side}"] > z[f"foot_{side}"]
+            assert z[f"upper_arm_{side}"] > z[f"lower_arm_{side}"] > z[f"hand_{side}"]
+
     def test_csv_export(self, tmp_path):
         spec = MotionSpec("standing", "adult", duration=0.01,
                           start_position=(1.5, 4.0, 0.0))
@@ -166,5 +196,19 @@ class TestEllipsoidRcs:
             ellipsoid_rcs((0.0, 0.1, 0.1), (1, 0, 0))
 
     def test_torso_stronger_than_hand(self):
-        d = (0.0, 1.0, 0.0)
-        assert primitive_gain("chest", d) > primitive_gain("hand_l", d)
+        # Broadside: the subject faces -x, so the radar looks along its
+        # lateral axis.
+        spec = MotionSpec("standing", "adult", duration=1.0,
+                          start_position=(1.5, 4.0, 0.0))
+        tracks = synthesize_tracks(spec, (1.5, 1.0, 1.2), grid(0.1))
+        g = dict(zip(tracks.names, tracks.gains[:, 0]))
+        assert g["chest"] > g["hand_l"]
+        assert g["chest"] > g["hand_r"]
+
+    def test_stacked_semi_axes_equal_single_calls(self):
+        rng = np.random.default_rng(3)
+        axes = rng.uniform(0.01, 0.5, size=(200, 3))
+        dirs = rng.normal(size=(200, 4, 3))
+        stacked = ellipsoid_rcs(axes[:, None, :], dirs)
+        single = [[ellipsoid_rcs(tuple(a), d) for d in row] for a, row in zip(axes, dirs)]
+        assert np.array_equal(stacked, np.array(single))

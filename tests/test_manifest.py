@@ -20,7 +20,7 @@ def test_write_csv_formats_each_cell_type(tmp_path):
 def test_write_csv_numbers_round_trip(tmp_path):
     values = np.random.default_rng(0).standard_normal(50) * 1e3
     path = write_csv(tmp_path / "v.csv", ("v",), ((v,) for v in values))
-    back = [float(row["v"]) for row in read_csv(path)]
+    back = [float(row["v"]) for _, row in read_csv(path)]
     assert back == values.tolist()
 
 
@@ -35,4 +35,7 @@ def test_read_csv_skips_comments_and_blank_lines(tmp_path):
         "300,0.902   # inline comment\n",
         encoding="utf-8",
     )
-    assert read_csv(path) == [{"C": "200", "A": "0.788"}, {"C": "300", "A": "0.902"}]
+    assert read_csv(path) == [
+        (5, {"C": "200", "A": "0.788"}),
+        (6, {"C": "300", "A": "0.902"}),
+    ]

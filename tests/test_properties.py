@@ -19,7 +19,6 @@ from isacsim import (
     fit_curve,
     optimal_allocation,
     to_gray,
-    user_rate,
 )
 from isacsim.channel import draw_primitive_phases
 from isacsim.curvefit import get_family
@@ -97,7 +96,8 @@ def test_to_gray_invariant_under_power_of_two_scaling(z, k, dynamic_range_db):
 )
 def test_optimal_allocation_equal_rates_full_budget(gains, cycles):
     result = optimal_allocation(cycles, gains, DESK)
-    rates = [user_rate(t, g, DESK) for t, g in zip(result.times, gains)]
+    snr = gains * DESK.tx_power / DESK.noise_power
+    rates = result.times / DESK.total_time * DESK.bandwidth * np.log2(1.0 + snr)
     assert np.allclose(rates, result.rate, rtol=1e-12, atol=0.0)
     sensing = DESK.num_targets * DESK.slot_time * cycles
     assert result.times.sum() + sensing == pytest.approx(DESK.total_time, rel=1e-12)

@@ -203,3 +203,9 @@ class TestAccuracyCsv:
         c, a = accuracy_points_from_csv(path)
         assert np.array_equal(c, [100, 200])
         assert np.array_equal(a, [0.8, 0.9])
+
+    def test_bad_value_named(self, tmp_path):
+        path = tmp_path / "acc.csv"
+        path.write_text("C,A\n100,0.8\n# comment\n200,abc\n")
+        with pytest.raises(ValueError, match=r"acc\.csv:4: A: not a number: 'abc'$"):
+            accuracy_points_from_csv(path)

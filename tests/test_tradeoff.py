@@ -12,11 +12,9 @@ from isacsim import (
     eval_curve,
     load_config,
     make_fit,
-    min_rate,
     optimal_allocation,
     region_boundary,
     sample_user_gains,
-    user_rate,
 )
 from isacsim import tradeoff
 from isacsim.tradeoff import (
@@ -70,28 +68,6 @@ def greedy_max_min_rate(gains, cfg, remaining, steps=10_000):
     return heap[0][0], t
 
 
-class TestRates:
-    def test_zero_time_zero_rate(self, comm_cfg):
-        assert user_rate(0.0, 1e-5, comm_cfg) == 0.0
-
-    def test_full_time_unit_snr(self, comm_cfg):
-        # g P / s2 = 1 makes log2(1+snr) = 1, so R = B.
-        gain = comm_cfg.noise_power / comm_cfg.tx_power
-        assert user_rate(comm_cfg.total_time, gain, comm_cfg) == pytest.approx(
-            comm_cfg.bandwidth
-        )
-
-    def test_min_rate_symmetric_split(self, comm_cfg):
-        cfg = comm_cfg.replace(num_users=2, user_pathloss=(1e-5, 1e-5))
-        t = (cfg.total_time / 2, cfg.total_time / 2)
-        g = (1e-5, 1e-5)
-        assert min_rate(t, g, cfg) == pytest.approx(user_rate(t[0], g[0], cfg))
-
-    def test_negative_time_rejected(self, comm_cfg):
-        with pytest.raises(ValueError, match="t_k"):
-            user_rate(-1.0, 1e-5, comm_cfg)
-
-
 class TestOptimalAllocation:
     def test_budget_fully_used_and_rates_equal(self, comm_cfg):
         gains = sample_user_gains(comm_cfg, RngStream(3, "g"))
@@ -100,7 +76,8 @@ class TestOptimalAllocation:
         assert sensing + alloc.times.sum() == pytest.approx(
             comm_cfg.total_time, rel=1e-9
         )
-        rates = [user_rate(t, g, comm_cfg) for t, g in zip(alloc.times, gains)]
+        snr = gains * comm_cfg.tx_power / comm_cfg.noise_power
+        rates = alloc.times / comm_cfg.total_time * comm_cfg.bandwidth * np.log2(1.0 + snr)
         assert np.ptp(rates) <= 1e-12 * max(rates)
         assert alloc.rate == pytest.approx(min(rates), rel=1e-12)
 
@@ -126,18 +103,6 @@ class TestOptimalAllocation:
             oracle_rate, _ = greedy_max_min_rate(gains, comm_cfg, remaining)
             assert alloc.rate == pytest.approx(oracle_rate, rel=1e-3)
             assert alloc.rate >= oracle_rate - 1e-12  # grid cannot beat it
-
-    def test_multipliers_satisfy_stationarity(self, comm_cfg):
-        gains = sample_user_gains(comm_cfg, RngStream(23, "g"))
-        alloc = optimal_allocation(3000, gains, comm_cfg)
-        assert alloc.multipliers.sum() == pytest.approx(1.0, abs=1e-9)
-        assert np.all(alloc.multipliers > 0)
-        w = comm_cfg.bandwidth * np.log2(1 + gains * comm_cfg.tx_power
-                                         / comm_cfg.noise_power)
-        stationarity = alloc.multipliers * w / comm_cfg.total_time \
-            + alloc.budget_multiplier
-        assert np.allclose(stationarity / abs(alloc.budget_multiplier), 0.0,
-                           atol=1e-9)
 
     def test_infeasible_sensing_budget(self, comm_cfg):
         with pytest.raises(InfeasibleError, match="exceeds"):
