@@ -207,7 +207,7 @@ class ClutterProcess:
         mag = self._rng.rayleigh(1.0, shape) * np.sqrt(self.ray_power / 2.0)
         phase = self._rng.uniform(-math.pi, math.pi, shape)
         out = self.scales * mag * np.exp(1j * phase)
+        out[1:] *= 1.0 - self.rho  # elementwise, so one pass for all rows
         for prev, cur in zip(out[:-1], out[1:]):  # row views, updated in place
-            cur *= 1.0 - self.rho
             cur += self.rho * prev
         return out.T

@@ -230,14 +230,19 @@ def _pool_matrix(n_in: int, n_out: int) -> np.ndarray:
 
 
 def block_features(grays: np.ndarray, pool: int) -> np.ndarray:
-    """Block-average images to (pool x pool), flatten, and append a bias."""
+    """Block-average images to (pool x pool), flatten, and append a bias.
+
+    Pooling is two matrix products, rows after columns, and the 1/255
+    gray scaling rides on the small column-pooling matrix, so the only
+    full-size float array is the one copy of the input.
+    """
     x = np.asarray(grays, dtype=float)
     if x.ndim == 2:
         x = x[None]
     n, h, w = x.shape
     pr = _pool_matrix(h, pool)
     pc = _pool_matrix(w, pool)
-    pooled = np.einsum("rh,nhw,cw->nrc", pr, x / 255.0, pc)
+    pooled = pr @ (x @ (pc.T / 255.0))
     feats = pooled.reshape(n, -1)
     return np.hstack([feats, np.ones((n, 1))])
 

@@ -66,7 +66,9 @@ def place_taps_fractional(
     ``amps`` has shape (num_taps, C) and ``delays_samples`` broadcasts to
     it; the result is the L x C matrix of accumulated chirp copies.  Indoor
     delays span only a handful of distinct offsets, so the split taps are
-    summed per unique offset before the chirp is laid down.
+    summed per occupied offset, in ascending order, before the chirp is
+    laid down.  The offsets are checked to lie in [0, L-1], so one
+    ``bincount`` over them finds the occupied ones.
     """
     pos = np.broadcast_to(delays_samples, amps.shape)
     # One pass rejects negative, beyond-slot and non-finite positions alike
@@ -81,7 +83,7 @@ def place_taps_fractional(
     split_amps = np.concatenate([amps * (1.0 - frac), amps * frac])
     split_offsets = np.concatenate([base, np.minimum(base + 1, fast_len - 1)])
     out = np.zeros((fast_len, amps.shape[1]), dtype=complex)
-    for off in np.unique(split_offsets):
+    for off in np.flatnonzero(np.bincount(split_offsets.ravel())):
         col = np.where(split_offsets == off, split_amps, 0.0).sum(axis=0)
         n = min(chirp.size, fast_len - off)
         out[off : off + n, :] += chirp[:n, None] * col[None, :]

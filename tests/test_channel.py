@@ -166,12 +166,21 @@ class TestEvolution:
 
     def test_ar_recursion_exact(self, base_cfg):
         # Two processes on one stream share their fresh draws; rho=0 returns
-        # them as they are, and rho=0.25 mixes them bit for bit.
+        # them as they are, and rho mixes them bit for bit, also where 1-rho
+        # is not exact in binary (DEFAULT_RHO).
         fresh = self.run(base_cfg, 4, 0.0, 6)
-        amps = self.run(base_cfg, 4, 0.25, 6)
-        assert amps.shape == (7 * 8, 6)  # taps x cycles
-        assert np.array_equal(amps[:, 0], fresh[:, 0])
-        assert np.array_equal(amps[:, 1:], 0.25 * amps[:, :-1] + 0.75 * fresh[:, 1:])
+        for rho in (0.25, DEFAULT_RHO):
+            amps = self.run(base_cfg, 4, rho, 6)
+            assert amps.shape == (7 * 8, 6)  # taps x cycles
+            assert np.array_equal(amps[:, 0], fresh[:, 0])
+            assert np.array_equal(
+                amps[:, 1:], rho * amps[:, :-1] + (1.0 - rho) * fresh[:, 1:]
+            )
+            ref = fresh.T.copy()
+            for prev, cur in zip(ref[:-1], ref[1:]):  # per-row reference loop
+                cur *= 1.0 - rho
+                cur += rho * prev
+            assert amps.tobytes() == np.ascontiguousarray(ref.T).tobytes()
 
     def test_rho_out_of_range(self, base_cfg):
         for rho in (1.2, -0.2):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,44 @@ class TestBlockFeatures:
         img = np.full((32, 48), 128, np.uint8)
         feats = block_features(img, 16)
         assert np.allclose(feats[0, :-1], 128 / 255.0)
+
+    @staticmethod
+    def block_means(img, pool):
+        """Oracle: the mean of each block, scaled to [0, 1], row-major."""
+        rows = (np.arange(img.shape[0]) * pool) // img.shape[0]
+        cols = (np.arange(img.shape[1]) * pool) // img.shape[1]
+        return np.array([
+            img[rows == r][:, cols == c].mean() / 255.0
+            for r in range(pool)
+            for c in range(pool)
+        ])
+
+    @pytest.mark.parametrize("width", [33, 97, 225, 481])
+    def test_matches_block_mean_oracle(self, width):
+        # None of the widths divides by 16, so blocks differ in size.
+        imgs = np.random.default_rng(width).integers(
+            0, 256, (3, 32, width), dtype=np.uint8
+        )
+        feats = block_features(imgs, 16)
+        for img, row in zip(imgs, feats):
+            assert np.abs(row[:-1] - self.block_means(img, 16)).max() <= 1e-12
+        single = block_features(imgs[1], 16)
+        assert single.shape == (1, 16 * 16 + 1)
+        assert np.abs(single[0, :-1] - self.block_means(imgs[1], 16)).max() <= 1e-12
+
+    def test_peak_memory_one_float_copy(self):
+        # A C=512 training set: the pooling may hold one float64 copy of
+        # the stack, not a second scaled one.
+        imgs = np.random.default_rng(0).integers(
+            0, 256, (150, 32, 481), dtype=np.uint8
+        )
+        tracemalloc.start()
+        try:
+            block_features(imgs, 16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * imgs.size * 8
 
 
 class TestClassifier:

@@ -68,6 +68,63 @@ class TestPlacement:
             )
 
 
+def place_taps_unique(amps, delays_samples, chirp, fast_len):
+    """Reference: the split taps summed per offset found by np.unique."""
+    pos = np.broadcast_to(delays_samples, amps.shape)
+    base = np.floor(pos).astype(int)
+    frac = pos - base
+    split_amps = np.concatenate([amps * (1.0 - frac), amps * frac])
+    split_offsets = np.concatenate([base, np.minimum(base + 1, fast_len - 1)])
+    out = np.zeros((fast_len, amps.shape[1]), dtype=complex)
+    for off in np.unique(split_offsets):
+        col = np.where(split_offsets == off, split_amps, 0.0).sum(axis=0)
+        n = min(chirp.size, fast_len - off)
+        out[off : off + n, :] += chirp[:n, None] * col[None, :]
+    return out
+
+
+class TestPlacementBytes:
+    L = 16
+
+    @staticmethod
+    def draw(rng, shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    @pytest.mark.parametrize("chirp_len", [5, 16])
+    def test_static_sparse_offsets(self, chirp_len):
+        # Non-adjacent offsets, a pair sharing one cell, and L-1 exactly,
+        # where base+1 is clipped onto base.
+        rng = np.random.default_rng(chirp_len)
+        delays = np.array([[0.2], [3.7], [3.9], [7.0], [self.L - 1.0]])
+        amps = self.draw(rng, (5, 9))
+        chirp = self.draw(rng, chirp_len)
+        got = place_taps_fractional(amps, delays, chirp, self.L)
+        ref = place_taps_unique(amps, delays, chirp, self.L)
+        assert got.tobytes() == ref.tobytes()
+
+    def test_offsets_move_across_cycles(self):
+        rng = np.random.default_rng(7)
+        C = 40
+        delays = np.stack([
+            np.linspace(2.5, 5.5, C),
+            np.linspace(self.L - 1.0, 9.2, C),
+            np.full(C, 0.6),
+            rng.uniform(0.0, self.L - 1.0, C),
+        ])
+        amps = self.draw(rng, (4, C))
+        chirp = self.draw(rng, 6)
+        got = place_taps_fractional(amps, delays, chirp, self.L)
+        ref = place_taps_unique(amps, delays, chirp, self.L)
+        assert got.tobytes() == ref.tobytes()
+
+    def test_empty_tap_set(self):
+        args = (np.zeros((0, 12), complex), np.zeros((0, 1)), np.ones(4, complex))
+        got = place_taps_fractional(*args, self.L)
+        ref = place_taps_unique(*args, self.L)
+        assert got.shape == (self.L, 12)
+        assert got.tobytes() == ref.tobytes()
+
+
 class TestPipeline:
     def test_deterministic_bytes(self, desk_cfg, clutter_cfg, walking_radial):
         a = simulate_spectrogram(
