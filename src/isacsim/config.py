@@ -281,7 +281,11 @@ class RngStream:
         The real parts are drawn before the imaginary parts.  Both are
         written into one complex array and scaled in place, so a large
         draw holds one complex and one real array at a time rather than
-        two of each.
+        two of each.  The in-place ``z /= np.sqrt(2.0)`` is numpy's complex
+        (Smith) division, which multiplies by the reciprocal of the divisor:
+        each part rounds like the real ``x * (1.0 / np.sqrt(2.0))``, not
+        like the real ``x / np.sqrt(2.0)``.  A draw into a float buffer
+        keeps these bytes only by scaling with that reciprocal.
         """
         z = np.empty(size, dtype=complex)
         z.real = self._rng.standard_normal(size)

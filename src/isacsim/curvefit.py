@@ -17,11 +17,13 @@ the sense of monotonicity, and its closed-form asymptote where one
 exists.
 
 Fitting minimizes the sum of squared residuals with a multi-start damped
-Gauss-Newton iteration: step halving on residual increase, and parameter
-bounds enforced by projection.  Model selection ranks the families by
-attained SSR.  Every family is monotone in C over its domain for fixed
-parameters, so curves invert by bisection; an accuracy at or above a
-closed-form asymptote is rejected before bisecting.
+Gauss-Newton iteration.  Each iteration scores all 40 halvings of the
+Gauss-Newton step as one stack and moves to the longest one that lowers
+the SSR; parameter bounds are enforced by projection.  Model selection
+ranks the families by attained SSR.  Every family is monotone in C over
+its domain for fixed parameters, so curves invert by bisection; an
+accuracy at or above a closed-form asymptote is rejected before
+bisecting.
 
 The expressions leave numpy's floating-point warnings to their callers:
 ``fit_curve`` and ``invert_curve`` each silence them once, around their
@@ -33,7 +35,7 @@ finiteness check instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,7 +47,9 @@ DEFAULT_N_STARTS = 64  # Gauss-Newton starts per family
 DEFAULT_MAX_ITER = 500  # iterations per start
 DEFAULT_FIT_SEED = 0  # seed of the random starts
 
-_STEPS = tuple(0.5**k for k in range(40))  # step halving from 1 down to 1.8e-12
+_STEPS = np.array([0.5**k for k in range(40)])  # step halving from 1 down to 1.8e-12
+# How a Gauss-Newton start can end, the keys of ``CurveFit.stops``.
+STOP_REASONS = ("no_descent", "zero_step", "nonfinite", "max_iter", "diverged_start")
 
 
 class CurveFitError(RuntimeError):
@@ -56,13 +60,17 @@ class _Family:
     """Every fact about one curve family, declared in one place.
 
     ``starts(c, a)`` yields the data-driven initial parameter vectors;
-    ``feasible(p, c)``, where the domain depends on the parameters, nudges
-    ``p`` in place until every data point lies in it; ``asymptote(p)`` is
-    the closed-form supremum of an increasing curve, where one exists.
+    ``feasible(P, c)``, where the domain depends on the parameters, nudges
+    the rows of the (S, arity) stack ``P`` in place until every data point
+    lies in each row's domain (one start is the one-row case);
+    ``asymptote(p)`` is the closed-form supremum of an increasing curve,
+    where one exists.
 
     The raw expressions ``_evaluate``/``_jacobian`` expect float arrays
     and run under the caller's ``np.errstate``; ``evaluate``/``jacobian``
     cast their arguments and silence numpy warnings themselves.
+    ``_evaluate`` broadcasts: given ``P.T[:, :, None]`` it returns the
+    (S, q) predictions of every row of ``P``.
     """
 
     def __init__(self, name, param_names, evaluate, jacobian, starts, *, increasing,
@@ -92,13 +100,13 @@ class _Family:
     def domain(self, params):
         return tuple(float(v) for v in self._domain(np.asarray(params, float)))
 
-    def admit(self, params, c):
-        """A fresh copy of ``params`` projected into the bounds, then
-        nudged so every data point lies in the domain."""
-        p = np.clip(params, self.bounds[0], self.bounds[1])
+    def admit(self, P, c):
+        """A fresh copy of the (S, arity) stack ``P``, each row projected
+        into the bounds, then nudged so every data point lies in its domain."""
+        P = np.clip(P, self.bounds[0], self.bounds[1])
         if self.feasible is not None:
-            self.feasible(p, c)
-        return p
+            self.feasible(P, c)
+        return P
 
 
 def _check_domain(fam: _Family, c, lo: float, hi: float, error: type[Exception]):
@@ -213,10 +221,10 @@ def _lll_domain(p):
     return (0.0, math.inf) if b > 0 else (math.inf, math.inf)
 
 
-def _lll_feasible(p, c):
-    deficit = (p[0] * np.log(c) + p[1]).min()
-    if deficit <= 0:
-        p[1] += -deficit + 0.05
+def _lll_feasible(P, c):
+    deficit = (P[:, :1] * np.log(c) + P[:, 1:2]).min(axis=1)
+    low = deficit <= 0
+    P[low, 1] += -deficit[low] + 0.05
 
 
 def _ilog2_eval(p, c):
@@ -264,10 +272,10 @@ def _pow4_domain(p):
     return (0.0, math.inf) if b > 0 else (math.inf, math.inf)
 
 
-def _pow4_feasible(p, c):
-    deficit = (p[0] * c + p[1]).min()
-    if deficit <= 0:
-        p[1] += -deficit + 1e-3
+def _pow4_feasible(P, c):
+    deficit = (P[:, :1] * c + P[:, 1:2]).min(axis=1)
+    low = deficit <= 0
+    P[low, 1] += -deficit[low] + 1e-3
 
 
 FAMILIES: dict[str, _Family] = {
@@ -345,6 +353,9 @@ class CurveFit:
     ``domain`` is the open C interval where the expression is defined;
     each family is monotone over its domain for fixed parameters, so the
     monotone range coincides with it and ``increasing`` gives the sense.
+    ``stops`` counts how each Gauss-Newton start of ``fit_curve`` ended,
+    by the keys of :data:`STOP_REASONS` (empty for :func:`make_fit`); it
+    is diagnostic and written to no artifact.
     """
 
     family: str
@@ -354,6 +365,7 @@ class CurveFit:
     num_points: int
     domain: tuple[float, float]
     increasing: bool
+    stops: dict[str, int] = field(default_factory=dict)
 
     @property
     def param_names(self) -> tuple[str, ...]:
@@ -381,25 +393,28 @@ def curve_jacobian(family: str, params, c) -> np.ndarray:
     return get_family(family).jacobian(params, c)
 
 
-def _starts(fam: _Family, c: np.ndarray, a: np.ndarray, n: int, rng) -> list[np.ndarray]:
-    """Data-driven initial points padded with random draws from the bounds,
-    each admitted (projected and nudged) once."""
-    starts = list(fam.starts(c, a))
+def _starts(fam: _Family, c: np.ndarray, a: np.ndarray, n: int, rng) -> np.ndarray:
+    """The (n, arity) stack of data-driven initial points padded with random
+    draws from the bounds, each row admitted (projected and nudged)."""
+    starts = list(fam.starts(c, a))[:n]
     lo, hi = fam.bounds
     # Random fill within a moderate box (full bounds are too diffuse).
     span_lo = np.maximum(lo, -100.0)
     span_hi = np.minimum(hi, 100.0)
     while len(starts) < n:
         starts.append(span_lo + rng.uniform(size=fam.arity) * (span_hi - span_lo))
-    return [fam.admit(np.asarray(s, dtype=float), c) for s in starts[:n]]
+    return fam.admit(np.array(starts, dtype=float).reshape(-1, fam.arity), c)
 
 
-def _ssr(fam: _Family, params: np.ndarray, c: np.ndarray, a: np.ndarray):
-    """SSR and residuals, or ``(inf, None)`` when the prediction is not
-    finite (a non-finite prediction always gives a non-finite SSR)."""
-    r = fam._evaluate(params, c) - a
-    ssr = float(np.dot(r, r))
-    return (ssr, r) if math.isfinite(ssr) else (math.inf, None)
+def _ssr(fam: _Family, P: np.ndarray, c: np.ndarray, a: np.ndarray):
+    """Row-wise SSRs (S,) and residuals (S, q) of the parameter stack ``P``.
+
+    A row whose prediction is not finite has a non-finite SSR.  Each SSR is
+    one BLAS dot of a residual row with itself, the rounding of
+    ``np.dot(r, r)``, which ``np.einsum`` and ``.sum(axis=1)`` do not keep.
+    """
+    R = fam._evaluate(P.T[:, :, None], c) - a
+    return (R[:, None, :] @ R[:, :, None]).ravel(), R
 
 
 def fit_curve(
@@ -414,9 +429,12 @@ def fit_curve(
     """Nonlinear least-squares fit of one family to (C, A) points.
 
     Runs ``n_starts`` damped Gauss-Newton descents from data-driven and
-    random initial points; each step is halved until the SSR decreases,
-    and parameters are projected into the family's bounds.  The returned
-    SSR is never worse than any start's initial SSR.  Raises
+    random initial points.  Each iteration admits (projects into the
+    family's bounds and nudges into its domain) all 40 halvings of the
+    Gauss-Newton step, from the full step down to 2**-39 of it, scores them
+    as one stack and moves to the longest one that lowers the SSR; a start
+    ends when none does.  The returned SSR is never worse than any start's
+    initial SSR, and ``stops`` counts how the starts ended.  Raises
     :class:`CurveFitError` when no start produces a finite fit.
     """
     fam = get_family(family)
@@ -436,29 +454,37 @@ def fit_curve(
         _check_domain(fam, c, *fam.domain(np.zeros(fam.arity)), CurveFitError)
 
     best_params, best_ssr, best_resid = None, math.inf, None
+    stops = dict.fromkeys(STOP_REASONS, 0)
     # A step that overflows or leaves the domain gives a non-finite SSR,
     # Jacobian or step, which the descent rejects.  One errstate per fit keeps
-    # its cost (~3 us) out of the tens of thousands of SSR calls a fit makes.
+    # its cost (~3 us) out of the thousands of stacks a fit scores.
     with np.errstate(all="ignore"):
-        for p in _starts(fam, c, a, n_starts, np.random.default_rng(seed)):
-            ssr, resid = _ssr(fam, p, c, a)
+        starts = _starts(fam, c, a, n_starts, np.random.default_rng(seed))
+        for p, ssr, resid in zip(starts, *_ssr(fam, starts, c, a)):
             if not math.isfinite(ssr):
+                stops["diverged_start"] += 1
                 continue
             for _ in range(max_iter):
                 jac = fam._jacobian(p, c)
-                if not np.all(np.isfinite(jac)):
+                if not np.isfinite(jac).all():
+                    stops["nonfinite"] += 1
                     break
                 delta, *_ = np.linalg.lstsq(jac, -resid, rcond=None)
-                if not np.all(np.isfinite(delta)) or not np.any(delta):
+                if not np.isfinite(delta).all():
+                    stops["nonfinite"] += 1
                     break
-                for step in _STEPS:
-                    cand = fam.admit(p + step * delta, c)
-                    ssr_c, resid_c = _ssr(fam, cand, c, a)
-                    if ssr_c < ssr:
-                        break
-                else:  # no step decreases the SSR
+                if not delta.any():
+                    stops["zero_step"] += 1
                     break
-                p, ssr, resid = cand, ssr_c, resid_c
+                cands = fam.admit(p + _STEPS[:, None] * delta, c)
+                ssrs, resids = _ssr(fam, cands, c, a)
+                k = int(np.argmax(ssrs < ssr))  # the longest step that descends
+                if not ssrs[k] < ssr:
+                    stops["no_descent"] += 1
+                    break
+                p, ssr, resid = cands[k], ssrs[k], resids[k]
+            else:
+                stops["max_iter"] += 1
             if ssr < best_ssr:
                 best_params, best_ssr, best_resid = p, ssr, resid
     # The descent only accepts decreasing, hence finite, SSRs: a fit is
@@ -467,8 +493,10 @@ def fit_curve(
         raise CurveFitError(
             f"{fam.name}: all {n_starts} starts diverged on the given points")
 
-    fit = make_fit(fam.name, best_params)
-    fit.ssr, fit.residuals, fit.num_points = best_ssr, best_resid, c.size
+    # Copies, so the fit holds no view into a candidate stack.
+    fit = make_fit(fam.name, best_params.copy())
+    fit.ssr, fit.residuals, fit.num_points = float(best_ssr), best_resid.copy(), c.size
+    fit.stops = stops
     return fit
 
 

@@ -198,6 +198,16 @@ class TestRngStream:
         z = RngStream(0, "z").standard_complex_normal(200_000)
         assert np.mean(np.abs(z) ** 2) == pytest.approx(1.0, rel=0.01)
 
+    def test_complex_normal_scales_by_reciprocal_sqrt2(self):
+        # Complex division by sqrt(2) multiplies both parts by 1/sqrt(2);
+        # dividing the real draws by sqrt(2) rounds differently.
+        z = RngStream(0, "z").standard_complex_normal(10_000)
+        same_seed = RngStream(0, "z")
+        re, im = same_seed.normal(10_000), same_seed.normal(10_000)
+        assert z.real.tobytes() == (re * (1.0 / np.sqrt(2.0))).tobytes()
+        assert z.imag.tobytes() == (im * (1.0 / np.sqrt(2.0))).tobytes()
+        assert z.real.tobytes() != (re / np.sqrt(2.0)).tobytes()
+
     def test_poisson_arrivals_rate(self):
         times = RngStream(3, "arr").poisson_arrivals(2.0e8, 100_000)
         gaps = np.diff(times)

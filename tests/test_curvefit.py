@@ -2,6 +2,7 @@ import csv
 import math
 import warnings
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,8 +20,11 @@ from isacsim import (
 )
 from isacsim.curvefit import (
     DEFAULT_FIT_SEED,
+    DEFAULT_MAX_ITER,
     FAMILIES,
+    STOP_REASONS,
     CurveFitError,
+    _ssr,
     _starts,
     curve_jacobian,
 )
@@ -30,6 +34,18 @@ from isacsim.curvefit import (
 BENCH_C = np.array([200.0, 300.0, 400.0, 500.0, 600.0, 1000.0])
 BENCH_A = np.array([0.788, 0.902, 0.916, 0.926, 0.932, 0.956])
 BENCH_POW3 = (6.1906e4, 2.4297, 0.9499)
+
+# Noisy, non-monotone points on which math.exp once overflowed in the
+# log_log_linear domain and in a pow4 start.
+OVERFLOW_POINTS = {
+    "log_log_linear": (
+        [210.634, 749.871, 777.245, 967.004, 1015.018, 1520.085, 1646.243, 1895.088],
+        [0.8634, 0.921, 0.7586, 0.8227, 0.934, 0.8718, 0.8303, 0.8675]),
+    "pow4": (
+        [136.473, 672.19, 734.881, 883.551, 1005.352, 1577.13, 1894.022],
+        [0.8841, 0.8102, 0.9645, 0.9167, 0.8748, 0.8673, 0.8919]),
+}
+BENCH_REFERENCE = Path(__file__).parents[1] / "perfbench" / "reference" / "curves_region.npz"
 
 # Parameter draws for randomized checks, safely inside each family domain.
 RANDOM_RANGES = {
@@ -220,6 +236,134 @@ class TestFitCurve:
         assert fit.ssr == pytest.approx(float(np.sum(fit.residuals**2)))
 
 
+def sequential_fit(fam, c, a, n_starts):
+    """Reference for ``fit_curve``: the step search one candidate at a time,
+    each admitted as a one-row stack and scored with ``np.dot``."""
+    def ssr(p):
+        r = fam._evaluate(p, c) - a
+        s = float(np.dot(r, r))
+        return (s, r) if math.isfinite(s) else (math.inf, None)
+
+    best = (None, math.inf, None)
+    with np.errstate(all="ignore"):
+        for p in _starts(fam, c, a, n_starts, np.random.default_rng(DEFAULT_FIT_SEED)):
+            s, r = ssr(p)
+            if not math.isfinite(s):
+                continue
+            for _ in range(DEFAULT_MAX_ITER):
+                jac = fam._jacobian(p, c)
+                if not np.all(np.isfinite(jac)):
+                    break
+                delta, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+                if not np.all(np.isfinite(delta)) or not np.any(delta):
+                    break
+                for step in (0.5**k for k in range(40)):
+                    cand = fam.admit((p + step * delta)[None], c)[0]
+                    s_c, r_c = ssr(cand)
+                    if s_c < s:
+                        break
+                else:  # no step decreases the SSR
+                    break
+                p, s, r = cand, s_c, r_c
+            if s < best[1]:
+                best = (p, s, r)
+    return best
+
+
+class TestBatchedStepSearch:
+    @pytest.mark.parametrize("points", ["bench", *OVERFLOW_POINTS])
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_matches_sequential_step_search_bytewise(self, family, points):
+        c, a = (BENCH_C, BENCH_A) if points == "bench" else map(
+            np.array, OVERFLOW_POINTS[points])
+        params, ssr, resid = sequential_fit(FAMILIES[family], c, a, n_starts=8)
+        fit = fit_curve(c, a, family, n_starts=8)
+        assert fit.params.tobytes() == params.tobytes()
+        assert repr(fit.ssr) == repr(ssr)
+        assert fit.residuals.tobytes() == resid.tobytes()
+
+    def test_select_model_matches_benchmark_reference(self):
+        # perfbench's stored curves_region check fits: select_model at seed 0
+        # on the bundled points, to the last bit.
+        selection = select_model(BENCH_C, BENCH_A, seed=0)
+        with np.load(BENCH_REFERENCE) as ref:
+            stored = {k.split("/")[2] for k in ref.files if k.startswith("check/fit/")}
+            assert {f.family for f in selection.fits} == stored
+            for fit in selection.fits:
+                key = f"check/fit/{fit.family}"
+                assert fit.params.tobytes() == ref[f"{key}/params"].tobytes(), key
+                assert np.array([fit.ssr]).tobytes() == ref[f"{key}/ssr"].tobytes(), key
+
+    @pytest.mark.parametrize("family, rows", [
+        ("log_log_linear", [
+            [1.0, -math.log(200.0)],  # deficit exactly 0 at C = 200
+            [0.1, -2.0],              # negative deficit
+            [0.2, 1.0],               # already inside the domain
+            [math.nan, 1.0],
+            [5e3, -5e3],              # outside the bounds
+        ]),
+        ("pow4", [
+            [1.0, -200.0, 0.9, -0.5],  # deficit exactly 0 at C = 200
+            [-1.0, 10.0, 0.9, 0.5],    # negative deficit
+            [2.0, 3.0, 0.95, -0.8],    # already inside the domain
+            [1.0, math.nan, 0.9, -0.5],
+            [2e6, -2e7, 2.0, 9.0],     # outside the bounds
+        ]),
+    ])
+    def test_admit_stack_equals_each_row_alone(self, family, rows):
+        fam = FAMILIES[family]
+        P = np.array(rows)
+        admitted = fam.admit(P, BENCH_C)
+        alone = np.vstack([fam.admit(row[None], BENCH_C) for row in P])
+        assert admitted.tobytes() == alone.tobytes()
+        assert admitted[0, 1] != P[0, 1]  # a zero deficit is nudged too
+        assert np.array_equal(P, np.array(rows), equal_nan=True)  # input untouched
+        assert admitted[4, 0] == fam.bounds[1][0]  # projected onto the bound
+
+    @pytest.mark.parametrize("q", [2, 6, 17])
+    def test_batched_ssr_rounds_like_dot(self, q):
+        # _ssr scores a stack with one batched matmul; every row must round
+        # like np.dot(r, r), the sequential SSR.  A BLAS whose batched
+        # product sums in another order fails here by name.
+        rng = np.random.default_rng(q)
+        c = np.sort(rng.uniform(2.0, 5000.0, size=q))
+        a = rng.uniform(0.3, 1.0, size=q)
+        P = rng.uniform([0.1, -2.0], [4.0, 2.0], size=(500, 2))
+        ssrs, R = _ssr(FAMILIES["ilog2"], P, c, a)
+        assert R.shape == (500, q)
+        assert ssrs.tobytes() == np.array([np.dot(r, r) for r in R]).tobytes()
+
+    def test_fit_owns_its_arrays(self):
+        fit = fit_curve(BENCH_C, BENCH_A, "pow4", n_starts=8)
+        assert fit.params.base is None
+        assert fit.residuals.base is None
+
+    PLANTED_C = np.array([10.0, 30.0, 90.0, 270.0, 810.0])
+
+    @pytest.mark.parametrize("case, kwargs, expected", [
+        ("bench", dict(family="pow3"), {"no_descent": 8}),
+        ("bench", dict(family="pow3", max_iter=2), {"max_iter": 8}),
+        ("planted", dict(family="ilog2"), {"zero_step": 8}),
+        ("tiny_c", dict(family="vapor_pressure", seed=1, n_starts=4),
+         {"diverged_start": 2}),
+        ("negative", dict(family="log_power"), {"nonfinite": 2}),
+    ])
+    def test_stop_reasons_count_every_start(self, case, kwargs, expected):
+        c, a = {
+            "bench": (BENCH_C, BENCH_A),
+            # ilog2 with alpha 1.2, beta 1.4
+            "planted": (self.PLANTED_C, 1.4 - 1.2 / np.log(self.PLANTED_C)),
+            "tiny_c": ([1e-6, 2e-6, 3e-6, 1.0], [-0.1, 0.5, 0.6, 0.7]),
+            "negative": ([167.0, 236.0, 495.0, 1454.0, 2648.0],
+                         [-0.404, 0.387, -0.479, -0.232, -0.42]),
+        }[case]
+        kwargs = {"n_starts": 8, **kwargs}
+        fit = fit_curve(c, a, **kwargs)
+        assert tuple(fit.stops) == STOP_REASONS
+        assert sum(fit.stops.values()) == kwargs["n_starts"]
+        assert all(fit.stops[k] == v for k, v in expected.items())
+
+
 class TestSelectModel:
     def test_benchmark_ranking_has_pow3_on_top(self):
         selection = select_model(BENCH_C, BENCH_A)
@@ -248,14 +392,8 @@ class TestSelectModel:
         assert any(f.family in ("ilog2", "vapor_pressure", "log_log_linear")
                    for f in selection.fits)
 
-    @pytest.mark.parametrize("family, c, a", [
-        ("log_log_linear",
-         [210.634, 749.871, 777.245, 967.004, 1015.018, 1520.085, 1646.243, 1895.088],
-         [0.8634, 0.921, 0.7586, 0.8227, 0.934, 0.8718, 0.8303, 0.8675]),
-        ("pow4",
-         [136.473, 672.19, 734.881, 883.551, 1005.352, 1577.13, 1894.022],
-         [0.8841, 0.8102, 0.9645, 0.9167, 0.8748, 0.8673, 0.8919]),
-    ])
+    @pytest.mark.parametrize("family, c, a",
+                             [(f, *OVERFLOW_POINTS[f]) for f in OVERFLOW_POINTS])
     def test_exp_overflow_on_noisy_points_is_not_fatal(self, family, c, a):
         # Noisy, non-monotone points drive exp(-b/a) in the log_log_linear
         # domain and exp(q/eps) in a pow4 start past the float range; the
