@@ -233,12 +233,9 @@ def cmd_region(args, out: Path):
     boundary = region_boundary(fit, gains, cfg, num_points=args.num_points)
     classify_zones(boundary, slope_hi=args.slope_hi, slope_lo=args.slope_lo)
     csv_path = boundary.to_csv(out / "boundary.csv")
+    a = boundary.accuracies
     for zone, first, last in zone_bands(boundary):
-        a = boundary.points
-        print(
-            f"{zone}: A in [{a[first].accuracy:.4f}, {a[last].accuracy:.4f}], "
-            f"{last - first + 1} points"
-        )
+        print(f"{zone}: A in [{a[first]:.4f}, {a[last]:.4f}], {last - first + 1} points")
     return cfg_ref, seed, [csv_path]
 
 

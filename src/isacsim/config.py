@@ -49,12 +49,13 @@ class SystemConfig:
         to this value.
     noise_power : float
         Per-sample receiver noise power in W.  Zero is allowed and yields
-        a noiseless simulation.
+        a noiseless simulation; the accuracy-rate tradeoff rejects it,
+        since every user rate would be unbounded.
     sensing_antenna_gain : float
         Linear antenna gain applied to the sensing link.
     comm_antenna_gain : float
-        Linear antenna gain of the communication link (informational; the
-        user rate model works directly off the per-user channel gains).
+        Linear antenna gain of the communication link; it scales every
+        user's SNR ``g_k * comm_antenna_gain * tx_power / noise_power``.
     total_time : float
         Total shared time budget in s split between sensing cycles and
         per-user communication time.

@@ -3,16 +3,17 @@
 Under the shared budget ``N * T0 * C + sum_k t_k = T`` the worst-user
 rate is maximized by the equal-rate allocation
 
-    t_k* = (T - N T0 C) / (w_k * sum_j 1/w_j),   w_k = B log2(1 + g_k P / s2)
+    t_k* = T R*(C) / w_k,   w_k = B log2(1 + g_k G_c P / s2)
 
-giving the closed-form boundary
+with the one closed-form rate, for a single C or an array of C,
 
     R*(C) = (T - N T0 C) / (T * sum_j 1/w_j),    A(C) = curve(C).
 
 Sweeping integer C traces the Pareto boundary of the accuracy-rate
-region: R* falls strictly with C, so it keeps each C whose accuracy beats
-every smaller C.  Its normalized slope splits it into a communication-
-saturation zone, an adversarial zone, and a sensing-saturation zone.
+region as columns: R* falls strictly with C, so it keeps each C whose
+accuracy beats every smaller C.  Its normalized slope splits it into a
+communication-saturation zone, an adversarial zone, and a
+sensing-saturation zone.
 """
 
 from __future__ import annotations
@@ -51,19 +52,8 @@ class AllocationResult:
     rate: float  # R*, bit/s
 
 
-def _rate_weights(gains: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    snr = gains * cfg.tx_power / cfg.noise_power
-    return cfg.bandwidth * np.log2(1.0 + snr)
-
-
-def optimal_allocation(cycles: int, gains, cfg: SystemConfig) -> AllocationResult:
-    """Max-min optimal time allocation for a fixed cycle count.
-
-    All users end up with identical rates; the allocation exhausts the
-    budget exactly.  Raises :class:`InfeasibleError` when the sensing
-    time alone exceeds the budget, and :class:`ValueError` when a zero
-    user gain pins the min-rate to zero.
-    """
+def _rate_weights(gains, cfg: SystemConfig) -> np.ndarray:
+    """w_k = B log2(1 + g_k G_c P / s2) of checked per-user gains g_k."""
     gains = as_float_array(gains, "gains", ndim=1)
     if gains.size != cfg.num_users:
         raise ValueError(f"gains: expected {cfg.num_users} entries, got {gains.size}")
@@ -72,50 +62,61 @@ def optimal_allocation(cycles: int, gains, cfg: SystemConfig) -> AllocationResul
             "gains: zero (or negative) user gain pins the min-rate to zero; "
             f"offending users {np.nonzero(gains <= 0)[0].tolist()}"
         )
-    sensing = cfg.num_targets * cfg.slot_time * cycles
-    if cycles < 0:
-        raise ValueError(f"cycles must be >= 0, got {cycles}")
-    if sensing > cfg.total_time * (1 + 1e-12):
+    if cfg.noise_power == 0.0:
+        raise ValueError("noise_power: a noiseless link has unbounded user rates; "
+                         "the accuracy-rate tradeoff needs noise_power > 0")
+    snr = gains * cfg.comm_antenna_gain * cfg.tx_power / cfg.noise_power
+    return cfg.bandwidth * np.log2(1.0 + snr)
+
+
+def _max_min_rate(cycles, w: np.ndarray, cfg: SystemConfig):
+    """R*(C) for an int C or an int array of C; raises
+    :class:`InfeasibleError` when the sensing time alone exceeds the budget."""
+    sensing = cfg.num_targets * cfg.slot_time * np.asarray(cycles)
+    if np.max(sensing) > cfg.total_time * (1 + 1e-12):
         raise InfeasibleError(
-            f"sensing budget N*T0*C = {sensing!r} s exceeds the total time "
+            f"sensing budget N*T0*C = {float(np.max(sensing))!r} s exceeds the total time "
             f"{cfg.total_time!r} s"
         )
-    remaining = max(cfg.total_time - sensing, 0.0)
+    remaining = np.maximum(cfg.total_time - sensing, 0.0)
+    return remaining / (cfg.total_time * float(np.sum(1.0 / w)))
+
+
+def optimal_allocation(cycles: int, gains, cfg: SystemConfig) -> AllocationResult:
+    """Max-min optimal time allocation for a fixed cycle count.
+
+    All users end up with identical rates; the allocation exhausts the
+    budget exactly.  Raises :class:`InfeasibleError` when the sensing
+    time alone exceeds the budget, and :class:`ValueError` when a zero
+    user gain pins the min-rate to zero or a noiseless link unbounds it.
+    """
     w = _rate_weights(gains, cfg)
-    inv_sum = float(np.sum(1.0 / w))
-    times = remaining / (w * inv_sum)
-    rate = remaining / (cfg.total_time * inv_sum)
-    return AllocationResult(times=times, cycles=cycles, rate=rate)
-
-
-@dataclass
-class BoundaryPoint:
-    cycles: int
-    accuracy: float
-    rate: float
-    zone: str = ""
+    if cycles < 0:
+        raise ValueError(f"cycles must be >= 0, got {cycles}")
+    rate = float(_max_min_rate(cycles, w, cfg))
+    return AllocationResult(times=cfg.total_time * rate / w, cycles=cycles, rate=rate)
 
 
 @dataclass
 class RegionBoundary:
-    """Pareto boundary of the accuracy-rate region, ascending in accuracy."""
+    """Pareto boundary of the accuracy-rate region, ascending in accuracy.
 
-    points: list[BoundaryPoint]
+    One column per quantity, one entry per boundary point: the swept cycle
+    count, its accuracy A(C) and max-min rate R*(C) in bit/s, and its zone
+    ("" until :func:`classify_zones` labels it).
+    """
+
+    cycles: np.ndarray
+    accuracies: np.ndarray
+    rates: np.ndarray
+    zones: list[str]
 
     def __len__(self) -> int:
-        return len(self.points)
-
-    @property
-    def accuracies(self) -> np.ndarray:
-        return np.asarray([p.accuracy for p in self.points])
-
-    @property
-    def rates(self) -> np.ndarray:
-        return np.asarray([p.rate for p in self.points])
+        return len(self.cycles)
 
     def to_csv(self, path):
         """CSV ``C,A,R_bps,zone``; returns the path."""
-        rows = ((p.cycles, p.accuracy, p.rate, p.zone) for p in self.points)
+        rows = zip(self.cycles.tolist(), self.accuracies, self.rates, self.zones)
         return write_csv(path, ("C", "A", "R_bps", "zone"), rows)
 
 
@@ -147,7 +148,7 @@ def region_boundary(
     """
     if num_points < 2:
         raise ValueError(f"num_points must be >= 2, got {num_points}")
-    gains = as_float_array(gains, "gains", ndim=1)
+    w = _rate_weights(gains, cfg)
     c_min = _min_feasible_cycles(fit)
     c_max = int(math.floor(cfg.total_time / (cfg.num_targets * cfg.slot_time)))
     if math.isfinite(fit.domain[1]):  # the largest integer strictly inside the domain
@@ -164,19 +165,23 @@ def region_boundary(
             f"[{c_min}, {c_max}]; no accuracy-rate tradeoff to trace"
         )
 
-    time_over_rate = float(np.sum(cfg.total_time / _rate_weights(gains, cfg)))
-    points = []
-    for c in cs.tolist():
-        rate = optimal_allocation(c, gains, cfg).rate
-        lhs = cfg.num_targets * cfg.slot_time * c + time_over_rate * rate
-        if abs(lhs - cfg.total_time) > IDENTITY_RTOL * cfg.total_time:
-            raise AssertionError(
-                f"budget identity violated at C={c}: {lhs!r} != {cfg.total_time!r}"
-            )
-        acc = eval_curve(fit, float(c))
-        if not points or acc > points[-1].accuracy:
-            points.append(BoundaryPoint(cycles=c, accuracy=acc, rate=rate))
-    return RegionBoundary(points=points)
+    rates = _max_min_rate(cs, w, cfg)
+    lhs = cfg.num_targets * cfg.slot_time * cs + float(np.sum(cfg.total_time / w)) * rates
+    bad = np.abs(lhs - cfg.total_time) > IDENTITY_RTOL * cfg.total_time
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise AssertionError(
+            f"budget identity violated at C={cs[i]}: {float(lhs[i])!r} != {cfg.total_time!r}"
+        )
+    # Scalar evaluation per C: an array pow can move an accuracy by one ulp.
+    acc = np.array([eval_curve(fit, float(c)) for c in cs.tolist()])
+    # Keep C when its accuracy beats the last kept one.  A NaN is never
+    # kept after the first point; a NaN first point is never beaten.
+    floor = np.where(np.isnan(acc), -np.inf, acc)
+    floor[0] = acc[0]
+    keep = np.r_[True, acc[1:] > np.maximum.accumulate(floor)[:-1]]
+    return RegionBoundary(cycles=cs[keep], accuracies=acc[keep], rates=rates[keep],
+                          zones=[""] * int(keep.sum()))
 
 
 def classify_zones(
@@ -210,30 +215,22 @@ def classify_zones(
     norm = np.abs(slopes) / (r_max / a_range)
 
     n = len(boundary)
-    comm_end = 0
-    while comm_end < n and norm[comm_end] < slope_lo:
-        comm_end += 1
-    sens_start = n
-    while sens_start > comm_end and norm[sens_start - 1] > slope_hi:
-        sens_start -= 1
-    for i, p in enumerate(boundary.points):
-        if i < comm_end:
-            p.zone = ZONE_COMM
-        elif i >= sens_start:
-            p.zone = ZONE_SENSING
-        else:
-            p.zone = ZONE_ADVERSARIAL
+    # The prefix (< slope_lo) and the suffix (> slope_hi) never overlap.
+    comm_end = int(np.logical_and.accumulate(norm < slope_lo).sum())
+    sens_start = n - int(np.logical_and.accumulate(norm[::-1] > slope_hi).sum())
+    boundary.zones = ([ZONE_COMM] * comm_end + [ZONE_ADVERSARIAL] * (sens_start - comm_end)
+                      + [ZONE_SENSING] * (n - sens_start))
     return boundary
 
 
 def zone_bands(boundary: RegionBoundary) -> list[tuple[str, int, int]]:
     """Contiguous (zone, first_index, last_index) bands along the boundary."""
     bands = []
-    for i, p in enumerate(boundary.points):
-        if bands and bands[-1][0] == p.zone:
-            bands[-1] = (p.zone, bands[-1][1], i)
+    for i, zone in enumerate(boundary.zones):
+        if bands and bands[-1][0] == zone:
+            bands[-1] = (zone, bands[-1][1], i)
         else:
-            bands.append((p.zone, i, i))
+            bands.append((zone, i, i))
     return bands
 
 

@@ -1,6 +1,13 @@
-import pytest
+import os
 
-from isacsim import ClutterConfig, MotionSpec, RngStream, SystemConfig
+# One BLAS thread, as perfbench/run.py runs: set before numpy is first
+# imported (through isacsim below), since OpenBLAS reads it at load time.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+import pytest  # noqa: E402
+
+from isacsim import ClutterConfig, MotionSpec, RngStream, SystemConfig  # noqa: E402
 
 
 @pytest.fixture

@@ -10,7 +10,10 @@ keep working.
 """
 
 import importlib.util
+import os
 from pathlib import Path
+
+import pytest
 
 import isacsim.calibration as calibration
 import isacsim.curvefit as curvefit
@@ -49,3 +52,12 @@ def test_install_tracer_wraps_and_restores(desk_cfg):
     assert len(tracer.durations["channel.clutter.run"]) == 1
     assert len(tracer.durations["curvefit.fit_curve"]) == 1
     assert all(dict(vars(m)) == names for m, names in before.items())
+
+
+def test_blas_threads_pinned_as_in_the_benchmark():
+    # conftest.py sets the benchmark's BLAS thread pin before numpy loads.
+    pinned = int(os.environ["OPENBLAS_NUM_THREADS"])
+    threads = load("run").blas_threads()
+    if threads is None:
+        pytest.skip("numpy is not linked against OpenBLAS")
+    assert threads == pinned

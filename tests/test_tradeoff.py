@@ -1,4 +1,5 @@
 import heapq
+import math
 from importlib import resources
 
 import numpy as np
@@ -15,10 +16,13 @@ from isacsim import (
     optimal_allocation,
     region_boundary,
     sample_user_gains,
+    select_model,
 )
 from isacsim import tradeoff
+from isacsim.manifest import write_csv
+from isacsim.recognition import accuracy_points_from_csv
 from isacsim.tradeoff import (
-    BoundaryPoint,
+    IDENTITY_RTOL,
     RegionBoundary,
     ZONE_ADVERSARIAL,
     ZONE_COMM,
@@ -113,6 +117,13 @@ class TestOptimalAllocation:
         with pytest.raises(ValueError, match="pins the min-rate"):
             optimal_allocation(1000, gains, comm_cfg)
 
+    def test_noiseless_link_rejected(self, comm_cfg):
+        noiseless = comm_cfg.replace(noise_power=0.0)
+        with pytest.raises(ValueError, match="noise_power: a noiseless link"):
+            optimal_allocation(1000, np.full(5, 1e-5), noiseless)
+        with pytest.raises(ValueError, match="noise_power: a noiseless link"):
+            region_boundary(make_fit("pow3", BENCH_POW3), np.full(5, 1e-5), noiseless)
+
 
 class TestRegionBoundary:
     def test_monotone_tradeoff(self, fig_cfg):
@@ -129,18 +140,17 @@ class TestRegionBoundary:
         gains = np.full(5, 1e-5)
         fit = make_fit("pow3", BENCH_POW3)
         boundary = region_boundary(fit, gains, comm_cfg, num_points=50)
-        assert boundary.points[-1].rate == pytest.approx(0.0, abs=1e-12)
+        assert boundary.rates[-1] == pytest.approx(0.0, abs=1e-12)
         c_max = int(comm_cfg.total_time / comm_cfg.slot_time)
-        assert boundary.points[-1].cycles == c_max
+        assert boundary.cycles[-1] == c_max
 
     def test_deterministic(self, fig_cfg):
         gains = sample_user_gains(fig_cfg, RngStream(5, "g"))
         fit = make_fit("pow3", BENCH_POW3)
         b1 = region_boundary(fit, gains, fig_cfg, num_points=80)
         b2 = region_boundary(fit, gains, fig_cfg, num_points=80)
-        assert [(p.cycles, p.accuracy, p.rate) for p in b1.points] == [
-            (p.cycles, p.accuracy, p.rate) for p in b2.points
-        ]
+        for column in ("cycles", "accuracies", "rates"):
+            assert np.array_equal(getattr(b1, column), getattr(b2, column))
 
     def test_pareto_no_random_point_dominates(self, fig_cfg):
         # 1e5 random feasible schedules never dominate a boundary point.
@@ -148,8 +158,8 @@ class TestRegionBoundary:
         fit = make_fit("pow3", BENCH_POW3)
         boundary = region_boundary(fit, gains, fig_cfg, num_points=60)
         rng = np.random.default_rng(11)
-        c_lo = boundary.points[0].cycles
-        c_hi = boundary.points[-1].cycles
+        c_lo = boundary.cycles[0]
+        c_hi = boundary.cycles[-1]
         cycles = rng.integers(c_lo, c_hi + 1, size=100_000)
         w = fig_cfg.bandwidth * np.log2(1 + gains * fig_cfg.tx_power
                                         / fig_cfg.noise_power)
@@ -190,21 +200,19 @@ class TestRegionBoundary:
         gains = sample_user_gains(fig_cfg, RngStream(13, "g"))
         fit = make_fit("pow3", BENCH_POW3)
         boundary = region_boundary(fit, gains, fig_cfg, num_points=400)
-        assert boundary.points[0].accuracy < 0.05
-        assert boundary.points[-1].accuracy > 0.94
+        assert boundary.accuracies[0] < 0.05
+        assert boundary.accuracies[-1] > 0.94
 
     def test_broken_allocation_violates_identity(self, fig_cfg, monkeypatch):
-        allocate = tradeoff.optimal_allocation
+        max_min_rate = tradeoff._max_min_rate
 
         def skewed(*args):
-            alloc = allocate(*args)
-            alloc.rate *= 1.0 + 1e-6
-            return alloc
+            return max_min_rate(*args) * (1.0 + 1e-6)
 
-        monkeypatch.setattr(tradeoff, "optimal_allocation", skewed)
+        monkeypatch.setattr(tradeoff, "_max_min_rate", skewed)
         gains = sample_user_gains(fig_cfg, RngStream(13, "g"))
         fit = make_fit("pow3", BENCH_POW3)
-        with pytest.raises(AssertionError, match="budget identity violated"):
+        with pytest.raises(AssertionError, match=r"budget identity violated at C=96:"):
             region_boundary(fit, gains, fig_cfg, num_points=50)
 
     def test_saturating_curve_keeps_pareto_points_only(self, fig_cfg):
@@ -254,7 +262,7 @@ class TestRegionBoundary:
         # the budget's 20000 cycles: the sweep stops at the last integer.
         fit = make_fit("pow4", (-1e-3, 1.0, 1.0, 0.5))
         boundary = region_boundary(fit, np.full(5, 1e-5), comm_cfg, num_points=50)
-        assert boundary.points[-1].cycles == 999
+        assert boundary.cycles[-1] == 999
         assert np.all(np.diff(boundary.accuracies) > 0)
 
     def test_single_cycle_count_inside_domain_infeasible(self, comm_cfg):
@@ -271,10 +279,8 @@ class TestRegionBoundary:
 
 
 def synthetic_boundary(a, r):
-    return RegionBoundary(
-        points=[BoundaryPoint(cycles=i, accuracy=float(ai), rate=float(ri))
-                for i, (ai, ri) in enumerate(zip(a, r))]
-    )
+    return RegionBoundary(cycles=np.arange(len(a)), accuracies=np.asarray(a, float),
+                          rates=np.asarray(r, float), zones=[""] * len(a))
 
 
 class TestZones:
@@ -282,7 +288,7 @@ class TestZones:
         a = np.linspace(0.0, 1.0, 21)
         r = 1e6 * (1.0 - a)
         boundary = classify_zones(synthetic_boundary(a, r))
-        assert all(p.zone == ZONE_ADVERSARIAL for p in boundary.points)
+        assert boundary.zones == [ZONE_ADVERSARIAL] * 21
 
     def test_three_zones_in_order(self, fig_cfg):
         gains = sample_user_gains(fig_cfg, RngStream(21, "g"))
@@ -296,7 +302,7 @@ class TestZones:
         gains = sample_user_gains(fig_cfg, RngStream(21, "g"))
         fit = make_fit("pow3", BENCH_POW3)
         boundary = classify_zones(region_boundary(fit, gains, fig_cfg, 400))
-        assert boundary.points[-1].zone == ZONE_SENSING
+        assert boundary.zones[-1] == ZONE_SENSING
 
     def test_threshold_collapse_still_contiguous(self):
         a = np.linspace(0.1, 0.9, 30)
@@ -333,3 +339,150 @@ class TestGainsCsv:
         path.write_text("gain\n")
         with pytest.raises(ValueError, match="no gains"):
             gains_from_csv(path)
+
+
+def loop_region_csv(fit, gains, cfg, num_points, path):
+    """Sequential reference: the per-C loop, with the scalar rate formula of
+    one optimal_allocation call per swept C, writing the boundary CSV."""
+    c_min = tradeoff._min_feasible_cycles(fit)
+    c_max = int(math.floor(cfg.total_time / (cfg.num_targets * cfg.slot_time)))
+    if math.isfinite(fit.domain[1]):
+        c_max = min(c_max, math.ceil(fit.domain[1]) - 1)
+    if c_max < c_min:
+        raise InfeasibleError(f"no feasible cycle count: need C in [{c_min}, {c_max}]")
+    cs = np.unique(np.linspace(c_min, c_max, num_points).round().astype(int))
+    if abs(eval_curve(fit, float(c_max)) - eval_curve(fit, float(c_min))) < 1e-9:
+        raise InfeasibleError(
+            f"the fitted curve is constant over the feasible cycle range "
+            f"[{c_min}, {c_max}]; no accuracy-rate tradeoff to trace"
+        )
+    w = cfg.bandwidth * np.log2(1.0 + gains * cfg.comm_antenna_gain * cfg.tx_power
+                                / cfg.noise_power)
+    inv_sum, time_over_rate = float(np.sum(1.0 / w)), float(np.sum(cfg.total_time / w))
+    rows = []
+    for c in cs.tolist():
+        rate = max(cfg.total_time - cfg.num_targets * cfg.slot_time * c, 0.0) / (
+            cfg.total_time * inv_sum)
+        lhs = cfg.num_targets * cfg.slot_time * c + time_over_rate * rate
+        if abs(lhs - cfg.total_time) > IDENTITY_RTOL * cfg.total_time:
+            raise AssertionError(f"budget identity violated at C={c}: {lhs!r}")
+        acc = tradeoff.eval_curve(fit, float(c))
+        if not rows or acc > rows[-1][1]:
+            rows.append([c, acc, rate, ""])
+    return write_csv(path, ("C", "A", "R_bps", "zone"), rows).read_bytes()
+
+
+def loop_zones(norm, slope_lo, slope_hi):
+    """Sequential reference for the zone prefix and suffix scans."""
+    n, comm_end = len(norm), 0
+    while comm_end < n and norm[comm_end] < slope_lo:
+        comm_end += 1
+    sens_start = n
+    while sens_start > comm_end and norm[sens_start - 1] > slope_hi:
+        sens_start -= 1
+    return [ZONE_COMM if i < comm_end else ZONE_SENSING if i >= sens_start
+            else ZONE_ADVERSARIAL for i in range(n)]
+
+
+def outcome(trace, *args):
+    """The CSV bytes a trace writes, or the type and message it raises."""
+    try:
+        return trace(*args)
+    except (ValueError, AssertionError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture(scope="module")
+def bundled_fits():
+    """The seven families fitted to the bundled accuracy points."""
+    points = resources.files("isacsim").joinpath("data", "reference_accuracy_points.csv")
+    fits = select_model(*accuracy_points_from_csv(points), seed=0, n_starts=8).fits
+    assert len(fits) == 7
+    return fits
+
+
+class TestColumnSweepMatchesLoop:
+    def check(self, fit, gains, cfg, num_points, tmp_path):
+        def columns(*args):
+            return region_boundary(*args).to_csv(tmp_path / "columns.csv").read_bytes()
+
+        expected = outcome(loop_region_csv, fit, gains, cfg, num_points, tmp_path / "loop.csv")
+        assert outcome(columns, fit, gains, cfg, num_points) == expected
+        return expected
+
+    @pytest.mark.parametrize("num_points", [20, 200, 300, 1000])
+    def test_bundled_fits_byte_equal(self, bundled_fits, num_points, tmp_path):
+        cfg = load_config(resources.files("isacsim").joinpath("data", "default.cfg"))
+        for draw in range(5):
+            gains = sample_user_gains(cfg, RngStream(draw, "oracle-gains"))
+            for fit in bundled_fits:
+                assert isinstance(self.check(fit, gains, cfg, num_points, tmp_path), bytes)
+
+    @pytest.mark.parametrize("family, params, slot_time, total_time", [
+        ("pow3", SATURATING_POW3, 6e-5, 1.0),
+        ("log_power", (0.9460, 4.7438, -2.9235), 6e-5, 1.0),
+        ("pow4", (-1e-3, 1.0, 1.0, 0.5), 5e-5, 1.0),  # bounded domain
+        ("pow4", (-1.0, 1000.0, 1.0, 0.5), 5e-5, 1.0),  # one cycle count
+        ("ilog2", (1.0, -0.5), 5e-5, 1.0),  # never a valid accuracy
+        ("pow3", BENCH_POW3, 5e-5, 1e-3),  # empty feasible range
+    ])
+    def test_edge_fits_byte_equal(self, comm_cfg, family, params, slot_time, total_time,
+                                  tmp_path):
+        cfg = comm_cfg.replace(slot_time=slot_time, total_time=total_time)
+        for num_points in (10, 120, 300):
+            self.check(make_fit(family, params), np.full(5, 1e-5), cfg, num_points, tmp_path)
+
+    @pytest.mark.parametrize("nan_at", [[0], [1, 2, 7], [0, 5]])
+    def test_nan_accuracy_keeps_loop_semantics(self, fig_cfg, monkeypatch, nan_at, tmp_path):
+        # A NaN after the first point is skipped; a NaN first point is kept
+        # and never beaten, as in the loop's `acc > last kept` test.
+        fit = make_fit("pow3", BENCH_POW3)
+        cs = np.unique(np.linspace(96, 16666, 40).round().astype(int))
+        poisoned = {float(cs[i]) for i in nan_at}
+
+        def eval_with_nan(f, c):
+            return math.nan if c in poisoned else eval_curve(f, c)
+
+        monkeypatch.setattr(tradeoff, "eval_curve", eval_with_nan)
+        gains = sample_user_gains(fig_cfg, RngStream(2, "g"))
+        csv = self.check(fit, gains, fig_cfg, 40, tmp_path)
+        assert csv.count(b"nan") == (1 if 0 in nan_at else 0)
+
+    @pytest.mark.parametrize("num_targets", [1, 2])
+    def test_swept_rates_equal_single_allocation(self, fig_cfg, num_targets):
+        cfg = fig_cfg.replace(num_targets=num_targets)
+        gains = sample_user_gains(cfg, RngStream(4, "g"))
+        boundary = region_boundary(make_fit("pow3", BENCH_POW3), gains, cfg, num_points=300)
+        single = [optimal_allocation(c, gains, cfg).rate for c in boundary.cycles.tolist()]
+        assert boundary.rates.tobytes() == np.array(single).tobytes()
+
+    def test_zones_match_loop_scans(self, bundled_fits):
+        cfg = load_config(resources.files("isacsim").joinpath("data", "default.cfg"))
+        gains = sample_user_gains(cfg, RngStream(1, "oracle-gains"))
+        for fit in bundled_fits:
+            boundary = region_boundary(fit, gains, cfg, num_points=300)
+            a, r = boundary.accuracies, boundary.rates
+            norm = np.abs(np.gradient(r, a)) / (np.max(np.abs(r)) / (a[-1] - a[0]))
+            ties = sorted((norm[0], norm[-1]))  # a threshold equal to an end slope
+            for lo, hi in [(0.2, 5.0), (1.0, 1.0), (0.0, 0.0), (1e9, 1e9), (0.5, 50.0), ties]:
+                classify_zones(boundary, slope_hi=hi, slope_lo=lo)
+                assert boundary.zones == loop_zones(norm, lo, hi)
+
+
+class TestCommAntennaGain:
+    def test_gain_scales_snr_like_user_gains(self, tmp_path):
+        text = resources.files("isacsim").joinpath("data", "default.cfg").read_text()
+        path = tmp_path / "gain10.cfg"
+        path.write_text(text.replace("comm_gain_db = 0", "comm_gain_db = 10"))
+        boosted_cfg = load_config(path)
+        cfg = boosted_cfg.replace(comm_antenna_gain=1.0)
+        assert boosted_cfg.comm_antenna_gain == 10.0
+        gains = sample_user_gains(cfg, RngStream(6, "g"))
+        fit = make_fit("pow3", BENCH_POW3)
+        boosted = region_boundary(fit, gains, boosted_cfg, num_points=100)
+        scaled = region_boundary(fit, gains * 10.0, cfg, num_points=100)
+        plain = region_boundary(fit, gains, cfg, num_points=100)
+        assert boosted.rates.tobytes() == scaled.rates.tobytes()
+        assert np.all(boosted.rates[:-1] > plain.rates[:-1])
+        assert (optimal_allocation(500, gains, boosted_cfg).rate
+                == optimal_allocation(500, gains * 10.0, cfg).rate)
