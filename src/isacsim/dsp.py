@@ -8,11 +8,12 @@ slow-time matrix X (L x C, one column per cycle):
     y -> stft -> Z                 (|STFT|, frequency rows x time columns)
     Z -> to_gray_and_pmf           (8-bit image and gray-level pmf)
 
-Clutter suppression reads the strongest r-1 singular directions from one
-Hermitian eigendecomposition of the short-side Gram matrix (L x L for
-L <= C, else C x C) instead of a full SVD, and checks r against that
-spectrum; only matrices whose removed components lie below about 1e-4 of
-the largest fall back to one full SVD for both the check and the removal.
+Clutter suppression finds the strongest r-1 singular directions of the
+short side by block subspace iteration on k+4 columns, stopped by the
+Ritz residuals, instead of a full SVD, and checks r against the Ritz
+values.  Matrices whose removed directions are not separated from the
+rest (a small gap) or lie below about 1e-4 of the largest component fall
+back to one full SVD for both the check and the removal.
 
 Spectrogram rows are ordered by descending frequency, so the 8-bit image
 writes straight to PGM with +f_slow/2 at the top.
@@ -34,9 +35,15 @@ DEFAULT_KAISER_BETA = 8.0  # about 60 dB sidelobe suppression
 DEFAULT_SVD_THRESHOLD = 2  # drop the strongest (static) component
 DEFAULT_DYNAMIC_RANGE_DB = 60.0
 DEFAULT_PMF_BINS = 64
-# Smallest Gram eigenvalue ratio w[k-1]/w[0] trusted for the rank check;
-# below it the Gram spectrum is too close to its rounding floor (~eps).
-_GRAM_RESOLVED = 1e-8
+# Smallest Ritz value ratio theta[k-1]/theta[0] trusted for the rank check;
+# the Ritz values are squared singular values, so below it they are too
+# close to their rounding floor (~eps).
+_RITZ_RESOLVED = 1e-8
+# Subspace iteration stops when each kept Ritz residual is within
+# _SUBSPACE_TOL times the gap theta[k-1] - theta[k] (which bounds the angle
+# to the true subspace); after _SUBSPACE_STEPS steps the full SVD takes over.
+_SUBSPACE_TOL = 1e-13
+_SUBSPACE_STEPS = 32
 
 
 def synthesize_chirp(cfg: SystemConfig) -> np.ndarray:
@@ -54,6 +61,33 @@ def synthesize_chirp(cfg: SystemConfig) -> np.ndarray:
     return math.sqrt(cfg.tx_power) * np.exp(1j * phase)
 
 
+def _top_left_subspace(a: np.ndarray, k: int) -> np.ndarray | None:
+    """Top-k left singular vectors of ``a`` (m x n, m <= n), or None.
+
+    Each step orthonormalizes a block of min(m, k+4) columns, applies
+    ``a a^H`` and takes the block's Rayleigh-Ritz pairs (theta_i, u_i).
+    None when k > m, when ``||a a^H u_i - theta_i u_i||`` has not reached
+    its bound for every i < k within ``_SUBSPACE_STEPS`` steps, or when
+    theta[k-1] is too small for the rank check.
+    """
+    m = a.shape[0]
+    if k > m:
+        return None
+    q = np.random.default_rng(0).standard_normal((m, min(m, k + 4)))
+    for _ in range(_SUBSPACE_STEPS):
+        q, _ = np.linalg.qr(q)
+        z = (q.conj().T @ a).conj().T  # a^H q, without a conjugated copy of a
+        theta, w = np.linalg.eigh(z.conj().T @ z)
+        theta, w = theta[::-1], w[:, ::-1]  # descending, like singular values
+        u = q @ w
+        q = a @ (z @ w)  # a a^H u: the residual now, the next block after
+        gap = theta[k - 1] - (theta[k] if k < theta.size else 0.0)
+        resid = np.linalg.norm(q[:, :k] - u[:, :k] * theta[:k], axis=0)
+        if np.all(resid <= _SUBSPACE_TOL * gap):
+            return u[:, :k] if theta[k - 1] > _RITZ_RESOLVED * theta[0] else None
+    return None
+
+
 def svd_denoise(x: np.ndarray, r: int = DEFAULT_SVD_THRESHOLD) -> np.ndarray:
     """Remove the strongest r-1 rank-one components of ``x``.
 
@@ -61,14 +95,20 @@ def svd_denoise(x: np.ndarray, r: int = DEFAULT_SVD_THRESHOLD) -> np.ndarray:
     strongest components of a slow-time matrix are dominated by static
     returns, so this acts as clutter suppression.
 
-    The top k=r-1 singular subspace is read from one ``eigh`` of the Gram
-    matrix of the short side (``X X^H`` for L <= C, ``X^H X`` otherwise)
-    and projected out: ``X - U_k (U_k^H X)``, or ``X - (X V_k) V_k^H``.
-    The rank check needs s[k-1] > s[0] * max(L, C) * eps, which the Gram
-    spectrum (eigenvalues s**2) resolves only down to about sqrt(eps) *
-    s[0]; when w[k-1] <= 1e-8 * w[0] the check and the projection fall
-    back to one full SVD, which gives both the rank and the removed
-    components.  Non-finite entries raise ``ValueError``.
+    The top k=r-1 singular subspace of the short side comes from block
+    subspace iteration (Halko, Martinsson and Tropp 2011, Alg. 4.4) on
+    ``a = X`` for L <= C, else ``a = X^T`` (its left singular vectors are
+    the conjugates of X's right ones, and no conjugated copy of X is
+    made), from a fixed start block, so the result depends on ``x``
+    alone.  It is projected out: ``X - U_k (U_k^H X)``, or
+    ``X - (X V_k) V_k^H``.
+
+    The rank check needs s[k-1] > s[0] * max(L, C) * eps, which the Ritz
+    values (s**2) resolve only down to about sqrt(eps) * s[0].  When
+    theta[k-1] <= 1e-8 * theta[0], or the iteration does not converge
+    within its step cap (removed directions not separated from the rest),
+    one full SVD gives both the rank and the removed components.
+    Non-finite entries raise ``ValueError``.
     """
     x = np.asarray(x)
     if x.ndim != 2:
@@ -84,11 +124,9 @@ def svd_denoise(x: np.ndarray, r: int = DEFAULT_SVD_THRESHOLD) -> np.ndarray:
         return x.copy()
     k = r - 1
     wide = x.shape[0] <= x.shape[1]
-    w, v = np.linalg.eigh(x @ x.conj().T if wide else x.conj().T @ x)
-    w, v = w[::-1], v[:, ::-1]  # descending, like singular values
-    if k <= w.size and w[k - 1] > _GRAM_RESOLVED * w[0]:
-        top = v[:, :k]
-        removed = top @ (top.conj().T @ x) if wide else (x @ top) @ top.conj().T
+    top = _top_left_subspace(x if wide else x.T, k)
+    if top is not None:
+        removed = top @ (top.conj().T @ x) if wide else (x @ top.conj()) @ top.T
         return np.subtract(x, removed, out=removed)
     u, s, vh = np.linalg.svd(x, full_matrices=False)
     # np.linalg.matrix_rank's tolerance; an empty or all-zero x has rank 0.

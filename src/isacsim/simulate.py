@@ -68,7 +68,9 @@ def place_taps_fractional(
     delays span only a handful of distinct offsets, so the split taps are
     summed per occupied offset, in ascending order, before the chirp is
     laid down.  The offsets are checked to lie in [0, L-1], so one
-    ``bincount`` over them finds the occupied ones.
+    ``bincount`` over them finds the occupied ones.  Static taps (one
+    delay column shared by every cycle, like clutter) sum each offset's
+    rows by gathering them; moving taps mask the whole split array.
     """
     pos = np.broadcast_to(delays_samples, amps.shape)
     # One pass rejects negative, beyond-slot and non-finite positions alike
@@ -78,13 +80,20 @@ def place_taps_fractional(
             "delays_samples: tap delay is not finite or exceeds the slot time "
             "(target outside the unambiguous range)"
         )
+    static = pos.strides[1] == 0  # broadcast from one delay per tap
+    if static:
+        pos = pos[:, :1]
     base = np.floor(pos).astype(int)
     frac = pos - base
     split_amps = np.concatenate([amps * (1.0 - frac), amps * frac])
     split_offsets = np.concatenate([base, np.minimum(base + 1, fast_len - 1)])
     out = np.zeros((fast_len, amps.shape[1]), dtype=complex)
     for off in np.flatnonzero(np.bincount(split_offsets.ravel())):
-        col = np.where(split_offsets == off, split_amps, 0.0).sum(axis=0)
+        hit = split_offsets == off
+        if static:  # the same rows, in ascending tap order, without the zeros
+            col = split_amps[hit[:, 0]].sum(axis=0)
+        else:
+            col = np.where(hit, split_amps, 0.0).sum(axis=0)
         n = min(chirp.size, fast_len - off)
         out[off : off + n, :] += chirp[:n, None] * col[None, :]
     return out

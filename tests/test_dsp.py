@@ -1,13 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from isacsim import (
+    ClutterConfig,
+    MotionSpec,
     RngStream,
     SystemConfig,
     dechirp,
     dechirp_and_collapse,
+    generate_dataset,
     gray_pmf,
     read_pgm,
     simulate_spectrogram,
@@ -141,7 +145,11 @@ class TestSvdDenoise:
 
 
 class TestSvdDenoiseGram:
-    """The Gram/eigh path against the full-SVD reference and rank rules."""
+    """The subspace-iteration path against the full-SVD reference and rank rules.
+
+    The class keeps the name of the Gram/eigh path it replaced, so that
+    its test ids stay comparable across versions.
+    """
 
     @pytest.mark.parametrize("shape", [(40, 90), (90, 40)], ids=["wide", "tall"])
     @pytest.mark.parametrize("r", [2, 3, 5])
@@ -204,6 +212,84 @@ class TestSvdDenoiseGram:
         monkeypatch.setattr("isacsim.simulate.svd_denoise", _full_svd_denoise)
         reference = run()
         assert gram.gray.tobytes() == reference.gray.tobytes()
+
+    @pytest.mark.parametrize("slot_time,cycles,rays", [(2.0e-5, 1024, 12), (5.0e-5, 3000, None)],
+                             ids=["criterion6", "paper"])
+    def test_wide_spectrogram_bytes_match_reference(self, monkeypatch, base_cfg,
+                                                    slot_time, cycles, rays):
+        # L=200, C=1024 as in the rho self-calibration criterion, and the
+        # 500 x 3000 paper scale.
+        cfg = replace(base_cfg, slot_time=slot_time)
+        clutter = ClutterConfig() if rays is None else ClutterConfig(rays_per_cluster=rays)
+        motion = MotionSpec("walking", "adult", duration=cycles * cfg.pri,
+                            start_position=(3.0, 4.2, 0.0), heading=(-1.0, 0.0))
+
+        def run():
+            return simulate_spectrogram(cfg, motion, cycles, RngStream(16, "wide"),
+                                        clutter=clutter, rho=0.997)
+
+        fast = run()
+        monkeypatch.setattr("isacsim.simulate.svd_denoise", _full_svd_denoise)
+        reference = run()
+        assert fast.gray.tobytes() == reference.gray.tobytes()
+
+
+def _svd_spy(monkeypatch):
+    """Count the calls of np.linalg.svd, which only the fallback makes."""
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return calls
+
+
+class TestSvdDenoiseFallback:
+    """Which inputs the subspace iteration resolves, and which go to the SVD."""
+
+    @staticmethod
+    def equal_top(shape, seed):
+        # Two equal top singular values: the top-1 subspace is not defined.
+        rng = np.random.default_rng(seed)
+        n = min(shape)
+        u, _ = np.linalg.qr(_complex_normal(rng, (shape[0], n)))
+        v, _ = np.linalg.qr(_complex_normal(rng, (shape[1], n)))
+        return (u * np.r_[1.0, 1.0, np.logspace(-1, -3, n - 2)]) @ v.conj().T
+
+    @pytest.mark.parametrize("shape", [(30, 80), (80, 30)], ids=["wide", "tall"])
+    @pytest.mark.parametrize("kind", ["equal_top", "noise_only"])
+    def test_small_gap_takes_full_svd(self, monkeypatch, kind, shape):
+        if kind == "equal_top":
+            x = self.equal_top(shape, seed=17)
+        else:
+            x = _complex_normal(np.random.default_rng(18), shape)
+        calls = _svd_spy(monkeypatch)
+        y = svd_denoise(x, 2)
+        assert calls == [shape]
+        assert np.array_equal(y, _full_svd_denoise(x, 2))
+
+    def test_desk_clutter_never_reaches_svd(self, monkeypatch, desk_cfg, clutter_cfg):
+        calls = _svd_spy(monkeypatch)
+        for cycles in (64, 512):  # tall and wide at L=100
+            generate_dataset(desk_cfg, clutter_cfg, "motions3", 3, cycles, 0.997,
+                             RngStream(19, f"desk{cycles}"), stft_window=32,
+                             min_radial_fraction=0.7)
+        assert calls == []
+
+    @pytest.mark.parametrize("shape", [(40, 90), (90, 40)], ids=["wide", "tall"])
+    def test_repeatable_and_global_rng_untouched(self, shape):
+        x = _complex_normal(np.random.default_rng(20), shape)
+        np.random.seed(21)
+        before = np.random.get_state()
+        first = svd_denoise(x, 3)
+        second = svd_denoise(x, 3)
+        after = np.random.get_state()
+        assert first.tobytes() == second.tobytes()
+        assert before[0] == after[0] and np.array_equal(before[1], after[1])
+        assert before[2:] == after[2:]
 
 
 class TestDechirp:

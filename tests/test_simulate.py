@@ -117,6 +117,30 @@ class TestPlacementBytes:
         ref = place_taps_unique(amps, delays, chirp, self.L)
         assert got.tobytes() == ref.tobytes()
 
+    def test_static_many_taps_share_offsets(self):
+        # Static taps (one delay column) sum each offset's rows by gathering
+        # them; 40 taps on five cells must give the old masked loop's bytes,
+        # and those of the same delays spelled out per cycle (moving branch).
+        rng = np.random.default_rng(8)
+        delays = rng.choice([0.3, 0.8, 4.5, 9.05, self.L - 1.0], size=(40, 1))
+        amps = self.draw(rng, (40, 33))
+        chirp = self.draw(rng, 7)
+        got = place_taps_fractional(amps, delays, chirp, self.L)
+        ref = place_taps_unique(amps, delays, chirp, self.L)
+        per_cycle = place_taps_fractional(amps, np.repeat(delays, 33, axis=1), chirp, self.L)
+        assert got.tobytes() == ref.tobytes()
+        assert got.tobytes() == per_cycle.tobytes()
+
+    def test_static_clutter_process_taps(self, base_cfg, clutter_cfg):
+        process = ClutterProcess(clutter_cfg, base_cfg, RngStream(9, "static"), 0.997)
+        amps = process.run(64)
+        delays = (process.delays * base_cfg.sample_rate)[:, None]
+        chirp = synthesize_chirp(base_cfg)
+        L = base_cfg.fast_time_len
+        got = place_taps_fractional(amps, delays, chirp, L)
+        ref = place_taps_unique(amps, delays, chirp, L)
+        assert got.tobytes() == ref.tobytes()
+
     def test_empty_tap_set(self):
         args = (np.zeros((0, 12), complex), np.zeros((0, 1)), np.ones(4, complex))
         got = place_taps_fractional(*args, self.L)
