@@ -26,8 +26,10 @@ from .channel import DEFAULT_RHO, ClutterConfig
 from .config import ConfigError, RngStream, load_config, sample_user_gains
 from .curvefit import (
     DEFAULT_FIT_SEED,
+    FAMILY_NAMES,
     CurveFitError,
     eval_curve,
+    get_family,
     make_fit,
     select_model,
 )
@@ -108,6 +110,12 @@ def _arg_type(convert, what: str):
 
 def _positive(value):
     if not 0 < value < math.inf:
+        raise ValueError(value)
+    return value
+
+
+def _finite(value):
+    if not math.isfinite(value):
         raise ValueError(value)
     return value
 
@@ -208,8 +216,7 @@ def cmd_calibrate(args, out: Path):
 def cmd_fit(args, out: Path):
     points_path, points_ref = _input(args.points, "reference_accuracy_points.csv")
     cycles, acc = accuracy_points_from_csv(points_path)
-    families = args.families.split(",") if args.families else None
-    selection = select_model(cycles, acc, families, seed=args.seed)
+    selection = select_model(cycles, acc, args.families, seed=args.seed)
     fits_csv = selection.to_csv(out / "fits.csv")
     grid = np.linspace(cycles.min(), cycles.max(), 200)
     curve = ((c, eval_curve(selection.best, c)) for c in grid)
@@ -358,17 +365,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit learning-curve families to accuracy points")
     p.add_argument("--points", help="C,A csv (default: bundled benchmark points)")
-    p.add_argument("--families", help="comma list (default: all seven)")
+    p.add_argument("--families", help="comma list (default: all seven)",
+                   type=_arg_type(lambda t: [get_family(tok).name for tok in t.split(",")],
+                                  f"a comma list of curve families {FAMILY_NAMES}"))
     p.add_argument("--seed", type=int, default=DEFAULT_FIT_SEED)
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("region", help="trace the accuracy-rate boundary and zones")
     common(p)
-    p.add_argument("--family", default="pow3")
+    p.add_argument("--family", default="pow3", choices=FAMILY_NAMES)
     p.add_argument("--params", help="comma list (default: bundled fit parameters)",
-                   type=_arg_type(lambda t: [float(tok) for tok in t.split(",")],
-                                  "a comma list of numbers"))
+                   type=_arg_type(lambda t: [_finite(float(tok)) for tok in t.split(",")],
+                                  "a comma list of finite numbers"))
     p.add_argument("--gains", help="per-user gains CSV (default: sample from config)")
     p.add_argument("--num-points", type=_positive_int, default=DEFAULT_NUM_POINTS)
     p.add_argument("--slope-hi", type=float, default=DEFAULT_SLOPE_HI)

@@ -48,9 +48,10 @@ class SystemConfig:
         Transmit power in W; the chirp has constant squared envelope equal
         to this value.
     noise_power : float
-        Per-sample receiver noise power in W.  Zero is allowed and yields
-        a noiseless simulation; the accuracy-rate tradeoff rejects it,
-        since every user rate would be unbounded.
+        Per-sample receiver noise power in W: circularly symmetric complex
+        noise with ``noise_power / 2`` in each part.  Zero is allowed and
+        yields a noiseless simulation; the accuracy-rate tradeoff rejects
+        it, since every user rate would be unbounded.
     sensing_antenna_gain : float
         Linear antenna gain applied to the sensing link.
     comm_antenna_gain : float
@@ -154,11 +155,6 @@ class SystemConfig:
     def sweep_len(self) -> int:
         """Number of fast-time samples in the chirp."""
         return round(self.sweep_time * self.sample_rate)
-
-    def replace(self, **changes) -> "SystemConfig":
-        from dataclasses import replace as _replace
-
-        return _replace(self, **changes)
 
 
 def _from_db(text: str) -> float:
@@ -276,24 +272,6 @@ class RngStream:
     def normal(self, size=None):
         return self._rng.standard_normal(size)
 
-    def standard_complex_normal(self, size):
-        """Circularly symmetric complex normal with E|z|^2 = 1.
-
-        The real parts are drawn before the imaginary parts.  Both are
-        written into one complex array and scaled in place, so a large
-        draw holds one complex and one real array at a time rather than
-        two of each.  The in-place ``z /= np.sqrt(2.0)`` is numpy's complex
-        (Smith) division, which multiplies by the reciprocal of the divisor:
-        each part rounds like the real ``x * (1.0 / np.sqrt(2.0))``, not
-        like the real ``x / np.sqrt(2.0)``.  A draw into a float buffer
-        keeps these bytes only by scaling with that reciprocal.
-        """
-        z = np.empty(size, dtype=complex)
-        z.real = self._rng.standard_normal(size)
-        z.imag = self._rng.standard_normal(size)
-        z /= np.sqrt(2.0)
-        return z
-
     def rayleigh(self, scale: float = 1.0, size=None):
         return self._rng.rayleigh(scale, size)
 
@@ -317,8 +295,6 @@ def sample_user_gains(cfg: SystemConfig, rng: RngStream) -> np.ndarray:
     magnitude, hence exponentially distributed with mean
     ``user_pathloss[k]``.
     """
-    if cfg.num_users < 1:
-        raise ValueError("num_users: need at least one user to sample gains")
     rho = np.asarray(cfg.user_pathloss, dtype=float)
     h = np.sqrt(rho / 2.0) * (rng.normal(cfg.num_users) + 1j * rng.normal(cfg.num_users))
     return np.abs(h) ** 2

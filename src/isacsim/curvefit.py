@@ -375,9 +375,6 @@ class CurveFit:
     def ssr_over_q(self) -> float:
         return self.ssr / self.num_points
 
-    def __call__(self, c):
-        return eval_curve(self, c)
-
 
 def eval_curve(fit: CurveFit, c) -> np.ndarray | float:
     """Evaluate a fitted curve, enforcing the family's C-domain."""
@@ -501,11 +498,17 @@ def fit_curve(
 
 
 def make_fit(family: str, params) -> CurveFit:
-    """Wrap externally supplied parameters as a CurveFit (no residuals)."""
+    """Wrap externally supplied parameters as a CurveFit (no residuals).
+
+    Each parameter must be finite; the error names the first that is not.
+    """
     fam = get_family(family)
     p = np.asarray(params, dtype=float)
     if p.size != fam.arity:
         raise ValueError(f"{family} takes {fam.arity} parameters, got {p.size}")
+    for name, value in zip(fam.param_names, p.ravel().tolist()):
+        if not math.isfinite(value):
+            raise ValueError(f"{family}: parameter {name} must be finite, got {value!r}")
     return CurveFit(
         family=family,
         params=p,

@@ -175,7 +175,6 @@ class Spectrogram:
     values: np.ndarray
     freqs: np.ndarray
     times: np.ndarray
-    window: int
 
     @property
     def freq_resolution(self) -> float:
@@ -209,7 +208,7 @@ def stft(
     values = np.abs(spec).T[::-1]  # rows: descending frequency
     freqs = np.fft.fftshift(np.fft.fftfreq(window, d=slow_time_step))[::-1]
     times = (np.arange(frames.shape[0]) + window / 2.0) * slow_time_step
-    return Spectrogram(values=values, freqs=freqs, times=times, window=window)
+    return Spectrogram(values=values, freqs=freqs, times=times)
 
 
 def to_gray(z: np.ndarray, dynamic_range_db: float = DEFAULT_DYNAMIC_RANGE_DB) -> np.ndarray:

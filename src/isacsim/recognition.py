@@ -133,12 +133,12 @@ def _sample_motion(
         if _segment_point_distance(x, y, end_x, end_y, rx, ry) < _RADAR_CLEARANCE:
             continue
         if min_radial_fraction > 0.0 and spec.motion_class != "standing":
+            # The clearance test above keeps the start >= 0.8 m from the radar.
             to_radar = np.array([rx - x, ry - y])
             norm = np.linalg.norm(to_radar)
-            if norm > 0:
-                cosine = abs(heading[0] * to_radar[0] + heading[1] * to_radar[1]) / norm
-                if cosine < min_radial_fraction:
-                    continue
+            cosine = abs(heading[0] * to_radar[0] + heading[1] * to_radar[1]) / norm
+            if cosine < min_radial_fraction:
+                continue
         return spec
     raise RuntimeError("could not place the motion inside the room")
 
@@ -160,16 +160,16 @@ def generate_dataset(
 
     ``class_set`` is a preset name from :data:`CLASS_SETS` or a list in
     the same format.  Start positions and headings are randomized inside
-    the room; clutter and noise are fresh per sample.  Deterministic for
-    a given ``rng`` regardless of ``threads``.
+    the room; clutter and noise are fresh per sample.  The samples are
+    mapped over ``threads`` worker threads and come back in job order,
+    so the output is deterministic for a given ``rng`` regardless of
+    ``threads``.
     """
     classes = CLASS_SETS[class_set] if isinstance(class_set, str) else list(class_set)
     if n_per_class < 1:
         raise ValueError(f"n_per_class must be >= 1, got {n_per_class}")
-    if cycles < stft_window:
-        raise ValueError(
-            f"cycles={cycles} shorter than the STFT window ({stft_window})"
-        )
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     duration = cycles * cfg.pri
 
     jobs = []
@@ -204,11 +204,11 @@ def generate_dataset(
         )
         return label, result.gray
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outputs = list(pool.map(run, jobs))
-    else:
-        outputs = [run(j) for j in jobs]
+    # One worker maps in the calling thread: a pool thread allocates from a
+    # second malloc arena, which adds about 4 MB (5%) to a desk-scale
+    # accuracy_vs_cycles run's peak RSS.  No thread starts until a submit.
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        outputs = list((pool.map if threads > 1 else map)(run, jobs))
 
     grays = np.stack([g for _, g in outputs])
     labels = np.asarray([lab for lab, _ in outputs], dtype=int)
@@ -230,15 +230,16 @@ def _pool_matrix(n_in: int, n_out: int) -> np.ndarray:
 
 
 def block_features(grays: np.ndarray, pool: int) -> np.ndarray:
-    """Block-average images to (pool x pool), flatten, and append a bias.
+    """Block-average an (n, F, T) image stack to (n, pool * pool + 1):
+    each image pooled to (pool x pool), flattened, with a bias appended.
 
     Pooling is two matrix products, rows after columns, and the 1/255
     gray scaling rides on the small column-pooling matrix, so the only
     full-size float array is the one copy of the input.
     """
     x = np.asarray(grays, dtype=float)
-    if x.ndim == 2:
-        x = x[None]
+    if x.ndim != 3:
+        raise ValueError(f"expected (n, F, T) images, got shape {x.shape}")
     n, h, w = x.shape
     pr = _pool_matrix(h, pool)
     pc = _pool_matrix(w, pool)
@@ -268,15 +269,6 @@ class SpectrogramClassifier(ParamsMixin):
         self.max_epochs = max_epochs
         self.tol = tol
 
-    def _features(self, x) -> np.ndarray:
-        x = np.asarray(x)
-        if x.ndim == 3:
-            return block_features(x, self.pool)
-        if x.ndim == 2:
-            # Pre-computed feature rows (e.g. synthetic test data).
-            return np.asarray(x, dtype=float)
-        raise ValueError(f"expected (n, F, T) images or (n, d) features, got {x.shape}")
-
     @staticmethod
     def _softmax(z: np.ndarray) -> np.ndarray:
         z = z - z.max(axis=1, keepdims=True)
@@ -285,7 +277,7 @@ class SpectrogramClassifier(ParamsMixin):
 
     def fit(self, x, y):
         y = np.asarray(y, dtype=int)
-        feats = self._features(x)
+        feats = block_features(x, self.pool)
         if feats.shape[0] != y.size:
             raise ValueError("number of samples and labels differ")
         self.classes_ = np.unique(y)
@@ -340,7 +332,7 @@ class SpectrogramClassifier(ParamsMixin):
 
     def decision_function(self, x) -> np.ndarray:
         self._check_fitted()
-        feats = self._features(x)
+        feats = block_features(x, self.pool)
         if feats.shape[1] != self.coef_.shape[0]:
             raise ValueError(
                 f"feature dimension {feats.shape[1]} does not match the fitted "

@@ -8,7 +8,8 @@ gray-scale spectrogram with its gray-level pmf.
 
 Randomness is split into fixed child streams ("phases", "clutter",
 "noise"), so a (seed, config, motion) triple fully determines the output
-bytes regardless of how samples are scheduled.
+bytes regardless of how samples are scheduled.  The received matrix draws
+its receiver noise from the "noise" stream itself.
 """
 
 from __future__ import annotations
@@ -114,6 +115,11 @@ def synthesize_received_matrix(
     one static delay (s) per tap in ``clutter_delays``.  Any target
     or clutter tap beyond the last fast-time sample raises (outside the
     unambiguous range).
+
+    Receiver noise of power ``cfg.noise_power`` takes its real parts from
+    one ``noise_rng.normal((L, C))`` draw and its imaginary parts from the
+    next, each times ``(1 / sqrt(2)) * sqrt(noise_power)``.  It is left out
+    when ``noise_rng`` is None or the noise power is zero.
     """
     phases = as_float_array(phases, "phases", ndim=1)
     if phases.size != tracks.num_primitives:
@@ -133,9 +139,15 @@ def synthesize_received_matrix(
         x += place_taps_fractional(clutter_amps, c_pos[:, None], chirp, L)
 
     if noise_rng is not None and cfg.noise_power > 0:
-        noise = noise_rng.standard_complex_normal((L, C))
-        noise *= math.sqrt(cfg.noise_power)  # in place: no scaled L x C copy
-        x += noise
+        scale = math.sqrt(cfg.noise_power)
+        for part in (x.real, x.imag):  # the real draw comes first
+            noise = noise_rng.normal((L, C))
+            # In place, by the reciprocal: x * (1/sqrt(2)) and x / sqrt(2)
+            # round differently, and the recorded outputs hold the former.
+            noise *= 1.0 / np.sqrt(2.0)
+            noise *= scale
+            part += noise
+            del noise  # one L x C float buffer live at a time
     return x
 
 

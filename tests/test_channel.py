@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -54,7 +55,7 @@ def tap_at(tau, amp, cycles=1):
 class TestTargetChannel:
     def test_single_primitive_hand_values(self, base_cfg):
         # Direct evaluation: D=3 m, G=1, phase 0.
-        cfg = base_cfg.replace(noise_power=0.0)
+        cfg = replace(base_cfg, noise_power=0.0)
         amp = target_amplitudes(1.0, 3.0, cfg, 0.0)
         a_const = cfg.wavelength**2 * math.sqrt(cfg.sensing_antenna_gain)
         expected_mag = a_const / math.sqrt(4 * math.pi) / 9.0
@@ -89,7 +90,7 @@ class TestTargetChannel:
         amps = target_amplitudes(tracks.gains, tracks.distances, base_cfg,
                                  np.zeros((0, 1)))
         assert amps.size == 0
-        out = received(base_cfg.replace(noise_power=0.0), tracks, np.zeros(0))
+        out = received(replace(base_cfg, noise_power=0.0), tracks, np.zeros(0))
         assert np.all(out == 0)
 
     def test_phases_fixed_across_cycles(self, base_cfg, rng):
@@ -216,13 +217,13 @@ class TestReceivedCycle:
     """One sensing cycle is the C=1 case of the received matrix."""
 
     def test_empty_channel_zero_output(self, base_cfg):
-        cfg = base_cfg.replace(noise_power=0.0)
+        cfg = replace(base_cfg, noise_power=0.0)
         out = received(cfg, clutter=(np.zeros((0, 1), complex), np.zeros(0)))
         assert np.all(out == 0)
         assert out.shape == (cfg.fast_time_len, 1)
 
     def test_single_tap_places_scaled_chirp(self, base_cfg):
-        cfg = base_cfg.replace(noise_power=0.0)
+        cfg = replace(base_cfg, noise_power=0.0)
         chirp = synthesize_chirp(cfg)
         tau = 12.0 / cfg.sample_rate  # on the grid: no split
         amp = 0.3 - 0.4j
@@ -235,15 +236,33 @@ class TestReceivedCycle:
         v = tap_at(4e-8, 0.0 + 0.5j)
         phases = np.zeros(1)
         both = received(base_cfg, u, phases, v, RngStream(3, "n"))
-        cfg0 = base_cfg.replace(noise_power=0.0)
+        cfg0 = replace(base_cfg, noise_power=0.0)
         parts = received(cfg0, u, phases) + received(cfg0, clutter=v)
         noise_only = received(base_cfg, noise=RngStream(3, "n"))
         assert np.allclose(both, parts + noise_only, rtol=1e-12, atol=1e-18)
 
     def test_noise_power_level(self, base_cfg):
-        cfg = base_cfg.replace(noise_power=1e-10)
-        out = received(cfg, noise=RngStream(8, "n"))
-        assert np.mean(np.abs(out) ** 2) == pytest.approx(1e-10, rel=0.2)
+        # A tap-free scene of 400 cycles: 200 000 samples of noise alone.
+        cfg = replace(base_cfg, noise_power=1e-10)
+        out = received(cfg, point_tracks(np.zeros((0, 400))), np.zeros(0),
+                       noise=RngStream(8, "n"))
+        assert out.shape == (cfg.fast_time_len, 400)
+        assert np.mean(np.abs(out) ** 2) == pytest.approx(1e-10, rel=0.01)
+
+    def test_noise_parts_scale_by_reciprocal_sqrt2(self, base_cfg):
+        # Real parts are the stream's first (L, C) normal draw and imaginary
+        # parts its second, each times (1/sqrt(2)) * sqrt(P).  Dividing the
+        # draws by sqrt(2) rounds differently, and the recorded outputs
+        # hold the reciprocal's rounding.
+        cfg = replace(base_cfg, noise_power=1e-10)
+        out = received(cfg, point_tracks(np.zeros((0, 20))), np.zeros(0),
+                       noise=RngStream(0, "z"))
+        stream = RngStream(0, "z")
+        re, im = (stream.normal((cfg.fast_time_len, 20)) for _ in range(2))
+        scale = math.sqrt(cfg.noise_power)
+        assert out.real.tobytes() == (re * (1.0 / np.sqrt(2.0)) * scale).tobytes()
+        assert out.imag.tobytes() == (im * (1.0 / np.sqrt(2.0)) * scale).tobytes()
+        assert out.real.tobytes() != (re / np.sqrt(2.0) * scale).tobytes()
 
     def test_delay_beyond_slot_rejected(self, base_cfg):
         tau = base_cfg.slot_time * 1.01

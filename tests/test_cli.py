@@ -90,6 +90,14 @@ class TestHelp:
             (["calibrate", "--reference", "ref.pgm", "--samples-per-point", "0"],
              "--samples-per-point"),
             (["dataset", "--cycles", "1.5"], "--cycles"),
+            (["region", "--family", "bogus"], "--family"),
+            (["region", "--family", "bogus", "--params", "1,2,3"], "--family"),
+            (["fit", "--families", "pow3,bogus"], "--families"),
+            (["fit", "--families", "bogus"], "--families"),
+            (["region", "--params", "nan,1,1"], "--params"),
+            (["region", "--params", "1,nan,1"], "--params"),
+            (["region", "--params", "inf,1,1"], "--params"),
+            (["region", "--params", "1,1,inf"], "--params"),
         ],
     )
     def test_malformed_value_exits_2_naming_its_flag(self, cmd, flag, tmp_path, capsys):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -194,20 +196,6 @@ class TestRngStream:
             two_step.normal(16), RngStream(5, "root/class0/sample1").normal(16)
         )
 
-    def test_complex_normal_unit_power(self):
-        z = RngStream(0, "z").standard_complex_normal(200_000)
-        assert np.mean(np.abs(z) ** 2) == pytest.approx(1.0, rel=0.01)
-
-    def test_complex_normal_scales_by_reciprocal_sqrt2(self):
-        # Complex division by sqrt(2) multiplies both parts by 1/sqrt(2);
-        # dividing the real draws by sqrt(2) rounds differently.
-        z = RngStream(0, "z").standard_complex_normal(10_000)
-        same_seed = RngStream(0, "z")
-        re, im = same_seed.normal(10_000), same_seed.normal(10_000)
-        assert z.real.tobytes() == (re * (1.0 / np.sqrt(2.0))).tobytes()
-        assert z.imag.tobytes() == (im * (1.0 / np.sqrt(2.0))).tobytes()
-        assert z.real.tobytes() != (re / np.sqrt(2.0)).tobytes()
-
     def test_poisson_arrivals_rate(self):
         times = RngStream(3, "arr").poisson_arrivals(2.0e8, 100_000)
         gaps = np.diff(times)
@@ -219,21 +207,21 @@ class TestUserGains:
     def test_zero_variance_edge(self, base_cfg):
         # Pathloss must be positive by config contract; verify the
         # limiting behaviour on a tiny variance instead.
-        cfg = base_cfg.replace(user_pathloss=(1e-30,) * 5)
+        cfg = replace(base_cfg, user_pathloss=(1e-30,) * 5)
         g = sample_user_gains(cfg, RngStream(0, "g"))
         assert np.all(g < 1e-27)
 
     def test_mean_matches_pathloss(self, base_cfg):
         # One million draws via a single wide config.
-        cfg_wide = base_cfg.replace(
-            num_users=1_000_000, user_pathloss=(1e-5,) * 1_000_000
+        cfg_wide = replace(
+            base_cfg, num_users=1_000_000, user_pathloss=(1e-5,) * 1_000_000
         )
         g = sample_user_gains(cfg_wide, RngStream(11, "gains"))
         assert np.mean(g) == pytest.approx(1e-5, rel=0.01)
 
     def test_exponential_distribution_ks(self, base_cfg):
-        cfg_wide = base_cfg.replace(
-            num_users=1_000_000, user_pathloss=(1e-5,) * 1_000_000
+        cfg_wide = replace(
+            base_cfg, num_users=1_000_000, user_pathloss=(1e-5,) * 1_000_000
         )
         g = np.sort(sample_user_gains(cfg_wide, RngStream(12, "gains")))
         emp = (np.arange(g.size) + 0.5) / g.size

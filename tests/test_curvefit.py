@@ -99,6 +99,18 @@ class TestEvalCurve:
                 expected, rel=1e-12
             ), family
 
+    @pytest.mark.parametrize("params, name", [
+        ((math.nan, 1.0, 1.0), "alpha"),
+        ((1.0, math.nan, 1.0), "beta"),
+        ((math.inf, 1.0, 1.0), "alpha"),
+        ((1.0, 1.0, math.inf), "gamma"),
+    ])
+    def test_non_finite_parameter_named(self, params, name):
+        # Unchecked, it would surface only when the region is traced, as a
+        # misleading "infeasible" ("need at least 3 boundary points").
+        with pytest.raises(ValueError, match=f"pow3: parameter {name} must be finite"):
+            make_fit("pow3", params)
+
     def test_domain_violations_named(self):
         with pytest.raises(ValueError, match="ilog2: C must exceed 1"):
             eval_curve(make_fit("ilog2", (1.0, 1.0)), 0.5)

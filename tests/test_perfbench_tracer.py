@@ -13,6 +13,7 @@ import importlib.util
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import isacsim.calibration as calibration
@@ -20,7 +21,7 @@ import isacsim.curvefit as curvefit
 import isacsim.recognition as recognition
 import isacsim.simulate as simulate
 import isacsim.tradeoff as tradeoff
-from isacsim import ClutterConfig, RngStream
+from isacsim import ClutterConfig, RngStream, generate_dataset
 
 PATCHED = (calibration, curvefit, recognition, simulate, tradeoff)
 
@@ -61,3 +62,19 @@ def test_blas_threads_pinned_as_in_the_benchmark():
     if threads is None:
         pytest.skip("numpy is not linked against OpenBLAS")
     assert threads == pinned
+
+
+def test_sample_probe_records_a_one_worker_dataset_in_order(desk_cfg):
+    # desk_recognition's check outputs are the probe's records in arrival
+    # order, so a one-worker dataset must hand samples over in dataset order.
+    tracing, workloads = load("tracing"), load("workloads")
+    probe = tracing.SampleProbe(workloads.Ops(), "spectrogram")
+    try:
+        probe.install(recognition, "simulate_spectrogram")
+        ds = generate_dataset(desk_cfg, ClutterConfig(), "motions3", 6, 128, 0.997,
+                              RngStream(9, "probe"), stft_window=32, threads=1)
+    finally:
+        probe.restore()
+    grays = [gray for gray, _ in probe.take()]
+    assert len(grays) == len(ds) == 18
+    assert all(np.array_equal(g, d) for g, d in zip(grays, ds.grays))

@@ -43,9 +43,11 @@ class TestBlockFeatures:
         feats = block_features(np.zeros((3, 32, 48), np.uint8), 16)
         assert feats.shape == (3, 16 * 16 + 1)
         assert np.all(feats[:, -1] == 1.0)
+        with pytest.raises(ValueError, match=r"\(n, F, T\) images"):
+            block_features(np.zeros((32, 48), np.uint8), 16)
 
     def test_average_preserved(self):
-        img = np.full((32, 48), 128, np.uint8)
+        img = np.full((1, 32, 48), 128, np.uint8)
         feats = block_features(img, 16)
         assert np.allclose(feats[0, :-1], 128 / 255.0)
 
@@ -69,9 +71,6 @@ class TestBlockFeatures:
         feats = block_features(imgs, 16)
         for img, row in zip(imgs, feats):
             assert np.abs(row[:-1] - self.block_means(img, 16)).max() <= 1e-12
-        single = block_features(imgs[1], 16)
-        assert single.shape == (1, 16 * 16 + 1)
-        assert np.abs(single[0, :-1] - self.block_means(imgs[1], 16)).max() <= 1e-12
 
     def test_peak_memory_one_float_copy(self):
         # A C=512 training set: the pooling may hold one float64 copy of
@@ -154,8 +153,9 @@ class TestClassifier:
     def test_shape_mismatch_rejected(self):
         ds = synthetic_dataset(5, [(8, 10), (24, 38)])
         clf = SpectrogramClassifier(pool=4).fit(ds.grays, ds.labels)
+        clf.set_params(pool=5)  # pools to 5 x 5 + 1 features; the fit has 4 x 4 + 1
         with pytest.raises(ValueError, match="dimension"):
-            clf.decision_function(np.zeros((2, 7)))
+            clf.decision_function(ds.grays)
 
 
 class TestEvaluate:
@@ -211,6 +211,11 @@ class TestGenerateDataset:
         b = generate_dataset(desk_cfg, clutter_cfg, "motions3", 2, 128, 0.997,
                              RngStream(5, "ds"), stft_window=32, threads=4)
         assert np.array_equal(a.grays, b.grays)
+
+    def test_threads_below_one_rejected(self, desk_cfg, clutter_cfg):
+        with pytest.raises(ValueError, match="threads must be >= 1, got 0"):
+            generate_dataset(desk_cfg, clutter_cfg, "motions3", 1, 128, 0.997,
+                             RngStream(6, "ds"), stft_window=32, threads=0)
 
     def test_cycles_below_window_rejected(self, desk_cfg, clutter_cfg):
         with pytest.raises(ValueError, match="window"):

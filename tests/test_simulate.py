@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -188,7 +190,7 @@ class TestPipeline:
     def test_sensing_uncertainty(self, desk_cfg, clutter_cfg, walking_radial):
         # Different clutter seeds yield different spectrogram statistics,
         # while the clutter-free content is seed-independent.
-        cfg = desk_cfg.replace(noise_power=0.0)
+        cfg = replace(desk_cfg, noise_power=0.0)
         kwargs = dict(rho=0.99, stft_window=64)
         phases = draw_primitive_phases(16, RngStream(1, "ph"))
         a = simulate_spectrogram(cfg, walking_radial, 256, RngStream(1, "u"),
@@ -207,7 +209,7 @@ class TestPipeline:
         # component removal wipes out more than 99% of the energy.
         from isacsim.dsp import svd_denoise
 
-        cfg = base_cfg.replace(noise_power=0.0)
+        cfg = replace(base_cfg, noise_power=0.0)
         standing = MotionSpec("standing", "adult", duration=0.6,
                               start_position=(1.5, 4.0, 0.0))
         grid = np.arange(512) * cfg.pri
@@ -252,7 +254,7 @@ class TestPipeline:
         from isacsim.dsp import dechirp_and_collapse, stft, svd_denoise
         from isacsim.kinematics import PrimitiveTracks
 
-        cfg = base_cfg.replace(noise_power=0.0)
+        cfg = replace(base_cfg, noise_power=0.0)
         C = 1024
         t = np.arange(C) * cfg.pri
         d = 3.0 + 1.0 * t

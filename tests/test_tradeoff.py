@@ -1,5 +1,6 @@
 import heapq
 import math
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -118,7 +119,7 @@ class TestOptimalAllocation:
             optimal_allocation(1000, gains, comm_cfg)
 
     def test_noiseless_link_rejected(self, comm_cfg):
-        noiseless = comm_cfg.replace(noise_power=0.0)
+        noiseless = replace(comm_cfg, noise_power=0.0)
         with pytest.raises(ValueError, match="noise_power: a noiseless link"):
             optimal_allocation(1000, np.full(5, 1e-5), noiseless)
         with pytest.raises(ValueError, match="noise_power: a noiseless link"):
@@ -272,7 +273,7 @@ class TestRegionBoundary:
             region_boundary(fit, np.full(5, 1e-5), comm_cfg)
 
     def test_empty_feasible_range_rejected(self, comm_cfg):
-        tiny = comm_cfg.replace(total_time=1e-3)  # at most 20 cycles
+        tiny = replace(comm_cfg, total_time=1e-3)  # at most 20 cycles
         fit = make_fit("pow3", BENCH_POW3)  # needs C >= 96 for A >= 0
         with pytest.raises(InfeasibleError, match="feasible"):
             region_boundary(fit, np.full(5, 1e-5), tiny, num_points=10)
@@ -428,7 +429,7 @@ class TestColumnSweepMatchesLoop:
     ])
     def test_edge_fits_byte_equal(self, comm_cfg, family, params, slot_time, total_time,
                                   tmp_path):
-        cfg = comm_cfg.replace(slot_time=slot_time, total_time=total_time)
+        cfg = replace(comm_cfg, slot_time=slot_time, total_time=total_time)
         for num_points in (10, 120, 300):
             self.check(make_fit(family, params), np.full(5, 1e-5), cfg, num_points, tmp_path)
 
@@ -450,7 +451,7 @@ class TestColumnSweepMatchesLoop:
 
     @pytest.mark.parametrize("num_targets", [1, 2])
     def test_swept_rates_equal_single_allocation(self, fig_cfg, num_targets):
-        cfg = fig_cfg.replace(num_targets=num_targets)
+        cfg = replace(fig_cfg, num_targets=num_targets)
         gains = sample_user_gains(cfg, RngStream(4, "g"))
         boundary = region_boundary(make_fit("pow3", BENCH_POW3), gains, cfg, num_points=300)
         single = [optimal_allocation(c, gains, cfg).rate for c in boundary.cycles.tolist()]
@@ -475,7 +476,7 @@ class TestCommAntennaGain:
         path = tmp_path / "gain10.cfg"
         path.write_text(text.replace("comm_gain_db = 0", "comm_gain_db = 10"))
         boosted_cfg = load_config(path)
-        cfg = boosted_cfg.replace(comm_antenna_gain=1.0)
+        cfg = replace(boosted_cfg, comm_antenna_gain=1.0)
         assert boosted_cfg.comm_antenna_gain == 10.0
         gains = sample_user_gains(cfg, RngStream(6, "g"))
         fit = make_fit("pow3", BENCH_POW3)
