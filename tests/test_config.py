@@ -5,6 +5,7 @@ import pytest
 
 from isacsim import (
     ConfigError,
+    MotionSpec,
     RngStream,
     SPEED_OF_LIGHT,
     SystemConfig,
@@ -12,6 +13,8 @@ from isacsim import (
     sample_user_gains,
 )
 from isacsim.config import _FILE_FORMAT
+from isacsim.kinematics import PrimitiveTracks
+from isacsim.simulate import synthesize_received_matrix
 
 REFERENCE_CFG = """\
 # sub-6 GHz sensing link
@@ -195,6 +198,22 @@ class TestRngStream:
         assert np.array_equal(
             two_step.normal(16), RngStream(5, "root/class0/sample1").normal(16)
         )
+
+    def test_complex_normal_unit_power(self, base_cfg):
+        # The stream's complex noise, as the received matrix draws it: a
+        # tap-free scene at unit noise power, 400 cycles of 500 samples.
+        tracks = PrimitiveTracks(
+            names=(), times=np.arange(400) * 1e-3,
+            positions=np.zeros((0, 400, 3)), distances=np.zeros((0, 400)),
+            gains=np.zeros((0, 400)), v_max=10.0,
+            spec=MotionSpec("walking", "adult", duration=0.5),
+        )
+        z = synthesize_received_matrix(
+            replace(base_cfg, noise_power=1.0), tracks, np.zeros(0),
+            None, None, RngStream(0, "z"),
+        )
+        assert z.size == 200_000
+        assert np.mean(np.abs(z) ** 2) == pytest.approx(1.0, rel=0.01)
 
     def test_poisson_arrivals_rate(self):
         times = RngStream(3, "arr").poisson_arrivals(2.0e8, 100_000)
