@@ -269,8 +269,13 @@ class RngStream:
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
         return self._rng.uniform(low, high, size)
 
-    def normal(self, size=None):
-        return self._rng.standard_normal(size)
+    def normal(self, size=None, out=None):
+        """Standard normals; with ``out``, fill that float64 array in place.
+
+        Draws come off one sequential stream, so filling a buffer in
+        consecutive blocks gives the values of one draw of the whole.
+        """
+        return self._rng.standard_normal(size, out=out)
 
     def rayleigh(self, scale: float = 1.0, size=None):
         return self._rng.rayleigh(scale, size)

@@ -199,6 +199,20 @@ class TestRngStream:
             two_step.normal(16), RngStream(5, "root/class0/sample1").normal(16)
         )
 
+    @pytest.mark.parametrize("rows", [7, 8])
+    def test_plane_drawn_in_two_row_blocks_equals_one_draw(self, rows):
+        # The receiver noise fills each (L, C) part through a half-plane
+        # scratch, first rows then the rest; the stream must hand out the
+        # values of one (L, C) draw, and the next plane must follow on.
+        whole = RngStream(4, "noise").normal((2, rows, 5))
+        stream = RngStream(4, "noise")
+        half = np.empty(((rows + 1) // 2, 5))
+        blocks = []
+        for _ in range(2):
+            for n in ((rows + 1) // 2, rows // 2):
+                blocks.append(stream.normal(out=half[:n]).copy())
+        assert np.concatenate(blocks).tobytes() == whole.reshape(-1, 5).tobytes()
+
     def test_complex_normal_unit_power(self, base_cfg):
         # The stream's complex noise, as the received matrix draws it: a
         # tap-free scene at unit noise power, 400 cycles of 500 samples.

@@ -9,8 +9,10 @@ function, and restoring the originals in all five patched modules must
 keep working.
 """
 
+import functools
 import importlib.util
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +23,7 @@ import isacsim.curvefit as curvefit
 import isacsim.recognition as recognition
 import isacsim.simulate as simulate
 import isacsim.tradeoff as tradeoff
-from isacsim import ClutterConfig, RngStream, generate_dataset
+from isacsim import ClutterConfig, MotionSpec, RngStream, generate_dataset
 
 PATCHED = (calibration, curvefit, recognition, simulate, tradeoff)
 
@@ -53,6 +55,44 @@ def test_install_tracer_wraps_and_restores(desk_cfg):
     assert len(tracer.durations["channel.clutter.run"]) == 1
     assert len(tracer.durations["curvefit.fit_curve"]) == 1
     assert all(dict(vars(m)) == names for m, names in before.items())
+
+
+def test_sample_stages_traced_once_on_the_calling_thread(desk_cfg):
+    # The receiver noise is drawn on a helper thread, but the spans assume
+    # nesting: every wrapped stage must run once, on the caller's thread.
+    run, tracing = load("run"), load("tracing")
+    tracer = tracing.Tracer()
+    threads = {}
+
+    def on_thread(name, fn):
+        @functools.wraps(fn)
+        def call(*args, **kwargs):
+            threads.setdefault(name, []).append(threading.get_ident())
+            return fn(*args, **kwargs)
+        return call
+
+    stages = {"synthesize_tracks": "kinematics.tracks",
+              "ClutterProcess": "channel.clutter.build",
+              "synthesize_received_matrix": "simulate.received_matrix"}
+    cycles = 2048  # L x C large enough for the sample to start the helper
+    assert desk_cfg.fast_time_len * cycles >= simulate._HELPER_MIN_SIZE
+    motion = MotionSpec("walking", "adult", duration=2.1,
+                        start_position=(3.0, 4.2, 0.0), heading=(-1.0, 0.0))
+    try:
+        run.install_tracer(tracer)
+        for attr in stages:
+            tracer.replace(simulate, attr, on_thread(attr, getattr(simulate, attr)))
+        simulate.simulate_spectrogram(desk_cfg, motion, cycles, RngStream(2, "tracer"),
+                                      clutter=ClutterConfig(), rho=0.997, stft_window=32)
+    finally:
+        tracer.restore()
+    for attr, span in stages.items():
+        assert len(tracer.durations[span]) == 1, span
+        assert threads[attr] == [threading.get_ident()], attr
+    assert len(tracer.durations["channel.clutter.run"]) == 1
+    (sample,) = [s for s in tracer.spans if s[3] == "simulate.spectrogram"]
+    parents = {s[3]: s[1] for s in tracer.spans}
+    assert all(parents[span] == sample[0] for span in stages.values())
 
 
 def test_blas_threads_pinned_as_in_the_benchmark():

@@ -1,12 +1,16 @@
+import math
+import threading
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
 
-from isacsim import MotionSpec, RngStream, kl_divergence
+import isacsim.simulate as simulate
+from isacsim import ClutterConfig, MotionSpec, RngStream, kl_divergence
 from isacsim.channel import ClutterProcess, draw_primitive_phases, target_amplitudes
-from isacsim.config import SPEED_OF_LIGHT
-from isacsim.kinematics import synthesize_tracks
+from isacsim.config import SPEED_OF_LIGHT, load_config
+from isacsim.kinematics import PrimitiveTracks, synthesize_tracks
 from isacsim.simulate import (
     place_taps_fractional,
     simulate_spectrogram,
@@ -151,6 +155,106 @@ class TestPlacementBytes:
         assert got.tobytes() == ref.tobytes()
 
 
+def received_matrix_reference(cfg, tracks, phases, clutter_amps, clutter_delays, noise_rng):
+    """Reference: every term as a whole L x C matrix, added in order.
+
+    Target taps are placed into zeros, clutter taps into a second L x C
+    matrix that is added to it, and then each noise part is drawn whole,
+    scaled in place and added.
+    """
+    L, C = cfg.fast_time_len, tracks.times.size
+    chirp = synthesize_chirp(cfg)
+    amps = target_amplitudes(tracks.gains, tracks.distances, cfg, phases[:, None])
+    positions = 2.0 * tracks.distances / SPEED_OF_LIGHT * cfg.sample_rate
+    x = place_taps_unique(amps, positions, chirp, L)
+    if clutter_amps is not None and clutter_amps.size:
+        x += place_taps_unique(clutter_amps, (clutter_delays * cfg.sample_rate)[:, None],
+                               chirp, L)
+    if noise_rng is not None and cfg.noise_power > 0:
+        for part in (x.real, x.imag):
+            noise = noise_rng.normal((L, C))
+            noise *= 1.0 / np.sqrt(2.0)
+            noise *= math.sqrt(cfg.noise_power)
+            part += noise
+    return x
+
+
+def walking_scene(cfg, cycles, seed, clutter=True):
+    """Tracks, phases and clutter taps of the benchmark's walking adult."""
+    motion = MotionSpec("walking", "adult", duration=cycles * cfg.pri,
+                        start_position=(3.0, 4.2, 0.0), heading=(-1.0, 0.0))
+    scene = ClutterConfig()
+    tracks = synthesize_tracks(motion, scene.radar_position, np.arange(cycles) * cfg.pri)
+    phases = draw_primitive_phases(tracks.num_primitives, RngStream(seed, "phases"))
+    if not clutter:
+        return tracks, phases, None, None
+    process = ClutterProcess(scene, cfg, RngStream(seed, "clutter"), 0.997)
+    return tracks, phases, process.run(cycles), process.delays
+
+
+class TestReceivedMatrixBytes:
+    """The received matrix, built in one buffer with the noise drawn on a
+    helper thread, holds the reference's bytes."""
+
+    @staticmethod
+    def check(cfg, scene, noise_seed=3):
+        def stream():
+            return None if noise_seed is None else RngStream(noise_seed, "noise")
+
+        got = synthesize_received_matrix(cfg, *scene, stream())
+        ref = received_matrix_reference(cfg, *scene, stream())
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+    def test_default_cfg_paper_scale(self):
+        cfg = load_config(resources.files("isacsim").joinpath("data", "default.cfg"))
+        self.check(cfg, walking_scene(cfg, 3000, 1))
+
+    @pytest.mark.parametrize("cycles", [64, 512])
+    def test_desk_scale(self, desk_cfg, cycles):
+        self.check(desk_cfg, walking_scene(desk_cfg, cycles, cycles))
+
+    def test_clutter_free(self, desk_cfg):
+        self.check(desk_cfg, walking_scene(desk_cfg, 128, 4, clutter=False))
+
+    def test_zero_noise_power(self, desk_cfg):
+        cfg = replace(desk_cfg, noise_power=0.0)
+        self.check(cfg, walking_scene(cfg, 128, 5))
+
+    def test_no_noise_stream(self, desk_cfg):
+        self.check(desk_cfg, walking_scene(desk_cfg, 128, 6), noise_seed=None)
+
+    def test_clutter_band_taller_than_target_band(self, desk_cfg):
+        # No target taps: the clutter band is the taller one and takes
+        # the target band (zero rows) in.
+        C = 64
+        tracks = PrimitiveTracks(
+            names=(), times=np.arange(C) * desk_cfg.pri,
+            positions=np.zeros((0, C, 3)), distances=np.zeros((0, C)),
+            gains=np.zeros((0, C)), v_max=1.0,
+            spec=MotionSpec("walking", "adult", duration=1.0),
+        )
+        process = ClutterProcess(ClutterConfig(), desk_cfg, RngStream(8, "clutter"), 0.99)
+        self.check(desk_cfg, (tracks, np.zeros(0), process.run(C), process.delays))
+
+    def test_tap_at_last_sample_clips_the_chirp(self, desk_cfg):
+        # One primitive sits at fast-time position L-1 exactly, so the
+        # occupied rows reach L and its chirp copy keeps one sample; a
+        # second one moves across the slot.  Clutter adds shorter rows.
+        L, C = desk_cfg.fast_time_len, 96
+        last = (L - 1) * SPEED_OF_LIGHT / (2.0 * desk_cfg.sample_rate)
+        distances = np.stack([np.full(C, last), np.linspace(2.0, 0.8 * last, C)])
+        assert (2.0 * distances / SPEED_OF_LIGHT * desk_cfg.sample_rate).max() == L - 1
+        tracks = PrimitiveTracks(
+            names=("far", "moving"), times=np.arange(C) * desk_cfg.pri,
+            positions=np.zeros((2, C, 3)), distances=distances, gains=np.ones((2, C)),
+            v_max=1.0, spec=MotionSpec("walking", "adult", duration=1.0),
+        )
+        process = ClutterProcess(ClutterConfig(), desk_cfg, RngStream(7, "clutter"), 0.99)
+        scene = (tracks, np.array([0.3, 1.1]), process.run(C), process.delays)
+        self.check(desk_cfg, scene)
+
+
 class TestPipeline:
     def test_deterministic_bytes(self, desk_cfg, clutter_cfg, walking_radial):
         a = simulate_spectrogram(
@@ -241,6 +345,42 @@ class TestPipeline:
                 simulate_spectrogram(desk_cfg, walking_radial, 128,
                                      RngStream(0, "x"), clutter=clutter_cfg,
                                      stft_window=64, phases=phases)
+
+    def test_raising_sample_joins_the_noise_helper(self, base_cfg, clutter_cfg,
+                                                   walking_radial):
+        # The noise helper starts before the scene is built; a sample that
+        # raises keeps its message and leaves no thread drawing noise.
+        cycles = 1024
+        assert base_cfg.fast_time_len * cycles >= simulate._HELPER_MIN_SIZE
+        far = MotionSpec("walking", "adult", duration=1.1,
+                         start_position=(4.0e4, 4.0, 0.0), heading=(-1.0, 0.0))
+        cases = [
+            ("phases: .*expected 16 entries", walking_radial, np.zeros(1)),
+            ("phases: .*non-finite", walking_radial, np.full(16, np.nan)),
+            ("unambiguous range", far, None),
+        ]
+        before = threading.active_count()
+        for message, motion, phases in cases:
+            with pytest.raises(ValueError, match=message):
+                simulate_spectrogram(base_cfg, motion, cycles, RngStream(0, "x"),
+                                     clutter=clutter_cfg, phases=phases)
+            assert threading.active_count() == before
+
+    def test_no_helper_without_noise_or_below_its_size(self, base_cfg, desk_cfg,
+                                                       clutter_cfg, walking_radial,
+                                                       monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a noise helper was started")
+
+        monkeypatch.setattr(simulate.threading, "Thread", no_thread)
+        quiet = replace(base_cfg, noise_power=0.0)
+        simulate_spectrogram(quiet, walking_radial, 1024, RngStream(0, "x"),
+                             clutter=clutter_cfg)
+        tracks, phases, amps, delays = walking_scene(base_cfg, 1024, 0)
+        synthesize_received_matrix(base_cfg, tracks, phases, amps, delays, None)
+        assert desk_cfg.fast_time_len * 512 < simulate._HELPER_MIN_SIZE
+        simulate_spectrogram(desk_cfg, walking_radial, 512, RngStream(0, "x"),
+                             clutter=clutter_cfg, stft_window=64)
 
     def test_cycles_below_window_rejected(self, desk_cfg, clutter_cfg, walking_radial):
         with pytest.raises(ValueError, match="window"):
