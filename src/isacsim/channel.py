@@ -24,6 +24,7 @@ power decaying exponentially in the offset.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -50,13 +51,21 @@ def target_amplitudes(
         raise ValueError("distances: must be finite and strictly positive")
     a_const = cfg.wavelength**2 * math.sqrt(cfg.sensing_antenna_gain)
     carrier_phase = -2.0 * math.pi * cfg.carrier_freq * (2.0 * D) / SPEED_OF_LIGHT
-    return (
-        a_const
-        / math.sqrt(4.0 * math.pi)
-        * np.sqrt(G)
-        / D**2
-        * np.exp(1j * (carrier_phase + phi))
-    )
+    return a_const / math.sqrt(4.0 * math.pi) * np.sqrt(G) / D**2 * _phasor(carrier_phase + phi)
+
+
+def _phasor(phase: np.ndarray) -> np.ndarray:
+    """``np.exp(1j * phase)``, in fewer steps.
+
+    The real part of ``1j * phase`` is +-0 and cexp(+-0 + i phi) is
+    (cos phi, sin phi), so the two real calls give the same bits, except
+    for the sign of the imaginary zero at phase -0.0 (a sum or a uniform
+    draw, as both callers pass, is never -0.0).
+    """
+    out = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    return out
 
 
 def draw_primitive_phases(num_primitives: int, rng: RngStream) -> np.ndarray:
@@ -84,6 +93,10 @@ class ClutterConfig:
     reflection_factors: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        # Tuples keep the config hashable (cluster_delays caches on it).
+        for name in ("room", "radar_position", "reflection_factors"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, tuple(getattr(self, name)))
         for i, dim in enumerate(self.room):
             check_positive(f"room[{i}]", dim)
         for axis, (q, dim) in enumerate(zip(self.radar_position, self.room)):
@@ -122,8 +135,9 @@ class ClutterConfig:
         return out
 
 
+@functools.lru_cache(maxsize=16)
 def cluster_delays(ccfg: ClutterConfig) -> np.ndarray:
-    """Excess cluster delays (s) from mirror images of the radar.
+    """Excess cluster delays (s) from mirror images of the radar, read-only.
 
     Cluster 0 is the direct leakage path (zero excess delay).  Single
     bounces off each of the six walls contribute round-trip path lengths
@@ -154,6 +168,7 @@ def cluster_delays(ccfg: ClutterConfig) -> np.ndarray:
             "baseline: exceeds a bounce path length; reduce baseline or move "
             "the radar away from the walls"
         )
+    excess.flags.writeable = False
     return excess
 
 
@@ -178,22 +193,20 @@ class ClutterProcess:
         check_in_range("rho", rho, 0.0, 1.0)
         self.rho = rho
         self._rng = rng
-        delays, scales, power = [], [], []
-        for tau_n, h_n in zip(cluster_delays(ccfg), ccfg.factors()):
-            scale_n = math.sqrt(h_n) * cfg.wavelength / (
-                4.0 * math.pi * (ccfg.baseline + tau_n * SPEED_OF_LIGHT)
-            )
-            # First ray rides on the cluster arrival; later rays are Poisson.
-            offsets = np.concatenate(
-                [[0.0], rng.poisson_arrivals(ccfg.ray_arrival_rate, ccfg.rays_per_cluster - 1)]
-            )
-            delays.extend(tau_n + offsets)
-            scales.extend([scale_n] * offsets.size)
-            power.extend(np.exp(-offsets / ccfg.ray_decay_const))
+        tau = cluster_delays(ccfg)
+        scale = np.sqrt(ccfg.factors()) * cfg.wavelength / (
+            4.0 * math.pi * (ccfg.baseline + tau * SPEED_OF_LIGHT)
+        )
+        # First ray rides on the cluster arrival; later rays are Poisson, one
+        # row of arrivals per cluster, drawn in cluster order.
+        rays = ccfg.rays_per_cluster
+        offsets = np.zeros((tau.size, rays))
+        offsets[:, 1:] = rng.poisson_arrivals(ccfg.ray_arrival_rate, (tau.size, rays - 1))
+        delays = (tau[:, None] + offsets).ravel()
         order = np.argsort(delays, kind="stable")
-        self.delays = np.asarray(delays)[order]
-        self.scales = np.asarray(scales)[order]
-        self.ray_power = np.asarray(power)[order]
+        self.delays = delays[order]
+        self.scales = np.repeat(scale, rays)[order]
+        self.ray_power = np.exp(-offsets / ccfg.ray_decay_const).ravel()[order]
 
     def run(self, num_cycles: int) -> np.ndarray:
         """Amplitudes for ``num_cycles`` cycles, shape (num_taps, C).
@@ -204,10 +217,13 @@ class ClutterProcess:
         rho) * fresh``.
         """
         shape = (num_cycles, self.delays.size)
-        mag = self._rng.rayleigh(1.0, shape) * np.sqrt(self.ray_power / 2.0)
-        phase = self._rng.uniform(-math.pi, math.pi, shape)
-        out = self.scales * mag * np.exp(1j * phase)
+        mag = self._rng.rayleigh(1.0, shape)
+        mag *= np.sqrt(self.ray_power / 2.0)
+        mag *= self.scales
+        out = _phasor(self._rng.uniform(-math.pi, math.pi, shape))
+        np.multiply(mag, out, out=out)
         out[1:] *= 1.0 - self.rho  # elementwise, so one pass for all rows
+        step = np.empty(self.delays.size, dtype=complex)
         for prev, cur in zip(out[:-1], out[1:]):  # row views, updated in place
-            cur += self.rho * prev
+            cur += np.multiply(self.rho, prev, out=step)
         return out.T

@@ -88,6 +88,8 @@ class SystemConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # A tuple keeps the config hashable (dsp.synthesize_chirp caches on it).
+        object.__setattr__(self, "user_pathloss", tuple(self.user_pathloss))
         try:
             self._validate()
         except ValueError as exc:
@@ -250,8 +252,12 @@ class RngStream:
     def __init__(self, seed: int, stream_id: str = "root"):
         self.seed = int(seed)
         self.stream_id = str(stream_id)
-        entropy = [self.seed & 0xFFFFFFFFFFFFFFFF]
-        entropy.extend(self.stream_id.encode("utf-8"))
+        # The uint32 words numpy makes of the list [seed, *id bytes]: the
+        # seed's 32-bit words, low word first, then one word per UTF-8 byte.
+        # An array skips that coercion, which costs several times the rest.
+        seed = self.seed & 0xFFFFFFFFFFFFFFFF
+        words = (seed & 0xFFFFFFFF, seed >> 32) if seed >> 32 else (seed,)
+        entropy = np.array([*words, *self.stream_id.encode("utf-8")], dtype=np.uint32)
         self._rng = np.random.default_rng(np.random.SeedSequence(entropy))
 
     def spawn(self, label: str) -> "RngStream":
@@ -283,10 +289,14 @@ class RngStream:
     def integers(self, low: int, high: int | None = None, size=None):
         return self._rng.integers(low, high, size)
 
-    def poisson_arrivals(self, rate: float, max_count: int):
-        """The first ``max_count`` arrival times of a Poisson process."""
+    def poisson_arrivals(self, rate: float, shape):
+        """Arrival times of Poisson processes, one per row of ``shape``.
+
+        Each row holds the first ``shape[-1]`` arrivals of its own process;
+        the rows take consecutive draws, so one call equals one call per row.
+        """
         check_positive("rate", rate)
-        return np.cumsum(self._rng.exponential(1.0 / rate, max_count))
+        return np.cumsum(self._rng.exponential(1.0 / rate, shape), axis=-1)
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id!r})"

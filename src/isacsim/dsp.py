@@ -21,7 +21,9 @@ writes straight to PGM with +f_slow/2 at the top.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,11 +48,13 @@ _SUBSPACE_TOL = 1e-13
 _SUBSPACE_STEPS = 32
 
 
+@functools.lru_cache(maxsize=16)
 def synthesize_chirp(cfg: SystemConfig) -> np.ndarray:
-    """Complex baseband up-chirp with constant envelope.
+    """Complex baseband up-chirp with constant envelope, read-only.
 
     Sweeps from -B/2 at t=0 to +B/2 at t=sweep_time (slope B/sweep_time);
-    every sample has squared magnitude ``tx_power``.
+    every sample has squared magnitude ``tx_power``.  One array per
+    configuration is made and handed to every caller.
     """
     n = cfg.sweep_len
     if n < 1:
@@ -58,7 +62,26 @@ def synthesize_chirp(cfg: SystemConfig) -> np.ndarray:
     t = np.arange(n) / cfg.sample_rate
     slope = cfg.bandwidth / cfg.sweep_time
     phase = 2.0 * math.pi * (-0.5 * cfg.bandwidth * t + 0.5 * slope * t**2)
-    return math.sqrt(cfg.tx_power) * np.exp(1j * phase)
+    return _read_only(math.sqrt(cfg.tx_power) * np.exp(1j * phase))
+
+
+def _as_int(name: str, value) -> int:
+    if not (isinstance(value, numbers.Real) and float(value).is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=16)
+def _start_basis(m: int, b: int) -> np.ndarray:
+    """Orthonormal basis of the fixed (m, b) start block of the subspace
+    iteration (the Q of its QR factors), read-only."""
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((m, b)))
+    return _read_only(q)
 
 
 def _top_left_subspace(a: np.ndarray, k: int) -> np.ndarray | None:
@@ -73,9 +96,8 @@ def _top_left_subspace(a: np.ndarray, k: int) -> np.ndarray | None:
     m = a.shape[0]
     if k > m:
         return None
-    q = np.random.default_rng(0).standard_normal((m, min(m, k + 4)))
+    q = _start_basis(m, min(m, k + 4))
     for _ in range(_SUBSPACE_STEPS):
-        q, _ = np.linalg.qr(q)
         z = (q.conj().T @ a).conj().T  # a^H q, without a conjugated copy of a
         theta, w = np.linalg.eigh(z.conj().T @ z)
         theta, w = theta[::-1], w[:, ::-1]  # descending, like singular values
@@ -85,6 +107,7 @@ def _top_left_subspace(a: np.ndarray, k: int) -> np.ndarray | None:
         resid = np.linalg.norm(q[:, :k] - u[:, :k] * theta[:k], axis=0)
         if np.all(resid <= _SUBSPACE_TOL * gap):
             return u[:, :k] if theta[k - 1] > _RITZ_RESOLVED * theta[0] else None
+        q, _ = np.linalg.qr(q)
     return None
 
 
@@ -113,9 +136,7 @@ def svd_denoise(x: np.ndarray, r: int = DEFAULT_SVD_THRESHOLD) -> np.ndarray:
     x = np.asarray(x)
     if x.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {x.shape}")
-    if r != int(r):
-        raise ValueError(f"r must be an integer, got {r!r}")
-    r = int(r)
+    r = _as_int("r", r)
     if r < 1:
         raise ValueError(f"r={r} outside the valid range [1, rank+1]")
     if not np.all(np.isfinite(x)):
@@ -181,6 +202,12 @@ class Spectrogram:
         return abs(self.freqs[0] - self.freqs[1])
 
 
+@functools.lru_cache(maxsize=16)
+def _kaiser_taper(window: int) -> np.ndarray:
+    """The STFT taper of ``window`` samples, read-only."""
+    return _read_only(np.kaiser(window, DEFAULT_KAISER_BETA))
+
+
 def stft(
     y: np.ndarray,
     slow_time_step: float,
@@ -196,13 +223,14 @@ def stft(
     if y.ndim != 1:
         raise ValueError(f"expected a 1-d sequence, got shape {y.shape}")
     check_positive("slow_time_step", slow_time_step)
+    window = _as_int("window", window)
     if window < 2:
         raise ValueError(f"window must be >= 2, got {window}")
     if y.size < window:
         raise ValueError(
             f"sequence of {y.size} samples shorter than the window ({window})"
         )
-    taper = np.kaiser(window, DEFAULT_KAISER_BETA)
+    taper = _kaiser_taper(window)
     frames = np.lib.stride_tricks.sliding_window_view(y, window)
     spec = np.fft.fftshift(np.fft.fft(frames * taper, axis=1), axes=1)
     values = np.abs(spec).T[::-1]  # rows: descending frequency
@@ -215,26 +243,36 @@ def to_gray(z: np.ndarray, dynamic_range_db: float = DEFAULT_DYNAMIC_RANGE_DB) -
     """Map magnitudes to 8-bit gray: dB scale clipped to the top window.
 
     The peak maps to 255 and anything ``dynamic_range_db`` below it (or
-    zero) maps to 0.  Raises on an all-zero input.
+    zero) maps to 0.  Raises on an all-zero input and on a negative or
+    non-finite magnitude.
     """
     z = np.asarray(z, dtype=float)
     check_positive("dynamic_range_db", dynamic_range_db)
-    if np.any(z < 0):
+    if np.any(z < 0):  # -inf included
         raise ValueError("magnitudes must be non-negative")
     peak = z.max() if z.size else 0.0
+    if not math.isfinite(peak):  # the max of an array holding NaN is NaN
+        raise ValueError("magnitudes must be finite")
     if peak <= 0.0:
         raise ValueError("degenerate spectrogram: all entries are zero")
+    # In place, the steps of round(255 * (clip(20 log10(z / peak)) + dr) / dr).
+    db = z / peak
     with np.errstate(divide="ignore"):
-        db = 20.0 * np.log10(z / peak)
-    db = np.clip(db, -dynamic_range_db, 0.0)
-    return np.round(255.0 * (db + dynamic_range_db) / dynamic_range_db).astype(np.uint8)
+        np.log10(db, out=db)
+    db *= 20.0
+    np.clip(db, -dynamic_range_db, 0.0, out=db)
+    db += dynamic_range_db
+    db *= 255.0
+    db /= dynamic_range_db
+    return np.round(db, out=db).astype(np.uint8)
 
 
 def gray_pmf(gray, bins: int = DEFAULT_PMF_BINS) -> np.ndarray:
     """Normalized histogram of gray levels over ``bins`` equal-width bins.
 
     With bins=256 the bins coincide with the gray levels.  Accepts one
-    image or a sequence of images (pooled into one pmf).
+    image or a sequence of images (pooled into one pmf) of integer gray
+    levels in [0, 255]; any other dtype or value raises ``ValueError``.
     """
     if bins < 2:
         raise ValueError(f"bins must be >= 2, got {bins}")
@@ -244,6 +282,12 @@ def gray_pmf(gray, bins: int = DEFAULT_PMF_BINS) -> np.ndarray:
         flat = np.asarray(gray).ravel()
     if flat.size == 0:
         raise ValueError("empty gray image")
+    if flat.dtype.kind not in "ui":
+        raise ValueError(f"gray levels must be integers, got dtype {flat.dtype}")
+    if flat.dtype != np.uint8 and not 0 <= flat.min() <= flat.max() <= 255:
+        raise ValueError(
+            f"gray levels must lie in [0, 255], got [{flat.min()}, {flat.max()}]"
+        )
     idx = (flat.astype(np.int64) * bins) // 256
     counts = np.bincount(idx, minlength=bins).astype(float)
     return counts / counts.sum()

@@ -190,16 +190,21 @@ def ellipsoid_rcs(semi_axes, direction) -> float | np.ndarray:
     s = np.asarray(semi_axes, dtype=float)
     if s.shape[-1:] != (3,) or not np.all(s > 0):
         raise ValueError(f"semi_axes: expected positive (..., 3) values, got {semi_axes!r}")
-    a, b, c = np.moveaxis(s, -1, 0)
     u = np.asarray(direction, dtype=float)
-    norm = np.linalg.norm(u, axis=-1)
+    return _rcs(*np.moveaxis(s, -1, 0), *np.moveaxis(u, -1, 0))
+
+
+def _rcs(a, b, c, ux, uy, uz):
+    """:func:`ellipsoid_rcs` on the components of positive semi-axes and a
+    direction, each broadcasting against the others."""
+    # The order np.linalg.norm(axis=-1) sums a (..., 3) vector in.
+    norm = np.sqrt((ux * ux + uy * uy) + uz * uz)
     if np.any(norm == 0):
         raise ValueError("direction: zero vector")
-    u = u / norm[..., None]
     # np.square, not ** 2: a numpy scalar's ** 2 calls pow(), which can round
     # differently from x * x, and a batched call must equal the single calls.
     denom = (
-        np.square(a * u[..., 0]) + np.square(b * u[..., 1]) + np.square(c * u[..., 2])
+        np.square(a * (ux / norm)) + np.square(b * (uy / norm)) + np.square(c * (uz / norm))
     )
     return math.pi * np.square(a * b * c) / np.square(denom)
 
@@ -232,12 +237,10 @@ def _body_origin(spec: MotionSpec, t: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return origin, np.ones(t.size)
 
 
-def _limb_dir(theta: np.ndarray) -> np.ndarray:
-    """Unit vector of a pendulum segment: theta=0 points straight down.
-
-    Returned in (forward, vertical) components, shape (..., 2).
-    """
-    return np.stack([np.sin(theta), -np.cos(theta)], axis=-1)
+def _limb_dir(theta: np.ndarray, length: float) -> tuple[np.ndarray, np.ndarray]:
+    """(forward, vertical) components of a pendulum segment of ``length``:
+    theta=0 points straight down."""
+    return np.sin(theta) * length, -np.cos(theta) * length
 
 
 def synthesize_tracks(
@@ -269,8 +272,8 @@ def synthesize_tracks(
     origin, sign = _body_origin(spec, t)
     h2 = np.array([spec.heading[0], spec.heading[1]])
     h2 = h2 / np.linalg.norm(h2)
-    fwd = sign[:, None] * h2[None, :]  # (T, 2) facing direction
-    lat = np.stack([-fwd[:, 1], fwd[:, 0]], axis=-1)  # left-hand lateral
+    fwd_x, fwd_y = sign * h2[0], sign * h2[1]  # (T,) facing direction
+    lat_x, lat_y = -fwd_y, fwd_x  # left-hand lateral
 
     phase = 2.0 * math.pi * f_g * t
     amp_thigh = _THIGH_SWING_PER_MPS * speed
@@ -286,28 +289,28 @@ def synthesize_tracks(
     th_fore = th_arm + _ELBOW_FLEX
 
     # Legs: hip -> knee -> ankle -> foot.
-    d_th = _limb_dir(th_thigh) * (_LENGTHS["thigh"] * H)
-    d_sh = _limb_dir(th_shank) * (_LENGTHS["shank"] * H)
+    th_f, th_z = _limb_dir(th_thigh, _LENGTHS["thigh"] * H)
+    sh_f, sh_z = _limb_dir(th_shank, _LENGTHS["shank"] * H)
     hip_z = _STATIONS["hip"] * H
-    knee_f, knee_z = d_th[..., 0], hip_z + d_th[..., 1]
-    ankle_f, ankle_z = knee_f + d_sh[..., 0], knee_z + d_sh[..., 1]
+    knee_f, knee_z = th_f, hip_z + th_z
+    ankle_f, ankle_z = knee_f + sh_f, knee_z + sh_z
     lat_hip = side * _LATERAL["hip"] * H
 
     # Arms: shoulder -> elbow -> wrist -> hand.
-    d_ua = _limb_dir(th_arm) * (_LENGTHS["upper_arm"] * H)
-    d_fa = _limb_dir(th_fore) * (_LENGTHS["forearm"] * H)
-    sh_z = _STATIONS["shoulder"] * H
-    elbow_f, elbow_z = d_ua[..., 0], sh_z + d_ua[..., 1]
-    wrist_f, wrist_z = elbow_f + d_fa[..., 0], elbow_z + d_fa[..., 1]
-    d_hand = _limb_dir(th_fore) * (_LENGTHS["hand"] * H)
+    ua_f, ua_z = _limb_dir(th_arm, _LENGTHS["upper_arm"] * H)
+    fa_f, fa_z = _limb_dir(th_fore, _LENGTHS["forearm"] * H)
+    hand_f, hand_z = _limb_dir(th_fore, _LENGTHS["hand"] * H)
+    shoulder_z = _STATIONS["shoulder"] * H
+    elbow_f, elbow_z = ua_f, shoulder_z + ua_z
+    wrist_f, wrist_z = elbow_f + fa_f, elbow_z + fa_z
     lat_sh = side * _LATERAL["shoulder"] * H
 
     # Body-frame (forward, lateral, vertical) offsets of each limb part, in
     # _LIMB_AXES order; forward and vertical are (2, T), lateral (2, 1).
     limbs = (
-        (elbow_f / 2.0, lat_sh, (sh_z + elbow_z) / 2.0),
+        (elbow_f / 2.0, lat_sh, (shoulder_z + elbow_z) / 2.0),
         ((elbow_f + wrist_f) / 2.0, lat_sh, (elbow_z + wrist_z) / 2.0),
-        (wrist_f + d_hand[..., 0], lat_sh, wrist_z + d_hand[..., 1]),
+        (wrist_f + hand_f, lat_sh, wrist_z + hand_z),
         (knee_f / 2.0, lat_hip, (hip_z + knee_z) / 2.0),
         ((knee_f + ankle_f) / 2.0, lat_hip, (knee_z + ankle_z) / 2.0),
         (ankle_f + _LENGTHS["foot_forward"] * H, lat_hip, ankle_z - _LENGTHS["foot_drop"] * H),
@@ -318,28 +321,27 @@ def synthesize_tracks(
     lateral = np.concatenate([np.zeros_like(torso_z), *l_limb])
     vertical = np.concatenate([np.repeat(torso_z, t.size, axis=1), *z_limb])
 
-    # World positions (B, T, 3): the ground origin plus the offsets.
-    pos = np.repeat(origin[None], len(PRIMITIVE_NAMES), axis=0)
-    pos[..., :2] += forward[..., None] * fwd + lateral[..., None] * lat
-    pos[..., 2] += vertical
+    # World positions as (B, T) components: the ground origin plus the offsets.
+    x = origin[:, 0] + (forward * fwd_x + lateral * lat_x)
+    y = origin[:, 1] + (forward * fwd_y + lateral * lat_y)
+    z = origin[:, 2] + vertical
 
-    lo = pos.min(axis=(0, 1)) - 0.05
-    hi = pos.max(axis=(0, 1)) + 0.05
+    lo = np.array([x.min(), y.min(), z.min()]) - 0.05
+    hi = np.array([x.max(), y.max(), z.max()]) + 0.05
     if np.all(radar >= lo) and np.all(radar <= hi):
         raise ValueError(
             "radar_position: radar lies inside the subject bounding box "
             f"[{lo}, {hi}]"
         )
 
-    delta = radar[None, None, :] - pos  # (B, T, 3)
-    dist = np.linalg.norm(delta, axis=-1)
+    dx, dy, dz = radar[0] - x, radar[1] - y, radar[2] - z
+    # The order np.linalg.norm(axis=-1) sums a (..., 3) vector in.
+    dist = np.sqrt((dx * dx + dy * dy) + dz * dz)
 
     # Aspect direction in the body frame (forward, lateral, vertical).
-    u_fwd = delta[..., 0] * fwd[None, :, 0] + delta[..., 1] * fwd[None, :, 1]
-    u_lat = delta[..., 0] * lat[None, :, 0] + delta[..., 1] * lat[None, :, 1]
-    aspect = np.stack([u_fwd, u_lat, delta[..., 2]], axis=-1)
-
-    gains = ellipsoid_rcs(_AXES[:, None, :] * (H / _REFERENCE_HEIGHT), aspect)
+    u_fwd = dx * fwd_x + dy * fwd_y
+    u_lat = dx * lat_x + dy * lat_y
+    gains = _rcs(*(_AXES.T[:, :, None] * (H / _REFERENCE_HEIGHT)), u_fwd, u_lat, dz)
 
     omega = 2.0 * math.pi * f_g
     leg_reach = (_LENGTHS["thigh"] + _LENGTHS["shank"] + _LENGTHS["foot_forward"]) * H
@@ -350,7 +352,7 @@ def synthesize_tracks(
     return PrimitiveTracks(
         names=PRIMITIVE_NAMES,
         times=t,
-        positions=pos,
+        positions=np.stack([x, y, z], axis=-1),
         distances=dist,
         gains=gains,
         v_max=v_max,

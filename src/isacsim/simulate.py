@@ -63,6 +63,9 @@ def _tap_band(
     no chirp sample and are left out; the rows kept hold the same bytes.
     """
     pos = np.broadcast_to(delays_samples, amps.shape)
+    static = pos.strides[1] == 0  # broadcast from one delay per tap
+    if static:
+        pos = pos[:, :1]
     # One pass rejects negative, beyond-slot and non-finite positions alike
     # (NaN fails both comparisons).
     if not np.all((pos >= 0) & (pos <= fast_len - 1)):
@@ -70,13 +73,17 @@ def _tap_band(
             "delays_samples: tap delay is not finite or exceeds the slot time "
             "(target outside the unambiguous range)"
         )
-    static = pos.strides[1] == 0  # broadcast from one delay per tap
-    if static:
-        pos = pos[:, :1]
     base = np.floor(pos).astype(int)
     frac = pos - base
-    split_amps = np.concatenate([amps * (1.0 - frac), amps * frac])
     split_offsets = np.concatenate([base, np.minimum(base + 1, fast_len - 1)])
+    if static:
+        # Each offset gathers its split taps' rows from ``amps`` and weights
+        # them there, so no 2K x C split array is made.  Complex weights give
+        # the bytes of ``amps * real_weight``, which casts them so.
+        split_taps = np.tile(np.arange(len(amps)), 2)
+        split_weights = np.concatenate([1.0 - frac, frac]).astype(complex)
+    else:
+        split_amps = np.concatenate([amps * (1.0 - frac), amps * frac])
     rows = 0
     if split_offsets.size:
         rows = min(fast_len, int(split_offsets.max()) + chirp.size)
@@ -84,7 +91,10 @@ def _tap_band(
     for off in np.flatnonzero(np.bincount(split_offsets.ravel())):
         hit = split_offsets == off
         if static:  # the same rows, in ascending tap order, without the zeros
-            col = split_amps[hit[:, 0]].sum(axis=0)
+            sel = np.flatnonzero(hit[:, 0])
+            taps_hit = amps[split_taps[sel]]
+            taps_hit *= split_weights[sel]
+            col = taps_hit.sum(axis=0)
         else:
             col = np.where(hit, split_amps, 0.0).sum(axis=0)
         n = min(chirp.size, rows - off)

@@ -14,6 +14,7 @@ from isacsim import (
 )
 from isacsim.channel import (
     DEFAULT_RHO,
+    _phasor,
     cluster_delays,
     target_amplitudes,
 )
@@ -147,6 +148,77 @@ class TestClutter:
     def test_rho_outside_unit_interval_rejected(self, base_cfg):
         with pytest.raises(ValueError, match="rho"):
             ClutterProcess(ClutterConfig(), base_cfg, RngStream(1, "c"), 1.5)
+
+
+def clutter_reference(ccfg, cfg, rng, rho, cycles):
+    """Reference: the ray layout drawn cluster by cluster, then the
+    amplitudes of ``cycles`` cycles with ``exp`` phases and ``rho * prev``."""
+    delays, scales, power = [], [], []
+    for tau_n, h_n in zip(cluster_delays(ccfg), ccfg.factors()):
+        scale_n = math.sqrt(h_n) * cfg.wavelength / (
+            4.0 * math.pi * (ccfg.baseline + tau_n * SPEED_OF_LIGHT)
+        )
+        gaps = rng._rng.exponential(1.0 / ccfg.ray_arrival_rate, ccfg.rays_per_cluster - 1)
+        offsets = np.concatenate([[0.0], np.cumsum(gaps)])
+        delays.extend(tau_n + offsets)
+        scales.extend([scale_n] * offsets.size)
+        power.extend(np.exp(-offsets / ccfg.ray_decay_const))
+    order = np.argsort(delays, kind="stable")
+    delays, scales, power = (np.asarray(v)[order] for v in (delays, scales, power))
+    shape = (cycles, delays.size)
+    mag = rng.rayleigh(1.0, shape) * np.sqrt(power / 2.0)
+    phase = rng.uniform(-math.pi, math.pi, shape)
+    out = scales * mag * np.exp(1j * phase)
+    out[1:] *= 1.0 - rho
+    for prev, cur in zip(out[:-1], out[1:]):
+        cur += rho * prev
+    return delays, scales, power, out.T
+
+
+class TestClutterBytes:
+    """The one-draw ray layout and the cos/sin phases hold the bytes of
+    the per-cluster loop and of ``exp``."""
+
+    @pytest.mark.parametrize("rho", [0.0, DEFAULT_RHO, 1.0])
+    @pytest.mark.parametrize("scene", [
+        {}, {"rays_per_cluster": 1}, {"rays_per_cluster": 12},
+        {"reflection_factors": (0.02, 0.0, 0.3, 0.3, 0.3, 0.0, 0.3)},
+    ])
+    def test_layout_and_run_equal_the_reference(self, base_cfg, rho, scene):
+        ccfg = ClutterConfig(**scene)
+        for seed in range(3):
+            proc = ClutterProcess(ccfg, base_cfg, RngStream(seed, "clutter"), rho)
+            got = (proc.delays, proc.scales, proc.ray_power, proc.run(200))
+            ref = clutter_reference(ccfg, base_cfg, RngStream(seed, "clutter"), rho, 200)
+            for name, a, b in zip(("delays", "scales", "ray_power", "run"), got, ref):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+    def test_phasor_equals_exp(self):
+        rng = np.random.default_rng(8)
+        phase = np.concatenate([
+            rng.uniform(-math.pi, math.pi, 100_000), rng.uniform(-1e4, 1e4, 10_000),
+            [0.0, math.pi, -math.pi, 1e-300, -1e-300, 2.0**60, 5e-324],
+        ])
+        assert _phasor(phase).tobytes() == np.exp(1j * phase).tobytes()
+        assert _phasor(phase.reshape(1, -1)).tobytes() == np.exp(1j * phase).tobytes()
+
+    def test_target_amplitudes_equal_the_exp_formula(self, base_cfg):
+        rng = np.random.default_rng(9)
+        d = rng.uniform(0.5, 6.0, (16, 300))
+        g = rng.uniform(1e-3, 0.1, (16, 300))
+        phi = rng.uniform(-math.pi, math.pi, (16, 1))
+        carrier = -2.0 * math.pi * base_cfg.carrier_freq * (2.0 * d) / SPEED_OF_LIGHT
+        ref = (base_cfg.wavelength**2 * math.sqrt(base_cfg.sensing_antenna_gain)
+               / math.sqrt(4.0 * math.pi) * np.sqrt(g) / d**2 * np.exp(1j * (carrier + phi)))
+        assert target_amplitudes(g, d, base_cfg, phi).tobytes() == ref.tobytes()
+
+    def test_cluster_delays_cached_read_only(self):
+        ccfg = ClutterConfig(room=[3.0, 4.5, 3.0], reflection_factors=[0.3] * 7)
+        assert ccfg.room == (3.0, 4.5, 3.0) and isinstance(ccfg.reflection_factors, tuple)
+        delays = cluster_delays(ccfg)
+        assert cluster_delays(ClutterConfig(reflection_factors=(0.3,) * 7)) is delays
+        with pytest.raises(ValueError, match="read-only"):
+            delays[0] = 1.0
 
 
 class TestEvolution:

@@ -160,6 +160,14 @@ class TestSystemConfigValidation:
                 sweep_time=1e-5, slot_time=5e-5, tx_power=-1.0,
             )
 
+    def test_pathloss_list_kept_as_a_hashable_tuple(self):
+        cfg = SystemConfig(
+            carrier_freq=3.5e9, bandwidth=1e7, sample_rate=1e7,
+            sweep_time=1e-5, slot_time=5e-5, user_pathloss=[1e-5],
+        )
+        assert cfg.user_pathloss == (1e-5,)
+        assert hash(cfg) == hash(replace(cfg, user_pathloss=(1e-5,)))
+
     def test_zero_noise_allowed(self):
         cfg = SystemConfig(
             carrier_freq=3.5e9, bandwidth=1e7, sample_rate=1e7,
@@ -234,6 +242,26 @@ class TestRngStream:
         gaps = np.diff(times)
         assert np.mean(gaps) == pytest.approx(5e-9, rel=0.02)
         assert np.all(np.diff(times) > 0)
+
+    def test_poisson_arrivals_rows_equal_one_call_per_row(self):
+        rows = RngStream(3, "arr").poisson_arrivals(2.0e8, (4, 6))
+        stream = RngStream(3, "arr")
+        each = [stream.poisson_arrivals(2.0e8, 6) for _ in range(4)]
+        assert rows.tobytes() == np.stack(each).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, -1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5])
+    @pytest.mark.parametrize("stream_id", [
+        "root", "a/b", "desk_recognition/job0/C512/train/class2/sample24/pipeline/clutter",
+        "größe/π",
+    ])
+    def test_entropy_words_equal_the_list_form(self, seed, stream_id):
+        # The entropy numpy coerced from the list [seed, *id bytes] before
+        # RngStream built the uint32 words itself.
+        old = np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, *stream_id.encode("utf-8")])
+        stream = RngStream(seed, stream_id)
+        assert np.array_equal(stream._rng.bit_generator.seed_seq.generate_state(8),
+                              old.generate_state(8))
+        assert stream.normal(8).tobytes() == np.random.default_rng(old).standard_normal(8).tobytes()
 
 
 class TestUserGains:

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from isacsim import dsp, simulate
 from isacsim import (
     ClutterConfig,
     MotionSpec,
@@ -31,6 +32,29 @@ def _full_svd_denoise(x, r):
     return x - (u[:, :k] * s[:k]) @ vh[:k]
 
 
+def _subspace_reference(x, r):
+    """Reference: the subspace-iteration removal drawing and factoring its
+    start block on every call (None where it would fall back)."""
+    wide = x.shape[0] <= x.shape[1]
+    a, k = (x if wide else x.T), r - 1
+    m = a.shape[0]
+    q = np.random.default_rng(0).standard_normal((m, min(m, k + 4)))
+    for _ in range(32):
+        q, _ = np.linalg.qr(q)
+        z = (q.conj().T @ a).conj().T
+        theta, w = np.linalg.eigh(z.conj().T @ z)
+        theta, w = theta[::-1], w[:, ::-1]
+        u = q @ w
+        q = a @ (z @ w)
+        gap = theta[k - 1] - (theta[k] if k < theta.size else 0.0)
+        resid = np.linalg.norm(q[:, :k] - u[:, :k] * theta[:k], axis=0)
+        if np.all(resid <= 1e-13 * gap):
+            top = u[:, :k]
+            removed = top @ (top.conj().T @ x) if wide else (x @ top.conj()) @ top.T
+            return x - removed
+    return None
+
+
 def _complex_normal(rng, shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
@@ -54,6 +78,16 @@ def oversampled_cfg():
 
 
 class TestChirp:
+    def test_cached_read_only(self, base_cfg):
+        s = synthesize_chirp(base_cfg)
+        t = np.arange(base_cfg.sweep_len) / base_cfg.sample_rate
+        slope = base_cfg.bandwidth / base_cfg.sweep_time
+        phase = 2.0 * math.pi * (-0.5 * base_cfg.bandwidth * t + 0.5 * slope * t**2)
+        assert s.tobytes() == (math.sqrt(base_cfg.tx_power) * np.exp(1j * phase)).tobytes()
+        assert synthesize_chirp(replace(base_cfg)) is s
+        with pytest.raises(ValueError, match="read-only"):
+            s[0] = 0.0
+
     def test_constant_envelope(self, base_cfg):
         s = synthesize_chirp(base_cfg)
         assert np.allclose(np.abs(s) ** 2, base_cfg.tx_power, rtol=1e-12)
@@ -247,6 +281,37 @@ def _svd_spy(monkeypatch):
     return calls
 
 
+class TestSvdDenoiseBytes:
+    """The cached start basis holds the bytes of a fresh draw and QR."""
+
+    @pytest.mark.parametrize("shape", [(100, 64), (100, 512), (40, 90), (90, 40)])
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_equal_to_fresh_start_block(self, shape, r):
+        x = _graded(shape, seed=shape[1] + r)
+        x += 1e-3 * _complex_normal(np.random.default_rng(r), shape)
+        ref = _subspace_reference(x, r)
+        assert ref is not None
+        assert svd_denoise(x, r).tobytes() == ref.tobytes()
+
+    def test_desk_sample_equal_to_fresh_start_block(self, monkeypatch, desk_cfg, clutter_cfg):
+        seen = []
+        monkeypatch.setattr(simulate, "svd_denoise", lambda x, r: seen.append(x.copy()) or svd_denoise(x, r))
+        for cycles in (64, 256):
+            motion = MotionSpec("walking", "adult", duration=cycles * desk_cfg.pri)
+            simulate_spectrogram(desk_cfg, motion, cycles, RngStream(5, "svd"),
+                                 clutter=clutter_cfg, stft_window=32)
+        for x in seen:
+            assert svd_denoise(x, 2).tobytes() == _subspace_reference(x, 2).tobytes()
+
+    def test_start_basis_cached_read_only(self):
+        q = dsp._start_basis(100, 5)
+        fresh, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((100, 5)))
+        assert q.tobytes() == fresh.tobytes()
+        assert dsp._start_basis(100, 5) is q
+        with pytest.raises(ValueError, match="read-only"):
+            q[0, 0] = 1.0
+
+
 class TestSvdDenoiseFallback:
     """Which inputs the subspace iteration resolves, and which go to the SVD."""
 
@@ -374,6 +439,23 @@ class TestStft:
             rhs = w * np.sum(np.abs(seg) ** 2)
             assert lhs == pytest.approx(rhs, rel=1e-9)
 
+    @pytest.mark.parametrize("window", [32.5, np.nan, np.inf, "32"])
+    def test_non_integer_window_rejected(self, window):
+        with pytest.raises(ValueError, match="window must be an integer"):
+            stft(np.zeros(100, complex), 1e-3, window=window)
+
+    def test_integral_float_window_keys_the_same_taper(self):
+        y = _complex_normal(np.random.default_rng(6), 100)
+        assert stft(y, 1e-3, window=32.0).values.tobytes() == stft(y, 1e-3, window=32).values.tobytes()
+
+    @pytest.mark.parametrize("window", [32, 128])
+    def test_taper_cached_read_only(self, window):
+        taper = dsp._kaiser_taper(window)
+        assert taper.tobytes() == np.kaiser(window, dsp.DEFAULT_KAISER_BETA).tobytes()
+        assert dsp._kaiser_taper(window) is taper
+        with pytest.raises(ValueError, match="read-only"):
+            taper[0] = 1.0
+
     def test_window_longer_than_input_rejected(self):
         with pytest.raises(ValueError, match="shorter"):
             stft(np.zeros(50, complex), 1e-3, window=128)
@@ -418,6 +500,42 @@ class TestGrayPmf:
         gray = to_gray(z, dynamic_range_db=60.0)
         assert gray[0, 0] == 255
         assert gray[0, 1] == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_magnitude_rejected(self, bad):
+        z = np.ones((4, 4))
+        z[1, 2] = bad
+        with pytest.raises(ValueError, match="finite|non-negative"):
+            to_gray(z)
+
+    def test_in_place_steps_equal_the_expression(self):
+        rng = np.random.default_rng(12)
+        z = rng.uniform(0.0, 2.0, (32, 481)) ** 8
+        z[3, :40] = 0.0
+        for dr in (60.0, 37.5):
+            with np.errstate(divide="ignore"):
+                db = np.clip(20.0 * np.log10(z / z.max()), -dr, 0.0)
+            ref = np.round(255.0 * (db + dr) / dr).astype(np.uint8)
+            assert to_gray(z, dr).tobytes() == ref.tobytes()
+            assert to_gray(z[::-1].T, dr).tobytes() == ref[::-1].T.copy().tobytes()
+
+    @pytest.mark.parametrize("gray, cause", [
+        (np.array([[0, 300]]), r"\[0, 255\]"),
+        (np.array([[-1, 5]]), r"\[0, 255\]"),
+        (np.array([[0.0, 12.0]]), "integers"),
+        (np.array([[True, False]]), "integers"),
+        ([np.zeros((2, 2), np.uint8), np.full((2, 2), 256)], r"\[0, 255\]"),
+    ])
+    def test_bad_gray_levels_rejected(self, gray, cause):
+        with pytest.raises(ValueError, match=cause):
+            gray_pmf(gray, 64)
+
+    def test_uint8_and_in_range_ints_bin_alike(self):
+        gray = np.random.default_rng(7).integers(0, 256, (32, 97), dtype=np.uint8)
+        counts = np.bincount((gray.ravel().astype(np.int64) * 64) // 256, minlength=64)
+        ref = counts.astype(float) / counts.sum()
+        assert gray_pmf(gray, 64).tobytes() == ref.tobytes()
+        assert gray_pmf(gray.astype(np.int64), 64).tobytes() == ref.tobytes()
 
     def test_pooled_pmf(self):
         a = np.zeros((4, 4), np.uint8)

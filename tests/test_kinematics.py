@@ -4,13 +4,85 @@ import numpy as np
 import pytest
 
 from isacsim import MotionSpec, ellipsoid_rcs, gait_frequency, synthesize_tracks
-from isacsim.kinematics import PRIMITIVE_NAMES
+from isacsim import kinematics as kin
+from isacsim.kinematics import MOTION_CLASSES, PRIMITIVE_NAMES, SUBJECT_HEIGHTS
 
 RADAR = (1.5, 1.0, 1.0)
 
 
 def grid(duration, step=1e-3):
     return np.arange(0.0, duration + step / 2, step)
+
+
+def tracks_reference(spec, radar_position, t):
+    """Reference: positions, distances and gains from (B, T, 3) arrays.
+
+    The limb offsets are those of ``synthesize_tracks``; the world
+    positions, the bounding box, the distances (``np.linalg.norm``) and
+    the ellipsoid cross sections are reduced over a trailing axis of 3.
+    """
+    H, speed = spec.height, spec.effective_speed
+    radar = np.asarray(radar_position, dtype=float)
+    origin, sign = kin._body_origin(spec, t)
+    h2 = np.array(spec.heading) / np.linalg.norm(spec.heading)
+    fwd = sign[:, None] * h2[None, :]
+    lat = np.stack([-fwd[:, 1], fwd[:, 0]], axis=-1)
+    phase = 2.0 * math.pi * gait_frequency(speed, H) * t
+    amp_thigh = kin._THIGH_SWING_PER_MPS * speed
+    swing = phase + np.array([[0.0], [math.pi]])
+    side = np.array([[1.0], [-1.0]])
+    th_thigh = amp_thigh * np.sin(swing)
+    th_shank = kin._SHANK_SWING_RATIO * amp_thigh * np.sin(swing - kin._SHANK_PHASE_LAG)
+    th_arm = kin._ARM_SWING_RATIO * amp_thigh * np.sin(swing + math.pi)
+    th_fore = th_arm + kin._ELBOW_FLEX
+
+    def limb(theta, length):
+        return np.stack([np.sin(theta), -np.cos(theta)], axis=-1) * (length * H)
+
+    lengths, stations, lateral_of = kin._LENGTHS, kin._STATIONS, kin._LATERAL
+    d_th, d_sh = limb(th_thigh, lengths["thigh"]), limb(th_shank, lengths["shank"])
+    hip_z = stations["hip"] * H
+    knee_f, knee_z = d_th[..., 0], hip_z + d_th[..., 1]
+    ankle_f, ankle_z = knee_f + d_sh[..., 0], knee_z + d_sh[..., 1]
+    d_ua, d_fa = limb(th_arm, lengths["upper_arm"]), limb(th_fore, lengths["forearm"])
+    d_hand = limb(th_fore, lengths["hand"])
+    sh_z = stations["shoulder"] * H
+    elbow_f, elbow_z = d_ua[..., 0], sh_z + d_ua[..., 1]
+    wrist_f, wrist_z = elbow_f + d_fa[..., 0], elbow_z + d_fa[..., 1]
+    lat_sh, lat_hip = side * lateral_of["shoulder"] * H, side * lateral_of["hip"] * H
+    limbs = (
+        (elbow_f / 2.0, lat_sh, (sh_z + elbow_z) / 2.0),
+        ((elbow_f + wrist_f) / 2.0, lat_sh, (elbow_z + wrist_z) / 2.0),
+        (wrist_f + d_hand[..., 0], lat_sh, wrist_z + d_hand[..., 1]),
+        (knee_f / 2.0, lat_hip, (hip_z + knee_z) / 2.0),
+        ((knee_f + ankle_f) / 2.0, lat_hip, (knee_z + ankle_z) / 2.0),
+        (ankle_f + lengths["foot_forward"] * H, lat_hip, ankle_z - lengths["foot_drop"] * H),
+    )
+    f_limb, l_limb, z_limb = zip(*limbs)
+    torso_z = np.array([[stations[name] * H] for name in kin._TORSO_AXES])
+    forward = np.concatenate([np.zeros((torso_z.size, t.size)), *f_limb])
+    lateral = np.concatenate([np.zeros_like(torso_z), *l_limb])
+    vertical = np.concatenate([np.repeat(torso_z, t.size, axis=1), *z_limb])
+
+    pos = np.repeat(origin[None], len(PRIMITIVE_NAMES), axis=0)
+    pos[..., :2] += forward[..., None] * fwd + lateral[..., None] * lat
+    pos[..., 2] += vertical
+    lo = pos.min(axis=(0, 1)) - 0.05
+    hi = pos.max(axis=(0, 1)) + 0.05
+    if np.all(radar >= lo) and np.all(radar <= hi):
+        raise ValueError(
+            "radar_position: radar lies inside the subject bounding box "
+            f"[{lo}, {hi}]"
+        )
+    delta = radar[None, None, :] - pos
+    dist = np.linalg.norm(delta, axis=-1)
+    u_fwd = delta[..., 0] * fwd[None, :, 0] + delta[..., 1] * fwd[None, :, 1]
+    u_lat = delta[..., 0] * lat[None, :, 0] + delta[..., 1] * lat[None, :, 1]
+    u = np.stack([u_fwd, u_lat, delta[..., 2]], axis=-1)
+    u = u / np.linalg.norm(u, axis=-1)[..., None]
+    a, b, c = np.moveaxis(kin._AXES[:, None, :] * (H / kin._REFERENCE_HEIGHT), -1, 0)
+    denom = np.square(a * u[..., 0]) + np.square(b * u[..., 1]) + np.square(c * u[..., 2])
+    return pos, dist, math.pi * np.square(a * b * c) / np.square(denom)
 
 
 class TestMotionSpec:
@@ -104,6 +176,31 @@ class TestTracks:
         b = synthesize_tracks(spec, RADAR, t)
         assert np.array_equal(a.positions, b.positions)
         assert np.array_equal(a.gains, b.gains)
+
+    @pytest.mark.parametrize("cycles", [1, 64, 3000])
+    @pytest.mark.parametrize("subject", sorted(SUBJECT_HEIGHTS))
+    @pytest.mark.parametrize("motion_class", MOTION_CLASSES)
+    def test_component_arrays_equal_the_stacked_reference(self, motion_class, subject, cycles):
+        rng = np.random.default_rng(cycles)
+        t = np.arange(cycles) * 1e-3
+        for _ in range(4):
+            theta = rng.uniform(-math.pi, math.pi)
+            spec = MotionSpec(motion_class, subject, duration=max(t[-1], 1e-3),
+                              start_position=(rng.uniform(0.4, 2.6), rng.uniform(1.5, 4.1), 0.0),
+                              heading=(math.cos(theta), math.sin(theta)))
+            got = synthesize_tracks(spec, RADAR, t)
+            for name, ref in zip(("positions", "distances", "gains"),
+                                 tracks_reference(spec, RADAR, t)):
+                assert getattr(got, name).tobytes() == ref.tobytes(), name
+
+    @pytest.mark.parametrize("start", [(1.5, 1.0, 0.0), (2.0, 1.2, 0.0)])
+    def test_inside_bounding_box_error_equals_the_reference(self, start):
+        spec = MotionSpec("walking", "adult", duration=0.8, start_position=start)
+        with pytest.raises(ValueError, match="bounding box") as ref:
+            tracks_reference(spec, RADAR, grid(0.8))
+        with pytest.raises(ValueError, match="bounding box") as got:
+            synthesize_tracks(spec, RADAR, grid(0.8))
+        assert str(got.value) == str(ref.value)
 
     def test_radar_inside_subject_rejected(self):
         spec = MotionSpec("standing", "adult", duration=1.0,
