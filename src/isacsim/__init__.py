@@ -14,7 +14,6 @@ from .curvefit import (
     CurveFit,
     CurveFitError,
     FAMILY_NAMES,
-    LearningCurveModel,
     eval_curve,
     fit_curve,
     invert_curve,

@@ -214,7 +214,11 @@ class ClutterProcess:
         Fresh amplitudes are Rayleigh magnitudes with mean power
         ``ray_power`` times uniform phases, scaled per cluster.  Cycle 0
         is its fresh draw; each later cycle is ``rho * previous + (1 -
-        rho) * fresh``.
+        rho) * fresh``.  A tap's mean power therefore starts at the fresh
+        power P0 and decays as ``P0 (rho**2t + (1-rho)(1-rho**2t)/(1+rho))``
+        toward ``(1-rho)/(1+rho) P0``, with a time constant of about
+        ``1/(2(1-rho))`` cycles: at rho=0.997 the mean over cycles
+        500-3000 of a 3000-cycle dwell is 23 dB below P0 (floor -28 dB).
         """
         shape = (num_cycles, self.delays.size)
         mag = self._rng.rayleigh(1.0, shape)

@@ -120,7 +120,14 @@ def _finite(value):
     return value
 
 
+def _unit(value):
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(value)
+    return value
+
+
 _positive_int = _arg_type(lambda t: _positive(int(t)), "a positive integer")
+_unit_float = _arg_type(lambda t: _unit(float(t)), "a number in [0, 1]")
 
 
 def _motion_from_args(args, duration: float) -> MotionSpec:
@@ -231,6 +238,10 @@ def cmd_fit(args, out: Path):
 
 
 def cmd_region(args, out: Path):
+    if args.slope_lo > args.slope_hi:
+        raise ConfigError(
+            f"--slope-lo {args.slope_lo!r} exceeds --slope-hi {args.slope_hi!r}"
+        )
     cfg, cfg_ref, seed = _load_cfg(args)
     fit = make_fit(args.family, args.params or _default_fit_params(args.family))
     if args.gains:
@@ -329,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     motion_args(p)
     p.add_argument("--cycles", type=_positive_int, default=3000)
-    p.add_argument("--rho", type=float, default=DEFAULT_RHO)
+    p.add_argument("--rho", type=_unit_float, default=DEFAULT_RHO)
     p.add_argument("--svd-threshold", type=int, default=DEFAULT_SVD_THRESHOLD)
     p.add_argument("--stft-window", type=int, default=DEFAULT_STFT_WINDOW)
     p.add_argument("--dynamic-range-db", type=float, default=DEFAULT_DYNAMIC_RANGE_DB)
@@ -343,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", default="motions3", choices=tuple(CLASS_SETS))
     p.add_argument("--n-per-class", type=_positive_int, default=10)
     p.add_argument("--cycles", type=_positive_int, default=512)
-    p.add_argument("--rho", type=float, default=DEFAULT_RHO)
+    p.add_argument("--rho", type=_unit_float, default=DEFAULT_RHO)
     p.add_argument("--stft-window", type=int, default=DEFAULT_STFT_WINDOW)
     p.set_defaults(func=cmd_dataset)
 
@@ -395,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cycles-list", default="64,128,256,384",
                    type=_arg_type(lambda t: [_positive(int(tok)) for tok in t.split(",")],
                                   "a comma list of positive integers"))
-    p.add_argument("--rho", type=float, default=DEFAULT_RHO)
+    p.add_argument("--rho", type=_unit_float, default=DEFAULT_RHO)
     p.add_argument("--stft-window", type=int, default=32)
     p.add_argument("--num-points", type=_positive_int, default=120)
     p.set_defaults(func=cmd_pipeline)

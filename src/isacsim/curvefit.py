@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base import ParamsMixin
 from .manifest import write_csv
 from .validation import as_float_array
 
@@ -607,44 +606,3 @@ def invert_curve(fit: CurveFit, accuracy: float) -> float:
             lo_b = mid
         else:
             hi_b = mid
-
-
-class LearningCurveModel(ParamsMixin):
-    """Estimator-style wrapper: fit once, then predict and invert.
-
-    Follows the scikit-learn protocol (constructor stores parameters
-    verbatim; ``fit`` returns self; fitted attributes carry a trailing
-    underscore).
-    """
-
-    def __init__(self, family: str = "pow3", n_starts: int = DEFAULT_N_STARTS,
-                 max_iter: int = DEFAULT_MAX_ITER, seed: int = DEFAULT_FIT_SEED):
-        self.family = family
-        self.n_starts = n_starts
-        self.max_iter = max_iter
-        self.seed = seed
-
-    def fit(self, cycles, accuracy):
-        self.fit_ = fit_curve(
-            cycles,
-            accuracy,
-            self.family,
-            n_starts=self.n_starts,
-            max_iter=self.max_iter,
-            seed=self.seed,
-        )
-        self.params_ = self.fit_.params
-        self.ssr_ = self.fit_.ssr
-        return self
-
-    def _check_fitted(self):
-        if not hasattr(self, "fit_"):
-            raise RuntimeError("this LearningCurveModel instance is not fitted yet")
-
-    def predict(self, cycles):
-        self._check_fitted()
-        return eval_curve(self.fit_, cycles)
-
-    def inverse(self, accuracy):
-        self._check_fitted()
-        return invert_curve(self.fit_, accuracy)

@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .base import ParamsMixin
 from .channel import DEFAULT_RHO, ClutterConfig
 from .config import RngStream, SystemConfig
 from .dsp import DEFAULT_STFT_WINDOW, write_pgm
@@ -248,7 +247,7 @@ def block_features(grays: np.ndarray, pool: int) -> np.ndarray:
     return np.hstack([feats, np.ones((n, 1))])
 
 
-class SpectrogramClassifier(ParamsMixin):
+class SpectrogramClassifier:
     """Multinomial logistic regression over block-averaged spectrograms.
 
     Full-batch gradient descent with step halving whenever a step would
@@ -257,17 +256,10 @@ class SpectrogramClassifier(ParamsMixin):
     below ``tol`` or ``max_epochs`` is reached.
     """
 
-    def __init__(
-        self,
-        pool: int = 16,
-        learning_rate: float = 2.0,
-        max_epochs: int = 3000,
-        tol: float = 1e-6,
-    ):
-        self.pool = pool
-        self.learning_rate = learning_rate
-        self.max_epochs = max_epochs
-        self.tol = tol
+    pool = 16  # images are pooled to pool x pool blocks
+    learning_rate = 2.0  # first step; halved while a step would raise the loss
+    max_epochs = 3000  # also read from fitted instances by perfbench/run.py
+    tol = 1e-6  # least per-epoch loss decrease that continues training
 
     @staticmethod
     def _softmax(z: np.ndarray) -> np.ndarray:
@@ -293,7 +285,7 @@ class SpectrogramClassifier(ParamsMixin):
         onehot[np.arange(n), np.searchsorted(self.classes_, y)] = 1.0
 
         w = np.zeros((d, m))
-        lr = float(self.learning_rate)
+        lr = self.learning_rate
         losses = []
 
         def loss_of(weights):
@@ -322,33 +314,14 @@ class SpectrogramClassifier(ParamsMixin):
 
         self.coef_ = w
         self.loss_curve_ = np.asarray(losses)
-        self.n_features_ = d
         self.n_epochs_ = len(losses) - 1
         return self
 
-    def _check_fitted(self):
+    def predict(self, x) -> np.ndarray:
         if not hasattr(self, "coef_"):
             raise RuntimeError("this SpectrogramClassifier instance is not fitted yet")
-
-    def decision_function(self, x) -> np.ndarray:
-        self._check_fitted()
-        feats = block_features(x, self.pool)
-        if feats.shape[1] != self.coef_.shape[0]:
-            raise ValueError(
-                f"feature dimension {feats.shape[1]} does not match the fitted "
-                f"model ({self.coef_.shape[0]})"
-            )
-        return feats @ self.coef_
-
-    def predict_proba(self, x) -> np.ndarray:
-        return self._softmax(self.decision_function(x))
-
-    def predict(self, x) -> np.ndarray:
-        self._check_fitted()
-        return self.classes_[np.argmax(self.decision_function(x), axis=1)]
-
-    def score(self, x, y) -> float:
-        return float(np.mean(self.predict(x) == np.asarray(y)))
+        scores = block_features(x, self.pool) @ self.coef_
+        return self.classes_[np.argmax(scores, axis=1)]
 
 
 def train_classifier(train: LabeledDataset) -> SpectrogramClassifier:

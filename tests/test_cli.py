@@ -98,6 +98,9 @@ class TestHelp:
             (["region", "--params", "1,nan,1"], "--params"),
             (["region", "--params", "inf,1,1"], "--params"),
             (["region", "--params", "1,1,inf"], "--params"),
+            (["spectrogram", "--rho", "1.5"], "--rho"),
+            (["dataset", "--rho", "-1"], "--rho"),
+            (["pipeline", "--rho", "nan"], "--rho"),
         ],
     )
     def test_malformed_value_exits_2_naming_its_flag(self, cmd, flag, tmp_path, capsys):
@@ -244,6 +247,11 @@ class TestRegion:
             if z != bands[-1]:
                 bands.append(z)
         assert bands == ["comm_saturation", "adversarial", "sensing_saturation"]
+        # Crossed zone thresholds are a configuration error naming both flags.
+        code = main(["region", "--config", cfg_file, "--out", str(out),
+                     "--slope-lo", "6"])
+        assert code == 2
+        assert "--slope-lo 6.0 exceeds --slope-hi 5.0" in capsys.readouterr().err
 
     def test_bundled_config_named_by_package_path(self, tmp_path):
         out = tmp_path / "region"

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from isacsim import (
     FAMILY_NAMES,
-    LearningCurveModel,
     eval_curve,
     fit_curve,
     invert_curve,
@@ -516,20 +515,3 @@ class TestProperties:
         ]
         assert all(s > 0 for s in slopes)
         assert slopes[0] > slopes[1] > slopes[2]
-
-    def test_estimator_protocol(self):
-        model = LearningCurveModel(family="pow3", n_starts=32)
-        params = model.get_params()
-        assert params["family"] == "pow3"
-        model.set_params(seed=3)
-        assert model.seed == 3
-        fitted = model.fit(BENCH_C, BENCH_A)
-        assert fitted is model
-        assert model.predict(400.0) == pytest.approx(BENCH_A[2], abs=0.02)
-        assert model.inverse(model.predict(500.0)) == pytest.approx(500.0, abs=1e-6)
-        with pytest.raises(ValueError, match="invalid parameter"):
-            model.set_params(bogus=1)
-
-    def test_unfitted_model_raises(self):
-        with pytest.raises(RuntimeError, match="not fitted"):
-            LearningCurveModel().predict(100.0)

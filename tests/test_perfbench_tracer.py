@@ -6,7 +6,8 @@ and its ``run`` method, ``curvefit.fit_curve``, ...).  A source change that
 removes or renames one of them breaks every ``--trace 1`` run, so
 installing the tracer, calling through a wrapped class and a wrapped
 function, and restoring the originals in all five patched modules must
-keep working.
+keep working.  The ``recognition.train`` hook also reads the fitted
+classifier's ``n_epochs_`` and ``max_epochs``.
 """
 
 import functools
@@ -50,10 +51,19 @@ def test_install_tracer_wraps_and_restores(desk_cfg):
         )
         process.run(2)
         curvefit.fit_curve([10.0, 20.0, 40.0], [0.5, 0.6, 0.65], "ilog2", n_starts=1)
+        grays = np.zeros((4, 16, 16), np.uint8)
+        grays[2:, :8] = 255  # two classes of two images each
+        clf = recognition.train_classifier(recognition.LabeledDataset(
+            grays, np.array([0, 0, 1, 1]), ("dark", "half"), cycles=64, seed=0
+        ))
     finally:
         tracer.restore()
     assert len(tracer.durations["channel.clutter.run"]) == 1
     assert len(tracer.durations["curvefit.fit_curve"]) == 1
+    # The train hook reads the fitted epoch count and the epoch limit.
+    counters = tracer.counters
+    assert counters["recognition.train.epochs"] == clf.n_epochs_ > 0
+    assert counters.get("recognition.train.converged") == (clf.n_epochs_ < clf.max_epochs)
     assert all(dict(vars(m)) == names for m, names in before.items())
 
 

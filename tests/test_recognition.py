@@ -91,7 +91,7 @@ class TestClassifier:
     def test_separable_dataset_memorized(self):
         ds = synthetic_dataset(10, [(8, 10), (24, 38)])
         clf = train_classifier(ds)
-        assert clf.score(ds.grays, ds.labels) == 1.0
+        assert evaluate_accuracy(clf, ds).accuracy == 1.0
 
     def test_loss_non_increasing(self):
         ds = synthetic_dataset(10, [(8, 10), (24, 38), (8, 38)])
@@ -108,7 +108,7 @@ class TestClassifier:
         shuffled = rng.permutation(ds.labels)
         clf = SpectrogramClassifier().fit(ds.grays, shuffled)
         test = synthetic_dataset(50, [(8, 10), (24, 38), (8, 38), (24, 10)], seed=9)
-        acc = clf.score(test.grays, test.labels)
+        acc = evaluate_accuracy(clf, test).accuracy
         sigma = np.sqrt((1 / m) * (1 - 1 / m) / len(test))
         assert abs(acc - 1 / m) <= 3 * sigma + 1e-9
 
@@ -135,36 +135,21 @@ class TestClassifier:
         with pytest.raises(ValueError, match="degenerate"):
             train_classifier(ds)
 
-    def test_estimator_protocol(self):
-        clf = SpectrogramClassifier(pool=8, learning_rate=1.0)
-        assert clf.get_params()["pool"] == 8
-        clf.set_params(max_epochs=50)
-        assert clf.max_epochs == 50
-        ds = synthetic_dataset(5, [(8, 10), (24, 38)])
-        assert clf.fit(ds.grays, ds.labels) is clf
-        proba = clf.predict_proba(ds.grays)
-        assert proba.shape == (len(ds), 2)
-        assert np.allclose(proba.sum(axis=1), 1.0)
-
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError, match="not fitted"):
             SpectrogramClassifier().predict(np.zeros((1, 8, 8), np.uint8))
-
-    def test_shape_mismatch_rejected(self):
-        ds = synthetic_dataset(5, [(8, 10), (24, 38)])
-        clf = SpectrogramClassifier(pool=4).fit(ds.grays, ds.labels)
-        clf.set_params(pool=5)  # pools to 5 x 5 + 1 features; the fit has 4 x 4 + 1
-        with pytest.raises(ValueError, match="dimension"):
-            clf.decision_function(ds.grays)
 
 
 class TestEvaluate:
     def test_constant_predictor_balanced_accuracy(self):
         # A model that always answers class 0 scores 1/M on a balanced set.
         ds = synthetic_dataset(10, [(8, 10), (24, 38), (8, 38), (24, 10), (16, 24)])
-        clf = SpectrogramClassifier(max_epochs=0).fit(ds.grays, ds.labels)
-        # Zero-epoch fit keeps zero weights: softmax ties, argmax -> class 0.
-        point = evaluate_accuracy(clf, ds)
+
+        class AlwaysZero:
+            def predict(self, x):
+                return np.zeros(len(x), dtype=int)
+
+        point = evaluate_accuracy(AlwaysZero(), ds)
         assert point.accuracy == pytest.approx(0.2)
         assert point.n_test == 50
 
