@@ -81,8 +81,6 @@ def _input(given, bundled: str) -> tuple[Path, str]:
 def _load_cfg(args):
     """The config, the name the manifest records, and the run's seed."""
     path, ref = _input(args.config, "default.cfg")
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     cfg = load_config(path)
     return cfg, ref, cfg.seed if args.seed is None else args.seed
 
@@ -108,26 +106,58 @@ def _arg_type(convert, what: str):
     return parse
 
 
-def _positive(value):
-    if not 0 < value < math.inf:
-        raise ValueError(value)
-    return value
+def _check(ok):
+    """A conversion step that passes on a value ``ok`` accepts, else raises
+    ValueError."""
+
+    def check(value):
+        if not ok(value):
+            raise ValueError(value)
+        return value
+
+    return check
 
 
-def _finite(value):
-    if not math.isfinite(value):
-        raise ValueError(value)
-    return value
-
-
-def _unit(value):
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(value)
-    return value
-
+_positive = _check(lambda v: 0 < v < math.inf)
+_finite = _check(math.isfinite)
+_non_negative = _check(lambda v: 0 <= v < math.inf)
+_unit = _check(lambda v: 0 <= v <= 1)
+_two_or_more = _check(lambda v: v >= 2)
 
 _positive_int = _arg_type(lambda t: _positive(int(t)), "a positive integer")
+_int_from_2 = _arg_type(lambda t: _two_or_more(int(t)), "an integer of at least 2")
+_positive_float = _arg_type(lambda t: _positive(float(t)), "a positive number")
+_finite_float = _arg_type(lambda t: _finite(float(t)), "a finite number")
+_non_negative_float = _arg_type(lambda t: _non_negative(float(t)),
+                                "a finite number of at least 0")
 _unit_float = _arg_type(lambda t: _unit(float(t)), "a number in [0, 1]")
+
+
+def _check_args(args) -> None:
+    """Usage rules that name an input file or span two flags; :func:`main`
+    applies them before it makes ``--out``.  Raises ConfigError."""
+    for name in ("config", "points", "gains", "reference"):
+        path = getattr(args, name, None)
+        if path is not None and not Path(path).exists():
+            raise ConfigError(f"--{name}: no such file or directory: {path}")
+    if hasattr(args, "heading") and math.hypot(*args.heading) == 0.0:
+        raise ConfigError("--heading: must be a non-zero direction")
+    if hasattr(args, "cycles_list"):
+        flag, cycles = "--cycles-list", min(args.cycles_list)
+    else:
+        flag, cycles = "--cycles", getattr(args, "cycles", None)
+    if cycles is not None and cycles < args.stft_window:  # each such command has one
+        raise ConfigError(
+            f"{flag} {cycles} is shorter than --stft-window {args.stft_window}"
+        )
+    if hasattr(args, "grid_start") and args.grid_start > args.grid_stop:
+        raise ConfigError(
+            f"--grid-start {args.grid_start!r} exceeds --grid-stop {args.grid_stop!r}"
+        )
+    if hasattr(args, "slope_lo") and args.slope_lo > args.slope_hi:
+        raise ConfigError(
+            f"--slope-lo {args.slope_lo!r} exceeds --slope-hi {args.slope_hi!r}"
+        )
 
 
 def _motion_from_args(args, duration: float) -> MotionSpec:
@@ -238,10 +268,6 @@ def cmd_fit(args, out: Path):
 
 
 def cmd_region(args, out: Path):
-    if args.slope_lo > args.slope_hi:
-        raise ConfigError(
-            f"--slope-lo {args.slope_lo!r} exceeds --slope-hi {args.slope_hi!r}"
-        )
     cfg, cfg_ref, seed = _load_cfg(args)
     fit = make_fit(args.family, args.params or _default_fit_params(args.family))
     if args.gains:
@@ -331,9 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--motion", default="walking",
                        choices=("standing", "walking", "pacing"))
         p.add_argument("--subject", default="adult", choices=("adult", "child"))
-        p.add_argument("--start", type=float, nargs=3, default=DEFAULT_START,
+        p.add_argument("--start", type=_finite_float, nargs=3, default=DEFAULT_START,
                        metavar=("X", "Y", "Z"))
-        p.add_argument("--heading", type=float, nargs=2, default=DEFAULT_HEADING,
+        p.add_argument("--heading", type=_finite_float, nargs=2, default=DEFAULT_HEADING,
                        metavar=("HX", "HY"))
 
     p = sub.add_parser("spectrogram", help="simulate one motion spectrogram")
@@ -341,10 +367,11 @@ def build_parser() -> argparse.ArgumentParser:
     motion_args(p)
     p.add_argument("--cycles", type=_positive_int, default=3000)
     p.add_argument("--rho", type=_unit_float, default=DEFAULT_RHO)
-    p.add_argument("--svd-threshold", type=int, default=DEFAULT_SVD_THRESHOLD)
-    p.add_argument("--stft-window", type=int, default=DEFAULT_STFT_WINDOW)
-    p.add_argument("--dynamic-range-db", type=float, default=DEFAULT_DYNAMIC_RANGE_DB)
-    p.add_argument("--pmf-bins", type=int, default=DEFAULT_PMF_BINS)
+    p.add_argument("--svd-threshold", type=_positive_int, default=DEFAULT_SVD_THRESHOLD)
+    p.add_argument("--stft-window", type=_int_from_2, default=DEFAULT_STFT_WINDOW)
+    p.add_argument("--dynamic-range-db", type=_positive_float,
+                   default=DEFAULT_DYNAMIC_RANGE_DB)
+    p.add_argument("--pmf-bins", type=_int_from_2, default=DEFAULT_PMF_BINS)
     p.add_argument("--z-csv", action="store_true", help="also dump the dB matrix")
     p.add_argument("--tracks-csv", action="store_true", help="also dump the tracks")
     p.set_defaults(func=cmd_spectrogram)
@@ -355,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-per-class", type=_positive_int, default=10)
     p.add_argument("--cycles", type=_positive_int, default=512)
     p.add_argument("--rho", type=_unit_float, default=DEFAULT_RHO)
-    p.add_argument("--stft-window", type=int, default=DEFAULT_STFT_WINDOW)
+    p.add_argument("--stft-window", type=_int_from_2, default=DEFAULT_STFT_WINDOW)
     p.set_defaults(func=cmd_dataset)
 
     p = sub.add_parser("calibrate", help="fit the clutter evolution rate to a reference")
@@ -363,15 +390,14 @@ def build_parser() -> argparse.ArgumentParser:
     motion_args(p)
     p.add_argument("--reference", required=True,
                    help="reference spectrogram PGM file or directory")
-    p.add_argument("--grid-start", type=float, default=0.99)
-    p.add_argument("--grid-stop", type=float, default=1.0)
-    p.add_argument("--grid-step", default=0.001,
-                   type=_arg_type(lambda t: _positive(float(t)), "a positive number"))
+    p.add_argument("--grid-start", type=_unit_float, default=0.99)
+    p.add_argument("--grid-stop", type=_unit_float, default=1.0)
+    p.add_argument("--grid-step", type=_positive_float, default=0.001)
     p.add_argument("--samples-per-point", type=_positive_int,
                    default=DEFAULT_SAMPLES_PER_POINT)
     p.add_argument("--cycles", type=_positive_int, default=1000)
-    p.add_argument("--stft-window", type=int, default=DEFAULT_STFT_WINDOW)
-    p.add_argument("--pmf-bins", type=int, default=DEFAULT_PMF_BINS)
+    p.add_argument("--stft-window", type=_int_from_2, default=DEFAULT_STFT_WINDOW)
+    p.add_argument("--pmf-bins", type=_int_from_2, default=DEFAULT_PMF_BINS)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("fit", help="fit learning-curve families to accuracy points")
@@ -390,9 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
                    type=_arg_type(lambda t: [_finite(float(tok)) for tok in t.split(",")],
                                   "a comma list of finite numbers"))
     p.add_argument("--gains", help="per-user gains CSV (default: sample from config)")
-    p.add_argument("--num-points", type=_positive_int, default=DEFAULT_NUM_POINTS)
-    p.add_argument("--slope-hi", type=float, default=DEFAULT_SLOPE_HI)
-    p.add_argument("--slope-lo", type=float, default=DEFAULT_SLOPE_LO)
+    p.add_argument("--num-points", type=_int_from_2, default=DEFAULT_NUM_POINTS)
+    p.add_argument("--slope-hi", type=_non_negative_float, default=DEFAULT_SLOPE_HI)
+    p.add_argument("--slope-lo", type=_non_negative_float, default=DEFAULT_SLOPE_LO)
     p.set_defaults(func=cmd_region)
 
     p = sub.add_parser(
@@ -407,8 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
                    type=_arg_type(lambda t: [_positive(int(tok)) for tok in t.split(",")],
                                   "a comma list of positive integers"))
     p.add_argument("--rho", type=_unit_float, default=DEFAULT_RHO)
-    p.add_argument("--stft-window", type=int, default=32)
-    p.add_argument("--num-points", type=_positive_int, default=120)
+    p.add_argument("--stft-window", type=_int_from_2, default=32)
+    p.add_argument("--num-points", type=_int_from_2, default=120)
     p.set_defaults(func=cmd_pipeline)
 
     return parser
@@ -418,6 +444,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_args(args)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         ref, seed, files = args.func(args, out)

@@ -59,13 +59,16 @@ def _tap_band(
 ) -> np.ndarray:
     """The occupied rows of :func:`place_taps_fractional`'s matrix.
 
-    Rows from ``max offset + chirp.size`` (capped at ``fast_len``) on hold
-    no chirp sample and are left out; the rows kept hold the same bytes.
+    One rule for static (K, 1) and moving (K, C) delays: for each occupied
+    offset, the split rows that reach it in some cycle are gathered from
+    ``amps`` in ascending order, times their real split weight, or an exact
+    zero in a cycle they miss, and summed.  Rows from ``max offset +
+    chirp.size`` (capped at ``fast_len``) on hold no chirp sample and are
+    left out; the rows kept hold the same bytes.
     """
-    pos = np.broadcast_to(delays_samples, amps.shape)
-    static = pos.strides[1] == 0  # broadcast from one delay per tap
-    if static:
-        pos = pos[:, :1]
+    pos = delays_samples
+    if pos.shape not in ((len(amps), 1), amps.shape):
+        raise ValueError(f"delays_samples: shape {pos.shape} for amps {amps.shape}")
     # One pass rejects negative, beyond-slot and non-finite positions alike
     # (NaN fails both comparisons).
     if not np.all((pos >= 0) & (pos <= fast_len - 1)):
@@ -76,27 +79,17 @@ def _tap_band(
     base = np.floor(pos).astype(int)
     frac = pos - base
     split_offsets = np.concatenate([base, np.minimum(base + 1, fast_len - 1)])
-    if static:
-        # Each offset gathers its split taps' rows from ``amps`` and weights
-        # them there, so no 2K x C split array is made.  Complex weights give
-        # the bytes of ``amps * real_weight``, which casts them so.
-        split_taps = np.tile(np.arange(len(amps)), 2)
-        split_weights = np.concatenate([1.0 - frac, frac]).astype(complex)
-    else:
-        split_amps = np.concatenate([amps * (1.0 - frac), amps * frac])
+    split_weights = np.concatenate([1.0 - frac, frac])
     rows = 0
     if split_offsets.size:
         rows = min(fast_len, int(split_offsets.max()) + chirp.size)
     out = np.zeros((rows, amps.shape[1]), dtype=complex)
     for off in np.flatnonzero(np.bincount(split_offsets.ravel())):
         hit = split_offsets == off
-        if static:  # the same rows, in ascending tap order, without the zeros
-            sel = np.flatnonzero(hit[:, 0])
-            taps_hit = amps[split_taps[sel]]
-            taps_hit *= split_weights[sel]
-            col = taps_hit.sum(axis=0)
-        else:
-            col = np.where(hit, split_amps, 0.0).sum(axis=0)
+        sel = np.flatnonzero(hit.any(axis=1))
+        taps_hit = amps[sel % len(amps)]
+        taps_hit *= np.where(hit[sel], split_weights[sel], 0.0)
+        col = taps_hit.sum(axis=0)
         n = min(chirp.size, rows - off)
         out[off : off + n, :] += chirp[:n, None] * col[None, :]
     return out
@@ -115,16 +108,13 @@ def place_taps_fractional(
     every delay onto one shared cell would collapse the matrix to rank
     one and the cleaning step would strip the target as well.
 
-    ``amps`` has shape (num_taps, C) and ``delays_samples`` broadcasts to
-    it; the result is the L x C matrix of accumulated chirp copies.  Indoor
-    delays span only a handful of distinct offsets, so the split taps are
-    summed per occupied offset, in ascending order, before the chirp is
-    laid down.  The offsets are checked to lie in [0, L-1], so one
-    ``bincount`` over them finds the occupied ones.  Static taps (one
-    delay column shared by every cycle, like clutter) sum each offset's
-    rows by gathering them; moving taps mask the whole split array.
-    The chirps are laid into the occupied rows only, which are then
-    zero-padded to L.
+    ``amps`` has shape (num_taps, C); ``delays_samples`` is (num_taps, C)
+    for taps that move each cycle or (num_taps, 1) for static ones, and
+    both take one rule.  The result is the L x C matrix of accumulated
+    chirp copies.  Indoor delays span only a handful of distinct offsets,
+    so the split taps are summed per occupied offset (one ``bincount``
+    finds them) before the chirp is laid into the occupied rows only,
+    which are then zero-padded to L.
     """
     band = _tap_band(amps, delays_samples, chirp, fast_len)
     out = np.zeros((fast_len, amps.shape[1]), dtype=complex)
@@ -246,7 +236,7 @@ def synthesize_received_matrix(
         amps = target_amplitudes(tracks.gains, tracks.distances, cfg, phases[:, None])
         positions = 2.0 * tracks.distances / SPEED_OF_LIGHT * cfg.sample_rate
         band = _tap_band(amps, positions, chirp, L)
-        if clutter_amps is not None and clutter_amps.size:
+        if clutter_amps is not None:
             c_pos = clutter_delays * cfg.sample_rate
             c_band = _tap_band(clutter_amps, c_pos[:, None], chirp, L)
             if len(c_band) > len(band):  # addition commutes bit for bit

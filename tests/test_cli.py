@@ -1,3 +1,4 @@
+import argparse
 import json
 from pathlib import Path
 
@@ -101,6 +102,28 @@ class TestHelp:
             (["spectrogram", "--rho", "1.5"], "--rho"),
             (["dataset", "--rho", "-1"], "--rho"),
             (["pipeline", "--rho", "nan"], "--rho"),
+            (["spectrogram", "--stft-window", "0"], "--stft-window"),
+            (["spectrogram", "--pmf-bins", "1"], "--pmf-bins"),
+            (["spectrogram", "--svd-threshold", "0"], "--svd-threshold"),
+            (["spectrogram", "--dynamic-range-db", "-5"], "--dynamic-range-db"),
+            (["spectrogram", "--dynamic-range-db", "inf"], "--dynamic-range-db"),
+            (["dataset", "--stft-window", "0"], "--stft-window"),
+            (["calibrate", "--reference", "ref.pgm", "--stft-window", "1"],
+             "--stft-window"),
+            (["calibrate", "--reference", "ref.pgm", "--pmf-bins", "1"], "--pmf-bins"),
+            (["pipeline", "--stft-window", "1"], "--stft-window"),
+            (["region", "--num-points", "1"], "--num-points"),
+            (["pipeline", "--num-points", "1"], "--num-points"),
+            (["region", "--slope-hi", "nan"], "--slope-hi"),
+            (["region", "--slope-lo", "-1"], "--slope-lo"),
+            (["calibrate", "--reference", "ref.pgm", "--grid-stop", "1.2",
+              "--grid-step", "0.1"], "--grid-stop"),
+            (["calibrate", "--reference", "ref.pgm", "--grid-start", "-0.1"],
+             "--grid-start"),
+            (["spectrogram", "--heading", "nan", "0"], "--heading"),
+            (["spectrogram", "--start", "1", "nan", "0"], "--start"),
+            (["calibrate", "--reference", "ref.pgm", "--start", "1", "inf", "0"],
+             "--start"),
         ],
     )
     def test_malformed_value_exits_2_naming_its_flag(self, cmd, flag, tmp_path, capsys):
@@ -109,6 +132,42 @@ class TestHelp:
         assert exc.value.code == 2
         assert f"argument {flag}: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "cmd, flag",
+        [
+            (["fit", "--points", "{tmp}/none.csv"], "--points"),
+            (["region", "--gains", "{tmp}/none.csv"], "--gains"),
+            (["calibrate", "--reference", "{tmp}/none.pgm"], "--reference"),
+            (["spectrogram", "--config", "{tmp}/none.cfg"], "--config"),
+            (["pipeline", "--config", "{tmp}/none.cfg"], "--config"),
+            (["calibrate", "--reference", "{ref}", "--grid-start", "1.0",
+              "--grid-stop", "0.99"], "--grid-start"),
+            (["spectrogram", "--cycles", "64"], "--cycles"),
+            (["dataset", "--cycles", "64", "--stft-window", "65"], "--cycles"),
+            (["calibrate", "--reference", "{ref}", "--cycles", "100"], "--cycles"),
+            (["pipeline", "--cycles-list", "64,16,128"], "--cycles-list"),
+            (["spectrogram", "--heading", "0", "0"], "--heading"),
+            (["region", "--slope-lo", "6"], "--slope-lo"),
+        ],
+    )
+    def test_usage_error_exits_2_before_out_exists(self, cmd, flag, tmp_path, capsys):
+        ref = tmp_path / "ref.pgm"
+        ref.write_bytes(b"")
+        cmd = [a.format(tmp=tmp_path, ref=ref) for a in cmd]
+        assert main(cmd + ["--out", str(tmp_path / "out")]) == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_numeric_options_are_range_checked(self):
+        # A bare int or float type lets an out-of-range value through to the
+        # library, which fails after --out is made; any integer is a seed.
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        bare = [(cmd, action.option_strings[0])
+                for cmd, p in sub.choices.items() for action in p._actions
+                if action.type in (int, float) and action.option_strings != ["--seed"]]
+        assert bare == []
 
     def test_top_level_help(self, capsys):
         with pytest.raises(SystemExit) as exc:

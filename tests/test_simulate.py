@@ -63,6 +63,15 @@ class TestPlacement:
                 chirp, base_cfg.fast_time_len,
             )
 
+    @pytest.mark.parametrize("shape", [(1, 6), (3,), (3, 2)])
+    def test_delay_layout_rejected(self, base_cfg, shape):
+        # One delay per tap, either per cycle (3, 6) or for all cycles (3, 1).
+        chirp = synthesize_chirp(base_cfg)
+        with pytest.raises(ValueError, match=r"delays_samples: shape"):
+            place_taps_fractional(
+                np.ones((3, 6), complex), np.ones(shape), chirp, base_cfg.fast_time_len
+            )
+
     def test_delay_beyond_slot_rejected(self, base_cfg):
         chirp = synthesize_chirp(base_cfg)
         with pytest.raises(ValueError, match="unambiguous"):
@@ -93,40 +102,65 @@ class TestPlacementBytes:
     L = 16
 
     @staticmethod
-    def draw(rng, shape):
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    def draw(rng, shape, negative=False):
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        if negative:  # a zero split weight times these gives signed zeros
+            z = -(np.abs(z.real) + 1j * np.abs(z.imag))
+        return z
 
-    @pytest.mark.parametrize("chirp_len", [5, 16])
-    def test_static_sparse_offsets(self, chirp_len):
-        # Non-adjacent offsets, a pair sharing one cell, and L-1 exactly,
-        # where base+1 is clipped onto base.
+    @pytest.mark.parametrize(
+        "chirp_len, delays, negative",
+        [
+            # Non-adjacent offsets, a pair sharing one cell, and L-1 exactly,
+            # where base+1 is clipped onto base.
+            pytest.param(5, [0.2, 3.7, 3.9, 7.0, L - 1.0], False, id="5"),
+            pytest.param(16, [0.2, 3.7, 3.9, 7.0, L - 1.0], False, id="16"),
+            # Whole positions: every second split row weighs 0.
+            pytest.param(5, [0.0, 3.0, 3.0, 7.0, L - 1.0], True, id="integer-negative"),
+        ],
+    )
+    def test_static_sparse_offsets(self, chirp_len, delays, negative):
         rng = np.random.default_rng(chirp_len)
-        delays = np.array([[0.2], [3.7], [3.9], [7.0], [self.L - 1.0]])
-        amps = self.draw(rng, (5, 9))
+        delays = np.array(delays)[:, None]
+        amps = self.draw(rng, (5, 9), negative)
         chirp = self.draw(rng, chirp_len)
         got = place_taps_fractional(amps, delays, chirp, self.L)
         ref = place_taps_unique(amps, delays, chirp, self.L)
         assert got.tobytes() == ref.tobytes()
 
-    def test_offsets_move_across_cycles(self):
+    @pytest.mark.parametrize(
+        "delays, negative",
+        [
+            pytest.param(lambda rng, C, L: np.stack([
+                np.linspace(2.5, 5.5, C),
+                np.linspace(L - 1.0, 9.2, C),
+                np.full(C, 0.6),
+                rng.uniform(0.0, L - 1.0, C),
+            ]), False, id="drift"),
+            pytest.param(lambda rng, C, L: rng.integers(0, L, (4, C)).astype(float),
+                         True, id="integer-negative"),
+            # Rows 0-2 reach offset 4 in some cycles only, row 3 in none.
+            pytest.param(lambda rng, C, L: np.stack([
+                np.where(np.arange(C) % 3 == 0, 4.0, 6.25),
+                np.where(np.arange(C) % 2 == 0, 3.5, 9.0),
+                np.where(np.arange(C) < C // 2, 4.75, L - 1.0),
+                np.full(C, 11.0),
+            ]), True, id="partial-hits"),
+        ],
+    )
+    def test_offsets_move_across_cycles(self, delays, negative):
         rng = np.random.default_rng(7)
         C = 40
-        delays = np.stack([
-            np.linspace(2.5, 5.5, C),
-            np.linspace(self.L - 1.0, 9.2, C),
-            np.full(C, 0.6),
-            rng.uniform(0.0, self.L - 1.0, C),
-        ])
-        amps = self.draw(rng, (4, C))
+        delays = delays(rng, C, self.L)
+        amps = self.draw(rng, (4, C), negative)
         chirp = self.draw(rng, 6)
         got = place_taps_fractional(amps, delays, chirp, self.L)
         ref = place_taps_unique(amps, delays, chirp, self.L)
         assert got.tobytes() == ref.tobytes()
 
     def test_static_many_taps_share_offsets(self):
-        # Static taps (one delay column) sum each offset's rows by gathering
-        # them; 40 taps on five cells must give the old masked loop's bytes,
-        # and those of the same delays spelled out per cycle (moving branch).
+        # 40 static taps on five cells must give the masked reference's
+        # bytes, and so must the same delays spelled out per cycle (K, C).
         rng = np.random.default_rng(8)
         delays = rng.choice([0.3, 0.8, 4.5, 9.05, self.L - 1.0], size=(40, 1))
         amps = self.draw(rng, (40, 33))
