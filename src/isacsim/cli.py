@@ -2,10 +2,12 @@
 
 Subcommands: ``spectrogram``, ``dataset``, ``calibrate``, ``fit``,
 ``region``, and ``pipeline`` (dataset -> accuracy-vs-cycles -> fit ->
-region in one run).  Each command writes its artifacts into ``--out`` and
-returns its input reference, seed and files; :func:`main` then writes the
-one manifest.json listing their content hashes, so identical inputs
-reproduce identical manifests.
+region in one run).  :func:`main` checks the arguments and loads a
+command's ``--config`` before it makes ``--out``, so a usage or
+configuration error leaves no output directory.  Each command writes its
+artifacts into ``--out`` and returns its input reference, seed and files;
+:func:`main` then writes the one manifest.json listing their content
+hashes, so identical inputs reproduce identical manifests.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 pipeline
 failure, 4 infeasible model or problem.
@@ -79,7 +81,8 @@ def _input(given, bundled: str) -> tuple[Path, str]:
 
 
 def _load_cfg(args):
-    """The config, the name the manifest records, and the run's seed."""
+    """The config, the name the manifest records, and the run's seed;
+    :func:`main` loads it before it makes ``--out``."""
     path, ref = _input(args.config, "default.cfg")
     cfg = load_config(path)
     return cfg, ref, cfg.seed if args.seed is None else args.seed
@@ -170,8 +173,7 @@ def _motion_from_args(args, duration: float) -> MotionSpec:
     )
 
 
-def cmd_spectrogram(args, out: Path):
-    cfg, cfg_ref, seed = _load_cfg(args)
+def cmd_spectrogram(args, out: Path, cfg, cfg_ref, seed):
     clutter = ClutterConfig()
     duration = args.cycles * cfg.pri
     motion = _motion_from_args(args, duration)
@@ -203,8 +205,7 @@ def cmd_spectrogram(args, out: Path):
     return cfg_ref, seed, files
 
 
-def cmd_dataset(args, out: Path):
-    cfg, cfg_ref, seed = _load_cfg(args)
+def cmd_dataset(args, out: Path, cfg, cfg_ref, seed):
     clutter = ClutterConfig()
     rng = RngStream(seed, "dataset")
     ds = generate_dataset(
@@ -223,8 +224,7 @@ def cmd_dataset(args, out: Path):
     return cfg_ref, seed, files
 
 
-def cmd_calibrate(args, out: Path):
-    cfg, cfg_ref, seed = _load_cfg(args)
+def cmd_calibrate(args, out: Path, cfg, cfg_ref, seed):
     reference = reference_pmf_from_pgms(args.reference, bins=args.pmf_bins)
     clutter = ClutterConfig()
     duration = args.cycles * cfg.pri
@@ -243,7 +243,9 @@ def cmd_calibrate(args, out: Path):
         ).pmf
 
     grid = np.arange(args.grid_start, args.grid_stop + args.grid_step / 2, args.grid_step)
-    grid = np.clip(grid, 0.0, 1.0)
+    # arange may pass the stop by up to half a step: keep a point past it by
+    # rounding only, pinned to the stop.
+    grid = np.minimum(grid[grid <= args.grid_stop + 1e-9 * args.grid_step], args.grid_stop)
     rng = RngStream(seed, "calibrate")
     fit = fit_rho(reference, simulate_pmf, grid, rng, args.samples_per_point)
     print(f"rho_star = {fit.rho}")
@@ -256,7 +258,7 @@ def cmd_fit(args, out: Path):
     selection = select_model(cycles, acc, args.families, seed=args.seed)
     fits_csv = selection.to_csv(out / "fits.csv")
     grid = np.linspace(cycles.min(), cycles.max(), 200)
-    curve = ((c, eval_curve(selection.best, c)) for c in grid)
+    curve = zip(grid, eval_curve(selection.best, grid))
     curve_csv = write_csv(out / "curve_best.csv", ("C", "A"), curve)
     print("family ranking by SSR:")
     for f in selection.fits:
@@ -267,8 +269,7 @@ def cmd_fit(args, out: Path):
     return points_ref, args.seed, [fits_csv, curve_csv]
 
 
-def cmd_region(args, out: Path):
-    cfg, cfg_ref, seed = _load_cfg(args)
+def cmd_region(args, out: Path, cfg, cfg_ref, seed):
     fit = make_fit(args.family, args.params or _default_fit_params(args.family))
     if args.gains:
         gains = gains_from_csv(args.gains)
@@ -295,8 +296,7 @@ def _usable(fit) -> bool:
     return np.isfinite(span) and span > 1e-6
 
 
-def cmd_pipeline(args, out: Path):
-    cfg, cfg_ref, seed = _load_cfg(args)
+def cmd_pipeline(args, out: Path, cfg, cfg_ref, seed):
     clutter = ClutterConfig()
     rng = RngStream(seed, "pipeline")
 
@@ -445,9 +445,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_args(args)
+        loaded = _load_cfg(args) if hasattr(args, "config") else ()
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        ref, seed, files = args.func(args, out)
+        ref, seed, files = args.func(args, out, *loaded)
         write_manifest(out, args.command, ref, seed, files)
         return EXIT_OK
     except ConfigError as exc:

@@ -26,10 +26,10 @@ accuracy at or above a closed-form asymptote is rejected before
 bisecting.
 
 The expressions leave numpy's floating-point warnings to their callers:
-``fit_curve`` and ``invert_curve`` each silence them once, around their
-whole loop, and the public ``_Family.evaluate``/``jacobian`` wrappers
-silence them per call.  A non-finite result is caught by an explicit
-finiteness check instead.
+``fit_curve``, ``invert_curve`` and ``eval_curve`` each silence them once
+per call, around their whole loop, and the public
+``_Family.evaluate``/``jacobian`` wrappers silence them per call.  A
+non-finite result is caught by an explicit finiteness check instead.
 """
 
 from __future__ import annotations
@@ -375,13 +375,33 @@ class CurveFit:
         return self.ssr / self.num_points
 
 
+def _at_each(fam: _Family, p: np.ndarray, cs):
+    """Yield ``fam._evaluate(p, C)`` for each float C of ``cs`` in turn.
+
+    Each C goes through the expression as one reused 0-d array, the path a
+    scalar C takes: a vectorised pow may differ from it by 1 ulp.  Runs
+    under the caller's ``np.errstate``.
+    """
+    z = np.empty(())
+    for c in cs:
+        z[()] = c
+        yield fam._evaluate(p, z)
+
+
 def eval_curve(fit: CurveFit, c) -> np.ndarray | float:
-    """Evaluate a fitted curve, enforcing the family's C-domain."""
+    """Evaluate a fitted curve, enforcing the family's C-domain.
+
+    Returns a float for a scalar C and an array of C's shape otherwise.
+    Each C of an array gets exactly the bits of its own scalar call, at a
+    few microseconds per C, so one call can take a whole sweep.
+    """
     fam = get_family(fit.family)
     c_arr = np.asarray(c, dtype=float)
     _check_domain(fam, c_arr, *fit.domain, ValueError)
-    out = fam.evaluate(fit.params, c_arr)
-    return float(out) if np.isscalar(c) or c_arr.ndim == 0 else out
+    p = np.asarray(fit.params, dtype=float)
+    with np.errstate(all="ignore"):
+        out = np.fromiter(_at_each(fam, p, c_arr.ravel().tolist()), float, c_arr.size)
+    return float(out[0]) if np.isscalar(c) or c_arr.ndim == 0 else out.reshape(c_arr.shape)
 
 
 def curve_jacobian(family: str, params, c) -> np.ndarray:
@@ -576,8 +596,7 @@ def invert_curve(fit: CurveFit, accuracy: float) -> float:
             f"asymptote {fam.asymptote(p)!r}"
         )
 
-    # At a 0-d array, not a scalar: scalar and array pow may differ by 1 ulp.
-    at = lambda c: float(fam._evaluate(p, np.asarray(c, dtype=float)))
+    at = lambda c: float(next(_at_each(fam, p, (c,))))
     sign = 1.0 if fit.increasing else -1.0
     lo_b = max(lo * (1.0 + 1e-12), lo + 1e-12, 1e-12)
     if math.isfinite(hi):

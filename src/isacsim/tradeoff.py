@@ -173,8 +173,7 @@ def region_boundary(
         raise AssertionError(
             f"budget identity violated at C={cs[i]}: {float(lhs[i])!r} != {cfg.total_time!r}"
         )
-    # Scalar evaluation per C: an array pow can move an accuracy by one ulp.
-    acc = np.array([eval_curve(fit, float(c)) for c in cs.tolist()])
+    acc = eval_curve(fit, cs.astype(float))
     # Keep C when its accuracy beats the last kept one.  A NaN is never
     # kept after the first point; a NaN first point is never beaten.
     floor = np.where(np.isnan(acc), -np.inf, acc)

@@ -204,11 +204,12 @@ class TestSpectrogram:
 
     def test_bad_config_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
-        bad.write_text("carrier_freq_hz = fast\n")
+        bad.write_text(DESK_CFG.replace("carrier_freq_hz = 3.5e9", "carrier_freq_hz = fast"))
         code = main(["spectrogram", "--config", str(bad), "--out",
-                     str(tmp_path / "o")])
+                     str(tmp_path / "d")])
         assert code == 2
-        assert "configuration error" in capsys.readouterr().err
+        assert "configuration error: carrier_freq_hz: " in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
 
     def test_missing_config_exit_2(self, tmp_path):
         code = main(["spectrogram", "--config", str(tmp_path / "nope.cfg"),
@@ -257,6 +258,28 @@ class TestCalibrate:
         assert lines[0] == "rho,kl"
         assert len(lines) == 4  # 0.95, 0.975, 1.0
         assert_numeric_cells(out / "rho_kl.csv")
+
+    @pytest.mark.parametrize("start, stop, step, rhos", [
+        ("0.9", "0.98", "0.03", [0.9, 0.93, 0.9600000000000001]),
+        ("0.95", "1.0", "0.03", [0.95, 0.98]),
+    ])
+    def test_grid_ends_at_or_before_its_stop(self, cfg_file, tmp_path, start, stop,
+                                             step, rhos, capsys):
+        # np.arange(start, stop + step / 2, step) alone ends at 0.99 and 1.01,
+        # past the stop.
+        ref_dir = tmp_path / "ref"
+        assert main(["dataset", "--config", cfg_file, "--out", str(ref_dir),
+                     "--n-per-class", "1", "--cycles", "64", "--stft-window", "32"]) == 0
+        out = tmp_path / "cal"
+        assert main([
+            "calibrate", "--config", cfg_file, "--out", str(out),
+            "--reference", str(ref_dir), "--cycles", "64", "--stft-window", "32",
+            "--grid-start", start, "--grid-stop", stop, "--grid-step", step,
+            "--samples-per-point", "1",
+        ]) == 0
+        rows = (out / "rho_kl.csv").read_text().splitlines()[1:]
+        assert [float(row.split(",")[0]) for row in rows] == rhos
+        assert float(capsys.readouterr().out.split("rho_star = ")[1]) in rhos
 
 
 class TestFit:

@@ -6,7 +6,9 @@ and its ``run`` method, ``curvefit.fit_curve``, ...).  A source change that
 removes or renames one of them breaks every ``--trace 1`` run, so
 installing the tracer, calling through a wrapped class and a wrapped
 function, and restoring the originals in all five patched modules must
-keep working.  The ``recognition.train`` hook also reads the fitted
+keep working.  A region trace must still pass through the wrapped
+``tradeoff`` names, ``invert_curve`` included, or its per-layer metrics
+read 0.  The ``recognition.train`` hook also reads the fitted
 classifier's ``n_epochs_`` and ``max_epochs``.
 """
 
@@ -56,10 +58,18 @@ def test_install_tracer_wraps_and_restores(desk_cfg):
         clf = recognition.train_classifier(recognition.LabeledDataset(
             grays, np.array([0, 0, 1, 1]), ("dark", "half"), cycles=64, seed=0
         ))
+        # Negative at C=1, so the sweep's first C comes from inverting the curve.
+        fit = curvefit.make_fit("pow3", (6.1906e4, 2.4297, 0.9499))
+        assert curvefit.eval_curve(fit, 1.0) < 0.0
+        tradeoff.classify_zones(tradeoff.region_boundary(fit, np.full(5, 1e-5), desk_cfg))
     finally:
         tracer.restore()
     assert len(tracer.durations["channel.clutter.run"]) == 1
     assert len(tracer.durations["curvefit.fit_curve"]) == 1
+    # tradeoff.region.ms_p50 and curvefit.invert.calls must not read 0.
+    assert len(tracer.durations["tradeoff.region"]) == 1
+    assert len(tracer.durations["tradeoff.zones"]) == 1
+    assert len(tracer.durations["curvefit.invert"]) >= 1
     # The train hook reads the fitted epoch count and the epoch limit.
     counters = tracer.counters
     assert counters["recognition.train.epochs"] == clf.n_epochs_ > 0

@@ -402,6 +402,27 @@ def bundled_fits():
     return fits
 
 
+def test_array_eval_curve_gives_each_c_its_scalar_bits(bundled_fits):
+    # region_boundary sweeps all its C in one call; a vectorised pow would
+    # move pow4 and log_power accuracies by one ulp against the scalar call.
+    for fit in bundled_fits:
+        lo, hi = fit.domain
+        first = max(math.floor(lo) + 1, 1)
+        last = 60000 if hi > 60000 else math.ceil(hi) - 1
+        cs = np.r_[np.linspace(first, last, 3000), np.arange(first, first + 2000.0)]
+        scalar = np.array([eval_curve(fit, float(c)) for c in cs.tolist()])
+        assert eval_curve(fit, cs).tobytes() == scalar.tobytes(), fit.family
+        grid = eval_curve(fit, cs[:3000].reshape(60, 50))
+        assert grid.shape == (60, 50)
+        assert grid.tobytes() == scalar[:3000].tobytes()
+        with pytest.raises(ValueError) as exc:
+            eval_curve(fit, np.r_[cs[:5], lo])
+        with pytest.raises(ValueError) as one:
+            eval_curve(fit, lo)
+        assert str(exc.value) == str(one.value)
+        assert str(one.value).startswith(f"{fit.family}: ")
+
+
 class TestColumnSweepMatchesLoop:
     def check(self, fit, gains, cfg, num_points, tmp_path):
         def columns(*args):
@@ -439,10 +460,12 @@ class TestColumnSweepMatchesLoop:
         # and never beaten, as in the loop's `acc > last kept` test.
         fit = make_fit("pow3", BENCH_POW3)
         cs = np.unique(np.linspace(96, 16666, 40).round().astype(int))
-        poisoned = {float(cs[i]) for i in nan_at}
+        poisoned = cs[nan_at].astype(float)
 
         def eval_with_nan(f, c):
-            return math.nan if c in poisoned else eval_curve(f, c)
+            if np.ndim(c) == 0:  # the loop's and _min_feasible_cycles' scalar calls
+                return math.nan if c in poisoned else eval_curve(f, c)
+            return np.where(np.isin(c, poisoned), math.nan, eval_curve(f, c))
 
         monkeypatch.setattr(tradeoff, "eval_curve", eval_with_nan)
         gains = sample_user_gains(fig_cfg, RngStream(2, "g"))
