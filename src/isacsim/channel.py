@@ -16,10 +16,11 @@ places them on the fast-time grid.  ``rho`` is an argument of
 of :class:`ClutterConfig`, so a calibration sweep varies it per call on
 one scene; ``DEFAULT_RHO`` is the rate used when a caller gives none.
 
-Cluster delays come from single-bounce mirror images of the radar in the
-six walls of a rectangular room (plus the direct leakage path); ray
-arrival offsets within a cluster follow a Poisson process with mean ray
-power decaying exponentially in the offset.
+Cluster delays come from mirror images of the radar in the six walls of
+one declared room (:class:`ClutterConfig`, where only ``rays_per_cluster``
+is settable), plus the direct leakage path; ray arrival offsets within a
+cluster follow a Poisson process with mean ray power decaying
+exponentially in the offset.
 """
 
 from __future__ import annotations
@@ -27,11 +28,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .config import SPEED_OF_LIGHT, RngStream, SystemConfig
-from .validation import check_in_range, check_positive
+from .validation import check_in_range
 
 DEFAULT_RHO = 0.997
 
@@ -75,81 +77,45 @@ def draw_primitive_phases(num_primitives: int, rng: RngStream) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ClutterConfig:
-    """Geometry and statistics of the target-unrelated returns.
+    """The one scene of the target-unrelated returns.
 
-    The room is the box [0, L_x] x [0, L_y] x [0, L_z].  ``baseline``
-    is the direct TX-RX leakage path length D_0 (m); cluster delays are
-    excess delays over that path.  ``reflection_factors`` must have one
-    entry per cluster (entries may be zero to mute a cluster).
+    ``rays_per_cluster`` is the only field: no caller sets the rest, so the
+    room (the box [0, L_x] x [0, L_y] x [0, L_z], the radar inside it), the
+    direct TX-RX leakage path length ``baseline`` (cluster delays are excess
+    delays over it) and one reflection factor per cluster are constants.
+    Self-interference cancellation removes almost all of the direct
+    leakage; wall bounces carry moderate reflection loss.
     """
 
-    room: tuple[float, float, float] = (3.0, 4.5, 3.0)
-    radar_position: tuple[float, float, float] = (1.5, 1.0, 1.0)
-    baseline: float = 0.5  # D_0, m
-    num_clusters: int = 7
     rays_per_cluster: int = 8
-    ray_arrival_rate: float = 2.0e8  # 1/s, Poisson intra-cluster arrivals
-    ray_decay_const: float = 2.0e-8  # s, exponential mean-power decay
-    reflection_factors: tuple[float, ...] | None = None
+    room: ClassVar[tuple[float, float, float]] = (3.0, 4.5, 3.0)
+    radar_position: ClassVar[tuple[float, float, float]] = (1.5, 1.0, 1.0)
+    baseline: ClassVar[float] = 0.5  # D_0, m
+    ray_arrival_rate: ClassVar[float] = 2.0e8  # 1/s, Poisson intra-cluster arrivals
+    ray_decay_const: ClassVar[float] = 2.0e-8  # s, exponential mean-power decay
+    reflection_factors: ClassVar[tuple[float, ...]] = (0.02,) + (0.3,) * 6
 
     def __post_init__(self):
-        # Tuples keep the config hashable (cluster_delays caches on it).
-        for name in ("room", "radar_position", "reflection_factors"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, tuple(getattr(self, name)))
-        for i, dim in enumerate(self.room):
-            check_positive(f"room[{i}]", dim)
-        for axis, (q, dim) in enumerate(zip(self.radar_position, self.room)):
-            if not 0.0 < q < dim:
-                raise ValueError(
-                    f"radar_position[{axis}]={q!r} outside the room (0, {dim!r})"
-                )
-        check_positive("baseline", self.baseline)
-        if self.num_clusters < 1:
-            raise ValueError(f"num_clusters: must be >= 1, got {self.num_clusters}")
         if self.rays_per_cluster < 1:
-            raise ValueError(
-                f"rays_per_cluster: must be >= 1, got {self.rays_per_cluster}"
-            )
-        check_positive("ray_arrival_rate", self.ray_arrival_rate)
-        check_positive("ray_decay_const", self.ray_decay_const)
-        if self.reflection_factors is not None:
-            if len(self.reflection_factors) != self.num_clusters:
-                raise ValueError(
-                    f"reflection_factors: expected {self.num_clusters} entries, "
-                    f"got {len(self.reflection_factors)}"
-                )
-            for n, h in enumerate(self.reflection_factors):
-                if not (h >= 0 and np.isfinite(h)):
-                    raise ValueError(
-                        f"reflection_factors: entry {n} must be >= 0, got {h!r}"
-                    )
-
-    def factors(self) -> np.ndarray:
-        if self.reflection_factors is not None:
-            return np.asarray(self.reflection_factors, dtype=float)
-        # Direct leakage is almost entirely removed by self-interference
-        # cancellation; wall bounces carry moderate reflection loss.
-        out = np.full(self.num_clusters, 0.3)
-        out[0] = 0.02
-        return out
+            raise ValueError(f"rays_per_cluster: must be >= 1, got {self.rays_per_cluster}")
 
 
-@functools.lru_cache(maxsize=16)
-def cluster_delays(ccfg: ClutterConfig) -> np.ndarray:
-    """Excess cluster delays (s) from mirror images of the radar, read-only.
+@functools.cache
+def cluster_delays() -> np.ndarray:
+    """Excess delays (s) of the scene's clusters, read-only.
 
     Cluster 0 is the direct leakage path (zero excess delay).  Single
     bounces off each of the six walls contribute round-trip path lengths
     ``2 d_wall``; double bounces off perpendicular wall pairs contribute
     ``2 sqrt(d_i^2 + d_j^2)``.  Excess delay is (path - baseline) / c,
-    sorted ascending, truncated to ``num_clusters``.
+    sorted ascending, one per entry of ``reflection_factors``.
     """
-    q = np.asarray(ccfg.radar_position, dtype=float)
-    dims = np.asarray(ccfg.room, dtype=float)
+    scene = ClutterConfig
+    q = np.asarray(scene.radar_position, dtype=float)
+    dims = np.asarray(scene.room, dtype=float)
     wall_dist = np.concatenate([q, dims - q])  # distance to the six planes
 
-    paths = [ccfg.baseline]
+    paths = [scene.baseline]
     paths.extend(2.0 * d for d in wall_dist)
     for i in range(3):
         for j in range(i + 1, 3):
@@ -157,17 +123,7 @@ def cluster_delays(ccfg: ClutterConfig) -> np.ndarray:
                 for dj in (wall_dist[j], wall_dist[j + 3]):
                     paths.append(2.0 * math.hypot(di, dj))
     paths = np.sort(np.asarray(paths))
-    if ccfg.num_clusters > paths.size:
-        raise ValueError(
-            f"num_clusters: at most {paths.size} clusters available for this "
-            f"geometry, got {ccfg.num_clusters}"
-        )
-    excess = (paths[: ccfg.num_clusters] - ccfg.baseline) / SPEED_OF_LIGHT
-    if np.any(excess < 0):
-        raise ValueError(
-            "baseline: exceeds a bounce path length; reduce baseline or move "
-            "the radar away from the walls"
-        )
+    excess = (paths[: len(scene.reflection_factors)] - scene.baseline) / SPEED_OF_LIGHT
     excess.flags.writeable = False
     return excess
 
@@ -183,18 +139,12 @@ class ClutterProcess:
     autoregressive update across them.
     """
 
-    def __init__(
-        self,
-        ccfg: ClutterConfig,
-        cfg: SystemConfig,
-        rng: RngStream,
-        rho: float,
-    ):
+    def __init__(self, ccfg: ClutterConfig, cfg: SystemConfig, rng: RngStream, rho: float):
         check_in_range("rho", rho, 0.0, 1.0)
         self.rho = rho
         self._rng = rng
-        tau = cluster_delays(ccfg)
-        scale = np.sqrt(ccfg.factors()) * cfg.wavelength / (
+        tau = cluster_delays()
+        scale = np.sqrt(ccfg.reflection_factors) * cfg.wavelength / (
             4.0 * math.pi * (ccfg.baseline + tau * SPEED_OF_LIGHT)
         )
         # First ray rides on the cluster arrival; later rays are Poisson, one

@@ -126,6 +126,8 @@ _finite = _check(math.isfinite)
 _non_negative = _check(lambda v: 0 <= v < math.inf)
 _unit = _check(lambda v: 0 <= v <= 1)
 _two_or_more = _check(lambda v: v >= 2)
+_distinct = _check(lambda v: len(set(v)) == len(v))
+_ascending = _check(lambda v: all(a < b for a, b in zip(v, v[1:])))
 
 _positive_int = _arg_type(lambda t: _positive(int(t)), "a positive integer")
 _int_from_2 = _arg_type(lambda t: _two_or_more(int(t)), "an integer of at least 2")
@@ -143,6 +145,12 @@ def _check_args(args) -> None:
         path = getattr(args, name, None)
         if path is not None and not Path(path).exists():
             raise ConfigError(f"--{name}: no such file or directory: {path}")
+    if getattr(args, "params", None) is not None:
+        arity = get_family(args.family).arity
+        if len(args.params) != arity:
+            raise ConfigError(
+                f"--params: {args.family} takes {arity} parameters, got {len(args.params)}"
+            )
     if hasattr(args, "heading") and math.hypot(*args.heading) == 0.0:
         raise ConfigError("--heading: must be a non-zero direction")
     if hasattr(args, "cycles_list"):
@@ -403,8 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit learning-curve families to accuracy points")
     p.add_argument("--points", help="C,A csv (default: bundled benchmark points)")
     p.add_argument("--families", help="comma list (default: all seven)",
-                   type=_arg_type(lambda t: [get_family(tok).name for tok in t.split(",")],
-                                  f"a comma list of curve families {FAMILY_NAMES}"))
+                   type=_arg_type(
+                       lambda t: _distinct([get_family(tok).name for tok in t.split(",")]),
+                       f"a comma list of distinct curve families {FAMILY_NAMES}"))
     p.add_argument("--seed", type=int, default=DEFAULT_FIT_SEED)
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_fit)
@@ -430,8 +439,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-train", type=_positive_int, default=8)
     p.add_argument("--n-test", type=_positive_int, default=4)
     p.add_argument("--cycles-list", default="64,128,256,384",
-                   type=_arg_type(lambda t: [_positive(int(tok)) for tok in t.split(",")],
-                                  "a comma list of positive integers"))
+                   type=_arg_type(
+                       lambda t: _ascending([_positive(int(tok)) for tok in t.split(",")]),
+                       "a strictly ascending comma list of positive integers"))
     p.add_argument("--rho", type=_unit_float, default=DEFAULT_RHO)
     p.add_argument("--stft-window", type=_int_from_2, default=32)
     p.add_argument("--num-points", type=_int_from_2, default=120)

@@ -93,14 +93,12 @@ def _segment_point_distance(ax, ay, bx, by, px, py) -> float:
 def _sample_motion(
     subject: str,
     motion_class: str,
-    room: tuple[float, float, float],
-    radar_position,
     duration: float,
     rng: RngStream,
     min_radial_fraction: float = 0.0,
 ) -> MotionSpec:
-    """Random placement keeping the trajectory inside the room and clear
-    of the radar.
+    """Random placement keeping the trajectory inside the room of
+    :class:`ClutterConfig` and clear of its radar.
 
     ``min_radial_fraction`` > 0 additionally requires the heading to have
     at least that cosine along the line of sight, restricting samples to
@@ -108,8 +106,8 @@ def _sample_motion(
     where a purely tangential walker is indistinguishable from a slower
     radial one).
     """
-    lx, ly, _ = room
-    rx, ry = radar_position[0], radar_position[1]
+    lx, ly, _ = ClutterConfig.room
+    rx, ry, _ = ClutterConfig.radar_position
     for _ in range(500):
         x = rng.uniform(_MARGIN, lx - _MARGIN)
         y = rng.uniform(_MARGIN, ly - _MARGIN)
@@ -186,8 +184,6 @@ def generate_dataset(
         spec = _sample_motion(
             subject,
             motion_class,
-            clutter.room,
-            clutter.radar_position,
             duration,
             sample_rng.spawn("place"),
             min_radial_fraction=min_radial_fraction,

@@ -263,8 +263,8 @@ def simulate_spectrogram(
 ) -> SpectrogramResult:
     """Full pipeline: motion -> received cycles -> cleaned spectrogram.
 
-    ``clutter=None`` simulates a clutter-free scene seen from the default
-    :class:`ClutterConfig` radar position.  ``rho`` is the
+    ``clutter=None`` simulates a clutter-free scene; the radar sits at
+    :attr:`ClutterConfig.radar_position` either way.  ``rho`` is the
     clutter evolution rate (the calibration sweep varies it per call).
     ``phases`` pins the per-primitive initial phases, which keeps the
     target return identical across runs that redraw only clutter and
@@ -281,14 +281,13 @@ def simulate_spectrogram(
             f"motion duration {motion.duration} s does not cover the "
             f"sensing dwell {dwell} s"
         )
-    scene = clutter if clutter is not None else ClutterConfig()
 
     grid = np.arange(cycles) * cfg.pri
     # A large noise fill runs on a helper thread (it releases the interpreter
     # lock) beside the tracks, clutter and tap placement below, which stay on
     # this thread.
     with _NoiseDraw(cfg, cycles, rng.spawn("noise")) as noise:
-        tracks = synthesize_tracks(motion, scene.radar_position, grid)
+        tracks = synthesize_tracks(motion, ClutterConfig.radar_position, grid)
         if phases is None:
             phases = draw_primitive_phases(tracks.num_primitives, rng.spawn("phases"))
 

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -107,54 +107,74 @@ class TestTargetChannel:
 
 
 class TestClutter:
-    def test_cluster_zero_is_direct_path(self, clutter_cfg):
-        delays = cluster_delays(clutter_cfg)
+    def test_cluster_zero_is_direct_path(self):
+        delays = cluster_delays()
         assert delays[0] == 0.0
         assert np.all(np.diff(delays) >= 0)
-        assert delays.size == clutter_cfg.num_clusters
+        assert delays.size == len(ClutterConfig.reflection_factors)
 
     def test_single_ray_amplitude_formula(self, base_cfg):
-        # One cluster, one ray, unit reflection: tap magnitude equals
-        # wavelength / (4 pi (baseline + tau * c)) times the Rayleigh draw.
-        ccfg = ClutterConfig(num_clusters=1, rays_per_cluster=1,
-                             reflection_factors=(1.0,))
+        # One ray per cluster: the taps are the cluster arrivals, each with
+        # scale sqrt(H_n) * wavelength / (4 pi (baseline + tau_n * c)).
+        ccfg = ClutterConfig(rays_per_cluster=1)
         proc = ClutterProcess(ccfg, base_cfg, RngStream(5, "c"), DEFAULT_RHO)
+        assert np.array_equal(proc.delays, cluster_delays())
         assert proc.delays[0] == 0.0  # direct cluster
+        expected = [
+            math.sqrt(h_n) * base_cfg.wavelength
+            / (4 * math.pi * (ccfg.baseline + tau_n * SPEED_OF_LIGHT))
+            for tau_n, h_n in zip(cluster_delays(), ccfg.reflection_factors)
+        ]
+        assert proc.scales == pytest.approx(expected, rel=1e-12)
         amps = proc.run(1)
-        expected_scale = base_cfg.wavelength / (4 * math.pi * ccfg.baseline)
-        assert proc.scales[0] == pytest.approx(expected_scale)
-        assert abs(amps[0, 0]) <= expected_scale * 10  # Rayleigh draw, sane scale
-
-    def test_zero_reflection_factors_mute_everything(self, base_cfg):
-        ccfg = ClutterConfig(num_clusters=3, reflection_factors=(0.0, 0.0, 0.0))
-        proc = ClutterProcess(ccfg, base_cfg, RngStream(1, "c"), DEFAULT_RHO)
-        assert np.all(np.abs(proc.run(5)) == 0.0)
+        assert np.all(np.abs(amps[:, 0]) <= proc.scales * 10)  # Rayleigh draw, sane scale
 
     def test_ray_power_decay_monte_carlo(self, base_cfg):
-        # Mean squared Rayleigh amplitude must follow the exponential decay
-        # in the ray offset within 2%; rho=0 makes every cycle a fresh draw.
-        ccfg = ClutterConfig(num_clusters=1, rays_per_cluster=6,
-                             reflection_factors=(1.0,))
+        # The mean squared Rayleigh amplitude of each tap must match its
+        # ray_power within 2%; rho=0 makes every cycle a fresh draw.
+        ccfg = ClutterConfig(rays_per_cluster=6)
         proc = ClutterProcess(ccfg, base_cfg, RngStream(9, "mc"), 0.0)
         draws = proc.run(100_000)
         mean_power = np.mean(np.abs(draws / proc.scales[:, None]) ** 2, axis=1)
-        expected = np.exp(-(proc.delays - proc.delays[0]) / ccfg.ray_decay_const)
-        assert np.allclose(mean_power, expected, rtol=0.02)
-
-    def test_radar_outside_room_rejected(self):
-        with pytest.raises(ValueError, match="radar_position"):
-            ClutterConfig(radar_position=(5.0, 1.0, 1.0))
+        assert np.allclose(mean_power, proc.ray_power, rtol=0.02)
 
     def test_rho_outside_unit_interval_rejected(self, base_cfg):
         with pytest.raises(ValueError, match="rho"):
             ClutterProcess(ClutterConfig(), base_cfg, RngStream(1, "c"), 1.5)
 
 
+class TestScene:
+    """The declared scene is valid; ``cluster_delays`` no longer checks it."""
+
+    def test_radar_strictly_inside_the_room(self):
+        for q, dim in zip(ClutterConfig.radar_position, ClutterConfig.room):
+            assert 0.0 < q < dim
+
+    def test_baseline_shorter_than_every_bounce_path(self):
+        # The shortest bounce is the single bounce off the nearest wall.
+        assert np.all(cluster_delays()[1:] > 0.0)
+        q = np.asarray(ClutterConfig.radar_position)
+        wall_dist = np.concatenate([q, np.asarray(ClutterConfig.room) - q])
+        assert ClutterConfig.baseline < 2.0 * wall_dist.min()
+
+    def test_clusters_within_the_image_paths(self):
+        # The leakage path, six single bounces and 12 double bounces.
+        assert len(ClutterConfig.reflection_factors) <= 1 + 6 + 12
+
+    def test_only_rays_per_cluster_is_settable(self):
+        assert [f.name for f in fields(ClutterConfig)] == ["rays_per_cluster"]
+        assert ClutterConfig(rays_per_cluster=12).rays_per_cluster == 12
+        with pytest.raises(TypeError):
+            ClutterConfig(room=(1, 1, 1))
+        with pytest.raises(ValueError, match="rays_per_cluster"):
+            ClutterConfig(rays_per_cluster=0)
+
+
 def clutter_reference(ccfg, cfg, rng, rho, cycles):
     """Reference: the ray layout drawn cluster by cluster, then the
     amplitudes of ``cycles`` cycles with ``exp`` phases and ``rho * prev``."""
     delays, scales, power = [], [], []
-    for tau_n, h_n in zip(cluster_delays(ccfg), ccfg.factors()):
+    for tau_n, h_n in zip(cluster_delays(), ccfg.reflection_factors):
         scale_n = math.sqrt(h_n) * cfg.wavelength / (
             4.0 * math.pi * (ccfg.baseline + tau_n * SPEED_OF_LIGHT)
         )
@@ -182,7 +202,6 @@ class TestClutterBytes:
     @pytest.mark.parametrize("rho", [0.0, DEFAULT_RHO, 1.0])
     @pytest.mark.parametrize("scene", [
         {}, {"rays_per_cluster": 1}, {"rays_per_cluster": 12},
-        {"reflection_factors": (0.02, 0.0, 0.3, 0.3, 0.3, 0.0, 0.3)},
     ])
     def test_layout_and_run_equal_the_reference(self, base_cfg, rho, scene):
         ccfg = ClutterConfig(**scene)
@@ -213,10 +232,8 @@ class TestClutterBytes:
         assert target_amplitudes(g, d, base_cfg, phi).tobytes() == ref.tobytes()
 
     def test_cluster_delays_cached_read_only(self):
-        ccfg = ClutterConfig(room=[3.0, 4.5, 3.0], reflection_factors=[0.3] * 7)
-        assert ccfg.room == (3.0, 4.5, 3.0) and isinstance(ccfg.reflection_factors, tuple)
-        delays = cluster_delays(ccfg)
-        assert cluster_delays(ClutterConfig(reflection_factors=(0.3,) * 7)) is delays
+        delays = cluster_delays()
+        assert cluster_delays() is delays
         with pytest.raises(ValueError, match="read-only"):
             delays[0] = 1.0
 

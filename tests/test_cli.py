@@ -124,6 +124,9 @@ class TestHelp:
             (["spectrogram", "--start", "1", "nan", "0"], "--start"),
             (["calibrate", "--reference", "ref.pgm", "--start", "1", "inf", "0"],
              "--start"),
+            (["fit", "--families", "pow3,pow3"], "--families"),
+            (["pipeline", "--cycles-list", "128,64"], "--cycles-list"),
+            (["pipeline", "--cycles-list", "64,64"], "--cycles-list"),
         ],
     )
     def test_malformed_value_exits_2_naming_its_flag(self, cmd, flag, tmp_path, capsys):
@@ -146,9 +149,11 @@ class TestHelp:
             (["spectrogram", "--cycles", "64"], "--cycles"),
             (["dataset", "--cycles", "64", "--stft-window", "65"], "--cycles"),
             (["calibrate", "--reference", "{ref}", "--cycles", "100"], "--cycles"),
-            (["pipeline", "--cycles-list", "64,16,128"], "--cycles-list"),
+            (["pipeline", "--cycles-list", "16,64,128"], "--cycles-list"),
             (["spectrogram", "--heading", "0", "0"], "--heading"),
             (["region", "--slope-lo", "6"], "--slope-lo"),
+            (["region", "--params", "1,2"], "--params"),
+            (["region", "--family", "pow4", "--params", "1,2,3"], "--params"),
         ],
     )
     def test_usage_error_exits_2_before_out_exists(self, cmd, flag, tmp_path, capsys):

@@ -171,7 +171,7 @@ class TestRegionBoundary:
         rates = (splits * remaining[:, None] * w / fig_cfg.total_time).min(axis=1)
         from isacsim import eval_curve
 
-        accs = np.array([eval_curve(fit, float(c)) for c in cycles])
+        accs = eval_curve(fit, cycles.astype(float))
         b_acc = boundary.accuracies
         b_rate = boundary.rates
         idx = np.searchsorted(b_acc, accs, side="right") - 1
