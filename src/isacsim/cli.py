@@ -62,6 +62,7 @@ from .tradeoff import (
     region_boundary,
     zone_bands,
 )
+from .validation import check_seed
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -136,6 +137,7 @@ _finite_float = _arg_type(lambda t: _finite(float(t)), "a finite number")
 _non_negative_float = _arg_type(lambda t: _non_negative(float(t)),
                                 "a finite number of at least 0")
 _unit_float = _arg_type(lambda t: _unit(float(t)), "a number in [0, 1]")
+_seed = _arg_type(lambda t: check_seed("--seed", t), "an integer in [0, 2**64)")
 
 
 def _check_args(args) -> None:
@@ -355,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, *, threads=False):
         p.add_argument("--config", help="config file (default: bundled default.cfg)")
-        p.add_argument("--seed", type=int, help="override the config seed")
+        p.add_argument("--seed", type=_seed, help="override the config seed")
         p.add_argument("--out", default="out", help="output directory")
         if threads:
             p.add_argument("--threads", type=_positive_int, default=1,
@@ -414,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
                    type=_arg_type(
                        lambda t: _distinct([get_family(tok).name for tok in t.split(",")]),
                        f"a comma list of distinct curve families {FAMILY_NAMES}"))
-    p.add_argument("--seed", type=int, default=DEFAULT_FIT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_FIT_SEED)
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_fit)
 
@@ -436,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common(p, threads=True)
     p.add_argument("--classes", default="motions3", choices=tuple(CLASS_SETS))
-    p.add_argument("--n-train", type=_positive_int, default=8)
+    p.add_argument("--n-train", type=_int_from_2, default=8)
     p.add_argument("--n-test", type=_positive_int, default=4)
     p.add_argument("--cycles-list", default="64,128,256,384",
                    type=_arg_type(

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .validation import check_positive
+from .validation import check_positive, check_seed
 
 SPEED_OF_LIGHT = 3.0e8  # m/s, propagation constant used throughout
 
@@ -68,7 +68,8 @@ class SystemConfig:
         Per-user mean channel power (linear), one entry per user; the
         per-user gains are drawn from it by :func:`sample_user_gains`.
     seed : int
-        Base seed for all random streams derived from this configuration.
+        Base seed for all random streams derived from this configuration,
+        an integer in [0, 2**64).
     """
 
     carrier_freq: float
@@ -107,6 +108,7 @@ class SystemConfig:
         check_positive("sensing_antenna_gain", self.sensing_antenna_gain)
         check_positive("comm_antenna_gain", self.comm_antenna_gain)
         check_positive("total_time", self.total_time)
+        check_seed("seed", self.seed)
         if self.num_targets < 1:
             raise ValueError(f"num_targets: must be >= 1, got {self.num_targets}")
         if self.num_users < 1:
@@ -244,18 +246,18 @@ class RngStream:
     """Deterministic, label-addressable random stream.
 
     The same ``(seed, stream_id)`` pair and draw sequence produce identical
-    samples on every run.  Streams are single-owner: parallel work must
-    derive independent child streams via :meth:`spawn` instead of sharing
-    one stream across workers.
+    samples on every run.  The seed is an integer in [0, 2**64); any other
+    raises ValueError instead of aliasing one in range.  Streams are
+    single-owner: parallel work must derive independent child streams via
+    :meth:`spawn` instead of sharing one stream across workers.
     """
 
     def __init__(self, seed: int, stream_id: str = "root"):
-        self.seed = int(seed)
+        self.seed = seed = check_seed("seed", seed)
         self.stream_id = str(stream_id)
         # The uint32 words numpy makes of the list [seed, *id bytes]: the
         # seed's 32-bit words, low word first, then one word per UTF-8 byte.
         # An array skips that coercion, which costs several times the rest.
-        seed = self.seed & 0xFFFFFFFFFFFFFFFF
         words = (seed & 0xFFFFFFFF, seed >> 32) if seed >> 32 else (seed,)
         entropy = np.array([*words, *self.stream_id.encode("utf-8")], dtype=np.uint32)
         self._rng = np.random.default_rng(np.random.SeedSequence(entropy))

@@ -27,9 +27,9 @@ bisecting.
 
 The expressions leave numpy's floating-point warnings to their callers:
 ``fit_curve``, ``invert_curve`` and ``eval_curve`` each silence them once
-per call, around their whole loop, and the public
-``_Family.evaluate``/``jacobian`` wrappers silence them per call.  A
-non-finite result is caught by an explicit finiteness check instead.
+per call, around their whole loop, and ``_Family.evaluate`` and
+``curve_jacobian`` silence them per call.  A non-finite result is caught
+by an explicit finiteness check instead.
 """
 
 from __future__ import annotations
@@ -66,8 +66,9 @@ class _Family:
     where one exists.
 
     The raw expressions ``_evaluate``/``_jacobian`` expect float arrays
-    and run under the caller's ``np.errstate``; ``evaluate``/``jacobian``
-    cast their arguments and silence numpy warnings themselves.
+    and run under the caller's ``np.errstate``; ``evaluate`` (and
+    :func:`curve_jacobian` for ``_jacobian``) casts its arguments and
+    silences numpy warnings itself.
     ``_evaluate`` broadcasts: given ``P.T[:, :, None]`` it returns the
     (S, q) predictions of every row of ``P``.
     """
@@ -91,10 +92,6 @@ class _Family:
     def evaluate(self, params, c):
         with np.errstate(all="ignore"):
             return self._evaluate(np.asarray(params, float), np.asarray(c, float))
-
-    def jacobian(self, params, c):
-        with np.errstate(all="ignore"):
-            return self._jacobian(np.asarray(params, float), np.asarray(c, float))
 
     def domain(self, params):
         return tuple(float(v) for v in self._domain(np.asarray(params, float)))
@@ -406,7 +403,8 @@ def eval_curve(fit: CurveFit, c) -> np.ndarray | float:
 
 def curve_jacobian(family: str, params, c) -> np.ndarray:
     """Analytic Jacobian d(curve)/d(params), shape (..., arity)."""
-    return get_family(family).jacobian(params, c)
+    with np.errstate(all="ignore"):
+        return get_family(family)._jacobian(np.asarray(params, float), np.asarray(c, float))
 
 
 def _starts(fam: _Family, c: np.ndarray, a: np.ndarray, n: int, rng) -> np.ndarray:

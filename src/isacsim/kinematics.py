@@ -6,9 +6,9 @@ the commanded speed while limbs swing sinusoidally at the gait frequency
 
     f_g = speed / (1.346 * sqrt(height))    [cycles/s]
 
-with arms in anti-phase to the ipsilateral leg.  Pacing subjects reverse
-heading at the ends of a straight segment.  The model is deterministic:
-identical specs yield identical tracks.
+with arms in anti-phase to the ipsilateral leg.  Standing is walking at
+speed 0, and pacing is walking folded back at the ends of a segment.  The
+model is deterministic: identical specs yield identical tracks.
 """
 
 from __future__ import annotations
@@ -90,8 +90,6 @@ def gait_frequency(speed: float, height: float) -> float:
     """Gait (limb swing) frequency in cycles per second."""
     if height <= 0:
         raise ValueError(f"height must be positive, got {height!r}")
-    if speed == 0:
-        return 0.0
     return abs(speed) / (GAIT_FREQ_COEFF * math.sqrt(height))
 
 
@@ -101,7 +99,8 @@ class MotionSpec:
 
     The speed is the class default (standing 0, walking 1.0, pacing
     0.5 m/s).  A pacing segment is half the distance covered in
-    ``duration``, i.e. one out-and-back lap.
+    ``duration``, i.e. one out-and-back lap; other segments are infinite.
+    The start position, heading and duration must be finite.
     """
 
     motion_class: str
@@ -121,8 +120,12 @@ class MotionSpec:
                 f"subject: unknown subject {self.subject!r}; "
                 f"choose from {tuple(SUBJECT_HEIGHTS)}"
             )
-        if self.duration <= 0:
-            raise ValueError(f"duration: must be positive, got {self.duration!r}")
+        if not 0 < self.duration < math.inf:
+            raise ValueError(f"duration: must be positive and finite, got {self.duration!r}")
+        for name in ("start_position", "heading"):
+            value = getattr(self, name)
+            if not all(map(math.isfinite, value)):
+                raise ValueError(f"{name}: must be finite, got {value!r}")
         if math.hypot(*self.heading) == 0.0:
             raise ValueError("heading: must be a non-zero direction")
 
@@ -209,32 +212,21 @@ def _rcs(a, b, c, ux, uy, uz):
     return math.pi * np.square(a * b * c) / np.square(denom)
 
 
-def _body_origin(spec: MotionSpec, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ground-plane origin of the body and signed travel direction.
+def _body_origin(spec: MotionSpec, h: np.ndarray, t: np.ndarray):
+    """Ground-plane origin (T, 2) of the body and signed travel direction (T,).
 
-    Returns (origin (T, 3), direction_sign (T,)).  Pacing folds the travel
-    distance into a triangle wave and flips the facing direction on the
-    return leg.
+    One rule for every class: the body covers ``effective_speed * t`` along
+    the unit heading ``h`` (so standing stays at the start), and pacing
+    folds it at ``effective_segment``, facing back on the return leg.
     """
-    speed = spec.effective_speed
-    h = np.array([spec.heading[0], spec.heading[1], 0.0])
-    h = h / np.linalg.norm(h)
-    start = np.asarray(spec.start_position, dtype=float)
-
-    if spec.motion_class == "standing" or speed == 0.0:
-        origin = np.broadcast_to(start, (t.size, 3)).copy()
-        return origin, np.ones(t.size)
-
-    dist = speed * t
+    dist = spec.effective_speed * t
+    sign = np.ones(t.size)
     if spec.motion_class == "pacing":
         seg = spec.effective_segment
         phase = np.mod(dist, 2.0 * seg)
-        folded = np.where(phase <= seg, phase, 2.0 * seg - phase)
+        dist = np.where(phase <= seg, phase, 2.0 * seg - phase)
         sign = np.where(phase <= seg, 1.0, -1.0)
-        origin = start[None, :] + folded[:, None] * h[None, :]
-        return origin, sign
-    origin = start[None, :] + dist[:, None] * h[None, :]
-    return origin, np.ones(t.size)
+    return np.asarray(spec.start_position[:2], dtype=float) + dist[:, None] * h, sign
 
 
 def _limb_dir(theta: np.ndarray, length: float) -> tuple[np.ndarray, np.ndarray]:
@@ -269,10 +261,10 @@ def synthesize_tracks(
     speed = spec.effective_speed
     f_g = gait_frequency(speed, H)
 
-    origin, sign = _body_origin(spec, t)
-    h2 = np.array([spec.heading[0], spec.heading[1]])
-    h2 = h2 / np.linalg.norm(h2)
-    fwd_x, fwd_y = sign * h2[0], sign * h2[1]  # (T,) facing direction
+    h = np.asarray(spec.heading, dtype=float)
+    h = h / np.linalg.norm(h)
+    origin, sign = _body_origin(spec, h, t)
+    fwd_x, fwd_y = sign * h[0], sign * h[1]  # (T,) facing direction
     lat_x, lat_y = -fwd_y, fwd_x  # left-hand lateral
 
     phase = 2.0 * math.pi * f_g * t
@@ -324,7 +316,7 @@ def synthesize_tracks(
     # World positions as (B, T) components: the ground origin plus the offsets.
     x = origin[:, 0] + (forward * fwd_x + lateral * lat_x)
     y = origin[:, 1] + (forward * fwd_y + lateral * lat_y)
-    z = origin[:, 2] + vertical
+    z = spec.start_position[2] + vertical  # the heading has no vertical part
 
     lo = np.array([x.min(), y.min(), z.min()]) - 0.05
     hi = np.array([x.max(), y.max(), z.max()]) + 0.05

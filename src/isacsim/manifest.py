@@ -1,9 +1,9 @@
 """Run manifests and the artifact text format they hash.
 
-A manifest lists the command, its inputs (config reference and seed), and
-the content hash of every artifact the run produced.  Identical inputs
-must reproduce identical manifests byte for byte, so no volatile data
-(timestamps, hostnames) is recorded.
+A manifest is one JSON object: the command, its inputs (config reference
+and seed), the output directory and the content hash of every artifact the
+run produced.  Identical inputs must reproduce identical manifests byte
+for byte, so no volatile data (timestamps, hostnames) is recorded.
 
 The hashes cover artifact bytes, so the text format is part of that
 contract and is decided here once: :func:`write_csv` writes every CSV
@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -61,18 +60,6 @@ def read_csv(path) -> list[tuple[int, dict]]:
     return [(n, row) for (n, _), row in zip(lines[1:], rows)]
 
 
-@dataclass
-class RunManifest:
-    command: str
-    config: str
-    seed: int
-    out_dir: str
-    artifacts: list[dict]
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
-
-
 def write_manifest(
     out_dir, command: str, config_ref: str, seed: int, files
 ) -> Path:
@@ -85,18 +72,13 @@ def write_manifest(
         ),
         key=lambda a: a["file"],
     )
-    manifest = RunManifest(
-        command=command,
-        config=str(config_ref),
-        seed=int(seed),
-        out_dir=str(out_dir),
-        artifacts=artifacts,
-    )
+    manifest = {
+        "command": command,
+        "config": str(config_ref),
+        "seed": int(seed),
+        "out_dir": str(out_dir),
+        "artifacts": artifacts,
+    }
     path = out_dir / MANIFEST_NAME
-    path.write_text(manifest.to_json(), encoding="utf-8")
+    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     return path
-
-
-def read_manifest(path) -> RunManifest:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return RunManifest(**data)

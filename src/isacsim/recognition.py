@@ -120,9 +120,8 @@ def _sample_motion(
             heading=heading,
             duration=duration,
         )
-        reach = spec.effective_speed * duration
-        if spec.motion_class == "pacing":
-            reach = spec.effective_segment
+        # Pacing turns back at its segment; other segments are infinite.
+        reach = min(spec.effective_speed * duration, spec.effective_segment)
         end_x = x + heading[0] * reach
         end_y = y + heading[1] * reach
         if not (_MARGIN <= end_x <= lx - _MARGIN and _MARGIN <= end_y <= ly - _MARGIN):
@@ -143,7 +142,7 @@ def _sample_motion(
 def generate_dataset(
     cfg: SystemConfig,
     clutter: ClutterConfig,
-    class_set,
+    class_set: str,
     n_per_class: int,
     cycles: int,
     rho: float,
@@ -155,14 +154,13 @@ def generate_dataset(
 ) -> LabeledDataset:
     """Full-pipeline labeled spectrograms, ``n_per_class`` per class.
 
-    ``class_set`` is a preset name from :data:`CLASS_SETS` or a list in
-    the same format.  Start positions and headings are randomized inside
-    the room; clutter and noise are fresh per sample.  The samples are
-    mapped over ``threads`` worker threads and come back in job order,
-    so the output is deterministic for a given ``rng`` regardless of
-    ``threads``.
+    ``class_set`` is a preset name from :data:`CLASS_SETS`.  Start
+    positions and headings are randomized inside the room; clutter and
+    noise are fresh per sample.  The samples are mapped over ``threads``
+    worker threads and come back in job order, so the output is
+    deterministic for a given ``rng`` regardless of ``threads``.
     """
-    classes = CLASS_SETS[class_set] if isinstance(class_set, str) else list(class_set)
+    classes = CLASS_SETS[class_set]
     if n_per_class < 1:
         raise ValueError(f"n_per_class must be >= 1, got {n_per_class}")
     if threads < 1:
@@ -353,7 +351,7 @@ def evaluate_accuracy(
 def accuracy_vs_cycles(
     cfg: SystemConfig,
     clutter: ClutterConfig,
-    class_set,
+    class_set: str,
     c_values,
     rng: RngStream,
     *,
@@ -371,18 +369,14 @@ def accuracy_vs_cycles(
     points = []
     for c in c_values:
         c_rng = rng.spawn(f"C{c}")
-        train = generate_dataset(
-            cfg, clutter, class_set, n_train, c, rho, c_rng.spawn("train"),
-            stft_window=stft_window, threads=threads,
-            min_radial_fraction=min_radial_fraction,
-        )
-        test = generate_dataset(
-            cfg, clutter, class_set, n_test, c, rho, c_rng.spawn("test"),
-            stft_window=stft_window, threads=threads,
-            min_radial_fraction=min_radial_fraction,
-        )
-        clf = train_classifier(train)
-        points.append(evaluate_accuracy(clf, test))
+        data = {}  # drops the previous C's datasets before these are built
+        for split, n in (("train", n_train), ("test", n_test)):
+            data[split] = generate_dataset(
+                cfg, clutter, class_set, n, c, rho, c_rng.spawn(split),
+                stft_window=stft_window, threads=threads,
+                min_radial_fraction=min_radial_fraction,
+            )
+        points.append(evaluate_accuracy(train_classifier(data["train"]), data["test"]))
     return points
 
 
@@ -395,10 +389,12 @@ def accuracy_points_to_csv(points, path):
 def accuracy_points_from_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read ``C,A[,n_test]`` rows; returns (cycles, accuracy) arrays.
 
-    A missing column or a cell that is not a number raises ValueError
-    naming the path, the line and the column.
+    A missing column, a cell that is not a number or a C that repeats an
+    earlier row's raises ValueError naming the path, the line and the
+    column.
     """
     columns = {"C": [], "A": []}
+    first_line = {}  # C -> the line it first appears on
     for line, row in read_csv(path):
         for key, values in columns.items():
             text = row.get(key)
@@ -408,4 +404,8 @@ def accuracy_points_from_csv(path) -> tuple[np.ndarray, np.ndarray]:
                 values.append(float(text))
             except ValueError:
                 raise ValueError(f"{path}:{line}: {key}: not a number: {text!r}") from None
+        c = columns["C"][-1]
+        if c in first_line:
+            raise ValueError(f"{path}:{line}: C: repeats line {first_line[c]}'s {c!r}")
+        first_line[c] = line
     return np.asarray(columns["C"]), np.asarray(columns["A"])

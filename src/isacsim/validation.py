@@ -16,6 +16,15 @@ def check_positive(name: str, value: float, *, strict: bool = True) -> float:
     return value
 
 
+def check_seed(name: str, value) -> int:
+    """``value`` as an int; a seed outside [0, 2**64) raises rather than
+    alias another (:class:`~isacsim.config.RngStream` hashes 64 bits)."""
+    value = int(value)
+    if not 0 <= value < 2**64:
+        raise ValueError(f"{name}: must be an integer in [0, 2**64), got {value!r}")
+    return value
+
+
 def check_in_range(name: str, value: float, lo: float, hi: float) -> float:
     value = float(value)
     if not (lo <= value <= hi):

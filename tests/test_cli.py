@@ -8,7 +8,6 @@ import isacsim
 from isacsim.cli import _usable, build_parser, main
 from isacsim.curvefit import make_fit
 from isacsim.dsp import read_pgm
-from isacsim.manifest import read_manifest
 
 DESK_CFG = """\
 carrier_freq_hz = 3.5e9
@@ -127,6 +126,14 @@ class TestHelp:
             (["fit", "--families", "pow3,pow3"], "--families"),
             (["pipeline", "--cycles-list", "128,64"], "--cycles-list"),
             (["pipeline", "--cycles-list", "64,64"], "--cycles-list"),
+            (["pipeline", "--n-train", "1"], "--n-train"),
+            (["spectrogram", "--seed", "-1"], "--seed"),
+            (["dataset", "--seed", "18446744073709551616"], "--seed"),
+            (["calibrate", "--reference", "ref.pgm", "--seed", "-1"], "--seed"),
+            (["region", "--seed", "-1"], "--seed"),
+            (["region", "--seed", "18446744073709551616"], "--seed"),
+            (["fit", "--seed", "-1"], "--seed"),
+            (["pipeline", "--seed", "1.5"], "--seed"),
         ],
     )
     def test_malformed_value_exits_2_naming_its_flag(self, cmd, flag, tmp_path, capsys):
@@ -166,13 +173,18 @@ class TestHelp:
 
     def test_numeric_options_are_range_checked(self):
         # A bare int or float type lets an out-of-range value through to the
-        # library, which fails after --out is made; any integer is a seed.
+        # library, which fails after --out is made.
         sub = next(a for a in build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))
         bare = [(cmd, action.option_strings[0])
                 for cmd, p in sub.choices.items() for action in p._actions
-                if action.type in (int, float) and action.option_strings != ["--seed"]]
+                if action.type in (int, float)]
         assert bare == []
+
+    @pytest.mark.parametrize("cmd", ["spectrogram", "region", "fit"])
+    def test_seed_range_ends_are_accepted(self, cmd):
+        for seed in (0, 2**64 - 1):
+            assert build_parser().parse_args([cmd, "--seed", str(seed)]).seed == seed
 
     def test_top_level_help(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -192,8 +204,8 @@ class TestSpectrogram:
         assert code == 0
         gray = read_pgm(out / "spectrogram.pgm")
         assert gray.shape == (64, 256 - 64 + 1)
-        manifest = read_manifest(out / "manifest.json")
-        names = {a["file"] for a in manifest.artifacts}
+        manifest = json.loads(manifest_of(out))
+        names = {a["file"] for a in manifest["artifacts"]}
         assert names == {"spectrogram.pgm", "zmatrix.csv", "tracks.csv"}
         assert_numeric_cells(out / "tracks.csv")
 
@@ -214,6 +226,15 @@ class TestSpectrogram:
                      str(tmp_path / "d")])
         assert code == 2
         assert "configuration error: carrier_freq_hz: " in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    def test_config_seed_outside_64_bits_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(DESK_CFG.replace("seed = 77", "seed = -1"))
+        code = main(["spectrogram", "--config", str(bad), "--out",
+                     str(tmp_path / "d")])
+        assert code == 2
+        assert "configuration error: seed: " in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
     def test_missing_config_exit_2(self, tmp_path):
@@ -310,6 +331,12 @@ class TestFit:
                      "--families", "pow3,ilog2"]) == 0
         lines = (out / "fits.csv").read_text().splitlines()
         assert len(lines) == 3
+
+    def test_points_with_repeated_cycles_exit_3(self, tmp_path, capsys):
+        pts = tmp_path / "points.csv"
+        pts.write_text("C,A\n100,0.5\n200,0.7\n100,0.6\n")
+        assert main(["fit", "--points", str(pts), "--out", str(tmp_path / "fit")]) == 3
+        assert f"error: {pts}:4: C: repeats line 2's 100.0" in capsys.readouterr().err
 
     def test_points_without_accuracy_column_exit_3(self, tmp_path, capsys):
         pts = tmp_path / "points.csv"

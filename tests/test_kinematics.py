@@ -23,8 +23,9 @@ def tracks_reference(spec, radar_position, t):
     """
     H, speed = spec.height, spec.effective_speed
     radar = np.asarray(radar_position, dtype=float)
-    origin, sign = kin._body_origin(spec, t)
     h2 = np.array(spec.heading) / np.linalg.norm(spec.heading)
+    ground, sign = kin._body_origin(spec, h2, t)
+    origin = np.column_stack([ground, np.full(t.size, float(spec.start_position[2]))])
     fwd = sign[:, None] * h2[None, :]
     lat = np.stack([-fwd[:, 1], fwd[:, 0]], axis=-1)
     phase = 2.0 * math.pi * gait_frequency(speed, H) * t
@@ -94,6 +95,63 @@ class TestMotionSpec:
     def test_unknown_class(self):
         with pytest.raises(ValueError, match="motion_class"):
             MotionSpec("running")
+
+    @pytest.mark.parametrize("field, value", [
+        ("start_position", (math.nan, 4.0, 0.0)),
+        ("start_position", (1.0, 4.0, math.inf)),
+        ("heading", (math.nan, 1.0)),
+        ("heading", (-math.inf, 0.0)),
+        ("duration", math.nan),
+        ("duration", math.inf),
+        ("duration", 0.0),
+    ])
+    def test_non_finite_field_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field}: must be"):
+            MotionSpec("walking", **{field: value})
+
+
+class TestBodyOrigin:
+    """The one motion rule against closed forms written out here: a start
+    of (2, 3), a unit heading of (0.6, -0.8) and a 3 s duration, so pacing
+    at 0.5 m/s turns back every 0.75 m, a triangle wave of period 3 s."""
+
+    START = (2.0, 3.0, 0.25)
+    HEADING = np.array([0.6, -0.8])
+    T = np.linspace(-4.0, 8.0, 1201)  # negative times and four pacing laps
+
+    def origin(self, motion_class, subject):
+        spec = MotionSpec(motion_class, subject, start_position=self.START,
+                          heading=tuple(self.HEADING), duration=3.0)
+        origin, sign = kin._body_origin(spec, self.HEADING, self.T)
+        assert origin.shape == (self.T.size, 2)
+        return origin, sign
+
+    @pytest.mark.parametrize("subject", sorted(SUBJECT_HEIGHTS))
+    def test_standing_stays_at_start(self, subject):
+        origin, sign = self.origin("standing", subject)
+        assert np.array_equal(origin, np.broadcast_to(self.START[:2], origin.shape))
+        assert np.array_equal(sign, np.ones(self.T.size))
+
+    @pytest.mark.parametrize("subject", sorted(SUBJECT_HEIGHTS))
+    def test_walking_is_a_straight_line(self, subject):
+        origin, sign = self.origin("walking", subject)
+        want = np.array(self.START[:2]) + (1.0 * self.T)[:, None] * self.HEADING
+        assert np.allclose(origin, want, rtol=0, atol=1e-12)
+        assert np.array_equal(sign, np.ones(self.T.size))
+
+    @pytest.mark.parametrize("subject", sorted(SUBJECT_HEIGHTS))
+    def test_pacing_is_a_triangle_wave(self, subject):
+        origin, sign = self.origin("pacing", subject)
+        frac = self.T / 3.0 - np.floor(self.T / 3.0)  # position within a lap
+        travel = 0.75 * (1.0 - np.abs(1.0 - 2.0 * frac))
+        want = np.array(self.START[:2]) + travel[:, None] * self.HEADING
+        assert np.allclose(origin, want, rtol=0, atol=1e-12)
+        # Outbound in the first half of each lap; the turns themselves
+        # (frac 0 and 1/2) may round either way.
+        turning = np.isclose(frac, 0.5, atol=1e-9) | np.isclose(np.abs(frac - 0.5), 0.5, atol=1e-9)
+        assert np.array_equal(sign[~turning], np.where(frac < 0.5, 1.0, -1.0)[~turning])
+        # Turns at -3, -1.5, 0, 1.5, 3, 4.5, 6 and 7.5 s.
+        assert np.count_nonzero(np.diff(sign)) == 8
 
 
 class TestTracks:

@@ -234,6 +234,12 @@ class TestAccuracyCsv:
         assert np.array_equal(c, [100, 200])
         assert np.array_equal(a, [0.8, 0.9])
 
+    def test_repeated_cycles_named(self, tmp_path):
+        path = tmp_path / "acc.csv"
+        path.write_text("C,A\n100,0.8\n# comment\n200,0.9\n1e2,0.7\n")
+        with pytest.raises(ValueError, match=r"acc\.csv:5: C: repeats line 2's 100\.0$"):
+            accuracy_points_from_csv(path)
+
     def test_bad_value_named(self, tmp_path):
         path = tmp_path / "acc.csv"
         path.write_text("C,A\n100,0.8\n# comment\n200,abc\n")
