@@ -62,7 +62,7 @@ from .tradeoff import (
     region_boundary,
     zone_bands,
 )
-from .validation import check_seed
+from .validation import check_heading, check_seed
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -153,8 +153,11 @@ def _check_args(args) -> None:
             raise ConfigError(
                 f"--params: {args.family} takes {arity} parameters, got {len(args.params)}"
             )
-    if hasattr(args, "heading") and math.hypot(*args.heading) == 0.0:
-        raise ConfigError("--heading: must be a non-zero direction")
+    if hasattr(args, "heading"):
+        try:
+            check_heading("--heading", args.heading)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     if hasattr(args, "cycles_list"):
         flag, cycles = "--cycles-list", min(args.cycles_list)
     else:

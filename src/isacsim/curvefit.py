@@ -17,13 +17,14 @@ the sense of monotonicity, and its closed-form asymptote where one
 exists.
 
 Fitting minimizes the sum of squared residuals with a multi-start damped
-Gauss-Newton iteration.  Each iteration scores all 40 halvings of the
-Gauss-Newton step as one stack and moves to the longest one that lowers
-the SSR; parameter bounds are enforced by projection.  Model selection
-ranks the families by attained SSR.  Every family is monotone in C over
-its domain for fixed parameters, so curves invert by bisection; an
-accuracy at or above a closed-form asymptote is rejected before
-bisecting.
+Gauss-Newton iteration.  The starts of a family descend in lockstep, as
+one stack: each iteration scores all 40 halvings of every live start's
+Gauss-Newton step as one stack and moves each start to its longest
+halving that lowers its SSR, exactly the step it would take alone;
+parameter bounds are enforced by projection.  Model selection ranks the
+families by attained SSR.  Every family is monotone in C over its domain
+for fixed parameters, so curves invert by bisection; an accuracy at or
+above a closed-form asymptote is rejected before bisecting.
 
 The expressions leave numpy's floating-point warnings to their callers:
 ``fit_curve``, ``invert_curve`` and ``eval_curve`` each silence them once
@@ -69,8 +70,8 @@ class _Family:
     and run under the caller's ``np.errstate``; ``evaluate`` (and
     :func:`curve_jacobian` for ``_jacobian``) casts its arguments and
     silences numpy warnings itself.
-    ``_evaluate`` broadcasts: given ``P.T[:, :, None]`` it returns the
-    (S, q) predictions of every row of ``P``.
+    Both broadcast: given ``P.T[:, :, None]`` they return the (S, q)
+    predictions and (S, q, arity) Jacobians of every row of ``P``.
     """
 
     def __init__(self, name, param_names, evaluate, jacobian, starts, *, increasing,
@@ -132,7 +133,7 @@ def _pow3_eval(p, c):
 
 def _pow3_jac(p, c):
     cb = c ** (-p[1])
-    return np.stack([-cb, p[0] * cb * np.log(c), np.ones_like(c)], axis=-1)
+    return np.stack([-cb, p[0] * cb * np.log(c), np.ones_like(cb)], axis=-1)
 
 
 def _pow3_starts(c, a):
@@ -174,7 +175,7 @@ def _exp4_eval(p, c):
 def _exp4_jac(p, c):
     ce = c ** p[3]
     e = np.exp(-p[0] * ce + p[1])
-    return np.stack([ce * e, -e, np.ones_like(c), p[0] * ce * np.log(c) * e], axis=-1)
+    return np.stack([ce * e, -e, np.ones_like(e), p[0] * ce * np.log(c) * e], axis=-1)
 
 
 def _exp4_starts(c, a):
@@ -228,7 +229,9 @@ def _ilog2_eval(p, c):
 
 
 def _ilog2_jac(p, c):
-    return np.stack([-1.0 / np.log(c), np.ones_like(c)], axis=-1)
+    # The same for every parameter vector, so broadcast to the stack's shape.
+    d_alpha = np.broadcast_to(-1.0 / np.log(c), np.broadcast(p[0], c).shape)
+    return np.stack([d_alpha, np.ones_like(d_alpha)], axis=-1)
 
 
 def _ilog2_starts(c, a):
@@ -244,7 +247,7 @@ def _pow4_jac(p, c):
     s = p[0] * c + p[1]
     se1 = s ** (p[3] - 1.0)
     return np.stack(
-        [-p[3] * se1 * c, -p[3] * se1, np.ones_like(c), -(s ** p[3]) * np.log(s)],
+        [-p[3] * se1 * c, -p[3] * se1, np.ones_like(s), -(s ** p[3]) * np.log(s)],
         axis=-1,
     )
 
@@ -431,23 +434,19 @@ def _ssr(fam: _Family, P: np.ndarray, c: np.ndarray, a: np.ndarray):
     return (R[:, None, :] @ R[:, :, None]).ravel(), R
 
 
-def fit_curve(
-    cycles,
-    accuracy,
-    family: str = "pow3",
-    *,
-    n_starts: int = DEFAULT_N_STARTS,
-    max_iter: int = DEFAULT_MAX_ITER,
-    seed: int = DEFAULT_FIT_SEED,
-) -> CurveFit:
+def fit_curve(cycles, accuracy, family: str = "pow3", *, n_starts: int = DEFAULT_N_STARTS,
+              max_iter: int = DEFAULT_MAX_ITER, seed: int = DEFAULT_FIT_SEED) -> CurveFit:
     """Nonlinear least-squares fit of one family to (C, A) points.
 
     Runs ``n_starts`` damped Gauss-Newton descents from data-driven and
-    random initial points.  Each iteration admits (projects into the
-    family's bounds and nudges into its domain) all 40 halvings of the
-    Gauss-Newton step, from the full step down to 2**-39 of it, scores them
-    as one stack and moves to the longest one that lowers the SSR; a start
-    ends when none does.  The returned SSR is never worse than any start's
+    random initial points in lockstep, as one (S, arity) stack.  Each
+    iteration takes the (S, q, arity) Jacobian of the live starts, one
+    ``lstsq`` step per start, admits (projects into the family's bounds and
+    nudges into its domain) all S x 40 halvings of those steps, from 1 to
+    2**-39, and scores them as one stack.  Each start moves to its longest
+    halving that lowers its SSR, or leaves the stack when none does; starts
+    never mix, so each takes exactly the steps it would take alone.  The
+    fit is the first start with the least SSR, never worse than any start's
     initial SSR, and ``stops`` counts how the starts ended.  Raises
     :class:`CurveFitError` when no start produces a finite fit.
     """
@@ -457,9 +456,8 @@ def fit_curve(
     if c.size != a.size:
         raise ValueError(f"cycles and accuracy differ in length: {c.size} vs {a.size}")
     if c.size < fam.arity:
-        raise ValueError(
-            f"insufficient points: {fam.name} needs at least {fam.arity}, got {c.size}"
-        )
+        raise ValueError(f"insufficient points: {fam.name} needs at least {fam.arity}, "
+                         f"got {c.size}")
     if np.any(c <= 0):
         raise ValueError("cycles must be positive")
     if np.unique(c).size != c.size:
@@ -467,51 +465,55 @@ def fit_curve(
     if fam.feasible is None:  # a fixed domain: no parameter can move it onto the data
         _check_domain(fam, c, *fam.domain(np.zeros(fam.arity)), CurveFitError)
 
-    best_params, best_ssr, best_resid = None, math.inf, None
-    stops = dict.fromkeys(STOP_REASONS, 0)
     # A step that overflows or leaves the domain gives a non-finite SSR,
-    # Jacobian or step, which the descent rejects.  One errstate per fit keeps
-    # its cost (~3 us) out of the thousands of stacks a fit scores.
+    # Jacobian or step, which the descent rejects.
     with np.errstate(all="ignore"):
         starts = _starts(fam, c, a, n_starts, np.random.default_rng(seed))
-        for p, ssr, resid in zip(starts, *_ssr(fam, starts, c, a)):
-            if not math.isfinite(ssr):
-                stops["diverged_start"] += 1
-                continue
-            for _ in range(max_iter):
-                jac = fam._jacobian(p, c)
-                if not np.isfinite(jac).all():
-                    stops["nonfinite"] += 1
-                    break
-                delta, *_ = np.linalg.lstsq(jac, -resid, rcond=None)
-                if not np.isfinite(delta).all():
-                    stops["nonfinite"] += 1
-                    break
-                if not delta.any():
-                    stops["zero_step"] += 1
-                    break
-                cands = fam.admit(p + _STEPS[:, None] * delta, c)
-                ssrs, resids = _ssr(fam, cands, c, a)
-                k = int(np.argmax(ssrs < ssr))  # the longest step that descends
-                if not ssrs[k] < ssr:
-                    stops["no_descent"] += 1
-                    break
-                p, ssr, resid = cands[k], ssrs[k], resids[k]
-            else:
-                stops["max_iter"] += 1
-            if ssr < best_ssr:
-                best_params, best_ssr, best_resid = p, ssr, resid
-    # The descent only accepts decreasing, hence finite, SSRs: a fit is
-    # missing only when every start was non-finite.
-    if best_params is None:
+        P, ssr, R, stop = _descend(fam, starts, c, a, max_iter)
+    # The descent accepts decreasing SSRs only: just diverged starts end non-finite.
+    finite = np.flatnonzero(np.isfinite(ssr))
+    if not finite.size:
         raise CurveFitError(
             f"{fam.name}: all {n_starts} starts diverged on the given points")
+    best = finite[np.argmin(ssr[finite])]  # the first start with the least SSR
 
-    # Copies, so the fit holds no view into a candidate stack.
-    fit = make_fit(fam.name, best_params.copy())
-    fit.ssr, fit.residuals, fit.num_points = float(best_ssr), best_resid.copy(), c.size
-    fit.stops = stops
+    # Copies, so the fit holds no view into the descent's stacks.
+    fit = make_fit(fam.name, P[best].copy())
+    fit.ssr, fit.residuals, fit.num_points = float(ssr[best]), R[best].copy(), c.size
+    fit.stops = dict(zip(STOP_REASONS, np.bincount(stop, minlength=len(STOP_REASONS)).tolist()))
     return fit
+
+
+def _descend(fam: _Family, P: np.ndarray, c: np.ndarray, a: np.ndarray, max_iter: int):
+    """:func:`fit_curve`'s lockstep descent of the rows of the (S, arity) stack
+    ``P``, under the caller's ``np.errstate``; rows never mix.  Returns the final
+    parameters, SSRs, residuals and stop reasons (indices into STOP_REASONS)."""
+    ssr, R = _ssr(fam, P, c, a)
+    P = P.copy()
+    stop = np.full(len(P), STOP_REASONS.index("max_iter"))
+    stop[~np.isfinite(ssr)] = STOP_REASONS.index("diverged_start")
+    live = np.flatnonzero(np.isfinite(ssr))
+    for _ in range(max_iter):
+        if not live.size:
+            break
+        J = fam._jacobian(P[live].T[:, :, None], c)
+        D = np.full((live.size, fam.arity), np.nan)  # a non-finite Jacobian keeps NaN
+        for i in np.flatnonzero(np.isfinite(J).all(axis=(1, 2))):
+            D[i] = np.linalg.lstsq(J[i], -R[live[i]], rcond=None)[0]
+        finite = np.isfinite(D).all(axis=1)
+        steps = finite & D.any(axis=1)
+        stop[live[~finite]] = STOP_REASONS.index("nonfinite")
+        stop[live[finite & ~steps]] = STOP_REASONS.index("zero_step")
+        live, D = live[steps], D[steps]
+        cands = fam.admit((P[live, None] + _STEPS[:, None] * D[:, None]).reshape(-1, fam.arity), c)
+        ssrs, Rs = _ssr(fam, cands, c, a)
+        descends = ssrs.reshape(live.size, _STEPS.size) < ssr[live, None]
+        k = np.arange(live.size) * _STEPS.size + descends.argmax(axis=1)  # the longest step
+        moved = descends.any(axis=1)
+        stop[live[~moved]] = STOP_REASONS.index("no_descent")
+        live, k = live[moved], k[moved]
+        P[live], ssr[live], R[live] = cands[k], ssrs[k], Rs[k]
+    return P, ssr, R, stop
 
 
 def make_fit(family: str, params) -> CurveFit:
@@ -555,9 +557,7 @@ class ModelSelection:
         return write_csv(path, header, rows)
 
 
-def select_model(
-    cycles, accuracy, families=None, **fit_kwargs
-) -> ModelSelection:
+def select_model(cycles, accuracy, families=None, **fit_kwargs) -> ModelSelection:
     """Fit several families and rank them by attained SSR."""
     names = FAMILY_NAMES if families is None else tuple(families)
     fits: list[CurveFit] = []

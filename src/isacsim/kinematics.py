@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .manifest import write_csv
-from .validation import as_float_array
+from .validation import as_float_array, check_heading
 
 MOTION_CLASSES = ("standing", "walking", "pacing")
 SUBJECT_HEIGHTS = {"adult": 1.75, "child": 1.0}
@@ -100,7 +100,8 @@ class MotionSpec:
     The speed is the class default (standing 0, walking 1.0, pacing
     0.5 m/s).  A pacing segment is half the distance covered in
     ``duration``, i.e. one out-and-back lap; other segments are infinite.
-    The start position, heading and duration must be finite.
+    The start position, heading and duration must be finite, and the
+    heading's ``np.linalg.norm`` positive and finite.
     """
 
     motion_class: str
@@ -126,8 +127,7 @@ class MotionSpec:
             value = getattr(self, name)
             if not all(map(math.isfinite, value)):
                 raise ValueError(f"{name}: must be finite, got {value!r}")
-        if math.hypot(*self.heading) == 0.0:
-            raise ValueError("heading: must be a non-zero direction")
+        check_heading("heading", self.heading)  # synthesize_tracks divides by its norm
 
     @property
     def height(self) -> float:

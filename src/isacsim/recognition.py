@@ -389,9 +389,9 @@ def accuracy_points_to_csv(points, path):
 def accuracy_points_from_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read ``C,A[,n_test]`` rows; returns (cycles, accuracy) arrays.
 
-    A missing column, a cell that is not a number or a C that repeats an
-    earlier row's raises ValueError naming the path, the line and the
-    column.
+    A missing column, a cell that is not a finite number or a C that
+    repeats an earlier row's raises ValueError naming the path, the line
+    and the column.
     """
     columns = {"C": [], "A": []}
     first_line = {}  # C -> the line it first appears on
@@ -401,9 +401,12 @@ def accuracy_points_from_csv(path) -> tuple[np.ndarray, np.ndarray]:
             if text is None:
                 raise ValueError(f"{path}:{line}: missing column {key!r}")
             try:
-                values.append(float(text))
+                value = float(text)
             except ValueError:
                 raise ValueError(f"{path}:{line}: {key}: not a number: {text!r}") from None
+            if not math.isfinite(value):  # float() takes nan, inf and 1e400
+                raise ValueError(f"{path}:{line}: {key}: not a finite number: {text!r}")
+            values.append(value)
         c = columns["C"][-1]
         if c in first_line:
             raise ValueError(f"{path}:{line}: C: repeats line {first_line[c]}'s {c!r}")

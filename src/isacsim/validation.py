@@ -25,6 +25,17 @@ def check_seed(name: str, value) -> int:
     return value
 
 
+def check_heading(name: str, heading) -> None:
+    """Raise unless ``np.linalg.norm(heading)``, the norm a heading is
+    normalized by, is positive and finite.  Unlike ``math.hypot`` it
+    underflows to 0 below about 1e-154 and overflows above about 1e154."""
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(heading)
+    if not 0.0 < norm < np.inf:
+        raise ValueError(
+            f"{name}: must be a non-zero direction with a finite norm, got {tuple(heading)!r}")
+
+
 def check_in_range(name: str, value: float, lo: float, hi: float) -> float:
     value = float(value)
     if not (lo <= value <= hi):

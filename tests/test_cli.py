@@ -161,6 +161,8 @@ class TestHelp:
             (["region", "--slope-lo", "6"], "--slope-lo"),
             (["region", "--params", "1,2"], "--params"),
             (["region", "--family", "pow4", "--params", "1,2,3"], "--params"),
+            (["spectrogram", "--heading", "1e-200", "1e-200"], "--heading"),
+            (["spectrogram", "--heading", "1e200", "1e200"], "--heading"),
         ],
     )
     def test_usage_error_exits_2_before_out_exists(self, cmd, flag, tmp_path, capsys):
@@ -337,6 +339,14 @@ class TestFit:
         pts.write_text("C,A\n100,0.5\n200,0.7\n100,0.6\n")
         assert main(["fit", "--points", str(pts), "--out", str(tmp_path / "fit")]) == 3
         assert f"error: {pts}:4: C: repeats line 2's 100.0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ["nan,0.6", "300,inf", "300,1e400"])
+    def test_points_with_non_finite_cell_exit_3(self, tmp_path, capsys, row):
+        pts = tmp_path / "points.csv"
+        pts.write_text(f"C,A\n100,0.5\n200,0.7\n{row}\n400,0.8\n")
+        assert main(["fit", "--points", str(pts), "--out", str(tmp_path / "fit")]) == 3
+        column = "C" if row.startswith("nan") else "A"
+        assert f"error: {pts}:4: {column}: not a finite number" in capsys.readouterr().err
 
     def test_points_without_accuracy_column_exit_3(self, tmp_path, capsys):
         pts = tmp_path / "points.csv"

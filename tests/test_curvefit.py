@@ -23,6 +23,7 @@ from isacsim.curvefit import (
     FAMILIES,
     STOP_REASONS,
     CurveFitError,
+    _descend,
     _ssr,
     _starts,
     curve_jacobian,
@@ -166,6 +167,24 @@ class TestJacobians:
                 scale = np.maximum(np.abs(jac), np.abs(cs))
                 assert np.all(np.abs(jac - cs) <= 1e-6 * scale + 1e-15), family
 
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_stack_equals_each_row_alone(self, family):
+        # The lockstep descent takes the (S, q, arity) Jacobian of a whole
+        # parameter stack; each row must hold its curve_jacobian to the
+        # last bit, a non-finite row included.  Exponents of exactly 0.5, 2
+        # and -1 are not drawn: numpy may take sqrt, square or reciprocal for
+        # them in a one- or two-row column, which can differ from pow by an ulp.
+        fam = FAMILIES[family]
+        rng = np.random.default_rng(44)
+        P = np.array([random_params(family, rng) for _ in range(6)])
+        P[2, 0] = math.nan
+        P[4, -1] = math.inf
+        with np.errstate(all="ignore"):
+            J = fam._jacobian(P.T[:, :, None], BENCH_C)
+        assert J.shape == (6, BENCH_C.size, fam.arity)
+        rows = np.stack([curve_jacobian(family, p, BENCH_C) for p in P])
+        assert J.tobytes() == rows.tobytes()
+
 
 class TestFitCurve:
     def test_noiseless_pow3_recovery(self):
@@ -241,6 +260,10 @@ class TestFitCurve:
                 fit_curve([1e-6, 2e-6, 3e-6], [-0.1, 0.5, 0.6], "vapor_pressure",
                           n_starts=1, seed=1)
 
+    def test_no_starts_is_a_fit_error(self):
+        with pytest.raises(CurveFitError, match=r"^pow3: all 0 starts diverged"):
+            fit_curve(BENCH_C, BENCH_A, "pow3", n_starts=0)
+
     def test_residuals_reported_per_point(self):
         fit = fit_curve(BENCH_C, BENCH_A, "ilog2")
         assert fit.residuals.shape == BENCH_C.shape
@@ -248,8 +271,14 @@ class TestFitCurve:
 
 
 def sequential_fit(fam, c, a, n_starts):
-    """Reference for ``fit_curve``: the step search one candidate at a time,
-    each admitted as a one-row stack and scored with ``np.dot``."""
+    """Reference for ``fit_curve``: one start at a time, the step search one
+    candidate at a time, each admitted as a one-row stack and scored with
+    ``np.dot``.
+
+    Invariant guarded: each start of ``fit_curve`` takes exactly the steps
+    a lone start takes, so neither the lockstep stack of starts nor the
+    stack of step halvings moves a bit of the fit.
+    """
     def ssr(p):
         r = fam._evaluate(p, c) - a
         s = float(np.dot(r, r))
@@ -282,6 +311,14 @@ def sequential_fit(fam, c, a, n_starts):
 
 
 class TestBatchedStepSearch:
+    """Byte pins of the stacked descent.  Invariants guarded:
+
+    - each start takes exactly the steps a lone start takes
+      (:func:`sequential_fit`, and a stack against each row alone);
+    - ``select_model`` at seed 0 holds the stored ``curves_region``
+      reference bits of perfbench.
+    """
+
     @pytest.mark.parametrize("points", ["bench", *OVERFLOW_POINTS])
     @pytest.mark.parametrize("family", FAMILY_NAMES)
     def test_matches_sequential_step_search_bytewise(self, family, points):
@@ -330,6 +367,31 @@ class TestBatchedStepSearch:
         assert admitted[0, 1] != P[0, 1]  # a zero deficit is nudged too
         assert np.array_equal(P, np.array(rows), equal_nan=True)  # input untouched
         assert admitted[4, 0] == fam.bounds[1][0]  # projected onto the bound
+
+    @pytest.mark.parametrize("points", ["bench", "log_log_linear", "planted", "negative"])
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_descent_of_stack_equals_each_row_alone(self, family, points):
+        # 8 starts in lockstep against each start descended as a one-row
+        # stack.  One start is diverged; the others end by every other stop
+        # reason somewhere in the parametrization (max_iter at 60 steps,
+        # zero_step on planted ilog2, nonfinite on negative log_power).
+        c, a = {
+            "bench": (BENCH_C, BENCH_A),
+            "log_log_linear": tuple(map(np.array, OVERFLOW_POINTS["log_log_linear"])),
+            "planted": (self.PLANTED_C, 1.4 - 1.2 / np.log(self.PLANTED_C)),
+            "negative": (np.array([167.0, 236.0, 495.0, 1454.0, 2648.0]),
+                         np.array([-0.404, 0.387, -0.479, -0.232, -0.42])),
+        }[points]
+        fam = FAMILIES[family]
+        starts = _starts(fam, c, a, 8, np.random.default_rng(DEFAULT_FIT_SEED))
+        starts[5] = math.nan
+        with np.errstate(all="ignore"):
+            stacked = _descend(fam, starts, c, a, 60)
+            alone = [_descend(fam, row[None], c, a, 60) for row in starts]
+        assert stacked[3][5] == STOP_REASONS.index("diverged_start")
+        for i, lone in enumerate(alone):
+            for got, want in zip(stacked, lone):  # params, SSR, residuals, stop reason
+                assert got[i].tobytes() == want[0].tobytes(), (i, got[i], want[0])
 
     @pytest.mark.parametrize("q", [2, 6, 17])
     def test_batched_ssr_rounds_like_dot(self, q):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -108,6 +109,25 @@ class TestMotionSpec:
     def test_non_finite_field_named(self, field, value):
         with pytest.raises(ValueError, match=f"^{field}: must be"):
             MotionSpec("walking", **{field: value})
+
+    @pytest.mark.parametrize("heading", [
+        (0.0, 0.0), (1e-200, 1e-200), (1e-200, 0.0), (1e200, 1e200), (-1e300, 0.0),
+    ])
+    def test_heading_norm_must_be_positive_and_finite(self, heading):
+        # synthesize_tracks divides by np.linalg.norm, which underflows to 0
+        # (NaN positions) or overflows to inf (a walker that never moves).
+        with pytest.raises(ValueError, match="^heading: must be a non-zero direction"):
+            MotionSpec("walking", heading=heading)
+
+    @pytest.mark.parametrize("heading", [(1e-150, 1e-150), (1e150, -1e150)])
+    def test_heading_near_the_norm_limits_walks(self, heading):
+        # 3 s at 1 m/s covers 3 m of torso translation, with no warning.
+        spec = MotionSpec("walking", start_position=(3.0, 4.2, 0.0), heading=heading)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tracks = synthesize_tracks(spec, RADAR, np.linspace(0.0, 3.0, 301))
+        chest = tracks.positions[list(tracks.names).index("chest")]
+        assert np.linalg.norm(chest[-1] - chest[0]) == pytest.approx(3.0, abs=1e-9)
 
 
 class TestBodyOrigin:

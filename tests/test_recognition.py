@@ -245,3 +245,15 @@ class TestAccuracyCsv:
         path.write_text("C,A\n100,0.8\n# comment\n200,abc\n")
         with pytest.raises(ValueError, match=r"acc\.csv:4: A: not a number: 'abc'$"):
             accuracy_points_from_csv(path)
+
+    @pytest.mark.parametrize("column, text", [
+        ("C", "nan"), ("C", "inf"), ("C", "1e400"), ("A", "-inf"), ("A", "NaN"), ("A", "1e400"),
+    ])
+    def test_non_finite_value_named(self, tmp_path, column, text):
+        # float() parses these; unchecked they reached every family's fit.
+        row = f"{text},0.9" if column == "C" else f"200,{text}"
+        path = tmp_path / "acc.csv"
+        path.write_text(f"C,A\n100,0.8\n# comment\n{row}\n300,0.95\n")
+        with pytest.raises(ValueError, match=rf"acc\.csv:4: {column}: not a finite number: "
+                                             rf"'{text}'$"):
+            accuracy_points_from_csv(path)
