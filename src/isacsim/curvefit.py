@@ -18,13 +18,14 @@ exists.
 
 Fitting minimizes the sum of squared residuals with a multi-start damped
 Gauss-Newton iteration.  The starts of a family descend in lockstep, as
-one stack: each iteration scores all 40 halvings of every live start's
-Gauss-Newton step as one stack and moves each start to its longest
-halving that lowers its SSR, exactly the step it would take alone;
-parameter bounds are enforced by projection.  Model selection ranks the
-families by attained SSR.  Every family is monotone in C over its domain
-for fixed parameters, so curves invert by bisection; an accuracy at or
-above a closed-form asymptote is rejected before bisecting.
+one stack: each iteration solves the Gauss-Newton steps of all live
+starts in one batched least-squares call, scores all 40 halvings of
+every step as one stack and moves each start to its longest halving that
+lowers its SSR, exactly the step it would take alone; parameter bounds
+are enforced by projection.  Model selection ranks the families by
+attained SSR.  Every family is monotone in C over its domain for fixed
+parameters, so curves invert by bisection; an accuracy at or above a
+closed-form asymptote is rejected before bisecting.
 
 The expressions leave numpy's floating-point warnings to their callers:
 ``fit_curve``, ``invert_curve`` and ``eval_curve`` each silence them once
@@ -39,9 +40,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .manifest import write_csv
-from .validation import as_float_array
+from .validation import as_float_array, check_count
 
 DEFAULT_N_STARTS = 64  # Gauss-Newton starts per family
 DEFAULT_MAX_ITER = 500  # iterations per start
@@ -107,8 +109,9 @@ class _Family:
 
 
 def _check_domain(fam: _Family, c, lo: float, hi: float, error: type[Exception]):
-    """Raise ``error`` naming the family's domain when a C lies outside (lo, hi)."""
-    if np.any(c <= lo) or np.any(c >= hi):
+    """Raise ``error`` naming the family's domain unless every C lies in
+    (lo, hi); a NaN C lies in no interval."""
+    if not np.all((c > lo) & (c < hi)):
         raise error(f"{fam.name}: {fam.domain_message} (domain ({lo!r}, {hi!r}))")
 
 
@@ -434,23 +437,47 @@ def _ssr(fam: _Family, P: np.ndarray, c: np.ndarray, a: np.ndarray):
     return (R[:, None, :] @ R[:, :, None]).ravel(), R
 
 
+def _svd_did_not_converge(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _gauss_newton_steps(J: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """The (L, arity) Gauss-Newton steps of the finite (L, q, arity)
+    Jacobians ``J`` and their (L, q) residuals ``R``, in one call.
+
+    Row ``i`` holds the bits of ``np.linalg.lstsq(J[i], -R[i], rcond=None)[0]``:
+    this calls the batched LAPACK gelsd gufunc that ``lstsq`` calls one 2-D
+    matrix at a time, with its rcond, signature and errstate, so an SVD
+    that does not converge raises whatever the caller's errstate.
+    """
+    _, q, arity = J.shape
+    with np.errstate(call=_svd_did_not_converge, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        D = _umath_linalg.lstsq(J, -R[:, :, None], np.finfo(float).eps * max(q, arity),
+                                signature="ddd->ddid")[0]
+    return D[:, :, 0]
+
+
 def fit_curve(cycles, accuracy, family: str = "pow3", *, n_starts: int = DEFAULT_N_STARTS,
               max_iter: int = DEFAULT_MAX_ITER, seed: int = DEFAULT_FIT_SEED) -> CurveFit:
     """Nonlinear least-squares fit of one family to (C, A) points.
 
     Runs ``n_starts`` damped Gauss-Newton descents from data-driven and
     random initial points in lockstep, as one (S, arity) stack.  Each
-    iteration takes the (S, q, arity) Jacobian of the live starts, one
-    ``lstsq`` step per start, admits (projects into the family's bounds and
-    nudges into its domain) all S x 40 halvings of those steps, from 1 to
-    2**-39, and scores them as one stack.  Each start moves to its longest
-    halving that lowers its SSR, or leaves the stack when none does; starts
-    never mix, so each takes exactly the steps it would take alone.  The
-    fit is the first start with the least SSR, never worse than any start's
-    initial SSR, and ``stops`` counts how the starts ended.  Raises
-    :class:`CurveFitError` when no start produces a finite fit.
+    iteration takes the (S, q, arity) Jacobian of the live starts, solves
+    their steps in one batched least-squares call, admits (projects into
+    the family's bounds and nudges into its domain) all S x 40 halvings of
+    those steps, from 1 to 2**-39, and scores them as one stack.  Each
+    start moves to its longest halving that lowers its SSR, or leaves the
+    stack when none does; starts never mix, so each takes exactly the
+    steps it would take alone.  The fit is the first start with the least
+    SSR, never worse than any start's initial SSR, and ``stops`` counts
+    how the starts ended.  A negative or non-integer ``n_starts`` or
+    ``max_iter`` raises ``ValueError``; :class:`CurveFitError` when no
+    start produces a finite fit.
     """
     fam = get_family(family)
+    n_starts, max_iter = check_count("n_starts", n_starts), check_count("max_iter", max_iter)
     c = as_float_array(cycles, "cycles", ndim=1)
     a = as_float_array(accuracy, "accuracy", ndim=1)
     if c.size != a.size:
@@ -486,8 +513,10 @@ def fit_curve(cycles, accuracy, family: str = "pow3", *, n_starts: int = DEFAULT
 
 def _descend(fam: _Family, P: np.ndarray, c: np.ndarray, a: np.ndarray, max_iter: int):
     """:func:`fit_curve`'s lockstep descent of the rows of the (S, arity) stack
-    ``P``, under the caller's ``np.errstate``; rows never mix.  Returns the final
-    parameters, SSRs, residuals and stop reasons (indices into STOP_REASONS)."""
+    ``P``, under the caller's ``np.errstate``; rows never mix.  Each iteration
+    makes one batched least-squares call for the steps of all live rows.
+    Returns the final parameters, SSRs, residuals and stop reasons (indices
+    into STOP_REASONS)."""
     ssr, R = _ssr(fam, P, c, a)
     P = P.copy()
     stop = np.full(len(P), STOP_REASONS.index("max_iter"))
@@ -498,8 +527,8 @@ def _descend(fam: _Family, P: np.ndarray, c: np.ndarray, a: np.ndarray, max_iter
             break
         J = fam._jacobian(P[live].T[:, :, None], c)
         D = np.full((live.size, fam.arity), np.nan)  # a non-finite Jacobian keeps NaN
-        for i in np.flatnonzero(np.isfinite(J).all(axis=(1, 2))):
-            D[i] = np.linalg.lstsq(J[i], -R[live[i]], rcond=None)[0]
+        solvable = np.isfinite(J).all(axis=(1, 2))
+        D[solvable] = _gauss_newton_steps(J[solvable], R[live[solvable]])
         finite = np.isfinite(D).all(axis=1)
         steps = finite & D.any(axis=1)
         stop[live[~finite]] = STOP_REASONS.index("nonfinite")
@@ -580,9 +609,11 @@ def invert_curve(fit: CurveFit, accuracy: float) -> float:
     Bisects the monotone range down to two adjacent floats, so the curve
     values next to the returned C bracket ``accuracy``.  Raises when the
     accuracy lies outside the achievable range (e.g. at or above the
-    curve's asymptote).
+    curve's asymptote) or is NaN.
     """
     a_target = float(accuracy)
+    if math.isnan(a_target):  # every comparison of the bisection would read "above"
+        raise ValueError(f"accuracy must be a number, got {a_target!r}")
     fam = get_family(fit.family)
     p = np.asarray(fit.params, dtype=float)
     lo, hi = fit.domain

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 
@@ -23,6 +25,13 @@ def check_seed(name: str, value) -> int:
     if not 0 <= value < 2**64:
         raise ValueError(f"{name}: must be an integer in [0, 2**64), got {value!r}")
     return value
+
+
+def check_count(name: str, value) -> int:
+    """``value`` as an int; a non-integer or negative count raises."""
+    if not isinstance(value, numbers.Integral) or value < 0:
+        raise ValueError(f"{name}: must be a non-negative integer, got {value!r}")
+    return int(value)
 
 
 def check_heading(name: str, heading) -> None:

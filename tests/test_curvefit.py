@@ -24,6 +24,7 @@ from isacsim.curvefit import (
     STOP_REASONS,
     CurveFitError,
     _descend,
+    _gauss_newton_steps,
     _ssr,
     _starts,
     curve_jacobian,
@@ -118,6 +119,12 @@ class TestEvalCurve:
             eval_curve(make_fit("pow4", (1.0, -500.0, 0.9, 0.5)), 100.0)
         with pytest.raises(ValueError, match="log_log_linear"):
             eval_curve(make_fit("log_log_linear", (1.0, -10.0)), 2.0)
+
+    @pytest.mark.parametrize("c", [math.nan, [500.0, math.nan]])
+    def test_nan_cycles_outside_every_domain(self, c):
+        # NaN compares False both ways: it must not slip past the domain check.
+        with pytest.raises(ValueError, match=r"pow3: C must be positive"):
+            eval_curve(make_fit("pow3", BENCH_POW3), c)
 
 
 class TestJacobians:
@@ -263,6 +270,21 @@ class TestFitCurve:
     def test_no_starts_is_a_fit_error(self):
         with pytest.raises(CurveFitError, match=r"^pow3: all 0 starts diverged"):
             fit_curve(BENCH_C, BENCH_A, "pow3", n_starts=0)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(n_starts=-1), "n_starts"),   # would run 19 of pow3's 20 data-driven starts
+        (dict(n_starts=-19), "n_starts"),
+        (dict(n_starts=2.5), "n_starts"),  # would fail as a slice index
+        (dict(max_iter=-5), "max_iter"),   # would run no iteration and report max_iter stops
+        (dict(max_iter=2.5), "max_iter"),
+    ])
+    def test_bad_counts_named(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name}: must be a non-negative integer"):
+            fit_curve(BENCH_C, BENCH_A, "pow3", **kwargs)
+
+    def test_numpy_integer_counts_accepted(self):
+        fit = fit_curve(BENCH_C, BENCH_A, "ilog2", n_starts=np.int64(4), max_iter=np.int32(3))
+        assert sum(fit.stops.values()) == 4
 
     def test_residuals_reported_per_point(self):
         fit = fit_curve(BENCH_C, BENCH_A, "ilog2")
@@ -437,6 +459,41 @@ class TestBatchedStepSearch:
         assert all(fit.stops[k] == v for k, v in expected.items())
 
 
+class TestGaussNewtonSteps:
+    """The batched least-squares call of the descent.  Invariant guarded:
+    each row is the bits of ``np.linalg.lstsq(J[i], -R[i], rcond=None)[0]``,
+    so a numpy whose gelsd gufunc or ``lstsq`` wrapper changes fails here."""
+
+    @staticmethod
+    def per_row(J, R):
+        return np.array([np.linalg.lstsq(j, -r, rcond=None)[0] for j, r in zip(J, R)])
+
+    @pytest.mark.parametrize("q, arity", [  # a family fits at least arity points
+        (q, arity) for q in range(2, 12) for arity in (2, 3, 4) if q >= arity])
+    def test_equals_lstsq_per_row(self, q, arity):
+        rng = np.random.default_rng(100 * q + arity)
+        J = rng.normal(size=(9, q, arity)) * 10.0 ** rng.uniform(-6, 6, size=(9, 1, arity))
+        R = rng.normal(size=(9, q))
+        J[1, :, -1] = J[1, :, 0]  # rank-deficient: a repeated column
+        R[2] = 0.0                # already at a zero residual
+        D = _gauss_newton_steps(J, R)
+        assert D.shape == (9, arity)
+        assert D.tobytes() == self.per_row(J, R).tobytes()
+        assert not D[2].any()
+
+    def test_empty_stack(self):
+        assert _gauss_newton_steps(np.empty((0, 6, 3)), np.empty((0, 6))).shape == (0, 3)
+
+    def test_svd_failure_raises_under_silenced_errstate(self):
+        # fit_curve runs the descent with every numpy warning silenced; a
+        # non-converging SVD must still raise, as it does from lstsq.
+        J = np.ones((2, 4, 2))
+        J[1, 0, 0] = math.inf
+        with np.errstate(all="ignore"):
+            with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+                _gauss_newton_steps(J, np.ones((2, 4)))
+
+
 class TestSelectModel:
     def test_benchmark_ranking_has_pow3_on_top(self):
         selection = select_model(BENCH_C, BENCH_A)
@@ -557,6 +614,14 @@ class TestInvertCurve:
         fit = make_fit("log_power", (0.9460, 4.7438, -2.9235))
         with pytest.raises(ValueError, match=r"below 1e18 \(the curve is 0\.94"):
             invert_curve(fit, 0.99)
+
+    @pytest.mark.parametrize("family, params", [
+        ("pow3", BENCH_POW3), ("log_power", (0.9460, 4.7438, -2.9235))])
+    def test_nan_accuracy_rejected(self, family, params):
+        # Every NaN comparison in the bisection reads "above": it would
+        # return the lowest C instead of failing.
+        with pytest.raises(ValueError, match="accuracy must be a number, got nan"):
+            invert_curve(make_fit(family, params), math.nan)
 
     def test_below_range_rejected(self):
         # vapor pressure with beta < 0 tends to zero at C -> 0+, so a
