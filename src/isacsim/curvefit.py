@@ -586,14 +586,20 @@ class ModelSelection:
         return write_csv(path, header, rows)
 
 
-def select_model(cycles, accuracy, families=None, **fit_kwargs) -> ModelSelection:
-    """Fit several families and rank them by attained SSR."""
+def select_model(cycles, accuracy, families=None, *, n_starts: int = DEFAULT_N_STARTS,
+                 max_iter: int = DEFAULT_MAX_ITER, seed: int = DEFAULT_FIT_SEED) -> ModelSelection:
+    """Fit several families with :func:`fit_curve` and rank them by
+    attained SSR.  A family that fails is listed in ``failures``; a
+    negative or non-integer ``n_starts`` or ``max_iter`` is the caller's
+    error, not a family's, and raises ``ValueError`` before any fit."""
+    n_starts, max_iter = check_count("n_starts", n_starts), check_count("max_iter", max_iter)
     names = FAMILY_NAMES if families is None else tuple(families)
     fits: list[CurveFit] = []
     failures: dict[str, str] = {}
     for name in names:
         try:
-            fits.append(fit_curve(cycles, accuracy, name, **fit_kwargs))
+            fits.append(fit_curve(cycles, accuracy, name, n_starts=n_starts,
+                                  max_iter=max_iter, seed=seed))
         except (CurveFitError, ValueError) as exc:
             failures[name] = str(exc)
     if not fits:

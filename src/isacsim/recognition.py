@@ -157,8 +157,9 @@ def generate_dataset(
     ``class_set`` is a preset name from :data:`CLASS_SETS`.  Start
     positions and headings are randomized inside the room; clutter and
     noise are fresh per sample.  The samples are mapped over ``threads``
-    worker threads and come back in job order, so the output is
-    deterministic for a given ``rng`` regardless of ``threads``.
+    worker threads and written in job order into one preallocated uint8
+    stack, so the output is deterministic for a given ``rng`` regardless
+    of ``threads`` and the split is held once, with no list to stack.
     """
     classes = CLASS_SETS[class_set]
     if n_per_class < 1:
@@ -175,7 +176,7 @@ def generate_dataset(
             jobs.append((label, pairs, class_rng.spawn(f"sample{s}")))
 
     def run(job):
-        label, pairs, sample_rng = job
+        _, pairs, sample_rng = job
         subject, motion_class = pairs[
             int(sample_rng.spawn("subject").integers(0, len(pairs)))
         ]
@@ -186,7 +187,7 @@ def generate_dataset(
             sample_rng.spawn("place"),
             min_radial_fraction=min_radial_fraction,
         )
-        result = simulate_spectrogram(
+        return simulate_spectrogram(
             cfg,
             spec,
             cycles,
@@ -194,20 +195,23 @@ def generate_dataset(
             clutter=clutter,
             rho=rho,
             stft_window=stft_window,
-        )
-        return label, result.gray
+        ).gray
 
     # One worker maps in the calling thread: a pool thread allocates from a
     # second malloc arena, which adds about 4 MB (5%) to a desk-scale
     # accuracy_vs_cycles run's peak RSS.  No thread starts until a submit.
+    # The stack takes its shape from the first sample, so a sample that
+    # cannot be simulated raises the simulator's own error first.
+    grays = None
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        outputs = list((pool.map if threads > 1 else map)(run, jobs))
+        for i, gray in enumerate((pool.map if threads > 1 else map)(run, jobs)):
+            if grays is None:
+                grays = np.empty((len(jobs), *gray.shape), dtype=gray.dtype)
+            grays[i] = gray
 
-    grays = np.stack([g for _, g in outputs])
-    labels = np.asarray([lab for lab, _ in outputs], dtype=int)
     return LabeledDataset(
         grays=grays,
-        labels=labels,
+        labels=np.asarray([label for label, _, _ in jobs], dtype=int),
         class_names=tuple(name for name, _ in classes),
         cycles=cycles,
         seed=rng.seed,
@@ -222,23 +226,38 @@ def _pool_matrix(n_in: int, n_out: int) -> np.ndarray:
     return mat / np.maximum(mat.sum(axis=1, keepdims=True), 1.0)
 
 
+# Bytes of the float64 copy that block_features pools at a time.  Pooling
+# one image at a time would hold less, but freeing a copy of a few MB
+# raises glibc's dynamic mmap and trim thresholds, and without that every
+# desk-scale sample of accuracy_vs_cycles grows and trims the heap again
+# (about 700 page faults per C=512 sample at one image per chunk, 2 on
+# average at 2 MB, under 0.1 at 4 MB).
+_POOL_CHUNK_BYTES = 4 << 20
+
+
 def block_features(grays: np.ndarray, pool: int) -> np.ndarray:
     """Block-average an (n, F, T) image stack to (n, pool * pool + 1):
     each image pooled to (pool x pool), flattened, with a bias appended.
 
     Pooling is two matrix products, rows after columns, and the 1/255
-    gray scaling rides on the small column-pooling matrix, so the only
-    full-size float array is the one copy of the input.
+    gray scaling rides on the small column-pooling matrix.  The images
+    are converted to float in chunks of at most ``_POOL_CHUNK_BYTES``
+    (at least one image), so the float work block has a fixed size
+    whatever ``n`` is; each image is pooled by the same BLAS calls as a
+    whole-stack product, so the features do not depend on the chunking.
     """
-    x = np.asarray(grays, dtype=float)
-    if x.ndim != 3:
-        raise ValueError(f"expected (n, F, T) images, got shape {x.shape}")
-    n, h, w = x.shape
+    grays = np.asarray(grays)
+    if grays.ndim != 3:
+        raise ValueError(f"expected (n, F, T) images, got shape {grays.shape}")
+    n, h, w = grays.shape
     pr = _pool_matrix(h, pool)
-    pc = _pool_matrix(w, pool)
-    pooled = pr @ (x @ (pc.T / 255.0))
-    feats = pooled.reshape(n, -1)
-    return np.hstack([feats, np.ones((n, 1))])
+    pc = _pool_matrix(w, pool).T / 255.0
+    feats = np.ones((n, pool * pool + 1))
+    step = max(1, _POOL_CHUNK_BYTES // max(8 * h * w, 1))
+    for i in range(0, n, step):
+        pooled = pr @ (np.asarray(grays[i:i + step], dtype=float) @ pc)
+        feats[i:i + step, :-1] = pooled.reshape(len(pooled), -1)
+    return feats
 
 
 class SpectrogramClassifier:
@@ -362,21 +381,27 @@ def accuracy_vs_cycles(
     threads: int = 1,
     min_radial_fraction: float = 0.0,
 ) -> list[AccuracyPoint]:
-    """Measure accuracy at each cycle count with fresh train/test splits."""
+    """Measure accuracy at each cycle count with fresh train/test splits.
+
+    At each C the train split is generated, trained on and dropped before
+    the test split is generated, so at most one split is held at a time.
+    Each split draws from its own stream, so the order changes no byte.
+    """
     c_values = list(c_values)
     if any(b <= a for a, b in zip(c_values, c_values[1:])):
         raise ValueError("c_values must be strictly ascending")
+
+    def split(c, name, n):
+        return generate_dataset(
+            cfg, clutter, class_set, n, c, rho, rng.spawn(f"C{c}").spawn(name),
+            stft_window=stft_window, threads=threads,
+            min_radial_fraction=min_radial_fraction,
+        )
+
     points = []
     for c in c_values:
-        c_rng = rng.spawn(f"C{c}")
-        data = {}  # drops the previous C's datasets before these are built
-        for split, n in (("train", n_train), ("test", n_test)):
-            data[split] = generate_dataset(
-                cfg, clutter, class_set, n, c, rho, c_rng.spawn(split),
-                stft_window=stft_window, threads=threads,
-                min_radial_fraction=min_radial_fraction,
-            )
-        points.append(evaluate_accuracy(train_classifier(data["train"]), data["test"]))
+        clf = train_classifier(split(c, "train", n_train))
+        points.append(evaluate_accuracy(clf, split(c, "test", n_test)))
     return points
 
 

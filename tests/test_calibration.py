@@ -113,6 +113,12 @@ class TestFitRho:
         with pytest.raises(ValueError, match="0, 1"):
             fit_rho(sim(0.5, RngStream(0, "r")), sim, [0.5, 1.2], RngStream(1, "f"))
 
+    def test_samples_per_point_below_one_rejected(self):
+        sim = brownian_pmf_simulator()
+        with pytest.raises(ValueError, match="samples_per_point must be >= 1, got 0"):
+            fit_rho(sim(0.5, RngStream(0, "r")), sim, [0.5], RngStream(1, "f"),
+                    samples_per_point=0)
+
     def test_ties_break_toward_larger_rate(self):
         def constant_sim(rho, rng):
             return np.array([0.5, 0.5])

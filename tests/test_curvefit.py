@@ -76,6 +76,10 @@ class TestEvalCurve:
         fit = make_fit("pow3", BENCH_POW3)
         assert eval_curve(fit, 1e12) == pytest.approx(0.9499, abs=1e-6)
 
+    def test_make_fit_arity_checked(self):
+        with pytest.raises(ValueError, match="pow3 takes 3 parameters, got 2"):
+            make_fit("pow3", (1.0, 2.0))
+
     def test_vapor_pressure_constant_when_beta_zero(self):
         fit = make_fit("vapor_pressure", (0.3, 0.0))
         values = [eval_curve(fit, c) for c in (1.0, 10.0, 1e6)]
@@ -530,6 +534,15 @@ class TestSelectModel:
         # family must still come out fitted or failed.
         selection = select_model(np.array(c), np.array(a), families=[family])
         assert [f.family for f in selection.fits] + list(selection.failures) == [family]
+
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(n_starts=-1), "n_starts"),
+        (dict(max_iter=2.5), "max_iter"),
+    ])
+    def test_bad_counts_named_once(self, kwargs, name):
+        # A caller's error, not seven family failures (CurveFitError, CLI exit 4).
+        with pytest.raises(ValueError, match=f"^{name}: must be a non-negative integer, got [^,]*$"):
+            select_model(BENCH_C, BENCH_A, **kwargs)
 
     def test_csv_format(self, tmp_path):
         selection = select_model(BENCH_C, BENCH_A, families=["pow3", "ilog2"])

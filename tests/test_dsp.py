@@ -456,6 +456,10 @@ class TestStft:
         with pytest.raises(ValueError, match="read-only"):
             taper[0] = 1.0
 
+    def test_window_below_two_rejected(self):
+        with pytest.raises(ValueError, match="window must be >= 2, got 1"):
+            stft(np.zeros(50, complex), 1e-3, window=1)
+
     def test_window_longer_than_input_rejected(self):
         with pytest.raises(ValueError, match="shorter"):
             stft(np.zeros(50, complex), 1e-3, window=128)
@@ -468,6 +472,10 @@ class TestStft:
 
 
 class TestGrayPmf:
+    def test_bins_below_two_rejected(self):
+        with pytest.raises(ValueError, match="bins must be >= 2, got 1"):
+            gray_pmf(np.zeros((4, 4), np.uint8), bins=1)
+
     def test_constant_image_point_mass(self):
         gray, pmf = to_gray_and_pmf(np.full((8, 8), 3.7), bins=64)
         assert np.all(gray == 255)

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -7,10 +8,12 @@ from isacsim import (
     AccuracyPoint,
     RngStream,
     SpectrogramClassifier,
+    accuracy_vs_cycles,
     evaluate_accuracy,
     generate_dataset,
     train_classifier,
 )
+from isacsim import recognition
 from isacsim.recognition import (
     LabeledDataset,
     accuracy_points_from_csv,
@@ -72,19 +75,50 @@ class TestBlockFeatures:
         for img, row in zip(imgs, feats):
             assert np.abs(row[:-1] - self.block_means(img, 16)).max() <= 1e-12
 
-    def test_peak_memory_one_float_copy(self):
-        # A C=512 training set: the pooling may hold one float64 copy of
-        # the stack, not a second scaled one.
-        imgs = np.random.default_rng(0).integers(
-            0, 256, (150, 32, 481), dtype=np.uint8
-        )
+    @staticmethod
+    def whole_stack_features(grays, pool):
+        """The unchunked formula: one float copy of the whole stack."""
+        x = np.asarray(grays, dtype=float)
+        n, h, w = x.shape
+        pr, pc = recognition._pool_matrix(h, pool), recognition._pool_matrix(w, pool)
+        pooled = pr @ (x @ (pc.T / 255.0))
+        return np.hstack([pooled.reshape(n, -1), np.ones((n, 1))])
+
+    @pytest.mark.parametrize("shape, chunk", [
+        ((1, 32, 481), None),
+        ((150, 32, 481), None),  # a C=512 training set: 5 chunks of 34
+        ((7, 32, 225), 1),
+        ((40, 17, 97), 8),  # neither side divides by 16
+        ((65, 32, 33), 32),  # a short last chunk
+    ])
+    def test_chunking_is_bit_equal_to_whole_stack(self, monkeypatch, shape, chunk):
+        n, h, w = shape
+        if chunk is not None:
+            monkeypatch.setattr(recognition, "_POOL_CHUNK_BYTES", chunk * 8 * h * w)
+        imgs = np.random.default_rng(n).integers(0, 256, shape, dtype=np.uint8)
+        feats = block_features(imgs, 16)
+        assert feats.flags.c_contiguous
+        assert feats.tobytes() == self.whole_stack_features(imgs, 16).tobytes()
+
+    @staticmethod
+    def traced_peak(n):
+        imgs = np.random.default_rng(0).integers(0, 256, (n, 32, 481), dtype=np.uint8)
         tracemalloc.start()
         try:
             block_features(imgs, 16)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * imgs.size * 8
+        return peak
+
+    def test_peak_memory_one_float_copy(self):
+        # A C=512 training set (150 images, 18.5 MB as float64) holds one
+        # float chunk of the stack at a time, never the whole copy.
+        # The pooled products and pooling matrices add well under 1 MB.
+        peak, peak_x4 = self.traced_peak(150), self.traced_peak(600)
+        feature_bytes = 8 * (16 * 16 + 1)
+        assert peak_x4 < recognition._POOL_CHUNK_BYTES + 600 * feature_bytes + (1 << 20)
+        assert peak_x4 - peak < 450 * feature_bytes + (1 << 16)  # only the features grow
 
 
 class TestClassifier:
@@ -170,6 +204,10 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="accuracy"):
             AccuracyPoint(cycles=100, accuracy=1.2, n_test=5)
 
+    def test_accuracy_point_cycles_below_one_rejected(self):
+        with pytest.raises(ValueError, match="cycles must be >= 1, got 0"):
+            AccuracyPoint(cycles=0, accuracy=0.5, n_test=5)
+
 
 class TestGenerateDataset:
     def test_shapes_and_labels(self, desk_cfg, clutter_cfg):
@@ -202,6 +240,11 @@ class TestGenerateDataset:
             generate_dataset(desk_cfg, clutter_cfg, "motions3", 1, 128, 0.997,
                              RngStream(6, "ds"), stft_window=32, threads=0)
 
+    def test_n_per_class_below_one_rejected(self, desk_cfg, clutter_cfg):
+        with pytest.raises(ValueError, match="n_per_class must be >= 1, got 0"):
+            generate_dataset(desk_cfg, clutter_cfg, "motions3", 0, 128, 0.997,
+                             RngStream(6, "ds"), stft_window=32)
+
     def test_cycles_below_window_rejected(self, desk_cfg, clutter_cfg):
         with pytest.raises(ValueError, match="window"):
             generate_dataset(desk_cfg, clutter_cfg, "motions3", 1, 16, 0.997,
@@ -223,6 +266,31 @@ class TestGenerateDataset:
         header = (tmp_path / "labels.csv").read_text().splitlines()[0]
         assert header == "file,label,C,seed"
         assert len(files) == 4
+
+
+class TestAccuracyVsCycles:
+    def test_cycles_must_ascend(self, desk_cfg, clutter_cfg):
+        with pytest.raises(ValueError, match="c_values must be strictly ascending"):
+            accuracy_vs_cycles(desk_cfg, clutter_cfg, "motions3", [128, 64], RngStream(0))
+
+    def test_train_split_dropped_before_test_split(self, monkeypatch, desk_cfg, clutter_cfg):
+        events, train_refs = [], []
+
+        def fake_dataset(cfg, clutter, class_set, n, c, rho, rng, **kwargs):
+            ds = synthetic_dataset(n, [(8, 10), (24, 38)], cycles=c)
+            if rng.stream_id.endswith("/train"):
+                events.append(("train", c))
+                train_refs.append(weakref.ref(ds))
+            else:  # which train splits are still alive
+                events.append(("test", c, [ref() is not None for ref in train_refs]))
+            return ds
+
+        monkeypatch.setattr(recognition, "generate_dataset", fake_dataset)
+        points = accuracy_vs_cycles(desk_cfg, clutter_cfg, "motions3", [64, 128],
+                                    RngStream(0), n_train=4, n_test=2)
+        assert [p.cycles for p in points] == [64, 128]
+        assert events == [("train", 64), ("test", 64, [False]),
+                          ("train", 128), ("test", 128, [False, False])]
 
 
 class TestAccuracyCsv:

@@ -113,6 +113,10 @@ class TestOptimalAllocation:
         with pytest.raises(InfeasibleError, match="exceeds"):
             optimal_allocation(30000, np.full(5, 1e-5), comm_cfg)
 
+    def test_negative_cycles_rejected(self, comm_cfg):
+        with pytest.raises(ValueError, match="cycles must be >= 0, got -1"):
+            optimal_allocation(-1, np.full(5, 1e-5), comm_cfg)
+
     def test_zero_gain_reported(self, comm_cfg):
         gains = np.array([1e-5, 0.0, 1e-5, 1e-5, 1e-5])
         with pytest.raises(ValueError, match="pins the min-rate"):
@@ -136,6 +140,11 @@ class TestRegionBoundary:
         assert np.all(np.diff(a) > 0)
         assert np.all(np.diff(r) <= 1e-12)
         assert np.all(a >= 0.0)
+
+    def test_num_points_below_two_rejected(self, comm_cfg):
+        with pytest.raises(ValueError, match="num_points must be >= 2, got 1"):
+            region_boundary(make_fit("pow3", BENCH_POW3), np.full(5, 1e-5), comm_cfg,
+                            num_points=1)
 
     def test_endpoint_all_time_to_sensing(self, comm_cfg):
         gains = np.full(5, 1e-5)
@@ -317,6 +326,11 @@ class TestZones:
     def test_too_few_points_rejected(self):
         with pytest.raises(InfeasibleError, match="at least 3 boundary points, got 2"):
             classify_zones(synthetic_boundary([0.1, 0.2], [2.0, 1.0]))
+
+    def test_slope_order_checked(self):
+        a = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(ValueError, match="slope_lo must not exceed slope_hi"):
+            classify_zones(synthetic_boundary(a, 1e6 * (1 - a)), slope_hi=0.5, slope_lo=2.0)
 
     def test_csv_export(self, tmp_path):
         a = np.linspace(0.0, 1.0, 5)
