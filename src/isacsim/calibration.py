@@ -15,7 +15,7 @@ import numpy as np
 from .config import RngStream
 from .dsp import DEFAULT_PMF_BINS, gray_pmf, read_pgm
 from .manifest import write_csv
-from .validation import check_pmf
+from .validation import as_float_array, check_count, check_pmf
 
 KL_FLOOR = 1e-9  # pmf floor keeping the divergence finite on empty bins
 DEFAULT_SAMPLES_PER_POINT = 10  # simulations pooled per grid point
@@ -67,13 +67,12 @@ def fit_rho(
     rate.
     """
     reference = check_pmf(reference_pmf, "reference_pmf")
-    grid = np.asarray(grid, dtype=float)
+    grid = as_float_array(grid, "grid", ndim=1)
     if grid.size == 0:
         raise ValueError("empty rho grid")
     if np.any((grid < 0) | (grid > 1)):
         raise ValueError("rho grid must lie within [0, 1]")
-    if samples_per_point < 1:
-        raise ValueError(f"samples_per_point must be >= 1, got {samples_per_point}")
+    samples_per_point = check_count("samples_per_point", samples_per_point, 1)
 
     kl = np.empty(grid.size)
     for i, rho in enumerate(grid):

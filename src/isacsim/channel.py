@@ -33,7 +33,7 @@ from typing import ClassVar
 import numpy as np
 
 from .config import SPEED_OF_LIGHT, RngStream, SystemConfig
-from .validation import check_in_range
+from .validation import check_count, check_in_range
 
 DEFAULT_RHO = 0.997
 
@@ -72,7 +72,7 @@ def _phasor(phase: np.ndarray) -> np.ndarray:
 
 def draw_primitive_phases(num_primitives: int, rng: RngStream) -> np.ndarray:
     """Initial phases, uniform in [-pi, pi], fixed for one motion sample."""
-    return rng.uniform(-math.pi, math.pi, num_primitives)
+    return rng.uniform(-math.pi, math.pi, check_count("num_primitives", num_primitives))
 
 
 @dataclass(frozen=True)
@@ -96,8 +96,8 @@ class ClutterConfig:
     reflection_factors: ClassVar[tuple[float, ...]] = (0.02,) + (0.3,) * 6
 
     def __post_init__(self):
-        if self.rays_per_cluster < 1:
-            raise ValueError(f"rays_per_cluster: must be >= 1, got {self.rays_per_cluster}")
+        object.__setattr__(self, "rays_per_cluster",
+                           check_count("rays_per_cluster", self.rays_per_cluster, 1))
 
 
 @functools.cache
@@ -170,7 +170,7 @@ class ClutterProcess:
         ``1/(2(1-rho))`` cycles: at rho=0.997 the mean over cycles
         500-3000 of a 3000-cycle dwell is 23 dB below P0 (floor -28 dB).
         """
-        shape = (num_cycles, self.delays.size)
+        shape = (check_count("num_cycles", num_cycles), self.delays.size)
         mag = self._rng.rayleigh(1.0, shape)
         mag *= np.sqrt(self.ray_power / 2.0)
         mag *= self.scales

@@ -62,7 +62,7 @@ from .tradeoff import (
     region_boundary,
     zone_bands,
 )
-from .validation import check_heading, check_seed
+from .validation import check_count, check_heading, check_in_range, check_positive, check_seed
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -122,21 +122,18 @@ def _check(ok):
     return check
 
 
-_positive = _check(lambda v: 0 < v < math.inf)
 _finite = _check(math.isfinite)
-_non_negative = _check(lambda v: 0 <= v < math.inf)
-_unit = _check(lambda v: 0 <= v <= 1)
-_two_or_more = _check(lambda v: v >= 2)
 _distinct = _check(lambda v: len(set(v)) == len(v))
 _ascending = _check(lambda v: all(a < b for a, b in zip(v, v[1:])))
 
-_positive_int = _arg_type(lambda t: _positive(int(t)), "a positive integer")
-_int_from_2 = _arg_type(lambda t: _two_or_more(int(t)), "an integer of at least 2")
-_positive_float = _arg_type(lambda t: _positive(float(t)), "a positive number")
+# _arg_type writes the usage message, so the names given below go unread.
+_positive_int = _arg_type(lambda t: check_count("count", int(t), 1), "a positive integer")
+_int_from_2 = _arg_type(lambda t: check_count("count", int(t), 2), "an integer of at least 2")
+_positive_float = _arg_type(lambda t: check_positive("value", t), "a positive number")
 _finite_float = _arg_type(lambda t: _finite(float(t)), "a finite number")
-_non_negative_float = _arg_type(lambda t: _non_negative(float(t)),
+_non_negative_float = _arg_type(lambda t: check_positive("value", t, strict=False),
                                 "a finite number of at least 0")
-_unit_float = _arg_type(lambda t: _unit(float(t)), "a number in [0, 1]")
+_unit_float = _arg_type(lambda t: check_in_range("value", t, 0.0, 1.0), "a number in [0, 1]")
 _seed = _arg_type(lambda t: check_seed("--seed", t), "an integer in [0, 2**64)")
 
 
@@ -445,7 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-test", type=_positive_int, default=4)
     p.add_argument("--cycles-list", default="64,128,256,384",
                    type=_arg_type(
-                       lambda t: _ascending([_positive(int(tok)) for tok in t.split(",")]),
+                       lambda t: _ascending([check_count("count", int(tok), 1)
+                                             for tok in t.split(",")]),
                        "a strictly ascending comma list of positive integers"))
     p.add_argument("--rho", type=_unit_float, default=DEFAULT_RHO)
     p.add_argument("--stft-window", type=_int_from_2, default=32)

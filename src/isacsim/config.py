@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .validation import check_positive, check_seed
+from .validation import check_count, check_positive, check_seed
 
 SPEED_OF_LIGHT = 3.0e8  # m/s, propagation constant used throughout
 
@@ -109,10 +109,8 @@ class SystemConfig:
         check_positive("comm_antenna_gain", self.comm_antenna_gain)
         check_positive("total_time", self.total_time)
         check_seed("seed", self.seed)
-        if self.num_targets < 1:
-            raise ValueError(f"num_targets: must be >= 1, got {self.num_targets}")
-        if self.num_users < 1:
-            raise ValueError(f"num_users: must be >= 1, got {self.num_users}")
+        for name in ("num_targets", "num_users"):
+            object.__setattr__(self, name, check_count(name, getattr(self, name), 1))
         if self.sweep_time > self.slot_time:
             raise ValueError(
                 f"sweep_time: chirp ({self.sweep_time!r} s) does not fit in the "

@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .config import SystemConfig
-from .validation import check_positive
+from .validation import check_count, check_positive
 
 DEFAULT_STFT_WINDOW = 128
 DEFAULT_KAISER_BETA = 8.0  # about 60 dB sidelobe suppression
@@ -63,12 +62,6 @@ def synthesize_chirp(cfg: SystemConfig) -> np.ndarray:
     slope = cfg.bandwidth / cfg.sweep_time
     phase = 2.0 * math.pi * (-0.5 * cfg.bandwidth * t + 0.5 * slope * t**2)
     return _read_only(math.sqrt(cfg.tx_power) * np.exp(1j * phase))
-
-
-def _as_int(name: str, value) -> int:
-    if not (isinstance(value, numbers.Real) and float(value).is_integer()):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -136,9 +129,7 @@ def svd_denoise(x: np.ndarray, r: int = DEFAULT_SVD_THRESHOLD) -> np.ndarray:
     x = np.asarray(x)
     if x.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {x.shape}")
-    r = _as_int("r", r)
-    if r < 1:
-        raise ValueError(f"r={r} outside the valid range [1, rank+1]")
+    r = check_count("r", r, 1)
     if not np.all(np.isfinite(x)):
         raise ValueError("x has non-finite entries (NaN or inf)")
     if r == 1:
@@ -223,9 +214,7 @@ def stft(
     if y.ndim != 1:
         raise ValueError(f"expected a 1-d sequence, got shape {y.shape}")
     check_positive("slow_time_step", slow_time_step)
-    window = _as_int("window", window)
-    if window < 2:
-        raise ValueError(f"window must be >= 2, got {window}")
+    window = check_count("window", window, 2)
     if y.size < window:
         raise ValueError(
             f"sequence of {y.size} samples shorter than the window ({window})"
@@ -274,8 +263,7 @@ def gray_pmf(gray, bins: int = DEFAULT_PMF_BINS) -> np.ndarray:
     image or a sequence of images (pooled into one pmf) of integer gray
     levels in [0, 255]; any other dtype or value raises ``ValueError``.
     """
-    if bins < 2:
-        raise ValueError(f"bins must be >= 2, got {bins}")
+    bins = check_count("bins", bins, 2)
     if isinstance(gray, (list, tuple)):
         flat = np.concatenate([np.asarray(g).ravel() for g in gray])
     else:

@@ -22,6 +22,7 @@ from .dsp import DEFAULT_STFT_WINDOW, write_pgm
 from .kinematics import MotionSpec
 from .manifest import read_csv, write_csv
 from .simulate import simulate_spectrogram
+from .validation import check_count
 
 # Class presets: name -> list of (label, candidate (subject, motion) pairs).
 # When a label lists several candidates, the subject is drawn per sample.
@@ -161,11 +162,15 @@ def generate_dataset(
     stack, so the output is deterministic for a given ``rng`` regardless
     of ``threads`` and the split is held once, with no list to stack.
     """
-    classes = CLASS_SETS[class_set]
-    if n_per_class < 1:
-        raise ValueError(f"n_per_class must be >= 1, got {n_per_class}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    try:
+        classes = CLASS_SETS[class_set]
+    except KeyError:
+        raise ValueError(
+            f"unknown class set {class_set!r}; choose from {tuple(CLASS_SETS)}"
+        ) from None
+    n_per_class = check_count("n_per_class", n_per_class, 1)
+    threads = check_count("threads", threads, 1)
+    cycles = check_count("cycles", cycles, 1)
     duration = cycles * cfg.pri
 
     jobs = []
@@ -351,8 +356,8 @@ class AccuracyPoint:
     def __post_init__(self):
         if not 0.0 <= self.accuracy <= 1.0:
             raise ValueError(f"accuracy must lie in [0, 1], got {self.accuracy!r}")
-        if self.cycles < 1:
-            raise ValueError(f"cycles must be >= 1, got {self.cycles}")
+        object.__setattr__(self, "cycles", check_count("cycles", self.cycles, 1))
+        object.__setattr__(self, "n_test", check_count("n_test", self.n_test, 1))
 
 
 def evaluate_accuracy(
@@ -387,7 +392,9 @@ def accuracy_vs_cycles(
     the test split is generated, so at most one split is held at a time.
     Each split draws from its own stream, so the order changes no byte.
     """
-    c_values = list(c_values)
+    c_values = [check_count("c_values", c, 1) for c in c_values]
+    check_count("n_train", n_train, 2)  # the classifier needs two samples per class
+    check_count("n_test", n_test, 1)
     if any(b <= a for a, b in zip(c_values, c_values[1:])):
         raise ValueError("c_values must be strictly ascending")
 

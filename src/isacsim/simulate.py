@@ -43,7 +43,7 @@ from .dsp import (
     to_gray_and_pmf,
 )
 from .kinematics import MotionSpec, PrimitiveTracks, synthesize_tracks
-from .validation import as_float_array
+from .validation import as_float_array, check_count
 
 
 @dataclass
@@ -271,6 +271,8 @@ def simulate_spectrogram(
     noise (one fixed motion recording, many channel realizations).  The
     motion must cover the sensing dwell ``cycles * pri``.
     """
+    cycles = check_count("cycles", cycles, 1)
+    stft_window = check_count("stft_window", stft_window, 2)
     if cycles < stft_window:
         raise ValueError(
             f"cycles={cycles} shorter than the STFT window ({stft_window})"

@@ -27,7 +27,7 @@ import numpy as np
 from .config import SystemConfig
 from .curvefit import CurveFit, eval_curve, invert_curve
 from .manifest import write_csv
-from .validation import as_float_array
+from .validation import as_float_array, check_count, check_positive
 
 DEFAULT_SLOPE_HI = 5.0  # |normalized slope| above this: sensing saturation
 DEFAULT_SLOPE_LO = 0.2  # |normalized slope| below this: comm saturation
@@ -91,8 +91,7 @@ def optimal_allocation(cycles: int, gains, cfg: SystemConfig) -> AllocationResul
     user gain pins the min-rate to zero or a noiseless link unbounds it.
     """
     w = _rate_weights(gains, cfg)
-    if cycles < 0:
-        raise ValueError(f"cycles must be >= 0, got {cycles}")
+    cycles = check_count("cycles", cycles)
     rate = float(_max_min_rate(cycles, w, cfg))
     return AllocationResult(times=cfg.total_time * rate / w, cycles=cycles, rate=rate)
 
@@ -146,8 +145,7 @@ def region_boundary(
     strictly with C, so a C is kept only when its accuracy exceeds every
     kept one; the others are Pareto-dominated (no more accuracy, less rate).
     """
-    if num_points < 2:
-        raise ValueError(f"num_points must be >= 2, got {num_points}")
+    num_points = check_count("num_points", num_points, 2)
     w = _rate_weights(gains, cfg)
     c_min = _min_feasible_cycles(fit)
     c_max = int(math.floor(cfg.total_time / (cfg.num_targets * cfg.slot_time)))
@@ -202,6 +200,8 @@ def classify_zones(
             f"need at least 3 boundary points, got {len(boundary)}: accuracy "
             "stops rising with C (the fitted curve saturates or decreases)"
         )
+    check_positive("slope_hi", slope_hi, strict=False)
+    check_positive("slope_lo", slope_lo, strict=False)
     if slope_lo > slope_hi:
         raise ValueError("slope_lo must not exceed slope_hi")
     a = boundary.accuracies

@@ -27,10 +27,15 @@ def check_seed(name: str, value) -> int:
     return value
 
 
-def check_count(name: str, value) -> int:
-    """``value`` as an int; a non-integer or negative count raises."""
-    if not isinstance(value, numbers.Integral) or value < 0:
-        raise ValueError(f"{name}: must be a non-negative integer, got {value!r}")
+def check_count(name: str, value, minimum: int = 0) -> int:
+    """``value`` as an int: the one rule for a count.  Any integer-valued
+    real passes (numpy integers and integral floats too); anything else,
+    or a count below ``minimum``, raises ``ValueError`` naming ``name``."""
+    if not (isinstance(value, numbers.Integral)
+            or isinstance(value, numbers.Real) and float(value).is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
     return int(value)
 
 

@@ -113,6 +113,19 @@ class TestFitRho:
         with pytest.raises(ValueError, match="0, 1"):
             fit_rho(sim(0.5, RngStream(0, "r")), sim, [0.5, 1.2], RngStream(1, "f"))
 
+    @pytest.mark.parametrize("grid, match", [
+        ([0.5, np.nan], "^grid: contains non-finite entries$"),
+        ([[0.4, 0.6], [0.8, 0.9]], r"^grid: expected a 1-d array, got shape \(2, 2\)$"),
+    ])
+    def test_nan_or_2d_grid_rejected(self, grid, match):
+        # With a callback that ignores rho, a NaN grid point used to come
+        # back as the fitted rho, and a 2-d grid was searched row by row.
+        def constant_sim(rho, rng):
+            return np.array([0.5, 0.5])
+
+        with pytest.raises(ValueError, match=match):
+            fit_rho([0.5, 0.5], constant_sim, grid, RngStream(0, "f"), samples_per_point=1)
+
     def test_samples_per_point_below_one_rejected(self):
         sim = brownian_pmf_simulator()
         with pytest.raises(ValueError, match="samples_per_point must be >= 1, got 0"):

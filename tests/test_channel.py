@@ -129,6 +129,30 @@ class TestClutter:
         amps = proc.run(1)
         assert np.all(np.abs(amps[:, 0]) <= proc.scales * 10)  # Rayleigh draw, sane scale
 
+    def test_rays_follow_their_cluster(self, base_cfg):
+        # Each tap's ray offset is read back from its power, exp(-offset /
+        # ray_decay_const): the delay less the offset is a cluster arrival,
+        # the tap carries that cluster's scale, the first ray of every
+        # cluster sits on its arrival, and the later offsets are Poisson
+        # arrivals (the k-th has mean k / ray_arrival_rate).
+        ccfg = ClutterConfig(rays_per_cluster=12)
+        tau = cluster_delays()
+        proc0 = ClutterProcess(ClutterConfig(rays_per_cluster=1), base_cfg, RngStream(0, "c"), 0.5)
+        offset_sum = 0.0
+        for seed in range(20):
+            proc = ClutterProcess(ccfg, base_cfg, RngStream(seed, "rays"), 0.5)
+            assert proc.delays.size == tau.size * 12
+            assert np.all(np.diff(proc.delays) >= 0)
+            offset = -ccfg.ray_decay_const * np.log(proc.ray_power)
+            cluster = np.abs((proc.delays - offset)[:, None] - tau[None, :]).argmin(axis=1)
+            assert proc.delays - offset == pytest.approx(tau[cluster], rel=1e-9, abs=1e-18)
+            assert np.array_equal(proc.scales, proc0.scales[cluster])
+            assert np.sort(proc.delays[proc.ray_power == 1.0]).tolist() == tau.tolist()
+            offset_sum += offset.sum()
+        # Summed over a cluster's 11 later rays the offsets have mean 66/rate.
+        per_cluster = offset_sum / (20 * tau.size)
+        assert per_cluster * ccfg.ray_arrival_rate == pytest.approx(66.0, rel=0.05)
+
     def test_ray_power_decay_monte_carlo(self, base_cfg):
         # The mean squared Rayleigh amplitude of each tap must match its
         # ray_power within 2%; rho=0 makes every cycle a fresh draw.
@@ -197,13 +221,28 @@ def clutter_reference(ccfg, cfg, rng, rho, cycles):
 
 class TestClutterBytes:
     """The one-draw ray layout and the cos/sin phases hold the bytes of
-    the per-cluster loop and of ``exp``."""
+    the per-cluster loop and of ``exp``.
+
+    ``test_layout_and_run_equal_the_reference`` holds today's stream
+    layout (arrivals, then Rayleigh magnitudes, then phases), so a change
+    of that layout breaks it by design; its docstring names the tests that
+    check the same laws without the layout.
+    """
 
     @pytest.mark.parametrize("rho", [0.0, DEFAULT_RHO, 1.0])
     @pytest.mark.parametrize("scene", [
         {}, {"rays_per_cluster": 1}, {"rays_per_cluster": 12},
     ])
     def test_layout_and_run_equal_the_reference(self, base_cfg, rho, scene):
+        """The ray layout and the evolved amplitudes.  The laws they stand
+        for are checked without the layout by
+        ``TestClutter::test_rays_follow_their_cluster`` (first ray on the
+        cluster arrival, Poisson later rays, exponential power decay, one
+        scale per cluster), ``TestClutter::test_single_ray_amplitude_formula``
+        (the cluster scale), ``TestClutter::test_ray_power_decay_monte_carlo``
+        (Rayleigh power), ``TestEvolution::test_power_follows_ar_law`` and
+        ``TestEvolution::test_lag_autocorrelation_matches_ar`` (the AR
+        update)."""
         ccfg = ClutterConfig(**scene)
         for seed in range(3):
             proc = ClutterProcess(ccfg, base_cfg, RngStream(seed, "clutter"), rho)
@@ -361,6 +400,24 @@ class TestReceivedCycle:
         assert out.real.tobytes() == (re * (1.0 / np.sqrt(2.0)) * scale).tobytes()
         assert out.imag.tobytes() == (im * (1.0 / np.sqrt(2.0)) * scale).tobytes()
         assert out.real.tobytes() != (re / np.sqrt(2.0) * scale).tobytes()
+
+    def test_no_noise_without_power_or_stream(self, base_cfg):
+        # Noise is drawn only when the link has noise power and a stream.
+        u = point_tracks([[2e-8 * SPEED_OF_LIGHT / 2]])
+        v = tap_at(4e-8, 0.0 + 0.5j)
+        cfg0 = replace(base_cfg, noise_power=0.0)
+        taps = received(cfg0, u, np.zeros(1), v)
+        assert np.any(taps != 0)
+        assert np.array_equal(received(cfg0, u, np.zeros(1), v, RngStream(3, "n")), taps)
+        assert np.array_equal(received(base_cfg, u, np.zeros(1), v), taps)
+
+    def test_tap_at_last_sample_keeps_one_chirp_sample(self, base_cfg):
+        cfg = replace(base_cfg, noise_power=0.0)
+        L = cfg.fast_time_len
+        amp = 0.3 - 0.4j
+        out = received(cfg, clutter=tap_at((L - 1) / cfg.sample_rate, amp))[:, 0]
+        assert np.all(out[:-1] == 0)
+        assert out[-1] == pytest.approx(amp * synthesize_chirp(cfg)[0], rel=1e-12)
 
     def test_delay_beyond_slot_rejected(self, base_cfg):
         tau = base_cfg.slot_time * 1.01

@@ -219,7 +219,7 @@ class TestSvdDenoiseGram:
     @pytest.mark.parametrize("r", [0, -1])
     def test_non_positive_r_rejected(self, r):
         x = _complex_normal(np.random.default_rng(13), (6, 9))
-        with pytest.raises(ValueError, match="valid range"):
+        with pytest.raises(ValueError, match=rf"^r must be >= 1, got {r}$"):
             svd_denoise(x, r)
 
     def test_zero_matrix_rejected(self):

@@ -245,6 +245,19 @@ class TestGenerateDataset:
             generate_dataset(desk_cfg, clutter_cfg, "motions3", 0, 128, 0.997,
                              RngStream(6, "ds"), stft_window=32)
 
+    def test_unknown_class_set_named(self, desk_cfg, clutter_cfg):
+        # The CLI's choices hide this; a library caller gets the presets.
+        calls = [
+            lambda: generate_dataset(desk_cfg, clutter_cfg, "motions7", 1, 128, 0.997,
+                                     RngStream(6, "ds"), stft_window=32),
+            lambda: accuracy_vs_cycles(desk_cfg, clutter_cfg, "motions7", [128],
+                                       RngStream(6, "acc"), stft_window=32),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"^unknown class set 'motions7'; "
+                                                 r"choose from \('motions3', 'motions5'\)$"):
+                call()
+
     def test_cycles_below_window_rejected(self, desk_cfg, clutter_cfg):
         with pytest.raises(ValueError, match="window"):
             generate_dataset(desk_cfg, clutter_cfg, "motions3", 1, 16, 0.997,

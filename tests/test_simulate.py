@@ -228,7 +228,14 @@ def walking_scene(cfg, cycles, seed, clutter=True):
 
 class TestReceivedMatrixBytes:
     """The received matrix, built in one buffer with the noise drawn on a
-    helper thread, holds the reference's bytes."""
+    helper thread, holds the reference's bytes.
+
+    These pins hold today's stream layout (noise drawn whole as L x C, the
+    real part first), so a change of that layout breaks them by design.
+    Each docstring names the invariant the pin stands for and the test in
+    ``test_channel.py`` that checks it without the layout; that test must
+    keep passing when the pin is re-recorded.
+    """
 
     @staticmethod
     def check(cfg, scene, noise_seed=3):
@@ -241,26 +248,45 @@ class TestReceivedMatrixBytes:
         assert got.tobytes() == ref.tobytes()
 
     def test_default_cfg_paper_scale(self):
+        """Paper scale (L=500, C=3000): the matrix is target taps plus
+        clutter taps plus complex noise of power ``noise_power``.  Without
+        the layout: ``TestReceivedCycle::test_linearity_with_shared_noise``
+        and ``TestReceivedCycle::test_noise_power_level``."""
         cfg = load_config(resources.files("isacsim").joinpath("data", "default.cfg"))
         self.check(cfg, walking_scene(cfg, 3000, 1))
 
     @pytest.mark.parametrize("cycles", [64, 512])
     def test_desk_scale(self, desk_cfg, cycles):
+        """Desk scale (L=100), the same sum as at paper scale.  Without the
+        layout: ``TestReceivedCycle::test_linearity_with_shared_noise`` and
+        ``TestReceivedCycle::test_noise_power_level``."""
         self.check(desk_cfg, walking_scene(desk_cfg, cycles, cycles))
 
     def test_clutter_free(self, desk_cfg):
+        """No clutter: target taps plus noise.  Without the layout:
+        ``TestReceivedCycle::test_linearity_with_shared_noise``, whose
+        target-only part has no clutter."""
         self.check(desk_cfg, walking_scene(desk_cfg, 128, 4, clutter=False))
 
     def test_zero_noise_power(self, desk_cfg):
+        """``noise_power=0`` adds no noise although a stream is given.
+        Without the layout:
+        ``TestReceivedCycle::test_no_noise_without_power_or_stream``."""
         cfg = replace(desk_cfg, noise_power=0.0)
         self.check(cfg, walking_scene(cfg, 128, 5))
 
     def test_no_noise_stream(self, desk_cfg):
+        """No noise stream: the noiseless taps, whatever ``noise_power``.
+        Without the layout:
+        ``TestReceivedCycle::test_no_noise_without_power_or_stream``."""
         self.check(desk_cfg, walking_scene(desk_cfg, 128, 6), noise_seed=None)
 
     def test_clutter_band_taller_than_target_band(self, desk_cfg):
-        # No target taps: the clutter band is the taller one and takes
-        # the target band (zero rows) in.
+        """No target taps: each clutter tap places its scaled chirp at its
+        delay.  Without the layout:
+        ``TestReceivedCycle::test_single_tap_places_scaled_chirp``."""
+        # The clutter band is the taller one and takes the target band
+        # (zero rows) in.
         C = 64
         tracks = PrimitiveTracks(
             names=(), times=np.arange(C) * desk_cfg.pri,
@@ -272,6 +298,9 @@ class TestReceivedMatrixBytes:
         self.check(desk_cfg, (tracks, np.zeros(0), process.run(C), process.delays))
 
     def test_tap_at_last_sample_clips_the_chirp(self, desk_cfg):
+        """A tap at fast-time position L-1 is in the slot and keeps the one
+        chirp sample that fits.  Without the layout:
+        ``TestReceivedCycle::test_tap_at_last_sample_keeps_one_chirp_sample``."""
         # One primitive sits at fast-time position L-1 exactly, so the
         # occupied rows reach L and its chirp copy keeps one sample; a
         # second one moves across the slot.  Clutter adds shorter rows.

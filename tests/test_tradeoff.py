@@ -332,6 +332,19 @@ class TestZones:
         with pytest.raises(ValueError, match="slope_lo must not exceed slope_hi"):
             classify_zones(synthetic_boundary(a, 1e6 * (1 - a)), slope_hi=0.5, slope_lo=2.0)
 
+    @pytest.mark.parametrize("slopes, name", [
+        (dict(slope_lo=math.nan), "slope_lo"),  # labelled a pow3 boundary {adversarial, sensing}
+        (dict(slope_hi=math.nan), "slope_hi"),
+        (dict(slope_lo=-1.0, slope_hi=-0.5), "slope_hi"),  # every point sensing-saturated
+        (dict(slope_lo=-1.0), "slope_lo"),
+        (dict(slope_hi=math.inf), "slope_hi"),
+    ])
+    def test_non_finite_or_negative_slopes_rejected(self, fig_cfg, slopes, name):
+        gains = sample_user_gains(fig_cfg, RngStream(21, "g"))
+        boundary = region_boundary(make_fit("pow3", BENCH_POW3), gains, fig_cfg, num_points=400)
+        with pytest.raises(ValueError, match=f"^{name}: must be (finite|non-negative), got "):
+            classify_zones(boundary, **slopes)
+
     def test_csv_export(self, tmp_path):
         a = np.linspace(0.0, 1.0, 5)
         boundary = classify_zones(synthetic_boundary(a, 1e6 * (1 - a)))
