@@ -3,8 +3,8 @@
 Processing chain for one motion sample, starting from the received
 slow-time matrix X (L x C, one column per cycle):
 
-    X -> svd_denoise -> Y          (drop the strongest r-1 components)
-    Y -> dechirp_and_collapse -> y (slow-time sequence, length C)
+    X -> svd_denoise -> Y[:rows]   (drop the strongest r-1 components)
+    Y[:rows] -> dechirp_and_collapse -> y (slow-time sequence, length C)
     y -> stft -> Z                 (|STFT|, frequency rows x time columns)
     Z -> to_gray_and_pmf           (8-bit image and gray-level pmf)
 
@@ -13,7 +13,9 @@ short side by block subspace iteration on k+4 columns, stopped by the
 Ritz residuals, instead of a full SVD, and checks r against the Ritz
 values.  Matrices whose removed directions are not separated from the
 rest (a small gap) or lie below about 1e-4 of the largest component fall
-back to one full SVD for both the check and the removal.
+back to one full SVD for both the check and the removal.  The dechirp
+reads only the first ``sweep_len`` fast-time rows, so only those rows of
+Y are formed (``rows``); the subspace still comes from all of X.
 
 Spectrogram rows are ordered by descending frequency, so the 8-bit image
 writes straight to PGM with +f_slow/2 at the top.
@@ -104,12 +106,19 @@ def _top_left_subspace(a: np.ndarray, k: int) -> np.ndarray | None:
     return None
 
 
-def svd_denoise(x: np.ndarray, r: int = DEFAULT_SVD_THRESHOLD) -> np.ndarray:
+def svd_denoise(
+    x: np.ndarray, r: int = DEFAULT_SVD_THRESHOLD, *, rows: int | None = None
+) -> np.ndarray:
     """Remove the strongest r-1 rank-one components of ``x``.
 
     r=1 returns the input unchanged; r=rank+1 removes everything.  The
     strongest components of a slow-time matrix are dominated by static
     returns, so this acts as clutter suppression.
+
+    ``rows`` keeps only the first ``rows`` rows of the result (all of
+    them when None or when ``x`` has fewer), with the bytes of those rows
+    of the whole result; the components removed still come from all of
+    ``x``.
 
     The top k=r-1 singular subspace of the short side comes from block
     subspace iteration (Halko, Martinsson and Tropp 2011, Alg. 4.4) on
@@ -130,16 +139,24 @@ def svd_denoise(x: np.ndarray, r: int = DEFAULT_SVD_THRESHOLD) -> np.ndarray:
     if x.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {x.shape}")
     r = check_count("r", r, 1)
+    rows = x.shape[0] if rows is None else check_count("rows", rows, 1)
     if not np.all(np.isfinite(x)):
         raise ValueError("x has non-finite entries (NaN or inf)")
     if r == 1:
-        return x.copy()
+        return x[:rows].copy()
+    # At least two rows are formed and then sliced: a one-row product takes
+    # numpy's vector path, whose bytes can differ from that row of the full
+    # product, while two or more rows keep the matrix path and its bytes.
+    head = x[: max(rows, 2)]
     k = r - 1
     wide = x.shape[0] <= x.shape[1]
     top = _top_left_subspace(x if wide else x.T, k)
     if top is not None:
-        removed = top @ (top.conj().T @ x) if wide else (x @ top.conj()) @ top.T
-        return np.subtract(x, removed, out=removed)
+        if wide:
+            removed = top[: len(head)] @ (top.conj().T @ x)
+        else:
+            removed = (head @ top.conj()) @ top.T
+        return np.subtract(head, removed, out=removed)[:rows]
     u, s, vh = np.linalg.svd(x, full_matrices=False)
     # np.linalg.matrix_rank's tolerance; an empty or all-zero x has rank 0.
     rank = int(np.sum(s > s[:1] * max(x.shape) * np.finfo(float).eps))
@@ -147,8 +164,8 @@ def svd_denoise(x: np.ndarray, r: int = DEFAULT_SVD_THRESHOLD) -> np.ndarray:
         raise ValueError(f"r={r} outside the valid range [1, rank+1] = [1, {rank + 1}]")
     # Subtracting the removed components is cheaper and better conditioned
     # than reconstructing the kept ones.
-    top = (u[:, : r - 1] * s[: r - 1]) @ vh[: r - 1]
-    return x - top
+    top = (u[: len(head), : r - 1] * s[: r - 1]) @ vh[: r - 1]
+    return (head - top)[:rows]
 
 
 def dechirp(y: np.ndarray, ref_chirp: np.ndarray) -> np.ndarray:

@@ -3,8 +3,11 @@
 Ties kinematics, channel, and DSP together: primitive tracks are sampled
 on the slow-time grid, per-cycle tap amplitudes are synthesized (target
 taps deterministic given the initial phases, clutter taps autoregressive),
-the received matrix is cleaned, dechirped, and transformed into a
-gray-scale spectrogram with its gray-level pmf.
+the received matrix is cleaned (only its chirp rows, which the dechirp
+reads, are formed), dechirped, and transformed into a gray-scale
+spectrogram with its gray-level pmf.  X is the one L x C array a sample
+holds: the noise draw and the tap placement work through row blocks of
+at most ``_BLOCK_BYTES``.
 
 Randomness is split into fixed child streams ("phases", "clutter",
 "noise"), so a (seed, config, motion) triple fully determines the output
@@ -54,6 +57,17 @@ class SpectrogramResult:
     tracks: PrimitiveTracks
 
 
+# Largest temporary, in bytes, that one step of the noise draw or the tap
+# placement allocates next to the L x C received matrix; at paper scale
+# (L=500, C=3000) X itself is 24 MB.
+_BLOCK_BYTES = 1 << 20
+
+
+def _block_rows(row_bytes: int) -> int:
+    """Rows of ``row_bytes`` each that fit in ``_BLOCK_BYTES``, at least one."""
+    return max(1, _BLOCK_BYTES // max(row_bytes, 1))
+
+
 def _tap_band(
     amps: np.ndarray, delays_samples: np.ndarray, chirp: np.ndarray, fast_len: int
 ) -> np.ndarray:
@@ -62,7 +76,8 @@ def _tap_band(
     One rule for static (K, 1) and moving (K, C) delays: for each occupied
     offset, the split rows that reach it in some cycle are gathered from
     ``amps`` in ascending order, times their real split weight, or an exact
-    zero in a cycle they miss, and summed.  Rows from ``max offset +
+    zero in a cycle they miss, and summed; the chirp copy is added in row
+    blocks of at most ``_BLOCK_BYTES``.  Rows from ``max offset +
     chirp.size`` (capped at ``fast_len``) on hold no chirp sample and are
     left out; the rows kept hold the same bytes.
     """
@@ -84,6 +99,7 @@ def _tap_band(
     if split_offsets.size:
         rows = min(fast_len, int(split_offsets.max()) + chirp.size)
     out = np.zeros((rows, amps.shape[1]), dtype=complex)
+    step = _block_rows(out.itemsize * out.shape[1])
     for off in np.flatnonzero(np.bincount(split_offsets.ravel())):
         hit = split_offsets == off
         sel = np.flatnonzero(hit.any(axis=1))
@@ -91,7 +107,9 @@ def _tap_band(
         taps_hit *= np.where(hit[sel], split_weights[sel], 0.0)
         col = taps_hit.sum(axis=0)
         n = min(chirp.size, rows - off)
-        out[off : off + n, :] += chirp[:n, None] * col[None, :]
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            out[off + lo : off + hi] += chirp[lo:hi, None] * col
     return out
 
 
@@ -133,12 +151,12 @@ _HELPER_MIN_SIZE = 200_000
 class _NoiseDraw:
     """Receiver noise for one L x C received matrix, filled on a helper thread.
 
-    The calling thread allocates X and a float scratch of half its rows
-    (a helper's own allocations would come from its own malloc arena,
-    which keeps them); the helper only fills them, while the calling
-    thread goes on with the scene.  Each part of X, the real one first,
-    is one ``rng.normal`` draw taken in two row blocks through the
-    scratch, then times ``(1 / sqrt(2)) * sqrt(noise_power)``.  Without a
+    The calling thread allocates X and a float scratch of half its rows,
+    capped at ``_BLOCK_BYTES`` (a helper's own allocations would come from
+    its own malloc arena, which keeps them); the helper only fills them,
+    while the calling thread goes on with the scene.  Each part of X, the
+    real one first, is one ``rng.normal`` draw taken in row blocks through
+    the scratch, then times ``(1 / sqrt(2)) * sqrt(noise_power)``.  Without a
     stream or with zero noise power, X is zeros.  No thread starts then,
     nor below ``_HELPER_MIN_SIZE`` elements, where :meth:`result` runs
     the same fill.
@@ -154,7 +172,8 @@ class _NoiseDraw:
             self._x = np.zeros(shape, dtype=complex)
             return
         self._x = np.empty(shape, dtype=complex)
-        scratch = np.empty(((shape[0] + 1) // 2, cycles))
+        height = min((shape[0] + 1) // 2, _block_rows(8 * cycles))
+        scratch = np.empty((height, cycles))
         self._pending = (rng, math.sqrt(cfg.noise_power), scratch)
         if self._x.size >= _HELPER_MIN_SIZE:
             self._thread = threading.Thread(target=self._fill, name="isacsim-noise")
@@ -163,9 +182,10 @@ class _NoiseDraw:
     def _fill(self) -> None:
         (rng, scale, scratch), self._pending = self._pending, None
         try:
-            half = len(scratch)
+            height = len(scratch)
             for part in (self._x.real, self._x.imag):  # the real draw comes first
-                for block in (part[:half], part[half:]):
+                for lo in range(0, len(part), height):
+                    block = part[lo : lo + height]
                     drawn = rng.normal(out=scratch[: len(block)])
                     # By the reciprocal: x * (1/sqrt(2)) and x / sqrt(2)
                     # round differently, and the recorded outputs hold the former.
@@ -303,7 +323,8 @@ def simulate_spectrogram(
         x = synthesize_received_matrix(
             cfg, tracks, phases, clutter_amps, clutter_delays, noise
         )
-    y = svd_denoise(x, svd_threshold)
+    # The dechirp reads only the chirp's rows, so only those are cleaned.
+    y = svd_denoise(x, svd_threshold, rows=cfg.sweep_len)
     del x  # free the L x C received matrix before the slow-time stages
     slow = dechirp_and_collapse(y, synthesize_chirp(cfg))
     spec = stft(slow, cfg.pri, stft_window)

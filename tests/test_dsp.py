@@ -25,11 +25,11 @@ from isacsim import (
 )
 
 
-def _full_svd_denoise(x, r):
+def _full_svd_denoise(x, r, rows=None):
     """Reference clutter removal: subtract the top r-1 terms of a full SVD."""
     u, s, vh = np.linalg.svd(x, full_matrices=False)
     k = r - 1
-    return x - (u[:, :k] * s[:k]) @ vh[:k]
+    return (x - (u[:, :k] * s[:k]) @ vh[:k])[:rows]
 
 
 def _subspace_reference(x, r):
@@ -295,7 +295,8 @@ class TestSvdDenoiseBytes:
 
     def test_desk_sample_equal_to_fresh_start_block(self, monkeypatch, desk_cfg, clutter_cfg):
         seen = []
-        monkeypatch.setattr(simulate, "svd_denoise", lambda x, r: seen.append(x.copy()) or svd_denoise(x, r))
+        monkeypatch.setattr(simulate, "svd_denoise",
+                            lambda x, r, rows: seen.append(x.copy()) or svd_denoise(x, r, rows=rows))
         for cycles in (64, 256):
             motion = MotionSpec("walking", "adult", duration=cycles * desk_cfg.pri)
             simulate_spectrogram(desk_cfg, motion, cycles, RngStream(5, "svd"),
@@ -355,6 +356,39 @@ class TestSvdDenoiseFallback:
         assert first.tobytes() == second.tobytes()
         assert before[0] == after[0] and np.array_equal(before[1], after[1])
         assert before[2:] == after[2:]
+
+
+class TestSvdDenoiseRows:
+    """``rows`` returns the bytes of those rows of the whole result."""
+
+    @staticmethod
+    def no_gap(shape, seed):
+        # Equal singular values: no removed direction is separated from the
+        # rest, so every r >= 2 takes the full SVD.
+        rng = np.random.default_rng(seed)
+        n = min(shape)
+        u, _ = np.linalg.qr(_complex_normal(rng, (shape[0], n)))
+        v, _ = np.linalg.qr(_complex_normal(rng, (shape[1], n)))
+        return u @ v.conj().T
+
+    @pytest.mark.parametrize("kind,shape", [("subspace", (40, 90)), ("subspace", (90, 40)),
+                                            ("no_gap", (30, 80))],
+                             ids=["wide", "tall", "fallback"])
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    @pytest.mark.parametrize("rows", [1, 2, 7, "L", "L+5"])
+    def test_rows_equal_the_slice(self, monkeypatch, kind, shape, r, rows):
+        if kind == "no_gap":
+            x = self.no_gap(shape, seed=22)
+        else:
+            x = _graded(shape, seed=shape[1] + r)
+            x += 1e-3 * _complex_normal(np.random.default_rng(r), shape)
+        m = {"L": shape[0], "L+5": shape[0] + 5}.get(rows, rows)
+        calls = _svd_spy(monkeypatch)
+        whole = svd_denoise(x, r)
+        head = svd_denoise(x, r, rows=m)
+        assert calls == ([shape] * 2 if kind == "no_gap" and r > 1 else [])
+        assert head.shape == whole[:m].shape
+        assert head.tobytes() == whole[:m].tobytes()
 
 
 class TestDechirp:

@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 from dataclasses import replace
 from importlib import resources
 
@@ -428,6 +429,64 @@ class TestPipeline:
                 simulate_spectrogram(base_cfg, motion, cycles, RngStream(0, "x"),
                                      clutter=clutter_cfg, phases=phases)
             assert threading.active_count() == before
+
+    def test_noise_draw_error_reaches_the_caller(self, base_cfg, clutter_cfg,
+                                                  walking_radial):
+        # A draw that raises on the helper thread re-raises on the calling
+        # thread with its message, and the helper is joined.
+        cycles = 1024
+        assert base_cfg.fast_time_len * cycles >= simulate._HELPER_MIN_SIZE
+        drawn_on = []
+
+        class FailingNoise(RngStream):
+            def spawn(self, label):
+                child = super().spawn(label)
+                if label == "noise":
+                    def normal(*args, **kwargs):
+                        drawn_on.append(threading.current_thread().name)
+                        raise RuntimeError("noise source failed")
+                    child.normal = normal
+                return child
+
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="^noise source failed$"):
+            simulate_spectrogram(base_cfg, walking_radial, cycles, FailingNoise(0, "x"),
+                                 clutter=clutter_cfg)
+        assert drawn_on == ["isacsim-noise"]
+        assert threading.active_count() == before
+
+    def test_cleaning_holds_no_second_received_matrix(self, base_cfg, clutter_cfg,
+                                                      monkeypatch):
+        # Criterion-6 shape (L=200, C=1024): the sweep_len = L/2 rows the
+        # dechirp reads are half of X, so a second L x C array in the
+        # cleaning step exceeds three quarters of X.
+        cfg = replace(base_cfg, slot_time=2.0e-5)
+        cycles = 1024
+        motion = MotionSpec("walking", "adult", duration=cycles * cfg.pri,
+                            start_position=(1.5, 3.8, 0.0), heading=(0.0, -1.0))
+        clean = simulate.svd_denoise
+        seen = []
+
+        def spy(x, r, **kwargs):
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            y = clean(x, r, **kwargs)
+            seen.append((len(y), tracemalloc.get_traced_memory()[1] - held, x.nbytes))
+            return y
+
+        monkeypatch.setattr(simulate, "svd_denoise", spy)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            simulate_spectrogram(cfg, motion, cycles, RngStream(9, "mem"),
+                                 clutter=ClutterConfig(rays_per_cluster=12))
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        [(rows, extra, x_bytes)] = seen
+        assert rows == cfg.sweep_len
+        assert extra < 0.75 * x_bytes, (extra, x_bytes)
 
     def test_no_helper_without_noise_or_below_its_size(self, base_cfg, desk_cfg,
                                                        clutter_cfg, walking_radial,

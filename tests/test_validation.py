@@ -103,6 +103,8 @@ COUNTS = {
     "stft.window": ("window", 2, 32,
                     lambda cfg, v: stft(_noise(100, 0), 1e-3, window=v).values.tobytes()),
     "svd_denoise.r": ("r", 1, 2, lambda cfg, v: svd_denoise(_noise((6, 9), 1), v).tobytes()),
+    "svd_denoise.rows": ("rows", 1, 2,
+                         lambda cfg, v: svd_denoise(_noise((6, 9), 1), 2, rows=v).tobytes()),
     "gray_pmf.bins": ("bins", 2, 64, lambda cfg, v: gray_pmf(
         np.arange(256, dtype=np.uint8).reshape(16, 16), bins=v).tobytes()),
     "fit_rho.samples_per_point": ("samples_per_point", 1, 2, lambda cfg, v: fit_rho(
