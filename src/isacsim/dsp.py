@@ -188,8 +188,9 @@ def dechirp(y: np.ndarray, ref_chirp: np.ndarray) -> np.ndarray:
 
 
 def dechirp_and_collapse(y: np.ndarray, ref_chirp: np.ndarray) -> np.ndarray:
-    """Dechirp, conjugate, and sum over fast time: the slow-time sequence."""
-    return np.sum(np.conj(dechirp(y, ref_chirp)), axis=0)
+    """Dechirp, conjugate (in place), and sum over fast time: the slow-time sequence."""
+    d = dechirp(y, ref_chirp)
+    return np.sum(np.conjugate(d, out=d), axis=0)
 
 
 @dataclass

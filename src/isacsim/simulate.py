@@ -6,8 +6,10 @@ taps deterministic given the initial phases, clutter taps autoregressive),
 the received matrix is cleaned (only its chirp rows, which the dechirp
 reads, are formed), dechirped, and transformed into a gray-scale
 spectrogram with its gray-level pmf.  X is the one L x C array a sample
-holds: the noise draw and the tap placement work through row blocks of
-at most ``_BLOCK_BYTES``.
+holds, beside one band of the rows the taps occupy: the noise draw works
+in row blocks of at most ``_BLOCK_BYTES``, each offset's split taps are
+summed in column blocks, and the clutter joins the target band row block
+by row block.
 
 Randomness is split into fixed child streams ("phases", "clutter",
 "noise"), so a (seed, config, motion) triple fully determines the output
@@ -68,18 +70,18 @@ def _block_rows(row_bytes: int) -> int:
     return max(1, _BLOCK_BYTES // max(row_bytes, 1))
 
 
-def _tap_band(
-    amps: np.ndarray, delays_samples: np.ndarray, chirp: np.ndarray, fast_len: int
-) -> np.ndarray:
-    """The occupied rows of :func:`place_taps_fractional`'s matrix.
+def _tap_columns(
+    amps: np.ndarray, delays_samples: np.ndarray, fast_len: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The occupied offsets, ascending, and each one's (C,) summed split taps.
 
     One rule for static (K, 1) and moving (K, C) delays: for each occupied
     offset, the split rows that reach it in some cycle are gathered from
     ``amps`` in ascending order, times their real split weight, or an exact
-    zero in a cycle they miss, and summed; the chirp copy is added in row
-    blocks of at most ``_BLOCK_BYTES``.  Rows from ``max offset +
-    chirp.size`` (capped at ``fast_len``) on hold no chirp sample and are
-    left out; the rows kept hold the same bytes.
+    zero in a cycle they miss, and summed.  The gather runs in column blocks
+    of at most ``_BLOCK_BYTES``, but never one column alone where C > 1
+    (numpy sums a lone column pairwise), so every column is one sequential
+    sum whatever the block width.
     """
     pos = delays_samples
     if pos.shape not in ((len(amps), 1), amps.shape):
@@ -95,22 +97,38 @@ def _tap_band(
     frac = pos - base
     split_offsets = np.concatenate([base, np.minimum(base + 1, fast_len - 1)])
     split_weights = np.concatenate([1.0 - frac, frac])
-    rows = 0
-    if split_offsets.size:
-        rows = min(fast_len, int(split_offsets.max()) + chirp.size)
-    out = np.zeros((rows, amps.shape[1]), dtype=complex)
-    step = _block_rows(out.itemsize * out.shape[1])
-    for off in np.flatnonzero(np.bincount(split_offsets.ravel())):
+    offsets = np.flatnonzero(np.bincount(split_offsets.ravel()))
+    K, C = amps.shape
+    cols = np.empty((len(offsets), C), dtype=complex)
+    for col, off in zip(cols, offsets):
         hit = split_offsets == off
         sel = np.flatnonzero(hit.any(axis=1))
-        taps_hit = amps[sel % len(amps)]
-        taps_hit *= np.where(hit[sel], split_weights[sel], 0.0)
-        col = taps_hit.sum(axis=0)
-        n = min(chirp.size, rows - off)
-        for lo in range(0, n, step):
-            hi = min(lo + step, n)
-            out[off + lo : off + hi] += chirp[lo:hi, None] * col
-    return out
+        starts = range(0, max(C - 1, 1), max(2, _block_rows(len(sel) * amps.itemsize)))
+        for lo, hi in zip(starts, [*starts[1:], C]):
+            span = slice(lo, hi) if pos.shape[1] > 1 else slice(None)
+            taps_hit = amps[sel % K, lo:hi]
+            taps_hit *= np.where(hit[sel, span], split_weights[sel, span], 0.0)
+            col[lo:hi] = taps_hit.sum(axis=0)
+    return offsets, cols
+
+
+def _lay(out: np.ndarray, first: int, offsets: np.ndarray, cols: np.ndarray,
+         chirp: np.ndarray) -> None:
+    """Add the chirp copies of ``cols`` at ``offsets`` to ``out``, band rows
+    ``first`` on, in row blocks of at most ``_BLOCK_BYTES``; each element
+    takes its offsets in ascending order."""
+    step = _block_rows(out.itemsize * out.shape[1])
+    for lo in range(first, first + len(out), step):
+        hi = min(lo + step, first + len(out))
+        for off, col in zip(offsets, cols):
+            a, b = max(off, lo), min(off + chirp.size, hi)
+            if a < b:
+                out[a - first : b - first] += chirp[a - off : b - off, None] * col
+
+
+def _band_rows(offsets: np.ndarray, chirp: np.ndarray, fast_len: int) -> int:
+    """Rows up to the last chirp sample laid (none past ``fast_len``)."""
+    return min(fast_len, int(offsets[-1]) + chirp.size) if offsets.size else 0
 
 
 def place_taps_fractional(
@@ -130,13 +148,13 @@ def place_taps_fractional(
     for taps that move each cycle or (num_taps, 1) for static ones, and
     both take one rule.  The result is the L x C matrix of accumulated
     chirp copies.  Indoor delays span only a handful of distinct offsets,
-    so the split taps are summed per occupied offset (one ``bincount``
-    finds them) before the chirp is laid into the occupied rows only,
-    which are then zero-padded to L.
+    so the split taps are first summed into one column per occupied offset
+    (one ``bincount`` finds them, the gathers run in column blocks), and
+    then each column's chirp copy is laid into the zeros in row blocks.
     """
-    band = _tap_band(amps, delays_samples, chirp, fast_len)
+    offsets, cols = _tap_columns(amps, delays_samples, fast_len)
     out = np.zeros((fast_len, amps.shape[1]), dtype=complex)
-    out[: len(band)] = band
+    _lay(out, 0, offsets, cols, chirp)
     return out
 
 
@@ -255,13 +273,25 @@ def synthesize_received_matrix(
         chirp = synthesize_chirp(cfg)
         amps = target_amplitudes(tracks.gains, tracks.distances, cfg, phases[:, None])
         positions = 2.0 * tracks.distances / SPEED_OF_LIGHT * cfg.sample_rate
-        band = _tap_band(amps, positions, chirp, L)
+        offsets, cols = _tap_columns(amps, positions, L)
+        del amps, positions
+        c_offsets, c_cols = np.zeros(0, dtype=int), None
         if clutter_amps is not None:
-            c_pos = clutter_delays * cfg.sample_rate
-            c_band = _tap_band(clutter_amps, c_pos[:, None], chirp, L)
-            if len(c_band) > len(band):  # addition commutes bit for bit
-                band, c_band = c_band, band
-            band[: len(c_band)] += c_band
+            c_pos = (clutter_delays * cfg.sample_rate)[:, None]
+            c_offsets, c_cols = _tap_columns(clutter_amps, c_pos, L)
+            del clutter_amps  # frees them when the caller kept no name
+        c_rows = _band_rows(c_offsets, chirp, L)
+        band = np.zeros((max(_band_rows(offsets, chirp, L), c_rows), C), dtype=complex)
+        _lay(band, 0, offsets, cols, chirp)
+        # Clutter is laid into one zeroed row block at a time and added: rows
+        # past the target's read 0.0 + clutter = clutter (a sum from 0.0 is never -0.0).
+        step = _block_rows(band.itemsize * C)
+        scratch = np.empty((min(step, c_rows), C), dtype=complex)
+        for lo in range(0, c_rows, step):
+            block = scratch[: c_rows - lo]
+            block.fill(0.0)
+            _lay(block, lo, c_offsets, c_cols, chirp)
+            band[lo : lo + len(block)] += block
         x = noise.result()
     x[: len(band)] += band
     return x
@@ -315,14 +345,13 @@ def simulate_spectrogram(
 
         if clutter is not None:
             process = ClutterProcess(clutter, cfg, rng.spawn("clutter"), rho)
-            clutter_amps = process.run(cycles)
-            clutter_delays = process.delays
+            # Passed without a name, so the received matrix frees the
+            # amplitudes once their columns are summed.
+            x = synthesize_received_matrix(
+                cfg, tracks, phases, process.run(cycles), process.delays, noise
+            )
         else:
-            clutter_amps = clutter_delays = None
-
-        x = synthesize_received_matrix(
-            cfg, tracks, phases, clutter_amps, clutter_delays, noise
-        )
+            x = synthesize_received_matrix(cfg, tracks, phases, None, None, noise)
     # The dechirp reads only the chirp's rows, so only those are cleaned.
     y = svd_denoise(x, svd_threshold, rows=cfg.sweep_len)
     del x  # free the L x C received matrix before the slow-time stages

@@ -319,6 +319,114 @@ class TestReceivedMatrixBytes:
         self.check(desk_cfg, scene)
 
 
+def occupied_rows(x):
+    """Rows up to the last one holding a nonzero element."""
+    nonzero = np.flatnonzero(np.any(x != 0, axis=1))
+    return int(nonzero[-1]) + 1 if nonzero.size else 0
+
+
+class TestBlockedPlacement:
+    """Tap placement run in the smallest blocks the budget allows holds the
+    bytes of the default blocks and of the references.
+
+    With a one-byte ``_BLOCK_BYTES`` every row block holds one row and every
+    column block two columns (three at an odd end: numpy sums a lone
+    column pairwise, which moves the bytes of eight or more split taps).
+    At one cycle the row blocks would move bytes too (numpy's complex
+    product then runs down the rows, and its bytes follow the loop
+    length), but the default budget lays up to 65536 rows in one block.
+    """
+
+    @staticmethod
+    def blocked(monkeypatch, build):
+        default = build()
+        with monkeypatch.context() as patch:
+            patch.setattr(simulate, "_BLOCK_BYTES", 1)
+            tiny = build()
+        return default, tiny
+
+    @pytest.mark.parametrize(
+        "cycles, moving, negative",
+        [
+            pytest.param(33, False, False, id="static-odd"),
+            pytest.param(40, False, True, id="static-negative"),
+            pytest.param(33, True, False, id="moving-odd"),
+            pytest.param(40, True, True, id="moving-negative"),
+            pytest.param(2, True, True, id="two-cycles"),
+        ],
+    )
+    def test_place_taps_fractional(self, monkeypatch, cycles, moving, negative):
+        # 30 taps on few cells put 8 or more split taps on one offset.
+        L = 16
+        rng = np.random.default_rng(cycles + 2 * moving + negative)
+        cells = np.array([0.0, 0.3, 4.5, 4.5, 9.05, L - 1.0])
+        delays = rng.choice(cells, size=(30, cycles if moving else 1))
+        if moving:
+            delays[::3] = rng.uniform(0.0, L - 1.0, (10, cycles))
+        amps = TestPlacementBytes.draw(rng, (30, cycles), negative)
+        chirp = TestPlacementBytes.draw(rng, 6)
+        default, tiny = self.blocked(
+            monkeypatch, lambda: place_taps_fractional(amps, delays, chirp, L))
+        ref = place_taps_unique(amps, delays, chirp, L)
+        assert tiny.tobytes() == default.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("clutter_cells", [
+        pytest.param([0.0, 0.4, 0.4, 30.5, 61.0, 61.0], id="clutter-longer"),
+        pytest.param([0.0, 0.2, 1.0, 1.0], id="clutter-shorter"),
+    ])
+    def test_received_matrix(self, desk_cfg, monkeypatch, clutter_cells):
+        # A target moving over cells 2-12 and one standing at cell 40, with
+        # static clutter taps (negative amplitudes, 12 sharing cell 1 for the
+        # shorter band) whose band ends after or before the target's.
+        L, C = desk_cfg.fast_time_len, 35
+        cell = SPEED_OF_LIGHT / (2.0 * desk_cfg.sample_rate)
+        distances = cell * np.stack([np.linspace(2.2, 12.0, C), np.full(C, 40.5)])
+        tracks = PrimitiveTracks(
+            names=("moving", "standing"), times=np.arange(C) * desk_cfg.pri,
+            positions=np.zeros((2, C, 3)), distances=distances,
+            gains=np.ones((2, C)), v_max=1.0,
+            spec=MotionSpec("walking", "adult", duration=1.0),
+        )
+        rng = np.random.default_rng(len(clutter_cells))
+        taps = np.repeat(clutter_cells, 3)
+        clutter_amps = TestPlacementBytes.draw(rng, (taps.size, C), negative=True)
+        scene = (tracks, np.array([0.4, 2.9]), clutter_amps, taps / desk_cfg.sample_rate)
+        target_rows = occupied_rows(received_matrix_reference(
+            desk_cfg, *scene[:2], None, None, None))
+        clutter_rows = occupied_rows(place_taps_unique(
+            clutter_amps, taps[:, None], synthesize_chirp(desk_cfg), L))
+        assert (clutter_rows > target_rows) == (max(clutter_cells) > 40), (
+            clutter_rows, target_rows)
+        default, tiny = self.blocked(
+            monkeypatch, lambda: synthesize_received_matrix(desk_cfg, *scene, None))
+        ref = received_matrix_reference(desk_cfg, *scene, None)
+        assert tiny.tobytes() == default.tobytes() == ref.tobytes()
+
+    def test_received_matrix_holds_one_band(self):
+        # Paper scale (L=500, C=3000) without noise, so X is the zeros the
+        # taps are added to; the clutter amplitudes are passed without a
+        # name, so they can go once their columns are summed.  The
+        # placement may add its one tap band and a few blocks to X.
+        cfg = load_config(resources.files("isacsim").joinpath("data", "default.cfg"))
+        C = 3000
+        tracks, phases, _, _ = walking_scene(cfg, C, 1, clutter=False)
+        process = ClutterProcess(ClutterConfig(), cfg, RngStream(1, "clutter"), 0.997)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            x = synthesize_received_matrix(cfg, tracks, phases, process.run(C),
+                                           process.delays, None)
+            extra = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        band = occupied_rows(x) * C * x.itemsize
+        assert extra < x.nbytes + band + 4 * simulate._BLOCK_BYTES, (extra, x.nbytes, band)
+
+
 class TestPipeline:
     def test_deterministic_bytes(self, desk_cfg, clutter_cfg, walking_radial):
         a = simulate_spectrogram(
