@@ -100,8 +100,8 @@ class MotionSpec:
     The speed is the class default (standing 0, walking 1.0, pacing
     0.5 m/s).  A pacing segment is half the distance covered in
     ``duration``, i.e. one out-and-back lap; other segments are infinite.
-    The start position, heading and duration must be finite, and the
-    heading's ``np.linalg.norm`` positive and finite.
+    The start position (x, y, z), heading (x, y) and duration must be
+    finite, and the heading's ``np.linalg.norm`` positive and finite.
     """
 
     motion_class: str
@@ -123,10 +123,10 @@ class MotionSpec:
             )
         if not 0 < self.duration < math.inf:
             raise ValueError(f"duration: must be positive and finite, got {self.duration!r}")
-        for name in ("start_position", "heading"):
+        for name, size in (("start_position", 3), ("heading", 2)):
             value = getattr(self, name)
-            if not all(map(math.isfinite, value)):
-                raise ValueError(f"{name}: must be finite, got {value!r}")
+            if np.shape(value) != (size,) or not all(map(math.isfinite, value)):
+                raise ValueError(f"{name}: must be {size} finite numbers, got {value!r}")
         check_heading("heading", self.heading)  # synthesize_tracks divides by its norm
 
     @property

@@ -22,7 +22,7 @@ from .dsp import DEFAULT_STFT_WINDOW, write_pgm
 from .kinematics import MotionSpec
 from .manifest import read_csv, write_csv
 from .simulate import simulate_spectrogram
-from .validation import check_count
+from .validation import check_count, check_in_range
 
 # Class presets: name -> list of (label, candidate (subject, motion) pairs).
 # When a label lists several candidates, the subject is drawn per sample.
@@ -161,6 +161,8 @@ def generate_dataset(
     worker threads and written in job order into one preallocated uint8
     stack, so the output is deterministic for a given ``rng`` regardless
     of ``threads`` and the split is held once, with no list to stack.
+    ``min_radial_fraction`` (in [0, 1]) is the least cosine between a
+    moving subject's heading and the line of sight (see ``_sample_motion``).
     """
     try:
         classes = CLASS_SETS[class_set]
@@ -171,6 +173,7 @@ def generate_dataset(
     n_per_class = check_count("n_per_class", n_per_class, 1)
     threads = check_count("threads", threads, 1)
     cycles = check_count("cycles", cycles, 1)
+    min_radial_fraction = check_in_range("min_radial_fraction", min_radial_fraction, 0.0, 1.0)
     duration = cycles * cfg.pri
 
     jobs = []

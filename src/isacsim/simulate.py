@@ -14,16 +14,19 @@ by row block.
 Randomness is split into fixed child streams ("phases", "clutter",
 "noise"), so a (seed, config, motion) triple fully determines the output
 bytes regardless of how samples are scheduled.  The "noise" stream is
-owned by one helper thread per sample: it fills the receiver noise into
-the received matrix while the calling thread builds the scene, and no
-other code draws from it, so the triple still fixes every byte.
+owned by one helper thread per sample (``_noise``): it fills the receiver
+noise into the received matrix while the calling thread builds the scene,
+and no other code draws from it, so the triple still fixes every byte.
 """
 
 from __future__ import annotations
 
 import math
-import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -112,23 +115,29 @@ def _tap_columns(
     return offsets, cols
 
 
-def _lay(out: np.ndarray, first: int, offsets: np.ndarray, cols: np.ndarray,
-         chirp: np.ndarray) -> None:
-    """Add the chirp copies of ``cols`` at ``offsets`` to ``out``, band rows
-    ``first`` on, in row blocks of at most ``_BLOCK_BYTES``; each element
-    takes its offsets in ascending order."""
+def _lay(out: np.ndarray, tap_sets, chirp: np.ndarray) -> None:
+    """Add the chirp copies of each ``(offsets, cols)`` tap set to ``out``.
+
+    The sets are laid in row blocks of at most ``_BLOCK_BYTES``, each one's
+    offsets in ascending order.  Set 0 goes into ``out`` itself, each later
+    set into a zeroed scratch block that is then added, so an element reads
+    ``(set 0 + set 1) + ...`` as if each set filled a matrix of its own (a
+    sum from 0.0 is never -0.0, so adding a block's zeros keeps its bits).
+    """
     step = _block_rows(out.itemsize * out.shape[1])
-    for lo in range(first, first + len(out), step):
-        hi = min(lo + step, first + len(out))
-        for off, col in zip(offsets, cols):
-            a, b = max(off, lo), min(off + chirp.size, hi)
-            if a < b:
-                out[a - first : b - first] += chirp[a - off : b - off, None] * col
-
-
-def _band_rows(offsets: np.ndarray, chirp: np.ndarray, fast_len: int) -> int:
-    """Rows up to the last chirp sample laid (none past ``fast_len``)."""
-    return min(fast_len, int(offsets[-1]) + chirp.size) if offsets.size else 0
+    scratch = np.empty((min(step, len(out)), out.shape[1]), dtype=out.dtype)
+    for lo in range(0, len(out), step):
+        rows = out[lo : lo + step]
+        for k, (offsets, cols) in enumerate(tap_sets):
+            block = scratch[: len(rows)] if k else rows
+            if k:
+                block.fill(0.0)
+            for off, col in zip(offsets, cols):
+                a, b = max(off, lo), min(off + chirp.size, lo + len(rows))
+                if a < b:
+                    block[a - lo : b - lo] += chirp[a - off : b - off, None] * col
+            if k:
+                rows += block
 
 
 def place_taps_fractional(
@@ -154,7 +163,7 @@ def place_taps_fractional(
     """
     offsets, cols = _tap_columns(amps, delays_samples, fast_len)
     out = np.zeros((fast_len, amps.shape[1]), dtype=complex)
-    _lay(out, 0, offsets, cols, chirp)
+    _lay(out, [(offsets, cols)], chirp)
     return out
 
 
@@ -166,71 +175,46 @@ def place_taps_fractional(
 _HELPER_MIN_SIZE = 200_000
 
 
-class _NoiseDraw:
-    """Receiver noise for one L x C received matrix, filled on a helper thread.
+def _fill_noise(x: np.ndarray, rng: RngStream, scale: float,
+                scratch: np.ndarray) -> np.ndarray:
+    """Fill and return X: each part, the real one first, is one ``rng.normal``
+    draw taken in row blocks through ``scratch``, times ``(1 / sqrt(2)) * scale``."""
+    height = len(scratch)
+    for part in (x.real, x.imag):  # the real draw comes first
+        for lo in range(0, len(part), height):
+            block = part[lo : lo + height]
+            drawn = rng.normal(out=scratch[: len(block)])
+            # By the reciprocal: x * (1/sqrt(2)) and x / sqrt(2) round
+            # differently, and the recorded outputs hold the former.
+            np.multiply(drawn, 1.0 / np.sqrt(2.0), out=block)
+            block *= scale
+    return x
 
-    The calling thread allocates X and a float scratch of half its rows,
-    capped at ``_BLOCK_BYTES`` (a helper's own allocations would come from
-    its own malloc arena, which keeps them); the helper only fills them,
-    while the calling thread goes on with the scene.  Each part of X, the
-    real one first, is one ``rng.normal`` draw taken in row blocks through
-    the scratch, then times ``(1 / sqrt(2)) * sqrt(noise_power)``.  Without a
-    stream or with zero noise power, X is zeros.  No thread starts then,
-    nor below ``_HELPER_MIN_SIZE`` elements, where :meth:`result` runs
-    the same fill.
 
-    Used as a context manager, leaving the block joins the helper on every
-    exit path; :meth:`result` joins it and returns X.
+@contextmanager
+def _noise(cfg: SystemConfig, cycles: int, rng: RngStream | None):
+    """Yield a call that returns the noise-filled L x C received matrix X.
+
+    Without a stream or with zero noise power, X is zeros.  Otherwise this
+    thread allocates X and a float scratch of half its rows, capped at
+    ``_BLOCK_BYTES`` (a helper's own allocations would come from its own
+    malloc arena, which keeps them).  From ``_HELPER_MIN_SIZE`` elements on,
+    one helper thread fills them while the caller builds the scene, joined
+    when the block is left; below that the call runs the fill.  The call
+    holds X, so a caller that frees X drops the call too.
     """
-
-    def __init__(self, cfg: SystemConfig, cycles: int, rng: RngStream | None):
-        shape = (cfg.fast_time_len, cycles)
-        self._thread = self._pending = self._error = None
-        if rng is None or not cfg.noise_power > 0:
-            self._x = np.zeros(shape, dtype=complex)
-            return
-        self._x = np.empty(shape, dtype=complex)
-        height = min((shape[0] + 1) // 2, _block_rows(8 * cycles))
-        scratch = np.empty((height, cycles))
-        self._pending = (rng, math.sqrt(cfg.noise_power), scratch)
-        if self._x.size >= _HELPER_MIN_SIZE:
-            self._thread = threading.Thread(target=self._fill, name="isacsim-noise")
-            self._thread.start()
-
-    def _fill(self) -> None:
-        (rng, scale, scratch), self._pending = self._pending, None
-        try:
-            height = len(scratch)
-            for part in (self._x.real, self._x.imag):  # the real draw comes first
-                for lo in range(0, len(part), height):
-                    block = part[lo : lo + height]
-                    drawn = rng.normal(out=scratch[: len(block)])
-                    # By the reciprocal: x * (1/sqrt(2)) and x / sqrt(2)
-                    # round differently, and the recorded outputs hold the former.
-                    np.multiply(drawn, 1.0 / np.sqrt(2.0), out=block)
-                    block *= scale
-        except Exception as exc:  # raised on the calling thread by result()
-            self._error = exc
-
-    def __enter__(self) -> "_NoiseDraw":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        if self._thread is not None:
-            self._thread.join()
-
-    def result(self) -> np.ndarray:
-        """Wait for the fill and hand over the noise-filled X.
-
-        The draw keeps no reference to X, so the caller's ``del`` frees it.
-        """
-        if self._thread is None and self._pending is not None:
-            self._fill()
-        self.__exit__()
-        if self._error is not None:
-            raise self._error
-        x, self._x = self._x, None
-        return x
+    shape = (cfg.fast_time_len, cycles)
+    if rng is None or not cfg.noise_power > 0:
+        yield lambda: np.zeros(shape, dtype=complex)
+        return
+    height = min((shape[0] + 1) // 2, _block_rows(8 * cycles))
+    fill = partial(_fill_noise, np.empty(shape, dtype=complex), rng,
+                   math.sqrt(cfg.noise_power), np.empty((height, cycles)))
+    if math.prod(shape) < _HELPER_MIN_SIZE:
+        yield fill
+        return
+    with ThreadPoolExecutor(1, thread_name_prefix="isacsim-noise") as helper:
+        yield helper.submit(fill).result
 
 
 def synthesize_received_matrix(
@@ -239,7 +223,7 @@ def synthesize_received_matrix(
     phases: np.ndarray,
     clutter_amps: np.ndarray | None,
     clutter_delays: np.ndarray | None,
-    noise_rng: RngStream | _NoiseDraw | None,
+    noise_rng: RngStream | Callable[[], np.ndarray] | None,
 ) -> np.ndarray:
     """Received slow-time matrix X (L x C) for a whole motion sample.
 
@@ -251,13 +235,14 @@ def synthesize_received_matrix(
 
     Receiver noise of power ``cfg.noise_power`` takes its real parts from
     one ``noise_rng.normal((L, C))`` draw and its imaginary parts from the
-    next, each times ``(1 / sqrt(2)) * sqrt(noise_power)``.  It is left out
-    when ``noise_rng`` is None or the noise power is zero.  A large draw
-    runs on a helper thread while the taps are placed (see ``_NoiseDraw``);
-    :func:`simulate_spectrogram` passes one it started before the scene.
-    Every element is
-    ``(target + clutter) + noise``, as if each term filled a whole L x C
-    matrix, but the taps fill only their occupied rows.
+    next, each times ``(1 / sqrt(2)) * sqrt(noise_power)``.  ``noise_rng``
+    is one of three kinds: an ``RngStream``, whose draw runs on a helper
+    thread while the taps are placed when X is large (see ``_noise``);
+    None, which leaves the noise out, as does zero noise power; or the
+    call that ``_noise`` yields, which :func:`simulate_spectrogram` starts
+    before the scene.  Every element is ``(target + clutter) + noise``, as
+    if each term filled a whole L x C matrix, but the taps fill only their
+    occupied rows.
     """
     phases = as_float_array(phases, "phases", ndim=1)
     if phases.size != tracks.num_primitives:
@@ -266,33 +251,23 @@ def synthesize_received_matrix(
         )
     L = cfg.fast_time_len
     C = tracks.times.size
-    noise = noise_rng
-    if not isinstance(noise, _NoiseDraw):
-        noise = _NoiseDraw(cfg, C, noise_rng)
-    with noise:
+    with (nullcontext(noise_rng) if callable(noise_rng)
+          else _noise(cfg, C, noise_rng)) as take_x:
         chirp = synthesize_chirp(cfg)
         amps = target_amplitudes(tracks.gains, tracks.distances, cfg, phases[:, None])
         positions = 2.0 * tracks.distances / SPEED_OF_LIGHT * cfg.sample_rate
-        offsets, cols = _tap_columns(amps, positions, L)
+        tap_sets = [_tap_columns(amps, positions, L)]
         del amps, positions
-        c_offsets, c_cols = np.zeros(0, dtype=int), None
         if clutter_amps is not None:
             c_pos = (clutter_delays * cfg.sample_rate)[:, None]
-            c_offsets, c_cols = _tap_columns(clutter_amps, c_pos, L)
+            tap_sets.append(_tap_columns(clutter_amps, c_pos, L))
             del clutter_amps  # frees them when the caller kept no name
-        c_rows = _band_rows(c_offsets, chirp, L)
-        band = np.zeros((max(_band_rows(offsets, chirp, L), c_rows), C), dtype=complex)
-        _lay(band, 0, offsets, cols, chirp)
-        # Clutter is laid into one zeroed row block at a time and added: rows
-        # past the target's read 0.0 + clutter = clutter (a sum from 0.0 is never -0.0).
-        step = _block_rows(band.itemsize * C)
-        scratch = np.empty((min(step, c_rows), C), dtype=complex)
-        for lo in range(0, c_rows, step):
-            block = scratch[: c_rows - lo]
-            block.fill(0.0)
-            _lay(block, lo, c_offsets, c_cols, chirp)
-            band[lo : lo + len(block)] += block
-        x = noise.result()
+        # Rows up to the last chirp sample laid (none past L).
+        rows = max((min(L, int(offsets[-1]) + chirp.size)
+                    for offsets, _ in tap_sets if offsets.size), default=0)
+        band = np.zeros((rows, C), dtype=complex)
+        _lay(band, tap_sets, chirp)
+        x = take_x()
     x[: len(band)] += band
     return x
 
@@ -338,7 +313,7 @@ def simulate_spectrogram(
     # A large noise fill runs on a helper thread (it releases the interpreter
     # lock) beside the tracks, clutter and tap placement below, which stay on
     # this thread.
-    with _NoiseDraw(cfg, cycles, rng.spawn("noise")) as noise:
+    with _noise(cfg, cycles, rng.spawn("noise")) as noise:
         tracks = synthesize_tracks(motion, ClutterConfig.radar_position, grid)
         if phases is None:
             phases = draw_primitive_phases(tracks.num_primitives, rng.spawn("phases"))
@@ -354,7 +329,7 @@ def simulate_spectrogram(
             x = synthesize_received_matrix(cfg, tracks, phases, None, None, noise)
     # The dechirp reads only the chirp's rows, so only those are cleaned.
     y = svd_denoise(x, svd_threshold, rows=cfg.sweep_len)
-    del x  # free the L x C received matrix before the slow-time stages
+    del x, noise  # free the L x C received matrix (the call holds it too)
     slow = dechirp_and_collapse(y, synthesize_chirp(cfg))
     spec = stft(slow, cfg.pri, stft_window)
     gray, pmf = to_gray_and_pmf(spec.values, dynamic_range_db, pmf_bins)

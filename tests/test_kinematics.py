@@ -102,6 +102,10 @@ class TestMotionSpec:
         ("start_position", (1.0, 4.0, math.inf)),
         ("heading", (math.nan, 1.0)),
         ("heading", (-math.inf, 0.0)),
+        ("start_position", (1.0, 2.0)),
+        ("start_position", (1.0, 2.0, 0.0, 4.0)),
+        ("heading", (1.0, 0.0, 0.0)),
+        ("heading", (1.0,)),
         ("duration", math.nan),
         ("duration", math.inf),
         ("duration", 0.0),

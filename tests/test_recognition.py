@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import weakref
 
@@ -244,6 +245,15 @@ class TestGenerateDataset:
         with pytest.raises(ValueError, match="n_per_class must be >= 1, got 0"):
             generate_dataset(desk_cfg, clutter_cfg, "motions3", 0, 128, 0.997,
                              RngStream(6, "ds"), stft_window=32)
+
+    @pytest.mark.parametrize("fraction", [math.nan, -1.0, 1.5])
+    def test_min_radial_fraction_outside_unit_interval_rejected(self, desk_cfg,
+                                                                clutter_cfg, fraction):
+        # NaN and -1 would place as 0; 1.5 would fail only after 500 draws.
+        with pytest.raises(ValueError, match=r"^min_radial_fraction: must lie in \[0.0, 1.0\]"):
+            generate_dataset(desk_cfg, clutter_cfg, "motions3", 1, 128, 0.997,
+                             RngStream(6, "ds"), stft_window=32,
+                             min_radial_fraction=fraction)
 
     def test_unknown_class_set_named(self, desk_cfg, clutter_cfg):
         # The CLI's choices hide this; a library caller gets the presets.

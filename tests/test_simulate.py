@@ -560,7 +560,7 @@ class TestPipeline:
         with pytest.raises(RuntimeError, match="^noise source failed$"):
             simulate_spectrogram(base_cfg, walking_radial, cycles, FailingNoise(0, "x"),
                                  clutter=clutter_cfg)
-        assert drawn_on == ["isacsim-noise"]
+        assert drawn_on == ["isacsim-noise_0"]
         assert threading.active_count() == before
 
     def test_cleaning_holds_no_second_received_matrix(self, base_cfg, clutter_cfg,
@@ -596,13 +596,48 @@ class TestPipeline:
         assert rows == cfg.sweep_len
         assert extra < 0.75 * x_bytes, (extra, x_bytes)
 
+    def test_received_matrix_freed_before_the_dechirp(self, monkeypatch):
+        # Paper scale (L=500, C=3000): X and the noise call that returned it
+        # are both dropped once X is cleaned, so the dechirp starts with
+        # less than one X held above the sample's start.
+        cfg = load_config(resources.files("isacsim").joinpath("data", "default.cfg"))
+        C = 3000
+        motion = MotionSpec("walking", "adult", duration=C * cfg.pri,
+                            start_position=(3.0, 4.2, 0.0), heading=(-1.0, 0.0))
+        dechirp = simulate.dechirp_and_collapse
+        held = []
+
+        def spy(y, chirp):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return dechirp(y, chirp)
+
+        monkeypatch.setattr(simulate, "dechirp_and_collapse", spy)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            simulate_spectrogram(cfg, motion, C, RngStream(1, "release"),
+                                 clutter=ClutterConfig(), rho=0.997)
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        x_bytes = cfg.fast_time_len * C * np.dtype(complex).itemsize
+        [at_dechirp] = held
+        assert at_dechirp - start < x_bytes, (at_dechirp - start, x_bytes)
+
     def test_no_helper_without_noise_or_below_its_size(self, base_cfg, desk_cfg,
                                                        clutter_cfg, walking_radial,
                                                        monkeypatch):
         def no_thread(*args, **kwargs):
             raise AssertionError("a noise helper was started")
 
-        monkeypatch.setattr(simulate.threading, "Thread", no_thread)
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        # Positive control: a noisy sample of the helper's size starts one.
+        assert base_cfg.fast_time_len * 1024 >= simulate._HELPER_MIN_SIZE
+        with pytest.raises(AssertionError, match="^a noise helper was started$"):
+            simulate_spectrogram(base_cfg, walking_radial, 1024, RngStream(0, "x"),
+                                 clutter=clutter_cfg)
         quiet = replace(base_cfg, noise_power=0.0)
         simulate_spectrogram(quiet, walking_radial, 1024, RngStream(0, "x"),
                              clutter=clutter_cfg)
