@@ -67,7 +67,7 @@ def fit_rho(
     rate.
     """
     reference = check_pmf(reference_pmf, "reference_pmf")
-    grid = as_float_array(grid, "grid", ndim=1)
+    grid = as_float_array(grid, "grid")
     if grid.size == 0:
         raise ValueError("empty rho grid")
     if np.any((grid < 0) | (grid > 1)):

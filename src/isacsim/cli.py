@@ -204,11 +204,11 @@ def cmd_spectrogram(args, out: Path, cfg, cfg_ref, seed):
     write_pgm(pgm, result.gray)
     files = [pgm]
     if args.z_csv:
-        # A lossy dump of the dB matrix, not a table: no header, six digits.
-        z = out / "zmatrix.csv"
-        db = 20.0 * np.log10(np.maximum(result.spectrogram.values, 1e-300))
-        np.savetxt(z, db, fmt="%.6e", delimiter=",")
-        files.append(z)
+        # The dB matrix: frame times across, one row per frequency in image order.
+        spec = result.spectrogram
+        db = 20.0 * np.log10(np.maximum(spec.values, 1e-300))
+        rows = ((f, *r) for f, r in zip(spec.freqs.tolist(), db.tolist()))
+        files.append(write_csv(out / "zmatrix.csv", ("f_hz", *spec.times.tolist()), rows))
     if args.tracks_csv:
         files.append(result.tracks.to_csv(out / "tracks.csv"))
     print(f"wrote {pgm} ({result.gray.shape[1]}x{result.gray.shape[0]})")

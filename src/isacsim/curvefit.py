@@ -478,8 +478,8 @@ def fit_curve(cycles, accuracy, family: str = "pow3", *, n_starts: int = DEFAULT
     """
     fam = get_family(family)
     n_starts, max_iter = check_count("n_starts", n_starts), check_count("max_iter", max_iter)
-    c = as_float_array(cycles, "cycles", ndim=1)
-    a = as_float_array(accuracy, "accuracy", ndim=1)
+    c = as_float_array(cycles, "cycles")
+    a = as_float_array(accuracy, "accuracy")
     if c.size != a.size:
         raise ValueError(f"cycles and accuracy differ in length: {c.size} vs {a.size}")
     if c.size < fam.arity:

@@ -248,12 +248,12 @@ def synthesize_tracks(
     if the grid is empty or the radar sits inside the subject's bounding
     box at any sample.
     """
-    t = as_float_array(slow_time_grid, "slow_time_grid", ndim=1)
+    t = as_float_array(slow_time_grid, "slow_time_grid")
     if t.size == 0:
         raise ValueError("slow_time_grid: empty time grid")
     if t.size > 1 and np.any(np.diff(t) <= 0):
         raise ValueError("slow_time_grid: must be strictly increasing")
-    radar = as_float_array(radar_position, "radar_position", ndim=1)
+    radar = as_float_array(radar_position, "radar_position")
     if radar.shape != (3,):
         raise ValueError(f"radar_position: expected 3 coordinates, got {radar.shape}")
 

@@ -7,7 +7,7 @@ for byte, so no volatile data (timestamps, hostnames) is recorded.
 
 The hashes cover artifact bytes, so the text format is part of that
 contract and is decided here once: :func:`write_csv` writes every CSV
-table and :func:`read_csv` reads every tabular CSV input.
+table, :func:`read_csv` reads every input table and :func:`read_floats` its numbers.
 """
 
 from __future__ import annotations
@@ -39,10 +39,10 @@ def _cell(value) -> str:
 
 
 def write_csv(path, header, rows) -> Path:
-    """Write a header line and one line per row: floats (numpy ones too) as
+    """Write the header and row lines alike: floats (numpy ones too) as
     ``repr(float(v))``, the shortest text that reads back to the same double;
     ints and strings as ``str``; ``None`` as an empty cell."""
-    lines = [",".join(header)]
+    lines = [",".join(_cell(v) for v in header)]
     lines.extend(",".join(_cell(v) for v in row) for row in rows)
     path = Path(path)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -58,6 +58,28 @@ def read_csv(path) -> list[tuple[int, dict]]:
     lines = [(n, text) for n, text in lines if text]
     rows = csv.DictReader(text for _, text in lines)
     return [(n, row) for (n, _), row in zip(lines[1:], rows)]
+
+
+def read_floats(path, columns) -> list[tuple[int, tuple[float, ...]]]:
+    """``(line number, values)`` per row of :func:`read_csv`, each of
+    ``columns`` parsed as a finite float; other columns are ignored.  A
+    missing column or a cell that is not a finite number raises
+    ValueError naming the path, the line and the column."""
+
+    def cell(line, row, key):
+        text = row.get(key)
+        if text is None:
+            raise ValueError(f"{path}:{line}: missing column {key!r}")
+        try:
+            value = float(text)
+        except ValueError:
+            raise ValueError(f"{path}:{line}: {key}: not a number: {text!r}") from None
+        if not np.isfinite(value):  # float() takes nan, inf and 1e400
+            raise ValueError(f"{path}:{line}: {key}: not a finite number: {text!r}")
+        return value
+
+    return [(line, tuple(cell(line, row, key) for key in columns))
+            for line, row in read_csv(path)]
 
 
 def write_manifest(

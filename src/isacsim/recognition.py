@@ -20,9 +20,9 @@ from .channel import DEFAULT_RHO, ClutterConfig
 from .config import RngStream, SystemConfig
 from .dsp import DEFAULT_STFT_WINDOW, write_pgm
 from .kinematics import MotionSpec
-from .manifest import read_csv, write_csv
+from .manifest import read_floats, write_csv
 from .simulate import simulate_spectrogram
-from .validation import check_count, check_in_range
+from .validation import check_count
 
 # Class presets: name -> list of (label, candidate (subject, motion) pairs).
 # When a label lists several candidates, the subject is drawn per sample.
@@ -161,7 +161,7 @@ def generate_dataset(
     worker threads and written in job order into one preallocated uint8
     stack, so the output is deterministic for a given ``rng`` regardless
     of ``threads`` and the split is held once, with no list to stack.
-    ``min_radial_fraction`` (in [0, 1]) is the least cosine between a
+    ``min_radial_fraction`` (in [0, 1)) is the least cosine between a
     moving subject's heading and the line of sight (see ``_sample_motion``).
     """
     try:
@@ -173,7 +173,10 @@ def generate_dataset(
     n_per_class = check_count("n_per_class", n_per_class, 1)
     threads = check_count("threads", threads, 1)
     cycles = check_count("cycles", cycles, 1)
-    min_radial_fraction = check_in_range("min_radial_fraction", min_radial_fraction, 0.0, 1.0)
+    min_radial_fraction = float(min_radial_fraction)
+    if not 0.0 <= min_radial_fraction < 1.0:  # no drawn heading is exactly radial
+        raise ValueError("min_radial_fraction: must lie in [0.0, 1.0] and stay below 1.0, "
+                         f"got {min_radial_fraction!r}")
     duration = cycles * cfg.pri
 
     jobs = []
@@ -424,26 +427,14 @@ def accuracy_points_to_csv(points, path):
 def accuracy_points_from_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read ``C,A[,n_test]`` rows; returns (cycles, accuracy) arrays.
 
-    A missing column, a cell that is not a finite number or a C that
-    repeats an earlier row's raises ValueError naming the path, the line
-    and the column.
+    A missing column, a cell that is not a finite number (see
+    :func:`~isacsim.manifest.read_floats`) or a C that repeats an earlier
+    row's raises ValueError naming the path, the line and the column.
     """
-    columns = {"C": [], "A": []}
+    rows = read_floats(path, ("C", "A"))
     first_line = {}  # C -> the line it first appears on
-    for line, row in read_csv(path):
-        for key, values in columns.items():
-            text = row.get(key)
-            if text is None:
-                raise ValueError(f"{path}:{line}: missing column {key!r}")
-            try:
-                value = float(text)
-            except ValueError:
-                raise ValueError(f"{path}:{line}: {key}: not a number: {text!r}") from None
-            if not math.isfinite(value):  # float() takes nan, inf and 1e400
-                raise ValueError(f"{path}:{line}: {key}: not a finite number: {text!r}")
-            values.append(value)
-        c = columns["C"][-1]
+    for line, (c, _) in rows:
         if c in first_line:
             raise ValueError(f"{path}:{line}: C: repeats line {first_line[c]}'s {c!r}")
         first_line[c] = line
-    return np.asarray(columns["C"]), np.asarray(columns["A"])
+    return np.array([c for _, (c, _) in rows]), np.array([a for _, (_, a) in rows])

@@ -244,7 +244,7 @@ def synthesize_received_matrix(
     if each term filled a whole L x C matrix, but the taps fill only their
     occupied rows.
     """
-    phases = as_float_array(phases, "phases", ndim=1)
+    phases = as_float_array(phases, "phases")
     if phases.size != tracks.num_primitives:
         raise ValueError(
             f"phases: expected {tracks.num_primitives} entries, got {phases.size}"

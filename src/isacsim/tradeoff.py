@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .config import SystemConfig
 from .curvefit import CurveFit, eval_curve, invert_curve
-from .manifest import write_csv
+from .manifest import read_floats, write_csv
 from .validation import as_float_array, check_count, check_positive
 
 DEFAULT_SLOPE_HI = 5.0  # |normalized slope| above this: sensing saturation
@@ -54,7 +53,7 @@ class AllocationResult:
 
 def _rate_weights(gains, cfg: SystemConfig) -> np.ndarray:
     """w_k = B log2(1 + g_k G_c P / s2) of checked per-user gains g_k."""
-    gains = as_float_array(gains, "gains", ndim=1)
+    gains = as_float_array(gains, "gains")
     if gains.size != cfg.num_users:
         raise ValueError(f"gains: expected {cfg.num_users} entries, got {gains.size}")
     if np.any(gains <= 0):
@@ -234,21 +233,9 @@ def zone_bands(boundary: RegionBoundary) -> list[tuple[str, int, int]]:
 
 
 def gains_from_csv(path) -> np.ndarray:
-    """Read per-user linear gains: one value per line, optional header.
-
-    A line that is not a number raises ValueError naming the path and the
-    line.
-    """
-    values = []
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    for n, line in enumerate(lines, start=1):
-        tok = line.split("#", 1)[0].strip()
-        if not tok or tok.lower() in ("gain", "g", "gains"):
-            continue
-        try:
-            values.append(float(tok))
-        except ValueError:
-            raise ValueError(f"{path}:{n}: not a number: {tok!r}") from None
+    """Per-user linear gains from the ``gain`` column of a table, read by
+    :func:`~isacsim.manifest.read_floats`, which names a bad cell's line."""
+    values = [gain for _, (gain,) in read_floats(path, ("gain",))]
     if not values:
         raise ValueError(f"{path}: no gains found")
     return np.asarray(values)

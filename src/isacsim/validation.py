@@ -57,23 +57,23 @@ def check_in_range(name: str, value: float, lo: float, hi: float) -> float:
     return value
 
 
-def as_float_array(x, name: str, *, ndim: int | None = None) -> np.ndarray:
+def as_float_array(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
-    if ndim is not None and arr.ndim != ndim:
-        raise ValueError(f"{name}: expected a {ndim}-d array, got shape {arr.shape}")
+    if arr.ndim != 1:
+        raise ValueError(f"{name}: expected a 1-d array, got shape {arr.shape}")
     if arr.size and not np.all(np.isfinite(arr)):
         raise ValueError(f"{name}: contains non-finite entries")
     return arr
 
 
-def check_pmf(p, name: str, *, tol: float = 1e-9) -> np.ndarray:
-    """Validate a probability mass function: 1-d, non-negative, sums to one."""
-    arr = as_float_array(p, name, ndim=1)
+def check_pmf(p, name: str) -> np.ndarray:
+    """Validate a probability mass function: 1-d, non-negative, sums to 1 +- 1e-9."""
+    arr = as_float_array(p, name)
     if arr.size == 0:
         raise ValueError(f"{name}: empty pmf")
     if np.any(arr < 0):
         raise ValueError(f"{name}: contains negative probabilities")
     total = arr.sum()
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > 1e-9:
         raise ValueError(f"{name}: probabilities sum to {total!r}, expected 1")
     return arr

@@ -2,12 +2,15 @@ import argparse
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import isacsim
+import isacsim.cli as cli
 from isacsim.cli import _usable, build_parser, main
 from isacsim.curvefit import make_fit
 from isacsim.dsp import read_pgm
+from isacsim.manifest import read_csv
 
 DESK_CFG = """\
 carrier_freq_hz = 3.5e9
@@ -36,10 +39,21 @@ def cfg_file(tmp_path):
 
 
 PACKAGE_DIR = str(Path(isacsim.__file__).resolve().parent)
+FITS_HEADER = ("family", "param1", "param2", "param3", "param4", "ssr", "ssr_over_q")
 
 
 def manifest_of(out_dir):
     return (out_dir / "manifest.json").read_text()
+
+
+def assert_table(path, header, num_rows):
+    """``path`` reads back through ``manifest.read_csv``: ``num_rows`` rows,
+    each holding every column of ``header`` and no other."""
+    rows = read_csv(path)
+    assert len(rows) == num_rows
+    for _, row in rows:
+        assert tuple(row) == tuple(header)
+        assert None not in row.values()
 
 
 def assert_numeric_cells(path, skip_columns=0):
@@ -210,6 +224,26 @@ class TestSpectrogram:
         names = {a["file"] for a in manifest["artifacts"]}
         assert names == {"spectrogram.pgm", "zmatrix.csv", "tracks.csv"}
         assert_numeric_cells(out / "tracks.csv")
+        assert_table(out / "tracks.csv", ("t_s", "b", "x_m", "y_m", "z_m", "D_m", "G"),
+                     16 * 256)  # one row per primitive and cycle
+
+    def test_zmatrix_reads_back_exact_doubles(self, cfg_file, tmp_path, monkeypatch):
+        # A header of frame times, then per frequency (the image's row
+        # order) its dB values, each cell the double the matrix holds.
+        results = []
+        simulate = cli.simulate_spectrogram
+        monkeypatch.setattr(cli, "simulate_spectrogram",
+                            lambda *a, **k: results.append(simulate(*a, **k)) or results[-1])
+        out = tmp_path / "out"
+        assert main(["spectrogram", "--config", cfg_file, "--out", str(out),
+                     "--cycles", "256", "--stft-window", "64", "--z-csv"]) == 0
+        spec = results[0].spectrogram
+        header = ("f_hz", *map(repr, spec.times.tolist()))
+        assert_table(out / "zmatrix.csv", header, 64)
+        rows = [[float(row[key]) for key in header] for _, row in read_csv(out / "zmatrix.csv")]
+        db = 20.0 * np.log10(np.maximum(spec.values, 1e-300))
+        assert [row[0] for row in rows] == spec.freqs.tolist()
+        assert [row[1:] for row in rows] == db.tolist()
 
     def test_same_seed_same_hashes(self, cfg_file, tmp_path):
         args = ["spectrogram", "--config", cfg_file, "--cycles", "192",
@@ -258,6 +292,7 @@ class TestDataset:
         labels = (out / "labels.csv").read_text().splitlines()
         assert labels[0] == "file,label,C,seed"
         assert len(labels) == 7
+        assert_table(out / "labels.csv", ("file", "label", "C", "seed"), 6)
 
 
 class TestCalibrate:
@@ -286,6 +321,7 @@ class TestCalibrate:
         assert lines[0] == "rho,kl"
         assert len(lines) == 4  # 0.95, 0.975, 1.0
         assert_numeric_cells(out / "rho_kl.csv")
+        assert_table(out / "rho_kl.csv", ("rho", "kl"), 3)
 
     @pytest.mark.parametrize("start, stop, step, rhos", [
         ("0.9", "0.98", "0.03", [0.9, 0.93, 0.9600000000000001]),
@@ -320,6 +356,8 @@ class TestFit:
         assert "pow3" in families[:2]
         assert_numeric_cells(out / "fits.csv", skip_columns=1)
         assert_numeric_cells(out / "curve_best.csv")
+        assert_table(out / "fits.csv", FITS_HEADER, 7)
+        assert_table(out / "curve_best.csv", ("C", "A"), 200)
         assert "ranking" in capsys.readouterr().out
         manifest = manifest_of(out)
         assert PACKAGE_DIR not in manifest
@@ -365,6 +403,7 @@ class TestRegion:
         assert code == 0
         lines = (out / "boundary.csv").read_text().splitlines()
         assert lines[0] == "C,A,R_bps,zone"
+        assert_table(out / "boundary.csv", ("C", "A", "R_bps", "zone"), 300)
         zones = [row.split(",")[3] for row in lines[1:]]
         bands = [zones[0]]
         for z in zones[1:]:
@@ -403,7 +442,19 @@ class TestRegion:
         gains.write_text("gain\n1e-5\nabc\n")
         code = main(["region", "--gains", str(gains), "--out", str(tmp_path / "r")])
         assert code == 3
-        assert f"error: {gains}:3: not a number: 'abc'" in capsys.readouterr().err
+        assert f"error: {gains}:3: gain: not a number: 'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("gain\n1e-5\nnan\n", ":3: gain: not a finite number: 'nan'"),
+        ("1e-5\n2e-5\n", ":2: missing column 'gain'"),  # no header line
+        ("gain\n1e-5\ngain\n2e-5\n", ":3: gain: not a number: 'gain'"),
+    ], ids=["nan", "headerless", "mid-file-header"])
+    def test_gains_cell_rule_exit_3(self, tmp_path, capsys, text, message):
+        gains = tmp_path / "gains.csv"
+        gains.write_text(text)
+        code = main(["region", "--gains", str(gains), "--out", str(tmp_path / "r")])
+        assert code == 3
+        assert f"error: {gains}{message}" in capsys.readouterr().err
 
     def test_infeasible_exit_4(self, tmp_path, capsys):
         cfg = tmp_path / "tiny.cfg"
@@ -437,3 +488,7 @@ class TestPipeline:
         assert {a["file"] for a in m1["artifacts"]} == {
             "accuracy.csv", "fits.csv", "boundary.csv"
         }
+        assert_table(out1 / "accuracy.csv", ("C", "A", "n_test"), 2)
+        # Two points fit the three two-parameter families only.
+        assert_table(out1 / "fits.csv", FITS_HEADER, 3)
+        assert_table(out1 / "boundary.csv", ("C", "A", "R_bps", "zone"), 60)

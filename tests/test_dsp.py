@@ -204,6 +204,23 @@ class TestSvdDenoiseGram:
         diff = svd_denoise(x, 2) - _full_svd_denoise(x, 2)
         assert np.linalg.norm(diff) <= 1e-12 * np.linalg.norm(x)
 
+    @pytest.mark.parametrize("shape", [(100, 64), (100, 512), (40, 90), (90, 40)])
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_removed_subspace_matches_full_svd(self, shape, r):
+        # TestSvdDenoiseBytes's inputs: the removed part has rank r - 1, the
+        # top r - 1 singular values, and its column space lies within
+        # 1e-12 rad of the full SVD's top r - 1 left singular vectors.
+        x = _graded(shape, seed=shape[1] + r)
+        x += 1e-3 * _complex_normal(np.random.default_rng(r), shape)
+        k = r - 1
+        u, s, _ = np.linalg.svd(x, full_matrices=False)
+        u_removed, s_removed, _ = np.linalg.svd(x - svd_denoise(x, r), full_matrices=False)
+        assert s_removed[k] <= 1e-12 * s[0]
+        assert np.allclose(s_removed[:k], s[:k], rtol=1e-12, atol=0)
+        top = u[:, :k]
+        outside = u_removed[:, :k] - top @ (top.conj().T @ u_removed[:, :k])
+        assert np.linalg.norm(outside, 2) <= 1e-12  # sine of the largest angle
+
     @pytest.mark.parametrize("shape", [(12, 20), (20, 12)], ids=["wide", "tall"])
     def test_rank_decision_matches_numerical_rank(self, shape):
         x = _graded(shape, seed=12)
@@ -282,7 +299,15 @@ def _svd_spy(monkeypatch):
 
 
 class TestSvdDenoiseBytes:
-    """The cached start basis holds the bytes of a fresh draw and QR."""
+    """The cached start basis holds the bytes of a fresh draw and QR.
+
+    These pins hold today's start block (``default_rng(0)``) and the
+    iteration's order of arithmetic, so a change of either breaks them by
+    design.  The invariant they stand for is that the removed part is the
+    top r - 1 singular subspace of a full SVD: on these inputs
+    ``TestSvdDenoiseGram::test_removed_subspace_matches_full_svd`` checks
+    it within a stated angle, without the start block.
+    """
 
     @pytest.mark.parametrize("shape", [(100, 64), (100, 512), (40, 90), (90, 40)])
     @pytest.mark.parametrize("r", [2, 3])

@@ -246,10 +246,11 @@ class TestGenerateDataset:
             generate_dataset(desk_cfg, clutter_cfg, "motions3", 0, 128, 0.997,
                              RngStream(6, "ds"), stft_window=32)
 
-    @pytest.mark.parametrize("fraction", [math.nan, -1.0, 1.5])
+    @pytest.mark.parametrize("fraction", [math.nan, -1.0, 1.5, 1.0])
     def test_min_radial_fraction_outside_unit_interval_rejected(self, desk_cfg,
                                                                 clutter_cfg, fraction):
-        # NaN and -1 would place as 0; 1.5 would fail only after 500 draws.
+        # NaN and -1 would place as 0; 1.5 and 1.0 would fail only after
+        # 500 draws, since no drawn heading is exactly radial.
         with pytest.raises(ValueError, match=r"^min_radial_fraction: must lie in \[0.0, 1.0\]"):
             generate_dataset(desk_cfg, clutter_cfg, "motions3", 1, 128, 0.997,
                              RngStream(6, "ds"), stft_window=32,

@@ -32,6 +32,30 @@ class TestPlacement:
         expected[4 : 4 + chirp.size][: L - 4] += 0.25 * chirp[: L - 4]
         assert np.allclose(out[:, 0], expected)
 
+    def test_taps_superpose_linearly(self):
+        # Each tap, in each cycle, adds its split-weighted chirp on its own;
+        # the placement is the sum of those and is linear in the amplitudes.
+        rng = np.random.default_rng(4)
+        L, K, C = 16, 5, 7
+        chirp = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        delays = rng.uniform(0.0, L - 1.0, (K, C))
+        delays[0, :2] = (3.0, L - 1.0)  # a whole offset and the clipped last one
+        a, b = (rng.standard_normal((K, C)) + 1j * rng.standard_normal((K, C))
+                for _ in range(2))
+        expected = np.zeros((L, C), complex)
+        for k in range(K):
+            for c in range(C):
+                base = math.floor(delays[k, c])
+                frac = delays[k, c] - base
+                for off, weight in ((base, 1.0 - frac), (min(base + 1, L - 1), frac)):
+                    n = min(chirp.size, L - off)
+                    expected[off:off + n, c] += weight * a[k, c] * chirp[:n]
+        placed_a = place_taps_fractional(a, delays, chirp, L)
+        placed_b = place_taps_fractional(b, delays, chirp, L)
+        assert np.allclose(placed_a, expected, rtol=0, atol=1e-12)
+        assert np.allclose(place_taps_fractional(2.0 * a - 3j * b, delays, chirp, L),
+                           2.0 * placed_a - 3j * placed_b, rtol=0, atol=1e-12)
+
     def test_vectorized_target_matches_per_cycle_op(self, base_cfg, walking_radial):
         # The (primitives x cycles) block equals the formula evaluated on
         # one cycle's column at a time.
@@ -100,6 +124,18 @@ def place_taps_unique(amps, delays_samples, chirp, fast_len):
 
 
 class TestPlacementBytes:
+    """Fractional placement holds the bytes of ``place_taps_unique``, the
+    split taps summed per offset found by ``np.unique``.
+
+    These pins hold today's order of summation, so a change of it breaks
+    them by design.  The invariant they stand for is placement linearity
+    and the sub-sample split weights: a tap at delay d adds 1 - frac(d) of
+    the chirp at floor(d) and frac(d) at floor(d) + 1 (clipped to L - 1),
+    and tap sets superpose.  ``TestPlacement::test_fractional_delay_splits_linearly``
+    checks one tap's weights and ``TestPlacement::test_taps_superpose_linearly``
+    the whole rule, both within a tolerance and in no fixed order.
+    """
+
     L = 16
 
     @staticmethod

@@ -362,6 +362,11 @@ class TestGainsCsv:
         g = gains_from_csv(path)
         assert np.allclose(g, [1e-5, 2e-5, 3e-5])
 
+    def test_other_columns_ignored(self, tmp_path):
+        path = tmp_path / "gains.csv"
+        path.write_text("user,gain,note\n1,1e-5,near\n2,2e-5,far\n")
+        assert gains_from_csv(path).tolist() == [1e-5, 2e-5]
+
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "gains.csv"
         path.write_text("gain\n")
