@@ -27,9 +27,13 @@ attained SSR.  Every family is monotone in C over its domain for fixed
 parameters, so curves invert by bisection; an accuracy at or above a
 closed-form asymptote is rejected before bisecting.
 
+``eval_curve`` and ``invert_curve`` share one evaluation, vectorized over
+C, with each C's scalar bits: pow4's ``(alpha*C + beta)**epsilon`` and
+log_power's ``(C/e**beta)**gamma`` take numpy scalar powers; fits keep ``**``.
+
 The expressions leave numpy's floating-point warnings to their callers:
 ``fit_curve``, ``invert_curve`` and ``eval_curve`` each silence them once
-per call, around their whole loop, and ``_Family.evaluate`` and
+per call, around all their work, and ``_Family.evaluate`` and
 ``curve_jacobian`` silence them per call.  A non-finite result is caught
 by an explicit finiteness check instead.
 """
@@ -38,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -71,7 +76,8 @@ class _Family:
     The raw expressions ``_evaluate``/``_jacobian`` expect float arrays
     and run under the caller's ``np.errstate``; ``evaluate`` (and
     :func:`curve_jacobian` for ``_jacobian``) casts its arguments and
-    silences numpy warnings itself.
+    silences numpy warnings itself.  ``_evaluate(p, c, power)`` raises a
+    base computed from C (pow4's, log_power's) by ``power``, ``**`` by default.
     Both broadcast: given ``P.T[:, :, None]`` they return the (S, q)
     predictions and (S, q, arity) Jacobians of every row of ``P``.
     """
@@ -115,7 +121,7 @@ def _check_domain(fam: _Family, c, lo: float, hi: float, error: type[Exception])
         raise error(f"{fam.name}: {fam.domain_message} (domain ({lo!r}, {hi!r}))")
 
 
-def _vapor_eval(p, c):
+def _vapor_eval(p, c, power=None):
     return np.exp(p[0] + p[1] / c)
 
 
@@ -130,7 +136,7 @@ def _vapor_starts(c, a):
         yield [q, m]
 
 
-def _pow3_eval(p, c):
+def _pow3_eval(p, c, power=None):
     return p[2] - p[0] * c ** (-p[1])
 
 
@@ -148,8 +154,8 @@ def _pow3_starts(c, a):
             yield [alpha, beta, gamma]
 
 
-def _logpow_eval(p, c):
-    u = (c / np.exp(p[1])) ** p[2]
+def _logpow_eval(p, c, power=pow):
+    u = power(c / np.exp(p[1]), p[2])
     return p[0] / (1.0 + u)
 
 
@@ -171,7 +177,7 @@ def _logpow_starts(c, a):
             yield [alpha, beta, gamma]
 
 
-def _exp4_eval(p, c):
+def _exp4_eval(p, c, power=None):
     return p[2] - np.exp(-p[0] * c ** p[3] + p[1])
 
 
@@ -190,7 +196,7 @@ def _exp4_starts(c, a):
             yield [-m, q, gamma, eps]
 
 
-def _lll_eval(p, c):
+def _lll_eval(p, c, power=None):
     return np.log(p[0] * np.log(c) + p[1])
 
 
@@ -227,7 +233,7 @@ def _lll_feasible(P, c):
     P[low, 1] += -deficit[low] + 0.05
 
 
-def _ilog2_eval(p, c):
+def _ilog2_eval(p, c, power=None):
     return p[1] - p[0] / np.log(c)
 
 
@@ -242,8 +248,8 @@ def _ilog2_starts(c, a):
     yield [-m, q]
 
 
-def _pow4_eval(p, c):
-    return p[2] - (p[0] * c + p[1]) ** p[3]
+def _pow4_eval(p, c, power=pow):
+    return p[2] - power(p[0] * c + p[1], p[3])
 
 
 def _pow4_jac(p, c):
@@ -378,33 +384,27 @@ class CurveFit:
         return self.ssr / self.num_points
 
 
-def _at_each(fam: _Family, p: np.ndarray, cs):
-    """Yield ``fam._evaluate(p, C)`` for each float C of ``cs`` in turn.
-
-    Each C goes through the expression as one reused 0-d array, the path a
-    scalar C takes: a vectorised pow may differ from it by 1 ulp.  Runs
-    under the caller's ``np.errstate``.
-    """
-    z = np.empty(())
-    for c in cs:
-        z[()] = c
-        yield fam._evaluate(p, z)
+def _scalar_pow(base, e):
+    """``base ** e`` for each float of the array or numpy scalar ``base`` as
+    a numpy scalar power (libm ``pow``), which numpy's array power may miss
+    by an ulp: a scalar C's bits.  Runs under the caller's ``np.errstate``."""
+    return np.fromiter(map(pow, base.flat, repeat(e)), float, base.size).reshape(base.shape)
 
 
 def eval_curve(fit: CurveFit, c) -> np.ndarray | float:
     """Evaluate a fitted curve, enforcing the family's C-domain.
 
     Returns a float for a scalar C and an array of C's shape otherwise.
-    Each C of an array gets exactly the bits of its own scalar call, at a
-    few microseconds per C, so one call can take a whole sweep.
+    All C go through the expression in one vectorized pass, each with the
+    bits of its own scalar call (:func:`_scalar_pow`).
     """
     fam = get_family(fit.family)
     c_arr = np.asarray(c, dtype=float)
     _check_domain(fam, c_arr, *fit.domain, ValueError)
     p = np.asarray(fit.params, dtype=float)
     with np.errstate(all="ignore"):
-        out = np.fromiter(_at_each(fam, p, c_arr.ravel().tolist()), float, c_arr.size)
-    return float(out[0]) if np.isscalar(c) or c_arr.ndim == 0 else out.reshape(c_arr.shape)
+        out = fam._evaluate(p, c_arr, _scalar_pow)
+    return float(out) if c_arr.ndim == 0 else out
 
 
 def curve_jacobian(family: str, params, c) -> np.ndarray:
@@ -631,7 +631,7 @@ def invert_curve(fit: CurveFit, accuracy: float) -> float:
             f"asymptote {fam.asymptote(p)!r}"
         )
 
-    at = lambda c: float(next(_at_each(fam, p, (c,))))
+    at = lambda c: float(fam._evaluate(p, np.asarray(c), _scalar_pow))
     sign = 1.0 if fit.increasing else -1.0
     lo_b = max(lo * (1.0 + 1e-12), lo + 1e-12, 1e-12)
     if math.isfinite(hi):

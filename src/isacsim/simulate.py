@@ -186,8 +186,8 @@ def _fill_noise(x: np.ndarray, rng: RngStream, scale: float,
             drawn = rng.normal(out=scratch[: len(block)])
             # By the reciprocal: x * (1/sqrt(2)) and x / sqrt(2) round
             # differently, and the recorded outputs hold the former.
-            np.multiply(drawn, 1.0 / np.sqrt(2.0), out=block)
-            block *= scale
+            drawn *= 1.0 / np.sqrt(2.0)
+            np.multiply(drawn, scale, out=block)  # X's strided part is written once
     return x
 
 

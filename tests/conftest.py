@@ -5,9 +5,20 @@ import os
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 
+from importlib import resources  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from isacsim import ClutterConfig, MotionSpec, RngStream, SystemConfig  # noqa: E402
+from isacsim import (  # noqa: E402
+    ClutterConfig,
+    MotionSpec,
+    RngStream,
+    SystemConfig,
+    select_model,
+)
+from isacsim.recognition import accuracy_points_from_csv  # noqa: E402
 
 
 @pytest.fixture
@@ -66,3 +77,19 @@ def walking_radial():
         start_position=(1.5, 4.2, 0.0),
         heading=(0.0, -1.0),
     )
+
+
+@pytest.fixture(scope="session")
+def bench_selection():
+    """``select_model`` at seed 0 on the bundled accuracy points: the fits
+    of perfbench's ``curves_region`` check job."""
+    points = resources.files("isacsim").joinpath("data", "reference_accuracy_points.csv")
+    return select_model(*accuracy_points_from_csv(points), seed=0)
+
+
+@pytest.fixture(scope="session")
+def curves_region_reference():
+    """perfbench's stored ``curves_region`` check outputs, read only."""
+    path = Path(__file__).parents[1] / "perfbench" / "reference" / "curves_region.npz"
+    with np.load(path) as ref:
+        return {name: ref[name] for name in ref.files}

@@ -2,7 +2,6 @@ import csv
 import math
 import warnings
 from importlib import resources
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,7 +45,6 @@ OVERFLOW_POINTS = {
         [136.473, 672.19, 734.881, 883.551, 1005.352, 1577.13, 1894.022],
         [0.8841, 0.8102, 0.9645, 0.9167, 0.8748, 0.8673, 0.8919]),
 }
-BENCH_REFERENCE = Path(__file__).parents[1] / "perfbench" / "reference" / "curves_region.npz"
 
 # Parameter draws for randomized checks, safely inside each family domain.
 RANDOM_RANGES = {
@@ -356,17 +354,17 @@ class TestBatchedStepSearch:
         assert repr(fit.ssr) == repr(ssr)
         assert fit.residuals.tobytes() == resid.tobytes()
 
-    def test_select_model_matches_benchmark_reference(self):
+    def test_select_model_matches_benchmark_reference(self, bench_selection,
+                                                      curves_region_reference):
         # perfbench's stored curves_region check fits: select_model at seed 0
         # on the bundled points, to the last bit.
-        selection = select_model(BENCH_C, BENCH_A, seed=0)
-        with np.load(BENCH_REFERENCE) as ref:
-            stored = {k.split("/")[2] for k in ref.files if k.startswith("check/fit/")}
-            assert {f.family for f in selection.fits} == stored
-            for fit in selection.fits:
-                key = f"check/fit/{fit.family}"
-                assert fit.params.tobytes() == ref[f"{key}/params"].tobytes(), key
-                assert np.array([fit.ssr]).tobytes() == ref[f"{key}/ssr"].tobytes(), key
+        ref = curves_region_reference
+        stored = {k.split("/")[2] for k in ref if k.startswith("check/fit/")}
+        assert {f.family for f in bench_selection.fits} == stored
+        for fit in bench_selection.fits:
+            key = f"check/fit/{fit.family}"
+            assert fit.params.tobytes() == ref[f"{key}/params"].tobytes(), key
+            assert np.array([fit.ssr]).tobytes() == ref[f"{key}/ssr"].tobytes(), key
 
     @pytest.mark.parametrize("family, rows", [
         ("log_log_linear", [

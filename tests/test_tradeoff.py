@@ -1,5 +1,6 @@
 import heapq
 import math
+import warnings
 from dataclasses import replace
 from importlib import resources
 
@@ -20,9 +21,12 @@ from isacsim import (
     select_model,
 )
 from isacsim import tradeoff
+from isacsim.curvefit import FAMILIES
 from isacsim.manifest import write_csv
 from isacsim.recognition import accuracy_points_from_csv
 from isacsim.tradeoff import (
+    DEFAULT_SLOPE_HI,
+    DEFAULT_SLOPE_LO,
     IDENTITY_RTOL,
     RegionBoundary,
     ZONE_ADVERSARIAL,
@@ -374,32 +378,71 @@ class TestGainsCsv:
             gains_from_csv(path)
 
 
-def loop_region_csv(fit, gains, cfg, num_points, path):
-    """Sequential reference: the per-C loop, with the scalar rate formula of
-    one optimal_allocation call per swept C, writing the boundary CSV."""
+def oracle_curve(fit, c):
+    """A(C) as every C was evaluated before sweeps were vectorized: each C
+    alone, as a 0-d float array, through the family's expression with its
+    default ``**``.  A float for a scalar C, an array of C's shape otherwise."""
+    fam = FAMILIES[fit.family]
+    p = np.asarray(fit.params, dtype=float)
+    z = np.empty(())
+    values = []
+    with np.errstate(all="ignore"):
+        for value in np.ravel(c).tolist():
+            z[()] = value
+            values.append(float(fam._evaluate(p, z)))
+    return values[0] if np.ndim(c) == 0 else np.reshape(values, np.shape(c))
+
+
+def assert_oracle_bits(fit, cs):
+    """``eval_curve`` holds the oracle's bits for every C of the 1-d ``cs``:
+    called on each C alone (a float, a 0-d and a 1-element array), on all
+    of them at once, and on them as a grid in C and in Fortran order."""
+    ref = oracle_curve(fit, cs)
+    scalar = [eval_curve(fit, c) for c in cs.tolist()]
+    assert all(type(a) is float for a in scalar)
+    zero_d = [eval_curve(fit, np.array(c)) for c in cs.tolist()]
+    one = [eval_curve(fit, cs[i : i + 1]) for i in range(cs.size)]
+    for got in (np.array(scalar), np.array(zero_d), np.concatenate(one), eval_curve(fit, cs)):
+        assert got.tobytes() == ref.tobytes(), fit.family
+    grid = cs[: cs.size // 2 * 2].reshape(2, -1)
+    for layout in (grid, np.asfortranarray(grid), grid.T):
+        got = eval_curve(fit, layout)
+        assert got.shape == layout.shape
+        assert got.tobytes() == oracle_curve(fit, layout).tobytes(), fit.family
+
+
+def swept_cycles(fit, cfg, num_points):
+    """The integer C that ``region_boundary`` sweeps, by its stated rule."""
     c_min = tradeoff._min_feasible_cycles(fit)
     c_max = int(math.floor(cfg.total_time / (cfg.num_targets * cfg.slot_time)))
     if math.isfinite(fit.domain[1]):
         c_max = min(c_max, math.ceil(fit.domain[1]) - 1)
     if c_max < c_min:
         raise InfeasibleError(f"no feasible cycle count: need C in [{c_min}, {c_max}]")
-    cs = np.unique(np.linspace(c_min, c_max, num_points).round().astype(int))
-    if abs(eval_curve(fit, float(c_max)) - eval_curve(fit, float(c_min))) < 1e-9:
+    return np.unique(np.linspace(c_min, c_max, num_points).round().astype(int)).tolist()
+
+
+def loop_region_csv(fit, gains, cfg, num_points, path, curve=oracle_curve):
+    """Sequential reference: the per-C loop, with the scalar rate formula of
+    one optimal_allocation call per swept C and the accuracy ``curve(fit, C)``
+    of each C alone, writing the boundary CSV."""
+    cs = swept_cycles(fit, cfg, num_points)
+    if abs(curve(fit, float(cs[-1])) - curve(fit, float(cs[0]))) < 1e-9:
         raise InfeasibleError(
             f"the fitted curve is constant over the feasible cycle range "
-            f"[{c_min}, {c_max}]; no accuracy-rate tradeoff to trace"
+            f"[{cs[0]}, {cs[-1]}]; no accuracy-rate tradeoff to trace"
         )
     w = cfg.bandwidth * np.log2(1.0 + gains * cfg.comm_antenna_gain * cfg.tx_power
                                 / cfg.noise_power)
     inv_sum, time_over_rate = float(np.sum(1.0 / w)), float(np.sum(cfg.total_time / w))
     rows = []
-    for c in cs.tolist():
+    for c in cs:
         rate = max(cfg.total_time - cfg.num_targets * cfg.slot_time * c, 0.0) / (
             cfg.total_time * inv_sum)
         lhs = cfg.num_targets * cfg.slot_time * c + time_over_rate * rate
         if abs(lhs - cfg.total_time) > IDENTITY_RTOL * cfg.total_time:
             raise AssertionError(f"budget identity violated at C={c}: {lhs!r}")
-        acc = tradeoff.eval_curve(fit, float(c))
+        acc = curve(fit, float(c))
         if not rows or acc > rows[-1][1]:
             rows.append([c, acc, rate, ""])
     return write_csv(path, ("C", "A", "R_bps", "zone"), rows).read_bytes()
@@ -436,17 +479,13 @@ def bundled_fits():
 
 def test_array_eval_curve_gives_each_c_its_scalar_bits(bundled_fits):
     # region_boundary sweeps all its C in one call; a vectorised pow would
-    # move pow4 and log_power accuracies by one ulp against the scalar call.
+    # move pow4 and log_power accuracies by one ulp against the oracle.
     for fit in bundled_fits:
         lo, hi = fit.domain
         first = max(math.floor(lo) + 1, 1)
         last = 60000 if hi > 60000 else math.ceil(hi) - 1
         cs = np.r_[np.linspace(first, last, 3000), np.arange(first, first + 2000.0)]
-        scalar = np.array([eval_curve(fit, float(c)) for c in cs.tolist()])
-        assert eval_curve(fit, cs).tobytes() == scalar.tobytes(), fit.family
-        grid = eval_curve(fit, cs[:3000].reshape(60, 50))
-        assert grid.shape == (60, 50)
-        assert grid.tobytes() == scalar[:3000].tobytes()
+        assert_oracle_bits(fit, cs)
         with pytest.raises(ValueError) as exc:
             eval_curve(fit, np.r_[cs[:5], lo])
         with pytest.raises(ValueError) as one:
@@ -455,12 +494,82 @@ def test_array_eval_curve_gives_each_c_its_scalar_bits(bundled_fits):
         assert str(one.value).startswith(f"{fit.family}: ")
 
 
+# Each power of the expressions at exponents where numpy may take sqrt,
+# square or reciprocal instead of pow, or where the power is exact.
+@pytest.mark.parametrize("family, params", [
+    ("pow3", (100.0, 1.0, 0.9)),
+    *[("exp4", (0.05, 0.0, 0.9, eps)) for eps in (0.5, 2.0)],
+    *[("pow4", (0.5, 3.0, 0.9, eps)) for eps in (-1.0, 0.5, 2.0, 3.0)],
+    *[("log_power", (0.9, 4.0, gamma)) for gamma in (-1.0, 2.0)],
+])
+def test_exact_exponents_keep_scalar_bits(family, params):
+    cs = np.r_[np.arange(1.0, 400.0), np.exp(np.random.default_rng(7).uniform(0.0, 12.0, 2000))]
+    assert_oracle_bits(make_fit(family, params), cs)
+
+
+@pytest.mark.parametrize("family, params, c, expected", [
+    ("pow4", (1e6, 1.0, 0.9, 0.5), 1e305, -math.inf),  # alpha*C overflows
+    ("pow4", (1.0, 1.0, 0.9, 3.0), 1e200, -math.inf),  # the power overflows
+    # alpha*C + beta rounds to 0 just inside the domain: 0**-1 is inf
+    ("pow4", (9.347030807966872, -35.84374015123612, 0.9, -1.0), "edge", -math.inf),
+    ("exp4", (0.0, 0.0, 0.9, 2.0), 1e200, math.nan),  # 0 * C**2 is 0 * inf
+])
+def test_non_finite_accuracy_keeps_scalar_bits_silently(family, params, c, expected):
+    # Inside its domain pow4's base is never negative, so pow4 cannot read
+    # NaN with finite parameters; exp4 stands in for it.
+    fit = make_fit(family, params)
+    if c == "edge":
+        c = math.nextafter(fit.domain[0], math.inf)
+    cs = np.array([c, 5.0, c])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_oracle_bits(fit, cs)
+        values = eval_curve(fit, cs)
+    assert repr(float(values[0])) == repr(expected) and math.isfinite(values[1])
+
+
+def test_check_boundaries_match_benchmark_reference(bench_selection, curves_region_reference,
+                                                    tmp_path):
+    # perfbench's curves_region check job: the seed-0 fits, job 0's first
+    # gains draw, 300 points, zones classified, to the last byte.  No
+    # log_power boundary is stored, so it is pinned against the loop oracle.
+    cfg = load_config(resources.files("isacsim").joinpath("data", "default.cfg"))
+    gains = sample_user_gains(cfg, RngStream(0, "curves_region/job0/gains0"))
+    stored = {k.split("/")[2] for k in curves_region_reference if k.startswith("check/gains0/")}
+    assert stored == {fit.family for fit in bench_selection.fits} - {"log_power"}
+    for fit in bench_selection.fits:
+        boundary = region_boundary(fit, gains, cfg, num_points=300)
+        if fit.family in stored:
+            got = classify_zones(boundary).to_csv(tmp_path / "b.csv").read_bytes()
+            key = f"check/gains0/{fit.family}/boundary"
+            assert got == curves_region_reference[key].tobytes(), key
+        else:
+            got = boundary.to_csv(tmp_path / "b.csv").read_bytes()
+            assert got == loop_region_csv(fit, gains, cfg, 300, tmp_path / "loop.csv")
+
+
 class TestColumnSweepMatchesLoop:
-    def check(self, fit, gains, cfg, num_points, tmp_path):
+    """Byte pins of ``region_boundary`` and ``classify_zones`` against the
+    per-C loop over the oracle accuracies (``loop_region_csv``) and the
+    sequential zone scans (``loop_zones``).
+
+    Invariants guarded (and checked layout-free by :class:`TestRegionInvariants`):
+
+    - the boundary is exactly the swept C whose accuracy beats every
+      smaller swept C, each with its own accuracy and its max-min rate;
+    - along it accuracy rises strictly and rate falls strictly;
+    - the zones form at most three bands, comm -> adversarial -> sensing;
+    - the comm band is the longest prefix whose normalized slope is below
+      ``slope_lo``, and the sensing band the longest remaining suffix
+      above ``slope_hi``.
+    """
+
+    def check(self, fit, gains, cfg, num_points, tmp_path, curve=oracle_curve):
         def columns(*args):
             return region_boundary(*args).to_csv(tmp_path / "columns.csv").read_bytes()
 
-        expected = outcome(loop_region_csv, fit, gains, cfg, num_points, tmp_path / "loop.csv")
+        expected = outcome(loop_region_csv, fit, gains, cfg, num_points, tmp_path / "loop.csv",
+                           curve)
         assert outcome(columns, fit, gains, cfg, num_points) == expected
         return expected
 
@@ -494,14 +603,16 @@ class TestColumnSweepMatchesLoop:
         cs = np.unique(np.linspace(96, 16666, 40).round().astype(int))
         poisoned = cs[nan_at].astype(float)
 
-        def eval_with_nan(f, c):
-            if np.ndim(c) == 0:  # the loop's and _min_feasible_cycles' scalar calls
-                return math.nan if c in poisoned else eval_curve(f, c)
-            return np.where(np.isin(c, poisoned), math.nan, eval_curve(f, c))
+        def with_nan(curve):
+            def poisoned_curve(f, c):
+                if np.ndim(c) == 0:  # the loop's and _min_feasible_cycles' scalar calls
+                    return math.nan if c in poisoned else curve(f, c)
+                return np.where(np.isin(c, poisoned), math.nan, curve(f, c))
+            return poisoned_curve
 
-        monkeypatch.setattr(tradeoff, "eval_curve", eval_with_nan)
+        monkeypatch.setattr(tradeoff, "eval_curve", with_nan(eval_curve))
         gains = sample_user_gains(fig_cfg, RngStream(2, "g"))
-        csv = self.check(fit, gains, fig_cfg, 40, tmp_path)
+        csv = self.check(fit, gains, fig_cfg, 40, tmp_path, with_nan(oracle_curve))
         assert csv.count(b"nan") == (1 if 0 in nan_at else 0)
 
     @pytest.mark.parametrize("num_targets", [1, 2])
@@ -523,6 +634,73 @@ class TestColumnSweepMatchesLoop:
             for lo, hi in [(0.2, 5.0), (1.0, 1.0), (0.0, 0.0), (1e9, 1e9), (0.5, 50.0), ties]:
                 classify_zones(boundary, slope_hi=hi, slope_lo=lo)
                 assert boundary.zones == loop_zones(norm, lo, hi)
+
+
+# Parameter boxes of increasing curves, for random fits.
+INCREASING_RANGES = {
+    "vapor_pressure": ([-1.0, -2000.0], [0.5, -10.0]),
+    "pow3": ([10.0, 0.5, 0.7], [1e4, 2.5, 1.1]),
+    "log_power": ([0.5, 1.0, -4.0], [1.0, 8.0, -0.5]),
+    "exp4": ([0.1, -2.0, 0.7, 0.2], [2.0, 2.0, 1.1, 0.8]),
+    "log_log_linear": ([0.1, 0.5], [0.4, 2.0]),
+    "ilog2": ([0.5, 1.0], [4.0, 2.0]),
+    "pow4": ([1.0, 1.0, 0.7, -1.5], [50.0, 100.0, 1.1, -0.2]),
+}
+
+
+class TestRegionInvariants:
+    """The invariants :class:`TestColumnSweepMatchesLoop` pins byte for
+    byte, checked by brute force on bundled and random fits and gains,
+    whatever the layout of the trace."""
+
+    SLOPES = [(DEFAULT_SLOPE_LO, DEFAULT_SLOPE_HI), (1.0, 1.0), (0.5, 50.0), (0.0, 0.0)]
+
+    def check(self, fit, gains, cfg, num_points):
+        """True when the trace was checked, False when it is infeasible."""
+        try:
+            boundary = region_boundary(fit, gains, cfg, num_points)
+        except InfeasibleError:
+            return False
+        cs = swept_cycles(fit, cfg, num_points)
+        acc = [oracle_curve(fit, float(c)) for c in cs]
+        kept = [i for i in range(len(cs)) if all(acc[i] > acc[j] for j in range(i))]
+        assert boundary.cycles.tolist() == [cs[i] for i in kept]
+        assert boundary.accuracies.tolist() == [acc[i] for i in kept]
+        assert boundary.rates.tolist() == [optimal_allocation(cs[i], gains, cfg).rate
+                                           for i in kept]
+        a, r = boundary.accuracies, boundary.rates
+        assert np.all(np.diff(a) > 0) and np.all(np.diff(r) < 0)
+        if len(boundary) < 3:
+            return True
+        norm = np.abs(np.gradient(r, a)) / (np.max(np.abs(r)) / (a[-1] - a[0]))
+        for lo, hi in self.SLOPES:
+            zones = classify_zones(boundary, slope_hi=hi, slope_lo=lo).zones
+            bands = [z for z, _, _ in zone_bands(boundary)]
+            assert bands == [z for z in (ZONE_COMM, ZONE_ADVERSARIAL, ZONE_SENSING) if z in bands]
+            comm = zones.count(ZONE_COMM)
+            assert np.all(norm[:comm] < lo) and (comm == len(norm) or not norm[comm] < lo)
+            sens = len(norm) - zones.count(ZONE_SENSING)
+            assert np.all(norm[sens:] > hi) and (sens == comm or not norm[sens - 1] > hi)
+        return True
+
+    @pytest.mark.parametrize("num_points", [57, 300])
+    def test_bundled_fits(self, bundled_fits, num_points):
+        cfg = load_config(resources.files("isacsim").joinpath("data", "default.cfg"))
+        for draw in range(3):
+            gains = sample_user_gains(cfg, RngStream(draw, "invariant-gains"))
+            for fit in bundled_fits:
+                assert self.check(fit, gains, cfg, num_points)
+
+    @pytest.mark.parametrize("family", sorted(INCREASING_RANGES))
+    def test_random_fits(self, family, fig_cfg):
+        rng = np.random.default_rng(list(INCREASING_RANGES).index(family))
+        lo, hi = map(np.asarray, INCREASING_RANGES[family])
+        checked = 0
+        for draw in range(6):
+            fit = make_fit(family, lo + rng.uniform(size=lo.size) * (hi - lo))
+            gains = sample_user_gains(fig_cfg, RngStream(draw, f"invariant-{family}"))
+            checked += self.check(fit, gains, fig_cfg, int(rng.integers(10, 400)))
+        assert checked >= 4
 
 
 class TestCommAntennaGain:
