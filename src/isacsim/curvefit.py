@@ -11,10 +11,11 @@ Seven candidate families map a cycle count C to an accuracy A:
     pow4             gamma - (alpha * C + beta)**epsilon
 
 Each family is declared once, in :data:`FAMILIES`: its expression and
-analytic Jacobian, its data-driven starts, parameter bounds, C-domain
-(with the nudge that keeps the data inside a parameter-dependent one),
+analytic Jacobian, its data-driven starts, parameter bounds, C-domain,
 the sense of monotonicity, and its closed-form asymptote where one
-exists.
+exists.  pow4 and log_log_linear share one parameter-dependent domain,
+``alpha*h(C) + beta > 0`` with a nudge that keeps the data inside it;
+at every C it admits, that expression computes positive.
 
 Fitting minimizes the sum of squared residuals with a multi-start damped
 Gauss-Newton iteration.  The starts of a family descend in lockstep, as
@@ -67,6 +68,7 @@ class _Family:
     """Every fact about one curve family, declared in one place.
 
     ``starts(c, a)`` yields the data-driven initial parameter vectors;
+    ``domain(p)`` gives the open C interval as two floats;
     ``feasible(P, c)``, where the domain depends on the parameters, nudges
     the rows of the (S, arity) stack ``P`` in place until every data point
     lies in each row's domain (one start is the one-row case);
@@ -90,7 +92,7 @@ class _Family:
         self.arity = len(param_names)
         self._evaluate = evaluate
         self._jacobian = jacobian
-        self._domain = domain
+        self.domain = domain
         self.increasing = increasing
         self.bounds = (np.asarray(bounds[0], float), np.asarray(bounds[1], float))
         self.starts = starts
@@ -101,9 +103,6 @@ class _Family:
     def evaluate(self, params, c):
         with np.errstate(all="ignore"):
             return self._evaluate(np.asarray(params, float), np.asarray(c, float))
-
-    def domain(self, params):
-        return tuple(float(v) for v in self._domain(np.asarray(params, float)))
 
     def admit(self, P, c):
         """A fresh copy of the (S, arity) stack ``P``, each row projected
@@ -218,21 +217,6 @@ def _exp(x: float) -> float:
         return math.inf
 
 
-def _lll_domain(p):
-    a, b = p
-    if a > 0:
-        return (_exp(-b / a), math.inf)
-    if a < 0:
-        return (0.0, _exp(-b / a))
-    return (0.0, math.inf) if b > 0 else (math.inf, math.inf)
-
-
-def _lll_feasible(P, c):
-    deficit = (P[:, :1] * np.log(c) + P[:, 1:2]).min(axis=1)
-    low = deficit <= 0
-    P[low, 1] += -deficit[low] + 0.05
-
-
 def _ilog2_eval(p, c, power=None):
     return p[1] - p[0] / np.log(c)
 
@@ -271,19 +255,36 @@ def _pow4_starts(c, a):
         yield [alpha, 0.0, gamma, eps]
 
 
-def _pow4_domain(p):
-    a, b = p[0], p[1]
-    if a > 0:
-        return (max(0.0, -b / a), math.inf)
-    if a < 0:
-        return (0.0, -b / a) if b > 0 else (math.inf, math.inf)
-    return (0.0, math.inf) if b > 0 else (math.inf, math.inf)
+def _linear_constraint(h, h_inv, margin: float, text: str) -> dict:
+    """``domain``, ``feasible`` and ``domain_message`` of a family whose C
+    must satisfy ``alpha*h(C) + beta > 0`` (its first two parameters; ``h``
+    increasing, with inverse ``h_inv``).  An empty domain is ``(inf, inf)``;
+    ``feasible`` raises a short row's beta until its least value is ``margin``.
 
+    A finite end is the root moved inward in h by 4 eps max(1, |root|,
+    2**-1022/|alpha|), then mapped by ``h_inv``.  The step exceeds the
+    rounding of the root, the sum, a log ``h`` (1 ulp) and ``alpha*h`` (half
+    an ulp, or of the least subnormal); the float past a faithfully rounded
+    ``h_inv`` lies past the exact end.  So the computed ``alpha*h(C) + beta``,
+    monotone in C, is positive at every admitted C.
+    """
+    def domain(p):
+        a, b = float(p[0]), float(p[1])
+        if a == 0:
+            return (0.0, math.inf) if b > 0 else (math.inf, math.inf)
+        root = -b / a
+        if math.isfinite(root):
+            root += math.copysign(2.0**-50 * max(1.0, abs(root), 2.0**-1022 / abs(a)), a)
+        end = h_inv(root)
+        lo, hi = (max(0.0, end), math.inf) if a > 0 else (0.0, end)
+        return (lo, hi) if lo < hi else (math.inf, math.inf)
 
-def _pow4_feasible(P, c):
-    deficit = (P[:, :1] * c + P[:, 1:2]).min(axis=1)
-    low = deficit <= 0
-    P[low, 1] += -deficit[low] + 1e-3
+    def feasible(P, c):
+        deficit = (P[:, :1] * h(c) + P[:, 1:2]).min(axis=1)
+        low = deficit <= 0
+        P[low, 1] += -deficit[low] + margin
+
+    return dict(domain=domain, feasible=feasible, domain_message=text)
 
 
 FAMILIES: dict[str, _Family] = {
@@ -318,9 +319,7 @@ FAMILIES: dict[str, _Family] = {
             "log_log_linear", ("alpha", "beta"), _lll_eval, _lll_jac, _lll_starts,
             increasing=lambda p: p[0] > 0,
             bounds=([-1e3, -1e3], [1e3, 1e3]),
-            domain=_lll_domain,
-            feasible=_lll_feasible,
-            domain_message="alpha*log(C) + beta must be positive",
+            **_linear_constraint(np.log, _exp, 0.05, "alpha*log(C) + beta must be positive"),
         ),
         _Family(
             "ilog2", ("alpha", "beta"), _ilog2_eval, _ilog2_jac, _ilog2_starts,
@@ -335,9 +334,8 @@ FAMILIES: dict[str, _Family] = {
             _pow4_starts,
             increasing=lambda p: p[0] * p[3] < 0,
             bounds=([-1e6, -1e7, 0.0, -5.0], [1e6, 1e7, 1.5, 5.0]),
-            domain=_pow4_domain,
-            feasible=_pow4_feasible,
-            domain_message="alpha*C + beta must be positive",
+            **_linear_constraint(lambda c: c, lambda c: c, 1e-3,
+                                 "alpha*C + beta must be positive"),
         ),
     )
 }
@@ -358,9 +356,11 @@ def get_family(name: str) -> _Family:
 class CurveFit:
     """A fitted learning curve.
 
-    ``domain`` is the open C interval where the expression is defined;
-    each family is monotone over its domain for fixed parameters, so the
-    monotone range coincides with it and ``increasing`` gives the sense.
+    ``domain`` is the open C interval where the expression is defined,
+    ``(inf, inf)`` when empty; at every float C inside it pow4's and
+    log_log_linear's base computes positive.  Each family is monotone over
+    its domain for fixed parameters, so the monotone range coincides with
+    it and ``increasing`` gives the sense.
     ``stops`` counts how each Gauss-Newton start of ``fit_curve`` ended,
     by the keys of :data:`STOP_REASONS` (empty for :func:`make_fit`); it
     is diagnostic and written to no artifact.

@@ -146,17 +146,17 @@ def region_boundary(
     """
     num_points = check_count("num_points", num_points, 2)
     w = _rate_weights(gains, cfg)
+    if not fit.domain[0] < fit.domain[1]:
+        raise InfeasibleError(f"{fit.family}: empty domain {fit.domain!r}")
     c_min = _min_feasible_cycles(fit)
     c_max = int(math.floor(cfg.total_time / (cfg.num_targets * cfg.slot_time)))
     if math.isfinite(fit.domain[1]):  # the largest integer strictly inside the domain
         c_max = min(c_max, math.ceil(fit.domain[1]) - 1)
     if c_max < c_min:
-        raise InfeasibleError(
-            f"no feasible cycle count: need C in [{c_min}, {c_max}]"
-        )
+        raise InfeasibleError(f"no feasible cycle count: need C in [{c_min}, {c_max}]")
     cs = np.unique(np.linspace(c_min, c_max, num_points).round().astype(int))
-    span = abs(eval_curve(fit, float(c_max)) - eval_curve(fit, float(c_min)))
-    if span < 1e-9:
+    acc = eval_curve(fit, cs.astype(float))  # from c_min to c_max
+    if abs(acc[-1] - acc[0]) < 1e-9:
         raise InfeasibleError(
             f"the fitted curve is constant over the feasible cycle range "
             f"[{c_min}, {c_max}]; no accuracy-rate tradeoff to trace"
@@ -170,7 +170,6 @@ def region_boundary(
         raise AssertionError(
             f"budget identity violated at C={cs[i]}: {float(lhs[i])!r} != {cfg.total_time!r}"
         )
-    acc = eval_curve(fit, cs.astype(float))
     # Keep C when its accuracy beats the last kept one.  A NaN is never
     # kept after the first point; a NaN first point is never beaten.
     floor = np.where(np.isnan(acc), -np.inf, acc)

@@ -437,6 +437,16 @@ class TestRegion:
         assert "feasible cycle range [999, 999]" in err
         assert "must be positive" not in err
 
+    @pytest.mark.parametrize("args", [
+        ["--family", "pow4", "--params=-1,-5,1,0.5"],
+        ["--family", "pow4", "--params=0,0,1,0.5"],
+        ["--family", "log_log_linear", "--params=-1,-800"],
+    ])
+    def test_empty_domain_exit_4(self, tmp_path, capsys, args):
+        code = main(["region", *args, "--out", str(tmp_path / "r")])
+        assert code == 4
+        assert f"{args[1]}: empty domain" in capsys.readouterr().err
+
     def test_malformed_gain_exit_3(self, tmp_path, capsys):
         gains = tmp_path / "gains.csv"
         gains.write_text("gain\n1e-5\nabc\n")

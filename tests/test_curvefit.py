@@ -129,6 +129,86 @@ class TestEvalCurve:
             eval_curve(make_fit("pow3", BENCH_POW3), c)
 
 
+# alpha*h(C) + beta, the base of the two families whose domain moves with
+# their parameters, computed as their expressions compute it.
+DOMAIN_BASE = {
+    "pow4": lambda a, b, c: a * c + b,
+    "log_log_linear": lambda a, b, c: a * np.log(c) + b,
+}
+
+
+class TestLinearConstraintDomain:
+    """pow4's and log_log_linear's domains admit no float C at which
+    ``alpha*h(C) + beta`` computes zero or below, and an empty domain has
+    one form, ``(inf, inf)``."""
+
+    def first_admitted(self, family, ab):
+        """(alpha, beta, C) rows: each finite end's first float inside it,
+        for every (alpha, beta) row of ``ab`` whose domain is not empty; the
+        curve (pow4 with gamma 0.9, epsilon -1.5) must not read NaN there."""
+        rest = [0.9, -1.5][: FAMILIES[family].arity - 2]
+        rows = []
+        for a, b in ab:
+            fit = make_fit(family, [a, b, *rest])
+            lo, hi = fit.domain
+            for end, inward in ((lo, math.inf), (hi, 0.0)):
+                if lo < hi and math.isfinite(end):
+                    c = math.nextafter(end, inward)
+                    assert not math.isnan(eval_curve(fit, c)), (family, a, b, c)
+                    rows.append((a, b, c))
+        return np.array(rows).reshape(-1, 3)
+
+    @pytest.mark.parametrize("family", list(DOMAIN_BASE))
+    @pytest.mark.parametrize("scale", [1.0, 50.0, 1000.0])
+    def test_first_admitted_float_has_a_positive_base(self, family, scale):
+        ab = np.random.default_rng(int(scale)).uniform(-scale, scale, (4000, 2))
+        if family == "pow4":
+            ab[::4, 0] *= 1e-6  # shallow slopes put the root far out
+        rows = self.first_admitted(family, ab.tolist())
+        base = DOMAIN_BASE[family](*rows.T)
+        assert rows.shape[0] > 3000
+        assert np.all(base > 0), f"{np.sum(base <= 0)} of {base.size} ends"
+
+    @pytest.mark.parametrize("family, ab", [
+        ("pow4", (9.347030807966872, -35.84374015123612)),  # once read -inf just inside
+        ("pow4", (5e-320, -1e-319)),  # a subnormal slope
+        ("pow4", (-5e-320, 1e-319)),
+        ("log_log_linear", (1e-310, -1e-308)),
+        ("log_log_linear", (1.0, 740.0)),  # the lower end is a subnormal C
+        ("log_log_linear", (-1.0, -740.0)),  # the upper end is a subnormal C
+    ])
+    def test_extreme_ends_have_a_positive_base(self, family, ab):
+        rows = self.first_admitted(family, [ab])
+        assert rows.shape[0] and np.all(DOMAIN_BASE[family](*rows.T) > 0)
+
+    @pytest.mark.parametrize("family, params", [
+        ("pow4", (-1.0, -5.0, 1.0, 0.5)),
+        ("pow4", (0.0, 0.0, 1.0, 0.5)),
+        ("pow4", (1e-300, -1e300, 1.0, 0.5)),  # the root lies beyond the float range
+        ("log_log_linear", (-1.0, -800.0)),  # exp of the end underflows to 0
+        ("log_log_linear", (1.0, -800.0)),  # exp of the end overflows
+        ("log_log_linear", (0.0, -1.0)),
+    ])
+    def test_empty_domain_has_one_form(self, family, params):
+        fit = make_fit(family, params)
+        assert fit.domain == (math.inf, math.inf)
+        with pytest.raises(ValueError, match=f"{family}: empty domain"):
+            invert_curve(fit, 0.5)
+
+    @pytest.mark.parametrize("family, params, domain", [
+        ("pow4", (0.0, 2.0, 1.0, 0.5), (0.0, math.inf)),
+        ("pow4", (2.0, 3.0, 1.0, 0.5), (0.0, math.inf)),
+        ("pow4", (-2.0, 3.0, 1.0, 0.5), (0.0, 1.5)),
+        ("pow4", (2.0, -3.0, 1.0, 0.5), (1.5, math.inf)),
+        ("log_log_linear", (1.0, 2.0), (math.exp(-2.0), math.inf)),
+        ("log_log_linear", (-1.0, 2.0), (0.0, math.exp(2.0))),
+    ])
+    def test_domain_ends_sit_a_few_ulps_inside_the_root(self, family, params, domain):
+        lo, hi = make_fit(family, params).domain
+        assert (lo, hi) == pytest.approx(domain, rel=1e-14, abs=0.0)
+        assert domain[0] <= lo and hi <= domain[1]
+
+
 class TestJacobians:
     def test_matches_central_differences(self):
         # Analytic Jacobians agree with central finite differences to 1e-6

@@ -263,6 +263,25 @@ class TestTracks:
     @pytest.mark.parametrize("subject", sorted(SUBJECT_HEIGHTS))
     @pytest.mark.parametrize("motion_class", MOTION_CLASSES)
     def test_component_arrays_equal_the_stacked_reference(self, motion_class, subject, cycles):
+        """Byte pin of positions, distances and gains against
+        ``tracks_reference``.
+
+        Invariants guarded, each checked layout-free by its own test:
+
+        - the body origin covers the class speed along the heading, folded
+          back for pacing (:class:`TestBodyOrigin`);
+
+        - the distances are the ranges |radar - position| of every primitive
+          and sample (``test_distances_are_ranges_to_the_radar``);
+        - the gains are the ellipsoid RCS of the height-scaled semi-axes
+          seen along the body-frame direction to the radar
+          (``test_gains_are_the_ellipsoid_rcs_seen_from_the_radar``);
+        - half a gait period later each right limb primitive sits where the
+          left one was, mirrored (``test_sides_in_anti_phase``);
+        - no primitive moves faster than ``v_max`` (``test_speed_bound_holds``)
+          and a pacing lap returns to its start
+          (``test_pacing_returns_to_start``).
+        """
         rng = np.random.default_rng(cycles)
         t = np.arange(cycles) * 1e-3
         for _ in range(4):
@@ -274,6 +293,40 @@ class TestTracks:
             for name, ref in zip(("positions", "distances", "gains"),
                                  tracks_reference(spec, RADAR, t)):
                 assert getattr(got, name).tobytes() == ref.tobytes(), name
+
+    @staticmethod
+    def random_tracks(motion_class, subject, seed):
+        """Tracks of a randomly placed and headed subject on a random grid."""
+        rng = np.random.default_rng(seed)
+        theta = rng.uniform(-math.pi, math.pi)
+        spec = MotionSpec(motion_class, subject, duration=2.0,
+                          start_position=(rng.uniform(0.4, 2.6), rng.uniform(1.5, 4.1), 0.0),
+                          heading=(3.0 * math.cos(theta), 3.0 * math.sin(theta)))
+        return synthesize_tracks(spec, RADAR, np.sort(rng.uniform(0.0, 2.0, 200)))
+
+    @pytest.mark.parametrize("subject", sorted(SUBJECT_HEIGHTS))
+    @pytest.mark.parametrize("motion_class", MOTION_CLASSES)
+    def test_distances_are_ranges_to_the_radar(self, motion_class, subject):
+        tracks = self.random_tracks(motion_class, subject, 11)
+        ranges = np.sqrt(np.sum(np.square(np.subtract(RADAR, tracks.positions)), axis=-1))
+        assert tracks.distances.shape == (16, 200)
+        assert np.allclose(tracks.distances, ranges, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("subject", sorted(SUBJECT_HEIGHTS))
+    @pytest.mark.parametrize("motion_class", MOTION_CLASSES)
+    def test_gains_are_the_ellipsoid_rcs_seen_from_the_radar(self, motion_class, subject):
+        # The body frame is (forward, left, up); an ellipsoid's RCS is even in
+        # each component of the direction, so a pacing subject facing back on
+        # its return leg sees the same gains as one facing along the heading.
+        tracks = self.random_tracks(motion_class, subject, 12)
+        h = np.asarray(tracks.spec.heading) / math.hypot(*tracks.spec.heading)
+        to_radar = np.subtract(RADAR, tracks.positions)
+        body = np.stack([to_radar[..., :2] @ h, to_radar[..., :2] @ [-h[1], h[0]],
+                         to_radar[..., 2]], axis=-1)
+        axes = kin._AXES * (tracks.spec.height / kin._REFERENCE_HEIGHT)
+        expected = ellipsoid_rcs(axes[:, None, :], body)
+        assert tracks.gains.shape == (16, 200)
+        assert np.allclose(tracks.gains, expected, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("start", [(1.5, 1.0, 0.0), (2.0, 1.2, 0.0)])
     def test_inside_bounding_box_error_equals_the_reference(self, start):

@@ -285,6 +285,16 @@ class TestRegionBoundary:
         with pytest.raises(InfeasibleError, match=r"\[999, 999\]"):
             region_boundary(fit, np.full(5, 1e-5), comm_cfg)
 
+    @pytest.mark.parametrize("family, params", [
+        ("pow4", (-1.0, -5.0, 1.0, 0.5)),
+        ("pow4", (0.0, 0.0, 1.0, 0.5)),
+        ("log_log_linear", (-1.0, -800.0)),
+    ])
+    def test_empty_domain_named(self, comm_cfg, family, params):
+        fit = make_fit(family, params)
+        with pytest.raises(InfeasibleError, match=f"^{family}: empty domain"):
+            region_boundary(fit, np.full(5, 1e-5), comm_cfg)
+
     def test_empty_feasible_range_rejected(self, comm_cfg):
         tiny = replace(comm_cfg, total_time=1e-3)  # at most 20 cycles
         fit = make_fit("pow3", BENCH_POW3)  # needs C >= 96 for A >= 0
@@ -510,8 +520,8 @@ def test_exact_exponents_keep_scalar_bits(family, params):
 @pytest.mark.parametrize("family, params, c, expected", [
     ("pow4", (1e6, 1.0, 0.9, 0.5), 1e305, -math.inf),  # alpha*C overflows
     ("pow4", (1.0, 1.0, 0.9, 3.0), 1e200, -math.inf),  # the power overflows
-    # alpha*C + beta rounds to 0 just inside the domain: 0**-1 is inf
-    ("pow4", (9.347030807966872, -35.84374015123612, 0.9, -1.0), "edge", -math.inf),
+    # alpha*C + beta is about 1e-115 just inside the domain: its power -3 overflows
+    ("pow4", (1e-100, -1e-100, 0.9, -3.0), "edge", -math.inf),
     ("exp4", (0.0, 0.0, 0.9, 2.0), 1e200, math.nan),  # 0 * C**2 is 0 * inf
 ])
 def test_non_finite_accuracy_keeps_scalar_bits_silently(family, params, c, expected):
