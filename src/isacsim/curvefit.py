@@ -260,13 +260,10 @@ def _linear_constraint(h, h_inv, margin: float, text: str) -> dict:
     must satisfy ``alpha*h(C) + beta > 0`` (its first two parameters; ``h``
     increasing, with inverse ``h_inv``).  An empty domain is ``(inf, inf)``;
     ``feasible`` raises a short row's beta until its least value is ``margin``.
-
-    A finite end is the root moved inward in h by 4 eps max(1, |root|,
-    2**-1022/|alpha|), then mapped by ``h_inv``.  The step exceeds the
-    rounding of the root, the sum, a log ``h`` (1 ulp) and ``alpha*h`` (half
-    an ulp, or of the least subnormal); the float past a faithfully rounded
-    ``h_inv`` lies past the exact end.  So the computed ``alpha*h(C) + beta``,
-    monotone in C, is positive at every admitted C.
+    The computed ``alpha*h(C) + beta`` is positive at every admitted C: a
+    finite end is the root moved inward in h by 4 eps max(1, |root|,
+    2**-1022/|alpha|), more than the rounding of the root, ``h``, ``alpha*h``
+    and the sum together, then mapped by ``h_inv``.
     """
     def domain(p):
         a, b = float(p[0]), float(p[1])

@@ -153,7 +153,9 @@ def region_boundary(
     if math.isfinite(fit.domain[1]):  # the largest integer strictly inside the domain
         c_max = min(c_max, math.ceil(fit.domain[1]) - 1)
     if c_max < c_min:
-        raise InfeasibleError(f"no feasible cycle count: need C in [{c_min}, {c_max}]")
+        raise InfeasibleError(
+            f"no feasible cycle count: need C in [{c_min}, {c_max}]"
+        )
     cs = np.unique(np.linspace(c_min, c_max, num_points).round().astype(int))
     acc = eval_curve(fit, cs.astype(float))  # from c_min to c_max
     if abs(acc[-1] - acc[0]) < 1e-9:
