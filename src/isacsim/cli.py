@@ -42,7 +42,7 @@ from .dsp import (
     DEFAULT_SVD_THRESHOLD,
     write_pgm,
 )
-from .kinematics import DEFAULT_HEADING, DEFAULT_START, MotionSpec
+from .kinematics import DEFAULT_HEADING, DEFAULT_START, MOTION_CLASSES, SUBJECT_HEIGHTS, MotionSpec
 from .manifest import read_csv, write_csv, write_manifest
 from .recognition import (
     CLASS_SETS,
@@ -364,9 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="worker threads for sample generation")
 
     def motion_args(p):
-        p.add_argument("--motion", default="walking",
-                       choices=("standing", "walking", "pacing"))
-        p.add_argument("--subject", default="adult", choices=("adult", "child"))
+        p.add_argument("--motion", default="walking", choices=MOTION_CLASSES)
+        p.add_argument("--subject", default="adult", choices=tuple(SUBJECT_HEIGHTS))
         p.add_argument("--start", type=_finite_float, nargs=3, default=DEFAULT_START,
                        metavar=("X", "Y", "Z"))
         p.add_argument("--heading", type=_finite_float, nargs=2, default=DEFAULT_HEADING,

@@ -286,8 +286,8 @@ class RngStream:
     def rayleigh(self, scale: float = 1.0, size=None):
         return self._rng.rayleigh(scale, size)
 
-    def integers(self, low: int, high: int | None = None, size=None):
-        return self._rng.integers(low, high, size)
+    def integers(self, low: int, high: int):
+        return self._rng.integers(low, high)
 
     def poisson_arrivals(self, rate: float, shape):
         """Arrival times of Poisson processes, one per row of ``shape``.

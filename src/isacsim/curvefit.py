@@ -456,7 +456,7 @@ def _gauss_newton_steps(J: np.ndarray, R: np.ndarray) -> np.ndarray:
 
 
 def fit_curve(cycles, accuracy, family: str = "pow3", *, n_starts: int = DEFAULT_N_STARTS,
-              max_iter: int = DEFAULT_MAX_ITER, seed: int = DEFAULT_FIT_SEED) -> CurveFit:
+              seed: int = DEFAULT_FIT_SEED) -> CurveFit:
     """Nonlinear least-squares fit of one family to (C, A) points.
 
     Runs ``n_starts`` damped Gauss-Newton descents from data-driven and
@@ -467,14 +467,14 @@ def fit_curve(cycles, accuracy, family: str = "pow3", *, n_starts: int = DEFAULT
     those steps, from 1 to 2**-39, and scores them as one stack.  Each
     start moves to its longest halving that lowers its SSR, or leaves the
     stack when none does; starts never mix, so each takes exactly the
-    steps it would take alone.  The fit is the first start with the least
-    SSR, never worse than any start's initial SSR, and ``stops`` counts
-    how the starts ended.  A negative or non-integer ``n_starts`` or
-    ``max_iter`` raises ``ValueError``; :class:`CurveFitError` when no
-    start produces a finite fit.
+    steps it would take alone, for at most ``DEFAULT_MAX_ITER`` iterations.
+    The fit is the first start with the least SSR, never worse than any
+    start's initial SSR, and ``stops`` counts how the starts ended.  A
+    negative or non-integer ``n_starts`` raises ``ValueError``;
+    :class:`CurveFitError` when no start produces a finite fit.
     """
     fam = get_family(family)
-    n_starts, max_iter = check_count("n_starts", n_starts), check_count("max_iter", max_iter)
+    n_starts = check_count("n_starts", n_starts)
     c = as_float_array(cycles, "cycles")
     a = as_float_array(accuracy, "accuracy")
     if c.size != a.size:
@@ -493,7 +493,7 @@ def fit_curve(cycles, accuracy, family: str = "pow3", *, n_starts: int = DEFAULT
     # Jacobian or step, which the descent rejects.
     with np.errstate(all="ignore"):
         starts = _starts(fam, c, a, n_starts, np.random.default_rng(seed))
-        P, ssr, R, stop = _descend(fam, starts, c, a, max_iter)
+        P, ssr, R, stop = _descend(fam, starts, c, a, DEFAULT_MAX_ITER)
     # The descent accepts decreasing SSRs only: just diverged starts end non-finite.
     finite = np.flatnonzero(np.isfinite(ssr))
     if not finite.size:
@@ -583,20 +583,16 @@ class ModelSelection:
         return write_csv(path, header, rows)
 
 
-def select_model(cycles, accuracy, families=None, *, n_starts: int = DEFAULT_N_STARTS,
-                 max_iter: int = DEFAULT_MAX_ITER, seed: int = DEFAULT_FIT_SEED) -> ModelSelection:
+def select_model(cycles, accuracy, families=None, *,
+                 seed: int = DEFAULT_FIT_SEED) -> ModelSelection:
     """Fit several families with :func:`fit_curve` and rank them by
-    attained SSR.  A family that fails is listed in ``failures``; a
-    negative or non-integer ``n_starts`` or ``max_iter`` is the caller's
-    error, not a family's, and raises ``ValueError`` before any fit."""
-    n_starts, max_iter = check_count("n_starts", n_starts), check_count("max_iter", max_iter)
+    attained SSR.  A family that fails is listed in ``failures``."""
     names = FAMILY_NAMES if families is None else tuple(families)
     fits: list[CurveFit] = []
     failures: dict[str, str] = {}
     for name in names:
         try:
-            fits.append(fit_curve(cycles, accuracy, name, n_starts=n_starts,
-                                  max_iter=max_iter, seed=seed))
+            fits.append(fit_curve(cycles, accuracy, name, seed=seed))
         except (CurveFitError, ValueError) as exc:
             failures[name] = str(exc)
     if not fits:

@@ -21,9 +21,9 @@ import numpy as np
 from .manifest import write_csv
 from .validation import as_float_array, check_heading
 
-MOTION_CLASSES = ("standing", "walking", "pacing")
 SUBJECT_HEIGHTS = {"adult": 1.75, "child": 1.0}
 DEFAULT_SPEEDS = {"standing": 0.0, "walking": 1.0, "pacing": 0.5}
+MOTION_CLASSES = tuple(DEFAULT_SPEEDS)
 DEFAULT_START = (3.0, 4.2, 0.0)  # m, subject start position
 DEFAULT_HEADING = (-1.0, 0.0)  # walking direction in the floor plane
 

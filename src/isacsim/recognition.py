@@ -105,10 +105,19 @@ def _sample_motion(
     at least that cosine along the line of sight, restricting samples to
     subjects crossing the sensing beam radially (useful at desk scale,
     where a purely tangential walker is indistinguishable from a slower
-    radial one).
+    radial one).  A reach beyond the diagonal of the floor inside the wall
+    margins, which no placement can hold, raises before any draw.
     """
     lx, ly, _ = ClutterConfig.room
     rx, ry, _ = ClutterConfig.radar_position
+    spec = MotionSpec(motion_class, subject, duration=duration)
+    # Pacing turns back at its segment; other segments are infinite.
+    reach = min(spec.effective_speed * duration, spec.effective_segment)
+    diagonal = math.hypot(lx - 2 * _MARGIN, ly - 2 * _MARGIN)
+    facts = (f"{subject} {motion_class} for {duration:.4g} s reaches {reach:.4g} m; the floor "
+             f"inside the {_MARGIN} m wall margins has a {diagonal:.4g} m diagonal")
+    if reach > diagonal:
+        raise ValueError(f"cannot place the motion inside the room: {facts}")
     for _ in range(500):
         x = rng.uniform(_MARGIN, lx - _MARGIN)
         y = rng.uniform(_MARGIN, ly - _MARGIN)
@@ -121,8 +130,6 @@ def _sample_motion(
             heading=heading,
             duration=duration,
         )
-        # Pacing turns back at its segment; other segments are infinite.
-        reach = min(spec.effective_speed * duration, spec.effective_segment)
         end_x = x + heading[0] * reach
         end_y = y + heading[1] * reach
         if not (_MARGIN <= end_x <= lx - _MARGIN and _MARGIN <= end_y <= ly - _MARGIN):
@@ -137,7 +144,8 @@ def _sample_motion(
             if cosine < min_radial_fraction:
                 continue
         return spec
-    raise RuntimeError("could not place the motion inside the room")
+    radial = f", with min_radial_fraction {min_radial_fraction!r}" if min_radial_fraction else ""
+    raise RuntimeError(f"could not place the motion inside the room in 500 draws: {facts}{radial}")
 
 
 def generate_dataset(

@@ -277,7 +277,7 @@ def simulate_spectrogram(
     motion: MotionSpec,
     cycles: int,
     rng: RngStream,
-    clutter: ClutterConfig | None = None,
+    clutter: ClutterConfig,
     rho: float = DEFAULT_RHO,
     *,
     svd_threshold: int = DEFAULT_SVD_THRESHOLD,
@@ -288,8 +288,7 @@ def simulate_spectrogram(
 ) -> SpectrogramResult:
     """Full pipeline: motion -> received cycles -> cleaned spectrogram.
 
-    ``clutter=None`` simulates a clutter-free scene; the radar sits at
-    :attr:`ClutterConfig.radar_position` either way.  ``rho`` is the
+    The radar sits at :attr:`ClutterConfig.radar_position`.  ``rho`` is the
     clutter evolution rate (the calibration sweep varies it per call).
     ``phases`` pins the per-primitive initial phases, which keeps the
     target return identical across runs that redraw only clutter and
@@ -318,15 +317,12 @@ def simulate_spectrogram(
         if phases is None:
             phases = draw_primitive_phases(tracks.num_primitives, rng.spawn("phases"))
 
-        if clutter is not None:
-            process = ClutterProcess(clutter, cfg, rng.spawn("clutter"), rho)
-            # Passed without a name, so the received matrix frees the
-            # amplitudes once their columns are summed.
-            x = synthesize_received_matrix(
-                cfg, tracks, phases, process.run(cycles), process.delays, noise
-            )
-        else:
-            x = synthesize_received_matrix(cfg, tracks, phases, None, None, noise)
+        process = ClutterProcess(clutter, cfg, rng.spawn("clutter"), rho)
+        # Passed without a name, so the received matrix frees the
+        # amplitudes once their columns are summed.
+        x = synthesize_received_matrix(
+            cfg, tracks, phases, process.run(cycles), process.delays, noise
+        )
     # The dechirp reads only the chirp's rows, so only those are cleaned.
     y = svd_denoise(x, svd_threshold, rows=cfg.sweep_len)
     del x, noise  # free the L x C received matrix (the call holds it too)

@@ -294,6 +294,16 @@ class TestDataset:
         assert len(labels) == 7
         assert_table(out / "labels.csv", ("file", "label", "C", "seed"), 6)
 
+    def test_motion_longer_than_the_room_exits_3_naming_its_cause(self, cfg_file, tmp_path,
+                                                                  capsys):
+        # At pri 1 ms a walker covers 8 m; no draw can place that on the floor.
+        code = main(["dataset", "--config", cfg_file, "--out", str(tmp_path / "ds"),
+                     "--cycles", "8000", "--n-per-class", "1"])
+        assert code == 3
+        assert ("error: cannot place the motion inside the room: adult walking for 8 s "
+                "reaches 8 m; the floor inside the 0.4 m wall margins has a 4.305 m "
+                "diagonal\n") in capsys.readouterr().err
+
 
 class TestCalibrate:
     def test_self_calibration_smoke(self, cfg_file, tmp_path, capsys):

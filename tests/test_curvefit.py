@@ -353,19 +353,17 @@ class TestFitCurve:
         with pytest.raises(CurveFitError, match=r"^pow3: all 0 starts diverged"):
             fit_curve(BENCH_C, BENCH_A, "pow3", n_starts=0)
 
-    @pytest.mark.parametrize("kwargs, name", [
-        (dict(n_starts=-1), "n_starts"),   # would run 19 of pow3's 20 data-driven starts
-        (dict(n_starts=-19), "n_starts"),
-        (dict(n_starts=2.5), "n_starts"),  # would fail as a slice index
-        (dict(max_iter=-5), "max_iter"),   # would run no iteration and report max_iter stops
-        (dict(max_iter=2.5), "max_iter"),
+    @pytest.mark.parametrize("bad", [
+        -1,   # would run 19 of pow3's 20 data-driven starts
+        -19,
+        2.5,  # would fail as a slice index
     ])
-    def test_bad_counts_named(self, kwargs, name):
-        with pytest.raises(ValueError, match=rf"^{name} must be (an integer|>= 0), got {kwargs[name]}$"):
-            fit_curve(BENCH_C, BENCH_A, "pow3", **kwargs)
+    def test_bad_counts_named(self, bad):
+        with pytest.raises(ValueError, match=rf"^n_starts must be (an integer|>= 0), got {bad}$"):
+            fit_curve(BENCH_C, BENCH_A, "pow3", n_starts=bad)
 
     def test_numpy_integer_counts_accepted(self):
-        fit = fit_curve(BENCH_C, BENCH_A, "ilog2", n_starts=np.int64(4), max_iter=np.int32(3))
+        fit = fit_curve(BENCH_C, BENCH_A, "ilog2", n_starts=np.int64(4))
         assert sum(fit.stops.values()) == 4
 
     def test_residuals_reported_per_point(self):
@@ -381,7 +379,11 @@ def sequential_fit(fam, c, a, n_starts):
 
     Invariant guarded: each start of ``fit_curve`` takes exactly the steps
     a lone start takes, so neither the lockstep stack of starts nor the
-    stack of step halvings moves a bit of the fit.
+    stack of step halvings moves a bit of the fit.  Its layout-free part,
+    checked by ``test_fit_is_the_least_final_ssr_of_its_starts`` at the
+    default budget: the fit's SSR is the least finite final SSR over the
+    starts, no start ends above its initial SSR, and ``fit.stops`` counts
+    every start.
     """
     def ssr(p):
         r = fam._evaluate(p, c) - a
@@ -418,7 +420,8 @@ class TestBatchedStepSearch:
     """Byte pins of the stacked descent.  Invariants guarded:
 
     - each start takes exactly the steps a lone start takes
-      (:func:`sequential_fit`, and a stack against each row alone);
+      (:func:`sequential_fit`, and a stack against each row alone), with
+      its layout-free part checked on any BLAS kernel;
     - ``select_model`` at seed 0 holds the stored ``curves_region``
       reference bits of perfbench.
     """
@@ -433,6 +436,24 @@ class TestBatchedStepSearch:
         assert fit.params.tobytes() == params.tobytes()
         assert repr(fit.ssr) == repr(ssr)
         assert fit.residuals.tobytes() == resid.tobytes()
+
+    @pytest.mark.parametrize("points", ["bench", "planted"])
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_fit_is_the_least_final_ssr_of_its_starts(self, family, points):
+        # sequential_fit's invariants without a bit of any step compared, so
+        # they hold on every BLAS kernel.
+        c, a = (BENCH_C, BENCH_A) if points == "bench" else (
+            self.PLANTED_C, 1.4 - 1.2 / np.log(self.PLANTED_C))
+        fam = FAMILIES[family]
+        starts = _starts(fam, c, a, 8, np.random.default_rng(DEFAULT_FIT_SEED))
+        with np.errstate(all="ignore"):
+            initial = _ssr(fam, starts, c, a)[0]
+            final = _descend(fam, starts, c, a, DEFAULT_MAX_ITER)[1]
+        fit = fit_curve(c, a, family, n_starts=8)
+        assert fit.ssr == final[np.isfinite(final)].min()
+        assert np.array_equal(np.isfinite(final), np.isfinite(initial))
+        assert np.all(final[np.isfinite(final)] <= initial[np.isfinite(initial)])
+        assert sum(fit.stops.values()) == 8
 
     def test_select_model_matches_benchmark_reference(self, bench_selection,
                                                       curves_region_reference):
@@ -519,7 +540,6 @@ class TestBatchedStepSearch:
 
     @pytest.mark.parametrize("case, kwargs, expected", [
         ("bench", dict(family="pow3"), {"no_descent": 8}),
-        ("bench", dict(family="pow3", max_iter=2), {"max_iter": 8}),
         ("planted", dict(family="ilog2"), {"zero_step": 8}),
         ("tiny_c", dict(family="vapor_pressure", seed=1, n_starts=4),
          {"diverged_start": 2}),
@@ -539,6 +559,16 @@ class TestBatchedStepSearch:
         assert tuple(fit.stops) == STOP_REASONS
         assert sum(fit.stops.values()) == kwargs["n_starts"]
         assert all(fit.stops[k] == v for k, v in expected.items())
+
+    def test_max_iter_stops_count_every_start(self):
+        # The budget is fixed at DEFAULT_MAX_ITER, so the descent is cut at
+        # 2 iterations directly; every start is still counted, as max_iter.
+        fam = FAMILIES["pow3"]
+        starts = _starts(fam, BENCH_C, BENCH_A, 8, np.random.default_rng(DEFAULT_FIT_SEED))
+        with np.errstate(all="ignore"):
+            stop = _descend(fam, starts, BENCH_C, BENCH_A, 2)[3]
+        counts = dict(zip(STOP_REASONS, np.bincount(stop, minlength=len(STOP_REASONS))))
+        assert counts == {**dict.fromkeys(STOP_REASONS, 0), "max_iter": 8}
 
 
 class TestGaussNewtonSteps:
@@ -612,15 +642,6 @@ class TestSelectModel:
         # family must still come out fitted or failed.
         selection = select_model(np.array(c), np.array(a), families=[family])
         assert [f.family for f in selection.fits] + list(selection.failures) == [family]
-
-    @pytest.mark.parametrize("kwargs, name", [
-        (dict(n_starts=-1), "n_starts"),
-        (dict(max_iter=2.5), "max_iter"),
-    ])
-    def test_bad_counts_named_once(self, kwargs, name):
-        # A caller's error, not seven family failures (CurveFitError, CLI exit 4).
-        with pytest.raises(ValueError, match=rf"^{name} must be (an integer|>= 0), got [^,]*$"):
-            select_model(BENCH_C, BENCH_A, **kwargs)
 
     def test_csv_format(self, tmp_path):
         selection = select_model(BENCH_C, BENCH_A, families=["pow3", "ilog2"])

@@ -274,6 +274,31 @@ class TestGenerateDataset:
             generate_dataset(desk_cfg, clutter_cfg, "motions3", 1, 16, 0.997,
                              RngStream(6, "ds"), stft_window=32)
 
+    def test_motion_longer_than_the_room_rejected_before_any_draw(self, desk_cfg, clutter_cfg,
+                                                                  monkeypatch):
+        # A 7 s walk reaches 7 m against a 4.3 m floor diagonal; the placement
+        # used to spend 500 draws and report no cause.
+        drawn = set()
+        uniform = RngStream.uniform
+        monkeypatch.setattr(RngStream, "uniform", lambda self, *args, **kwargs: (
+            drawn.add(self.stream_id) or uniform(self, *args, **kwargs)))
+        with pytest.raises(ValueError, match=(
+                r"^cannot place the motion inside the room: adult walking for 7 s reaches "
+                r"7 m; the floor inside the 0\.4 m wall margins has a 4\.305 m diagonal$")):
+            generate_dataset(desk_cfg, clutter_cfg, "motions3", 1, 7000, 0.997,
+                             RngStream(6, "ds"), stft_window=32)
+        # The standing sample is placed; the walk makes no placement draw.
+        assert {s for s in drawn if s.endswith("/place")} == {"ds/class0/sample0/place"}
+
+    def test_unplaced_motion_names_its_facts(self):
+        # 4.3 m fits the 4.305 m diagonal only from a corner, along it.
+        with pytest.raises(RuntimeError, match=(
+                r"^could not place the motion inside the room in 500 draws: adult walking "
+                r"for 4\.3 s reaches 4\.3 m; the floor inside the 0\.4 m wall margins has "
+                r"a 4\.305 m diagonal, with min_radial_fraction 0\.5$")):
+            recognition._sample_motion("adult", "walking", 4.3, RngStream(0, "place"),
+                                       min_radial_fraction=0.5)
+
     def test_five_class_preset(self, desk_cfg, clutter_cfg):
         ds = generate_dataset(desk_cfg, clutter_cfg, "motions5", 1, 128, 0.997,
                               RngStream(7, "ds"), stft_window=32)

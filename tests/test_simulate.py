@@ -500,8 +500,7 @@ class TestPipeline:
         assert 10.0 * np.log10(ratio) > 10.0
 
     def test_sensing_uncertainty(self, desk_cfg, clutter_cfg, walking_radial):
-        # Different clutter seeds yield different spectrogram statistics,
-        # while the clutter-free content is seed-independent.
+        # Different clutter seeds yield different spectrogram statistics.
         cfg = replace(desk_cfg, noise_power=0.0)
         kwargs = dict(rho=0.99, stft_window=64)
         phases = draw_primitive_phases(16, RngStream(1, "ph"))
@@ -510,11 +509,6 @@ class TestPipeline:
         b = simulate_spectrogram(cfg, walking_radial, 256, RngStream(2, "u"),
                                  clutter=clutter_cfg, phases=phases, **kwargs)
         assert kl_divergence(a.pmf, b.pmf) > 0.0
-        a0 = simulate_spectrogram(cfg, walking_radial, 256, RngStream(1, "u"),
-                                  clutter=None, phases=phases, stft_window=64)
-        b0 = simulate_spectrogram(cfg, walking_radial, 256, RngStream(2, "u"),
-                                  clutter=None, phases=phases, stft_window=64)
-        assert np.array_equal(a0.gray, b0.gray)
 
     def test_static_scene_removed_by_cleaning(self, base_cfg, clutter_cfg):
         # Static target + frozen clutter (rho=1), no noise: the strongest-

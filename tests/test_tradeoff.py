@@ -18,12 +18,10 @@ from isacsim import (
     optimal_allocation,
     region_boundary,
     sample_user_gains,
-    select_model,
 )
 from isacsim import tradeoff
 from isacsim.curvefit import FAMILIES
 from isacsim.manifest import write_csv
-from isacsim.recognition import accuracy_points_from_csv
 from isacsim.tradeoff import (
     DEFAULT_SLOPE_HI,
     DEFAULT_SLOPE_LO,
@@ -479,10 +477,9 @@ def outcome(trace, *args):
 
 
 @pytest.fixture(scope="module")
-def bundled_fits():
+def bundled_fits(bench_selection):
     """The seven families fitted to the bundled accuracy points."""
-    points = resources.files("isacsim").joinpath("data", "reference_accuracy_points.csv")
-    fits = select_model(*accuracy_points_from_csv(points), seed=0, n_starts=8).fits
+    fits = bench_selection.fits
     assert len(fits) == 7
     return fits
 

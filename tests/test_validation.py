@@ -124,13 +124,7 @@ COUNTS = {
     "region_boundary.num_points": ("num_points", 2, 20, _region),
     "optimal_allocation.cycles": ("cycles", 0, 100, _allocation),
     "fit_curve.n_starts": ("n_starts", 0, 2, lambda cfg, v: _fit_bytes(
-        fit_curve(C_POINTS, A_POINTS, "pow3", n_starts=v, max_iter=20))),
-    "fit_curve.max_iter": ("max_iter", 0, 3, lambda cfg, v: _fit_bytes(
-        fit_curve(C_POINTS, A_POINTS, "pow3", n_starts=2, max_iter=v))),
-    "select_model.n_starts": ("n_starts", 0, 2, lambda cfg, v: _fit_bytes(select_model(
-        C_POINTS, A_POINTS, ["ilog2"], n_starts=v, max_iter=20).fits[0])),
-    "select_model.max_iter": ("max_iter", 0, 3, lambda cfg, v: _fit_bytes(select_model(
-        C_POINTS, A_POINTS, ["ilog2"], n_starts=2, max_iter=v).fits[0])),
+        fit_curve(C_POINTS, A_POINTS, "pow3", n_starts=v))),
     "SystemConfig.num_targets": ("num_targets", 1, 1,
                                  lambda cfg, v: _system(cfg, num_targets=v)),
     "SystemConfig.num_users": ("num_users", 1, 2, lambda cfg, v: _system(cfg, num_users=v)),
