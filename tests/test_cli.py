@@ -10,6 +10,7 @@ import isacsim.cli as cli
 from isacsim.cli import _usable, build_parser, main
 from isacsim.curvefit import make_fit
 from isacsim.dsp import read_pgm
+from isacsim.kinematics import MOTION_CLASSES, SUBJECT_HEIGHTS
 from isacsim.manifest import read_csv
 
 DESK_CFG = """\
@@ -196,6 +197,15 @@ class TestHelp:
                 for cmd, p in sub.choices.items() for action in p._actions
                 if action.type in (int, float)]
         assert bare == []
+
+    def test_motion_choices_come_from_the_kinematics_tables(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        choices = {(action.dest, tuple(action.choices))
+                   for p in sub.choices.values() for action in p._actions
+                   if action.dest in ("motion", "subject")}
+        assert choices == {("motion", MOTION_CLASSES), ("subject", tuple(SUBJECT_HEIGHTS))}
+        assert MOTION_CLASSES == ("standing", "walking", "pacing")
 
     @pytest.mark.parametrize("cmd", ["spectrogram", "region", "fit"])
     def test_seed_range_ends_are_accepted(self, cmd):

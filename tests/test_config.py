@@ -202,6 +202,12 @@ class TestRngStream:
         assert np.array_equal(child1, child2)
         assert not np.array_equal(child1, RngStream(5, "root").spawn("b").normal(16))
 
+    def test_integers_draws_one_scalar_of_the_stream(self):
+        v = RngStream(3, "pick").integers(0, 5)
+        assert np.ndim(v) == 0 and v == RngStream(3, "pick").integers(0, 5)
+        # high is exclusive: generate_dataset indexes a list of len(high).
+        assert {int(RngStream(3, f"pick{i}").integers(0, 5)) for i in range(64)} == set(range(5))
+
     def test_spawn_rejects_separator_in_label(self):
         with pytest.raises(ValueError, match="label"):
             RngStream(5, "root").spawn("class0/sample1")

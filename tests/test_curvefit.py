@@ -643,6 +643,16 @@ class TestSelectModel:
         selection = select_model(np.array(c), np.array(a), families=[family])
         assert [f.family for f in selection.fits] + list(selection.failures) == [family]
 
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_each_fit_is_fit_curve_at_the_same_seed(self, family):
+        # select_model forwards only the seed: each ranked fit is the
+        # family's fit_curve at the default starts and budget.
+        fit = select_model(BENCH_C, BENCH_A, [family], seed=3).fits[0]
+        alone = fit_curve(BENCH_C, BENCH_A, family, seed=3)
+        assert fit.params.tobytes() == alone.params.tobytes()
+        assert repr(fit.ssr) == repr(alone.ssr)
+        assert fit.stops == alone.stops
+
     def test_csv_format(self, tmp_path):
         selection = select_model(BENCH_C, BENCH_A, families=["pow3", "ilog2"])
         out = tmp_path / "fits.csv"

@@ -299,6 +299,11 @@ class TestGenerateDataset:
             recognition._sample_motion("adult", "walking", 4.3, RngStream(0, "place"),
                                        min_radial_fraction=0.5)
 
+    def test_standing_is_placed_whatever_its_duration(self):
+        # Standing reaches 0 m, so the reach check never rejects it.
+        spec = recognition._sample_motion("adult", "standing", 60.0, RngStream(0, "place"))
+        assert (spec.motion_class, spec.duration) == ("standing", 60.0)
+
     def test_five_class_preset(self, desk_cfg, clutter_cfg):
         ds = generate_dataset(desk_cfg, clutter_cfg, "motions5", 1, 128, 0.997,
                               RngStream(7, "ds"), stft_window=32)
