@@ -134,7 +134,7 @@ _finite_float = _arg_type(lambda t: _finite(float(t)), "a finite number")
 _non_negative_float = _arg_type(lambda t: check_positive("value", t, strict=False),
                                 "a finite number of at least 0")
 _unit_float = _arg_type(lambda t: check_in_range("value", t, 0.0, 1.0), "a number in [0, 1]")
-_seed = _arg_type(lambda t: check_seed("--seed", t), "an integer in [0, 2**64)")
+_seed = _arg_type(lambda t: check_seed("--seed", int(t)), "an integer in [0, 2**64)")
 
 
 def _check_args(args) -> None:

@@ -49,7 +49,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .manifest import write_csv
-from .validation import as_float_array, check_count
+from .validation import as_float_array, check_count, check_seed
 
 DEFAULT_N_STARTS = 64  # Gauss-Newton starts per family
 DEFAULT_MAX_ITER = 500  # iterations per start
@@ -469,23 +469,18 @@ def fit_curve(cycles, accuracy, family: str = "pow3", *, n_starts: int = DEFAULT
     stack when none does; starts never mix, so each takes exactly the
     steps it would take alone, for at most ``DEFAULT_MAX_ITER`` iterations.
     The fit is the first start with the least SSR, never worse than any
-    start's initial SSR, and ``stops`` counts how the starts ended.  A
-    negative or non-integer ``n_starts`` raises ``ValueError``;
-    :class:`CurveFitError` when no start produces a finite fit.
+    start's initial SSR, and ``stops`` counts how the starts ended.  Bad
+    points (see :func:`_points`), a negative or non-integer ``n_starts`` or
+    a bad ``seed`` raise ``ValueError``; :class:`CurveFitError` when no
+    start produces a finite fit.
     """
     fam = get_family(family)
     n_starts = check_count("n_starts", n_starts)
-    c = as_float_array(cycles, "cycles")
-    a = as_float_array(accuracy, "accuracy")
-    if c.size != a.size:
-        raise ValueError(f"cycles and accuracy differ in length: {c.size} vs {a.size}")
+    seed = check_seed("seed", seed)
+    c, a = _points(cycles, accuracy)
     if c.size < fam.arity:
         raise ValueError(f"insufficient points: {fam.name} needs at least {fam.arity}, "
                          f"got {c.size}")
-    if np.any(c <= 0):
-        raise ValueError("cycles must be positive")
-    if np.unique(c).size != c.size:
-        raise ValueError("cycles must be distinct")
     if fam.feasible is None:  # a fixed domain: no parameter can move it onto the data
         _check_domain(fam, c, *fam.domain(np.zeros(fam.arity)), CurveFitError)
 
@@ -506,6 +501,20 @@ def fit_curve(cycles, accuracy, family: str = "pow3", *, n_starts: int = DEFAULT
     fit.ssr, fit.residuals, fit.num_points = float(ssr[best]), R[best].copy(), c.size
     fit.stops = dict(zip(STOP_REASONS, np.bincount(stop, minlength=len(STOP_REASONS)).tolist()))
     return fit
+
+
+def _points(cycles, accuracy) -> tuple[np.ndarray, np.ndarray]:
+    """The (C, A) points as float arrays: 1-d, finite, of one length, with
+    positive, distinct C; otherwise ``ValueError`` names what is wrong."""
+    c = as_float_array(cycles, "cycles")
+    a = as_float_array(accuracy, "accuracy")
+    if c.size != a.size:
+        raise ValueError(f"cycles and accuracy differ in length: {c.size} vs {a.size}")
+    if np.any(c <= 0):
+        raise ValueError("cycles must be positive")
+    if np.unique(c).size != c.size:
+        raise ValueError("cycles must be distinct")
+    return c, a
 
 
 def _descend(fam: _Family, P: np.ndarray, c: np.ndarray, a: np.ndarray, max_iter: int):
@@ -586,13 +595,19 @@ class ModelSelection:
 def select_model(cycles, accuracy, families=None, *,
                  seed: int = DEFAULT_FIT_SEED) -> ModelSelection:
     """Fit several families with :func:`fit_curve` and rank them by
-    attained SSR.  A family that fails is listed in ``failures``."""
+    attained SSR.  The points, ``seed`` and family names are checked once,
+    before any fit, as :func:`fit_curve` checks them; a family that fails
+    on the points is listed in ``failures``."""
+    c, a = _points(cycles, accuracy)
+    seed = check_seed("seed", seed)
     names = FAMILY_NAMES if families is None else tuple(families)
+    for name in names:
+        get_family(name)
     fits: list[CurveFit] = []
     failures: dict[str, str] = {}
     for name in names:
         try:
-            fits.append(fit_curve(cycles, accuracy, name, seed=seed))
+            fits.append(fit_curve(c, a, name, seed=seed))
         except (CurveFitError, ValueError) as exc:
             failures[name] = str(exc)
     if not fits:

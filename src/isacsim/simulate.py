@@ -6,27 +6,20 @@ taps deterministic given the initial phases, clutter taps autoregressive),
 the received matrix is cleaned (only its chirp rows, which the dechirp
 reads, are formed), dechirped, and transformed into a gray-scale
 spectrogram with its gray-level pmf.  X is the one L x C array a sample
-holds, beside one band of the rows the taps occupy: the noise draw works
-in row blocks of at most ``_BLOCK_BYTES``, each offset's split taps are
-summed in column blocks, and the clutter joins the target band row block
-by row block.
+builds: the receiver noise is drawn into it in row blocks of at most
+``_BLOCK_BYTES``, each offset's split taps are summed in column blocks,
+and the chirp copies are added to it row block by row block, only up to
+the last row a chirp reaches.
 
 Randomness is split into fixed child streams ("phases", "clutter",
 "noise"), so a (seed, config, motion) triple fully determines the output
-bytes regardless of how samples are scheduled.  The "noise" stream is
-owned by one helper thread per sample (``_noise``): it fills the receiver
-noise into the received matrix while the calling thread builds the scene,
-and no other code draws from it, so the triple still fixes every byte.
+bytes regardless of how samples are scheduled.  No sample starts a thread.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable
 
 import numpy as np
 
@@ -118,26 +111,32 @@ def _tap_columns(
 def _lay(out: np.ndarray, tap_sets, chirp: np.ndarray) -> None:
     """Add the chirp copies of each ``(offsets, cols)`` tap set to ``out``.
 
-    The sets are laid in row blocks of at most ``_BLOCK_BYTES``, each one's
-    offsets in ascending order.  Set 0 goes into ``out`` itself, each later
-    set into a zeroed scratch block that is then added, so an element reads
-    ``(set 0 + set 1) + ...`` as if each set filled a matrix of its own (a
-    sum from 0.0 is never -0.0, so adding a block's zeros keeps its bits).
+    Only the rows up to the last one a chirp reaches are visited, in row
+    blocks of at most ``_BLOCK_BYTES``.  Each set is laid, its offsets in
+    ascending order, into a zeroed scratch block: set 0 into the first,
+    each later set into the second, which is then added to the first.  The
+    first is then added to ``out``, so an element reads
+    ``out + ((set 0 + set 1) + ...)`` as if each set filled a matrix of its
+    own (a sum from 0.0 is never -0.0, so adding it to zeros keeps its bits).
     """
+    end = max((min(len(out), int(offsets[-1]) + chirp.size)
+               for offsets, _ in tap_sets if offsets.size), default=0)
     step = _block_rows(out.itemsize * out.shape[1])
-    scratch = np.empty((min(step, len(out)), out.shape[1]), dtype=out.dtype)
-    for lo in range(0, len(out), step):
-        rows = out[lo : lo + step]
+    scratch = np.empty((min(len(tap_sets), 2), min(step, end), out.shape[1]),
+                       dtype=out.dtype)
+    for lo in range(0, end, step):
+        rows = out[lo : min(lo + step, end)]
+        total = scratch[0, : len(rows)]
         for k, (offsets, cols) in enumerate(tap_sets):
-            block = scratch[: len(rows)] if k else rows
-            if k:
-                block.fill(0.0)
+            block = scratch[min(k, 1), : len(rows)]
+            block.fill(0.0)
             for off, col in zip(offsets, cols):
                 a, b = max(off, lo), min(off + chirp.size, lo + len(rows))
                 if a < b:
                     block[a - lo : b - lo] += chirp[a - off : b - off, None] * col
             if k:
-                rows += block
+                total += block
+        rows += total
 
 
 def place_taps_fractional(
@@ -159,7 +158,7 @@ def place_taps_fractional(
     chirp copies.  Indoor delays span only a handful of distinct offsets,
     so the split taps are first summed into one column per occupied offset
     (one ``bincount`` finds them, the gathers run in column blocks), and
-    then each column's chirp copy is laid into the zeros in row blocks.
+    then each column's chirp copy is added to the zeros in row blocks.
     """
     offsets, cols = _tap_columns(amps, delays_samples, fast_len)
     out = np.zeros((fast_len, amps.shape[1]), dtype=complex)
@@ -167,19 +166,12 @@ def place_taps_fractional(
     return out
 
 
-# Below this many elements of X the noise is filled on the calling thread,
-# when X is asked for.  Measured per sample on a 2-core x86 VM: with the
-# helper, L=100, C=512 ran 3-9% slower (its start and the interpreter-lock
-# handovers between its steps cost more than the overlap saves) and L=500,
-# C=2048 or 3000 about 30% faster.
-_HELPER_MIN_SIZE = 200_000
-
-
-def _fill_noise(x: np.ndarray, rng: RngStream, scale: float,
-                scratch: np.ndarray) -> np.ndarray:
+def _fill_noise(x: np.ndarray, rng: RngStream, scale: float) -> np.ndarray:
     """Fill and return X: each part, the real one first, is one ``rng.normal``
-    draw taken in row blocks through ``scratch``, times ``(1 / sqrt(2)) * scale``."""
-    height = len(scratch)
+    draw taken in row blocks, times ``(1 / sqrt(2)) * scale``.  The float
+    scratch holds half of X's rows, capped at ``_BLOCK_BYTES``."""
+    height = min((len(x) + 1) // 2, _block_rows(8 * x.shape[1]))
+    scratch = np.empty((height, x.shape[1]))
     for part in (x.real, x.imag):  # the real draw comes first
         for lo in range(0, len(part), height):
             block = part[lo : lo + height]
@@ -191,39 +183,13 @@ def _fill_noise(x: np.ndarray, rng: RngStream, scale: float,
     return x
 
 
-@contextmanager
-def _noise(cfg: SystemConfig, cycles: int, rng: RngStream | None):
-    """Yield a call that returns the noise-filled L x C received matrix X.
-
-    Without a stream or with zero noise power, X is zeros.  Otherwise this
-    thread allocates X and a float scratch of half its rows, capped at
-    ``_BLOCK_BYTES`` (a helper's own allocations would come from its own
-    malloc arena, which keeps them).  From ``_HELPER_MIN_SIZE`` elements on,
-    one helper thread fills them while the caller builds the scene, joined
-    when the block is left; below that the call runs the fill.  The call
-    holds X, so a caller that frees X drops the call too.
-    """
-    shape = (cfg.fast_time_len, cycles)
-    if rng is None or not cfg.noise_power > 0:
-        yield lambda: np.zeros(shape, dtype=complex)
-        return
-    height = min((shape[0] + 1) // 2, _block_rows(8 * cycles))
-    fill = partial(_fill_noise, np.empty(shape, dtype=complex), rng,
-                   math.sqrt(cfg.noise_power), np.empty((height, cycles)))
-    if math.prod(shape) < _HELPER_MIN_SIZE:
-        yield fill
-        return
-    with ThreadPoolExecutor(1, thread_name_prefix="isacsim-noise") as helper:
-        yield helper.submit(fill).result
-
-
 def synthesize_received_matrix(
     cfg: SystemConfig,
     tracks: PrimitiveTracks,
     phases: np.ndarray,
     clutter_amps: np.ndarray | None,
     clutter_delays: np.ndarray | None,
-    noise_rng: RngStream | Callable[[], np.ndarray] | None,
+    noise_rng: RngStream | None,
 ) -> np.ndarray:
     """Received slow-time matrix X (L x C) for a whole motion sample.
 
@@ -235,14 +201,10 @@ def synthesize_received_matrix(
 
     Receiver noise of power ``cfg.noise_power`` takes its real parts from
     one ``noise_rng.normal((L, C))`` draw and its imaginary parts from the
-    next, each times ``(1 / sqrt(2)) * sqrt(noise_power)``.  ``noise_rng``
-    is one of three kinds: an ``RngStream``, whose draw runs on a helper
-    thread while the taps are placed when X is large (see ``_noise``);
-    None, which leaves the noise out, as does zero noise power; or the
-    call that ``_noise`` yields, which :func:`simulate_spectrogram` starts
-    before the scene.  Every element is ``(target + clutter) + noise``, as
-    if each term filled a whole L x C matrix, but the taps fill only their
-    occupied rows.
+    next, each times ``(1 / sqrt(2)) * sqrt(noise_power)``; without a
+    stream, or with zero noise power, X has no noise.  Every element is
+    ``noise + (target + clutter)``, as if each term filled a whole L x C
+    matrix, but the taps are added only to the rows they occupy.
     """
     phases = as_float_array(phases, "phases")
     if phases.size != tracks.num_primitives:
@@ -251,24 +213,21 @@ def synthesize_received_matrix(
         )
     L = cfg.fast_time_len
     C = tracks.times.size
-    with (nullcontext(noise_rng) if callable(noise_rng)
-          else _noise(cfg, C, noise_rng)) as take_x:
-        chirp = synthesize_chirp(cfg)
-        amps = target_amplitudes(tracks.gains, tracks.distances, cfg, phases[:, None])
-        positions = 2.0 * tracks.distances / SPEED_OF_LIGHT * cfg.sample_rate
-        tap_sets = [_tap_columns(amps, positions, L)]
-        del amps, positions
-        if clutter_amps is not None:
-            c_pos = (clutter_delays * cfg.sample_rate)[:, None]
-            tap_sets.append(_tap_columns(clutter_amps, c_pos, L))
-            del clutter_amps  # frees them when the caller kept no name
-        # Rows up to the last chirp sample laid (none past L).
-        rows = max((min(L, int(offsets[-1]) + chirp.size)
-                    for offsets, _ in tap_sets if offsets.size), default=0)
-        band = np.zeros((rows, C), dtype=complex)
-        _lay(band, tap_sets, chirp)
-        x = take_x()
-    x[: len(band)] += band
+    chirp = synthesize_chirp(cfg)
+    amps = target_amplitudes(tracks.gains, tracks.distances, cfg, phases[:, None])
+    positions = 2.0 * tracks.distances / SPEED_OF_LIGHT * cfg.sample_rate
+    tap_sets = [_tap_columns(amps, positions, L)]
+    del amps, positions
+    if clutter_amps is not None:
+        c_pos = (clutter_delays * cfg.sample_rate)[:, None]
+        tap_sets.append(_tap_columns(clutter_amps, c_pos, L))
+        del clutter_amps  # frees them when the caller kept no name
+    if noise_rng is None or not cfg.noise_power > 0:
+        x = np.zeros((L, C), dtype=complex)
+    else:
+        x = _fill_noise(np.empty((L, C), dtype=complex), noise_rng,
+                        math.sqrt(cfg.noise_power))
+    _lay(x, tap_sets, chirp)
     return x
 
 
@@ -309,23 +268,20 @@ def simulate_spectrogram(
         )
 
     grid = np.arange(cycles) * cfg.pri
-    # A large noise fill runs on a helper thread (it releases the interpreter
-    # lock) beside the tracks, clutter and tap placement below, which stay on
-    # this thread.
-    with _noise(cfg, cycles, rng.spawn("noise")) as noise:
-        tracks = synthesize_tracks(motion, ClutterConfig.radar_position, grid)
-        if phases is None:
-            phases = draw_primitive_phases(tracks.num_primitives, rng.spawn("phases"))
+    tracks = synthesize_tracks(motion, ClutterConfig.radar_position, grid)
+    if phases is None:
+        phases = draw_primitive_phases(tracks.num_primitives, rng.spawn("phases"))
 
-        process = ClutterProcess(clutter, cfg, rng.spawn("clutter"), rho)
-        # Passed without a name, so the received matrix frees the
-        # amplitudes once their columns are summed.
-        x = synthesize_received_matrix(
-            cfg, tracks, phases, process.run(cycles), process.delays, noise
-        )
-    # The dechirp reads only the chirp's rows, so only those are cleaned.
-    y = svd_denoise(x, svd_threshold, rows=cfg.sweep_len)
-    del x, noise  # free the L x C received matrix (the call holds it too)
+    process = ClutterProcess(clutter, cfg, rng.spawn("clutter"), rho)
+    # The clutter amplitudes and X are passed without a name, so the
+    # amplitudes are freed once their columns are summed and X once it is
+    # cleaned.  The dechirp reads only the chirp's rows, so only those are
+    # cleaned.
+    y = svd_denoise(
+        synthesize_received_matrix(cfg, tracks, phases, process.run(cycles),
+                                   process.delays, rng.spawn("noise")),
+        svd_threshold, rows=cfg.sweep_len,
+    )
     slow = dechirp_and_collapse(y, synthesize_chirp(cfg))
     spec = stft(slow, cfg.pri, stft_window)
     gray, pmf = to_gray_and_pmf(spec.values, dynamic_range_db, pmf_bins)

@@ -18,21 +18,28 @@ def check_positive(name: str, value: float, *, strict: bool = True) -> float:
     return value
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer-valued real: an integer of any kind
+    or an integral float."""
+    return (isinstance(value, numbers.Integral)
+            or isinstance(value, numbers.Real) and float(value).is_integer())
+
+
 def check_seed(name: str, value) -> int:
-    """``value`` as an int; a seed outside [0, 2**64) raises rather than
-    alias another (:class:`~isacsim.config.RngStream` hashes 64 bits)."""
-    value = int(value)
-    if not 0 <= value < 2**64:
+    """``value`` as an int, by :func:`check_count`'s integer rule; anything
+    else, or a seed outside [0, 2**64), raises ``ValueError`` naming
+    ``name`` rather than alias another seed
+    (:class:`~isacsim.config.RngStream` hashes 64 bits)."""
+    if not (_is_integer(value) and 0 <= value < 2**64):
         raise ValueError(f"{name}: must be an integer in [0, 2**64), got {value!r}")
-    return value
+    return int(value)
 
 
 def check_count(name: str, value, minimum: int = 0) -> int:
     """``value`` as an int: the one rule for a count.  Any integer-valued
     real passes (numpy integers and integral floats too); anything else,
     or a count below ``minimum``, raises ``ValueError`` naming ``name``."""
-    if not (isinstance(value, numbers.Integral)
-            or isinstance(value, numbers.Real) and float(value).is_integer()):
+    if not _is_integer(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value!r}")

@@ -398,6 +398,13 @@ class TestFit:
         assert main(["fit", "--points", str(pts), "--out", str(tmp_path / "fit")]) == 3
         assert f"error: {pts}:4: C: repeats line 2's 100.0" in capsys.readouterr().err
 
+    def test_points_with_non_positive_cycles_exit_3(self, tmp_path, capsys):
+        # A bad point is the caller's error, named once, not "infeasible".
+        pts = tmp_path / "points.csv"
+        pts.write_text("C,A\n-100,0.5\n200,0.7\n400,0.8\n800,0.85\n")
+        assert main(["fit", "--points", str(pts), "--out", str(tmp_path / "fit")]) == 3
+        assert capsys.readouterr().err == "error: cycles must be positive\n"
+
     @pytest.mark.parametrize("row", ["nan,0.6", "300,inf", "300,1e400"])
     def test_points_with_non_finite_cell_exit_3(self, tmp_path, capsys, row):
         pts = tmp_path / "points.csv"

@@ -78,8 +78,8 @@ def test_install_tracer_wraps_and_restores(desk_cfg):
 
 
 def test_sample_stages_traced_once_on_the_calling_thread(desk_cfg):
-    # The receiver noise is drawn on a helper thread, but the spans assume
-    # nesting: every wrapped stage must run once, on the caller's thread.
+    # The spans assume nesting: every wrapped stage must run once, on the
+    # caller's thread.
     run, tracing = load("run"), load("tracing")
     tracer = tracing.Tracer()
     threads = {}
@@ -94,8 +94,7 @@ def test_sample_stages_traced_once_on_the_calling_thread(desk_cfg):
     stages = {"synthesize_tracks": "kinematics.tracks",
               "ClutterProcess": "channel.clutter.build",
               "synthesize_received_matrix": "simulate.received_matrix"}
-    cycles = 2048  # L x C large enough for the sample to start the helper
-    assert desk_cfg.fast_time_len * cycles >= simulate._HELPER_MIN_SIZE
+    cycles = 2048
     motion = MotionSpec("walking", "adult", duration=2.1,
                         start_position=(3.0, 4.2, 0.0), heading=(-1.0, 0.0))
     try:

@@ -264,8 +264,8 @@ def walking_scene(cfg, cycles, seed, clutter=True):
 
 
 class TestReceivedMatrixBytes:
-    """The received matrix, built in one buffer with the noise drawn on a
-    helper thread, holds the reference's bytes.
+    """The received matrix, built in one buffer that the noise is drawn
+    into and the taps are added to, holds the reference's bytes.
 
     These pins hold today's stream layout (noise drawn whole as L x C, the
     real part first), so a change of that layout breaks them by design.
@@ -548,12 +548,10 @@ class TestPipeline:
                                      RngStream(0, "x"), clutter=clutter_cfg,
                                      stft_window=64, phases=phases)
 
-    def test_raising_sample_joins_the_noise_helper(self, base_cfg, clutter_cfg,
-                                                   walking_radial):
-        # The noise helper starts before the scene is built; a sample that
-        # raises keeps its message and leaves no thread drawing noise.
+    def test_raising_sample_keeps_its_message(self, base_cfg, clutter_cfg,
+                                              walking_radial):
+        # A sample that raises keeps its message and leaves no thread behind.
         cycles = 1024
-        assert base_cfg.fast_time_len * cycles >= simulate._HELPER_MIN_SIZE
         far = MotionSpec("walking", "adult", duration=1.1,
                          start_position=(4.0e4, 4.0, 0.0), heading=(-1.0, 0.0))
         cases = [
@@ -570,18 +568,14 @@ class TestPipeline:
 
     def test_noise_draw_error_reaches_the_caller(self, base_cfg, clutter_cfg,
                                                   walking_radial):
-        # A draw that raises on the helper thread re-raises on the calling
-        # thread with its message, and the helper is joined.
+        # A noise draw that raises reaches the caller with its message.
         cycles = 1024
-        assert base_cfg.fast_time_len * cycles >= simulate._HELPER_MIN_SIZE
-        drawn_on = []
 
         class FailingNoise(RngStream):
             def spawn(self, label):
                 child = super().spawn(label)
                 if label == "noise":
                     def normal(*args, **kwargs):
-                        drawn_on.append(threading.current_thread().name)
                         raise RuntimeError("noise source failed")
                     child.normal = normal
                 return child
@@ -590,7 +584,6 @@ class TestPipeline:
         with pytest.raises(RuntimeError, match="^noise source failed$"):
             simulate_spectrogram(base_cfg, walking_radial, cycles, FailingNoise(0, "x"),
                                  clutter=clutter_cfg)
-        assert drawn_on == ["isacsim-noise_0"]
         assert threading.active_count() == before
 
     def test_cleaning_holds_no_second_received_matrix(self, base_cfg, clutter_cfg,
@@ -626,10 +619,33 @@ class TestPipeline:
         assert rows == cfg.sweep_len
         assert extra < 0.75 * x_bytes, (extra, x_bytes)
 
+    def test_sample_holds_no_tap_band_beside_the_received_matrix(self):
+        # Paper scale (L=500, C=3000): the noise is drawn into X and the taps
+        # are added to it block by block, so the sample's traced peak stays
+        # below 4/3 of X; a (rows, C) tap band held beside X exceeds it.
+        cfg = load_config(resources.files("isacsim").joinpath("data", "default.cfg"))
+        C = 3000
+        motion = MotionSpec("walking", "adult", duration=C * cfg.pri,
+                            start_position=(3.0, 4.2, 0.0), heading=(-1.0, 0.0))
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            simulate_spectrogram(cfg, motion, C, RngStream(2, "peak"),
+                                 clutter=ClutterConfig(), rho=0.997)
+            extra = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        x_bytes = cfg.fast_time_len * C * np.dtype(complex).itemsize
+        assert extra < 4 / 3 * x_bytes, (extra, x_bytes)
+
     def test_received_matrix_freed_before_the_dechirp(self, monkeypatch):
-        # Paper scale (L=500, C=3000): X and the noise call that returned it
-        # are both dropped once X is cleaned, so the dechirp starts with
-        # less than one X held above the sample's start.
+        # Paper scale (L=500, C=3000): X is dropped once it is cleaned, so
+        # the dechirp starts with less than one X held above the sample's
+        # start.
         cfg = load_config(resources.files("isacsim").joinpath("data", "default.cfg"))
         C = 3000
         motion = MotionSpec("walking", "adult", duration=C * cfg.pri,
@@ -656,24 +672,18 @@ class TestPipeline:
         [at_dechirp] = held
         assert at_dechirp - start < x_bytes, (at_dechirp - start, x_bytes)
 
-    def test_no_helper_without_noise_or_below_its_size(self, base_cfg, desk_cfg,
-                                                       clutter_cfg, walking_radial,
-                                                       monkeypatch):
+    def test_no_sample_starts_a_thread(self, base_cfg, desk_cfg, clutter_cfg,
+                                       walking_radial, monkeypatch):
         def no_thread(*args, **kwargs):
-            raise AssertionError("a noise helper was started")
+            raise AssertionError("a thread was started")
 
         monkeypatch.setattr(threading, "Thread", no_thread)
-        # Positive control: a noisy sample of the helper's size starts one.
-        assert base_cfg.fast_time_len * 1024 >= simulate._HELPER_MIN_SIZE
-        with pytest.raises(AssertionError, match="^a noise helper was started$"):
-            simulate_spectrogram(base_cfg, walking_radial, 1024, RngStream(0, "x"),
-                                 clutter=clutter_cfg)
+        # Noisy and quiet at L x C = 512 000, and a noisy desk sample.
+        simulate_spectrogram(base_cfg, walking_radial, 1024, RngStream(0, "x"),
+                             clutter=clutter_cfg)
         quiet = replace(base_cfg, noise_power=0.0)
         simulate_spectrogram(quiet, walking_radial, 1024, RngStream(0, "x"),
                              clutter=clutter_cfg)
-        tracks, phases, amps, delays = walking_scene(base_cfg, 1024, 0)
-        synthesize_received_matrix(base_cfg, tracks, phases, amps, delays, None)
-        assert desk_cfg.fast_time_len * 512 < simulate._HELPER_MIN_SIZE
         simulate_spectrogram(desk_cfg, walking_radial, 512, RngStream(0, "x"),
                              clutter=clutter_cfg, stft_window=64)
 

@@ -2,7 +2,9 @@
 
 Each row of ``COUNTS`` is one public count: its parameter name, its
 minimum, a value that runs, and a call that sets the count and returns
-the bytes of the result.  A new count takes one row.
+the bytes of the result.  A new count takes one row.  A seed takes the
+same integer rule plus the [0, 2**64) bound, and a curve fit's points and
+seed are checked once, by name, before any family is fitted.
 """
 
 import math
@@ -32,7 +34,7 @@ from isacsim import (
     svd_denoise,
 )
 from isacsim.channel import draw_primitive_phases
-from isacsim.validation import check_count
+from isacsim.validation import check_count, check_seed
 
 C_POINTS = np.array([100.0, 200.0, 400.0, 800.0, 1600.0, 3200.0])
 A_POINTS = np.array([0.52, 0.61, 0.70, 0.76, 0.80, 0.82])
@@ -171,3 +173,51 @@ def test_check_count_returns_an_int():
         out = check_count("n", value, 1)
         assert out == 3 and type(out) is int
     assert check_count("n", 10**400) == 10**400  # beyond any float: no round trip through one
+
+
+class TestSeedRule:
+    SEED_ERROR = r"^seed: must be an integer in \[0, 2\*\*64\), got "
+
+    @pytest.mark.parametrize("bad", [2.5, "x", "3", math.nan, None])
+    def test_non_integer_or_out_of_range_seed_named(self, bad):
+        with pytest.raises(ValueError, match=self.SEED_ERROR + re.escape(repr(bad)) + "$"):
+            check_seed("seed", bad)
+
+    def test_fractional_seed_draws_no_other_stream(self):
+        with pytest.raises(ValueError, match=self.SEED_ERROR + "2.5$"):
+            RngStream(2.5, "a")
+
+    def test_integral_forms_and_bool_pass(self):
+        # The count rule's integral forms give the same stream; True is an
+        # integer to numbers.Integral and reads as 1, as it did before.
+        for value in (2, 2.0, np.int64(2), np.uint8(2)):
+            out = check_seed("seed", value)
+            assert out == 2 and type(out) is int
+        assert check_seed("seed", True) == 1
+        assert check_seed("seed", 2**64 - 1) == 2**64 - 1
+
+    @pytest.mark.parametrize("bad", [2.5, -1, "x"])
+    def test_fit_curve_seed_named(self, bad):
+        with pytest.raises(ValueError, match=self.SEED_ERROR):
+            fit_curve(C_POINTS, A_POINTS, "pow3", seed=bad)
+
+    @pytest.mark.parametrize("bad", [2.5, -1, "x"])
+    def test_select_model_seed_named_once(self, bad):
+        with pytest.raises(ValueError, match=self.SEED_ERROR + re.escape(repr(bad)) + "$"):
+            select_model(C_POINTS, A_POINTS, seed=bad)
+
+    @pytest.mark.parametrize("cycles, accuracy, message", [
+        (C_POINTS[:-1], A_POINTS, "^cycles and accuracy differ in length: 5 vs 6$"),
+        (C_POINTS, np.where(A_POINTS > 0.8, np.nan, A_POINTS),
+         "^accuracy: contains non-finite entries$"),
+        (-C_POINTS, A_POINTS, "^cycles must be positive$"),
+        (np.sort(np.r_[C_POINTS[:-1], 100.0]), A_POINTS, "^cycles must be distinct$"),
+    ], ids=["lengths", "nan-accuracy", "non-positive", "repeated"])
+    def test_select_model_points_named_once(self, cycles, accuracy, message):
+        # The message fit_curve gives, once, not one CurveFitError per family.
+        with pytest.raises(ValueError, match=message):
+            select_model(cycles, accuracy)
+
+    def test_select_model_unknown_family_named_once(self):
+        with pytest.raises(ValueError, match="^unknown curve family 'bogus'; choose from "):
+            select_model(C_POINTS, A_POINTS, ["pow3", "bogus"])
