@@ -245,8 +245,9 @@ def synthesize_tracks(
     Positions are sampled at ``slow_time_grid`` (strictly increasing, in
     seconds).  Gains are the instantaneous ellipsoid cross sections seen
     from the radar; primitive ellipsoid axes remain body-aligned.  Raises
-    if the grid is empty or the radar sits inside the subject's bounding
-    box at any sample.
+    if the grid is empty or if, at any sample, the radar lies inside a
+    primitive's bounding sphere: the sphere about its centre whose radius
+    is its largest semi-axis, scaled with height as the axes are.
     """
     t = as_float_array(slow_time_grid, "slow_time_grid")
     if t.size == 0:
@@ -318,22 +319,22 @@ def synthesize_tracks(
     y = origin[:, 1] + (forward * fwd_y + lateral * lat_y)
     z = spec.start_position[2] + vertical  # the heading has no vertical part
 
-    lo = np.array([x.min(), y.min(), z.min()]) - 0.05
-    hi = np.array([x.max(), y.max(), z.max()]) + 0.05
-    if np.all(radar >= lo) and np.all(radar <= hi):
-        raise ValueError(
-            "radar_position: radar lies inside the subject bounding box "
-            f"[{lo}, {hi}]"
-        )
-
     dx, dy, dz = radar[0] - x, radar[1] - y, radar[2] - z
     # The order np.linalg.norm(axis=-1) sums a (..., 3) vector in.
     dist = np.sqrt((dx * dx + dy * dy) + dz * dz)
 
+    axes = _AXES * (H / _REFERENCE_HEIGHT)  # (B, 3)
+    radius = axes.max(axis=1)[:, None]  # (B, 1) bounding-sphere radii
+    if np.any(dist <= radius):
+        b, i = np.unravel_index(np.argmin(np.where(dist <= radius, dist, np.inf)), dist.shape)
+        raise ValueError(f"radar_position: radar lies {dist[b, i]:.4g} m from "
+                         f"{PRIMITIVE_NAMES[b]} at t = {t[i]:.4g} s, inside its "
+                         f"{radius[b, 0]:.4g} m bounding sphere")
+
     # Aspect direction in the body frame (forward, lateral, vertical).
     u_fwd = dx * fwd_x + dy * fwd_y
     u_lat = dx * lat_x + dy * lat_y
-    gains = _rcs(*(_AXES.T[:, :, None] * (H / _REFERENCE_HEIGHT)), u_fwd, u_lat, dz)
+    gains = _rcs(*axes.T[:, :, None], u_fwd, u_lat, dz)
 
     omega = 2.0 * math.pi * f_g
     leg_reach = (_LENGTHS["thigh"] + _LENGTHS["shank"] + _LENGTHS["foot_forward"]) * H

@@ -79,15 +79,14 @@ class LabeledDataset:
 
 _MARGIN = 0.4  # m, kept between a sampled trajectory and the walls
 _RADAR_CLEARANCE = 0.8  # m, least distance from a sampled trajectory to the radar
+_PLACEMENT_DRAWS = 10_000  # start and heading draws before placement gives up
 
 
 def _segment_point_distance(ax, ay, bx, by, px, py) -> float:
     """Distance from point (px, py) to the segment (a, b)."""
     abx, aby = bx - ax, by - ay
     norm2 = abx * abx + aby * aby
-    if norm2 == 0.0:
-        return math.hypot(px - ax, py - ay)
-    t = max(0.0, min(1.0, ((px - ax) * abx + (py - ay) * aby) / norm2))
+    t = max(0.0, min(1.0, ((px - ax) * abx + (py - ay) * aby) / norm2)) if norm2 else 0.0
     return math.hypot(px - (ax + t * abx), py - (ay + t * aby))
 
 
@@ -101,12 +100,21 @@ def _sample_motion(
     """Random placement keeping the trajectory inside the room of
     :class:`ClutterConfig` and clear of its radar.
 
-    ``min_radial_fraction`` > 0 additionally requires the heading to have
-    at least that cosine along the line of sight, restricting samples to
-    subjects crossing the sensing beam radially (useful at desk scale,
-    where a purely tangential walker is indistinguishable from a slower
-    radial one).  A reach beyond the diagonal of the floor inside the wall
-    margins, which no placement can hold, raises before any draw.
+    A draw of a uniform start and heading is kept when the walked
+    floor-plane segment stays inside the wall margins and
+    ``_RADAR_CLEARANCE`` from the radar.  That implies the radar check of
+    ``synthesize_tracks`` for every subject and class: the body origin
+    stays on the segment, each primitive's centre within 0.40 m of it in
+    the floor plane (the adult's walking foot; a child is smaller), and no
+    bounding sphere's radius exceeds 0.25 m (the adult's chest), with
+    0.40 + 0.25 < 0.8.  All ``_PLACEMENT_DRAWS`` draws fail with
+    probability 2e-54 at a 3 m reach (a draw is kept with probability
+    0.012) and 2e-12 at 3.5 m (0.0027).  A reach beyond the floor's
+    diagonal inside the margins raises before any draw.
+
+    ``min_radial_fraction`` > 0 also requires the heading's cosine along
+    the line of sight to reach it (useful at desk scale, where a purely
+    tangential walker is indistinguishable from a slower radial one).
     """
     lx, ly, _ = ClutterConfig.room
     rx, ry, _ = ClutterConfig.radar_position
@@ -118,34 +126,29 @@ def _sample_motion(
              f"inside the {_MARGIN} m wall margins has a {diagonal:.4g} m diagonal")
     if reach > diagonal:
         raise ValueError(f"cannot place the motion inside the room: {facts}")
-    for _ in range(500):
+    for _ in range(_PLACEMENT_DRAWS):
         x = rng.uniform(_MARGIN, lx - _MARGIN)
         y = rng.uniform(_MARGIN, ly - _MARGIN)
         theta = rng.uniform(-math.pi, math.pi)
         heading = (math.cos(theta), math.sin(theta))
-        spec = MotionSpec(
-            motion_class=motion_class,
-            subject=subject,
-            start_position=(x, y, 0.0),
-            heading=heading,
-            duration=duration,
-        )
         end_x = x + heading[0] * reach
         end_y = y + heading[1] * reach
         if not (_MARGIN <= end_x <= lx - _MARGIN and _MARGIN <= end_y <= ly - _MARGIN):
             continue
         if _segment_point_distance(x, y, end_x, end_y, rx, ry) < _RADAR_CLEARANCE:
             continue
-        if min_radial_fraction > 0.0 and spec.motion_class != "standing":
+        if min_radial_fraction > 0.0 and motion_class != "standing":
             # The clearance test above keeps the start >= 0.8 m from the radar.
             to_radar = np.array([rx - x, ry - y])
             norm = np.linalg.norm(to_radar)
             cosine = abs(heading[0] * to_radar[0] + heading[1] * to_radar[1]) / norm
             if cosine < min_radial_fraction:
                 continue
-        return spec
+        return MotionSpec(motion_class, subject, start_position=(x, y, 0.0),
+                          heading=heading, duration=duration)
     radial = f", with min_radial_fraction {min_radial_fraction!r}" if min_radial_fraction else ""
-    raise RuntimeError(f"could not place the motion inside the room in 500 draws: {facts}{radial}")
+    raise RuntimeError("could not place the motion inside the room in "
+                       f"{_PLACEMENT_DRAWS} draws: {facts}{radial}")
 
 
 def generate_dataset(
@@ -196,25 +199,11 @@ def generate_dataset(
 
     def run(job):
         _, pairs, sample_rng = job
-        subject, motion_class = pairs[
-            int(sample_rng.spawn("subject").integers(0, len(pairs)))
-        ]
-        spec = _sample_motion(
-            subject,
-            motion_class,
-            duration,
-            sample_rng.spawn("place"),
-            min_radial_fraction=min_radial_fraction,
-        )
-        return simulate_spectrogram(
-            cfg,
-            spec,
-            cycles,
-            sample_rng.spawn("pipeline"),
-            clutter=clutter,
-            rho=rho,
-            stft_window=stft_window,
-        ).gray
+        subject, motion_class = pairs[int(sample_rng.spawn("subject").integers(0, len(pairs)))]
+        spec = _sample_motion(subject, motion_class, duration, sample_rng.spawn("place"),
+                              min_radial_fraction=min_radial_fraction)
+        return simulate_spectrogram(cfg, spec, cycles, sample_rng.spawn("pipeline"),
+                                    clutter=clutter, rho=rho, stft_window=stft_window).gray
 
     # One worker maps in the calling thread: a pool thread allocates from a
     # second malloc arena, which adds about 4 MB (5%) to a desk-scale

@@ -288,6 +288,14 @@ class TestSpectrogram:
                      "--out", str(tmp_path / "o")])
         assert code == 2
 
+    def test_radar_inside_a_primitive_exits_3_naming_it(self, cfg_file, tmp_path, capsys):
+        # A walk that starts under the radar has its abdomen 0.055 m from it.
+        code = main(["spectrogram", "--config", cfg_file, "--out", str(tmp_path / "s"),
+                     "--cycles", "256", "--stft-window", "64", "--start", "1.5", "1.0", "0"])
+        assert code == 3
+        assert ("error: radar_position: radar lies 0.055 m from abdomen at t = 0 s, "
+                "inside its 0.15 m bounding sphere\n") in capsys.readouterr().err
+
 
 class TestDataset:
     def test_writes_samples_and_labels(self, cfg_file, tmp_path):
@@ -313,6 +321,14 @@ class TestDataset:
         assert ("error: cannot place the motion inside the room: adult walking for 8 s "
                 "reaches 8 m; the floor inside the 0.4 m wall margins has a 4.305 m "
                 "diagonal\n") in capsys.readouterr().err
+
+    def test_paper_dwell_is_placed(self, tmp_path):
+        # The bundled config's 3 s dwell at C = 3000. Seed 2 places a diagonal
+        # walk whose trajectory box holds the radar, though no primitive nears it.
+        out = tmp_path / "ds"
+        assert main(["dataset", "--out", str(out), "--cycles", "3000",
+                     "--n-per-class", "3", "--seed", "2"]) == 0
+        assert_table(out / "labels.csv", ("file", "label", "C", "seed"), 9)
 
 
 class TestCalibrate:

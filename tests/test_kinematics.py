@@ -19,8 +19,9 @@ def tracks_reference(spec, radar_position, t):
     """Reference: positions, distances and gains from (B, T, 3) arrays.
 
     The limb offsets are those of ``synthesize_tracks``; the world
-    positions, the bounding box, the distances (``np.linalg.norm``) and
-    the ellipsoid cross sections are reduced over a trailing axis of 3.
+    positions, the distances (``np.linalg.norm``) and the ellipsoid cross
+    sections are reduced over a trailing axis of 3.  It makes no radar
+    check, so it also measures a radar inside a primitive's bounding sphere.
     """
     H, speed = spec.height, spec.effective_speed
     radar = np.asarray(radar_position, dtype=float)
@@ -69,13 +70,6 @@ def tracks_reference(spec, radar_position, t):
     pos = np.repeat(origin[None], len(PRIMITIVE_NAMES), axis=0)
     pos[..., :2] += forward[..., None] * fwd + lateral[..., None] * lat
     pos[..., 2] += vertical
-    lo = pos.min(axis=(0, 1)) - 0.05
-    hi = pos.max(axis=(0, 1)) + 0.05
-    if np.all(radar >= lo) and np.all(radar <= hi):
-        raise ValueError(
-            "radar_position: radar lies inside the subject bounding box "
-            f"[{lo}, {hi}]"
-        )
     delta = radar[None, None, :] - pos
     dist = np.linalg.norm(delta, axis=-1)
     u_fwd = delta[..., 0] * fwd[None, :, 0] + delta[..., 1] * fwd[None, :, 1]
@@ -328,20 +322,45 @@ class TestTracks:
         assert tracks.gains.shape == (16, 200)
         assert np.allclose(tracks.gains, expected, rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("start", [(1.5, 1.0, 0.0), (2.0, 1.2, 0.0)])
-    def test_inside_bounding_box_error_equals_the_reference(self, start):
+    @pytest.mark.parametrize("start, primitive, radius", [
+        ((1.5, 1.0, 0.0), "abdomen", 0.15), ((2.0, 1.2, 0.0), "lower_arm_l", 0.13),
+    ])
+    def test_inside_bounding_sphere_error_equals_the_reference(self, start, primitive, radius):
+        # The error names the nearest sample of all those inside a primitive's
+        # bounding sphere (its largest semi-axis), as the reference measures it.
         spec = MotionSpec("walking", "adult", duration=0.8, start_position=start)
-        with pytest.raises(ValueError, match="bounding box") as ref:
-            tracks_reference(spec, RADAR, grid(0.8))
-        with pytest.raises(ValueError, match="bounding box") as got:
-            synthesize_tracks(spec, RADAR, grid(0.8))
-        assert str(got.value) == str(ref.value)
+        t = grid(0.8)
+        _, dist, _ = tracks_reference(spec, RADAR, t)
+        radii = kin._AXES.max(axis=1)[:, None]
+        inside = np.where(dist <= radii, dist, np.inf)
+        b, i = np.unravel_index(np.argmin(inside), dist.shape)
+        assert (PRIMITIVE_NAMES[b], radii[b, 0]) == (primitive, radius)
+        expected = (f"radar_position: radar lies {dist[b, i]:.4g} m from {primitive} at "
+                    f"t = {t[i]:.4g} s, inside its {radius:.4g} m bounding sphere")
+        with pytest.raises(ValueError) as got:
+            synthesize_tracks(spec, RADAR, t)
+        assert str(got.value) == expected
 
     def test_radar_inside_subject_rejected(self):
         spec = MotionSpec("standing", "adult", duration=1.0,
                           start_position=(1.5, 1.0, 0.0))
-        with pytest.raises(ValueError, match="bounding box"):
+        with pytest.raises(ValueError, match=(
+                r"^radar_position: radar lies 0\.055 m from abdomen at t = 0 s, "
+                r"inside its 0\.15 m bounding sphere$")):
             synthesize_tracks(spec, (1.5, 1.0, 1.0), grid(1.0))
+
+    def test_bounding_sphere_scales_with_height(self):
+        # 0.2 m from the chest's centre lies outside the child's 0.25/1.75 m
+        # sphere and inside the adult's 0.25 m one.
+        def tracks(subject):
+            spec = MotionSpec("standing", subject, duration=0.1, start_position=(1.5, 1.0, 0.0))
+            radar = (1.7, 1.0, kin._STATIONS["chest"] * spec.height)
+            return synthesize_tracks(spec, radar, grid(0.1))
+
+        assert tracks("child").distances[PRIMITIVE_NAMES.index("chest")].min() == pytest.approx(0.2)
+        with pytest.raises(ValueError, match=r"^radar_position: radar lies 0\.2 m from chest "
+                                             r"at t = 0 s, inside its 0\.25 m bounding sphere$"):
+            tracks("adult")
 
     def test_empty_grid_rejected(self):
         spec = MotionSpec("walking", "adult", duration=1.0)

@@ -14,7 +14,7 @@ from isacsim import (
     generate_dataset,
     train_classifier,
 )
-from isacsim import recognition
+from isacsim import ClutterConfig, recognition, synthesize_tracks
 from isacsim.recognition import (
     LabeledDataset,
     accuracy_points_from_csv,
@@ -250,7 +250,7 @@ class TestGenerateDataset:
     def test_min_radial_fraction_outside_unit_interval_rejected(self, desk_cfg,
                                                                 clutter_cfg, fraction):
         # NaN and -1 would place as 0; 1.5 and 1.0 would fail only after
-        # 500 draws, since no drawn heading is exactly radial.
+        # every placement draw, since no drawn heading is exactly radial.
         with pytest.raises(ValueError, match=r"^min_radial_fraction: must lie in \[0.0, 1.0\]"):
             generate_dataset(desk_cfg, clutter_cfg, "motions3", 1, 128, 0.997,
                              RngStream(6, "ds"), stft_window=32,
@@ -277,7 +277,7 @@ class TestGenerateDataset:
     def test_motion_longer_than_the_room_rejected_before_any_draw(self, desk_cfg, clutter_cfg,
                                                                   monkeypatch):
         # A 7 s walk reaches 7 m against a 4.3 m floor diagonal; the placement
-        # used to spend 500 draws and report no cause.
+        # used to spend every draw and report no cause.
         drawn = set()
         uniform = RngStream.uniform
         monkeypatch.setattr(RngStream, "uniform", lambda self, *args, **kwargs: (
@@ -293,11 +293,24 @@ class TestGenerateDataset:
     def test_unplaced_motion_names_its_facts(self):
         # 4.3 m fits the 4.305 m diagonal only from a corner, along it.
         with pytest.raises(RuntimeError, match=(
-                r"^could not place the motion inside the room in 500 draws: adult walking "
+                r"^could not place the motion inside the room in 10000 draws: adult walking "
                 r"for 4\.3 s reaches 4\.3 m; the floor inside the 0\.4 m wall margins has "
                 r"a 4\.305 m diagonal, with min_radial_fraction 0\.5$")):
             recognition._sample_motion("adult", "walking", 4.3, RngStream(0, "place"),
                                        min_radial_fraction=0.5)
+
+    @pytest.mark.parametrize("subject", ["adult", "child"])
+    @pytest.mark.parametrize("motion_class", ["walking", "pacing"])
+    def test_placed_motion_passes_the_track_check(self, subject, motion_class):
+        # The floor-plane clearance keeps the radar outside every primitive's
+        # bounding sphere, so a placed motion never fails in synthesize_tracks.
+        # A 3 s dwell, sampled every 10 ms: no primitive moves 3 cm in a step,
+        # against the 0.15 m margin that _sample_motion's docstring derives.
+        grid = np.arange(300) * 1e-2
+        for seed in range(200):
+            spec = recognition._sample_motion(subject, motion_class, 3.0,
+                                              RngStream(seed, "place"))
+            synthesize_tracks(spec, ClutterConfig.radar_position, grid)
 
     def test_standing_is_placed_whatever_its_duration(self):
         # Standing reaches 0 m, so the reach check never rejects it.
