@@ -28,6 +28,7 @@ from .channel import DEFAULT_RHO, ClutterConfig
 from .config import ConfigError, RngStream, load_config, sample_user_gains
 from .curvefit import (
     DEFAULT_FIT_SEED,
+    FAMILIES,
     FAMILY_NAMES,
     CurveFitError,
     eval_curve,
@@ -56,6 +57,7 @@ from .tradeoff import (
     DEFAULT_NUM_POINTS,
     DEFAULT_SLOPE_HI,
     DEFAULT_SLOPE_LO,
+    MIN_ZONE_POINTS,
     InfeasibleError,
     classify_zones,
     gains_from_csv,
@@ -129,6 +131,8 @@ _ascending = _check(lambda v: all(a < b for a, b in zip(v, v[1:])))
 # _arg_type writes the usage message, so the names given below go unread.
 _positive_int = _arg_type(lambda t: check_count("count", int(t), 1), "a positive integer")
 _int_from_2 = _arg_type(lambda t: check_count("count", int(t), 2), "an integer of at least 2")
+_zone_points = _arg_type(lambda t: check_count("count", int(t), MIN_ZONE_POINTS),
+                         f"an integer of at least {MIN_ZONE_POINTS}")
 _positive_float = _arg_type(lambda t: check_positive("value", t), "a positive number")
 _finite_float = _arg_type(lambda t: _finite(float(t)), "a finite number")
 _non_negative_float = _arg_type(lambda t: check_positive("value", t, strict=False),
@@ -156,6 +160,12 @@ def _check_args(args) -> None:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
     if hasattr(args, "cycles_list"):
+        arity = min(fam.arity for fam in FAMILIES.values())
+        if len(args.cycles_list) < arity:
+            raise ConfigError(
+                f"--cycles-list: fitting a curve needs at least {arity} cycle counts, "
+                f"got {len(args.cycles_list)}"
+            )
         flag, cycles = "--cycles-list", min(args.cycles_list)
     else:
         flag, cycles = "--cycles", getattr(args, "cycles", None)
@@ -426,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
                    type=_arg_type(lambda t: [_finite(float(tok)) for tok in t.split(",")],
                                   "a comma list of finite numbers"))
     p.add_argument("--gains", help="per-user gains CSV (default: sample from config)")
-    p.add_argument("--num-points", type=_int_from_2, default=DEFAULT_NUM_POINTS)
+    p.add_argument("--num-points", type=_zone_points, default=DEFAULT_NUM_POINTS)
     p.add_argument("--slope-hi", type=_non_negative_float, default=DEFAULT_SLOPE_HI)
     p.add_argument("--slope-lo", type=_non_negative_float, default=DEFAULT_SLOPE_LO)
     p.set_defaults(func=cmd_region)
@@ -446,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "a strictly ascending comma list of positive integers"))
     p.add_argument("--rho", type=_unit_float, default=DEFAULT_RHO)
     p.add_argument("--stft-window", type=_int_from_2, default=32)
-    p.add_argument("--num-points", type=_int_from_2, default=120)
+    p.add_argument("--num-points", type=_zone_points, default=120)
     p.set_defaults(func=cmd_pipeline)
 
     return parser

@@ -32,6 +32,7 @@ DEFAULT_SLOPE_HI = 5.0  # |normalized slope| above this: sensing saturation
 DEFAULT_SLOPE_LO = 0.2  # |normalized slope| below this: comm saturation
 IDENTITY_RTOL = 1e-9  # budget-identity tolerance of each boundary point, relative to T
 DEFAULT_NUM_POINTS = 200  # cycle counts swept by region_boundary
+MIN_ZONE_POINTS = 3  # fewest boundary points classify_zones labels: two ends, one inner point
 
 ZONE_COMM = "comm_saturation"
 ZONE_ADVERSARIAL = "adversarial"
@@ -131,6 +132,14 @@ def _min_feasible_cycles(fit: CurveFit) -> int:
         raise InfeasibleError("the fitted curve never reaches a valid accuracy") from None
 
 
+def _true_then(op, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The bool mask ``[True, *op(x, y)]``, written into one array."""
+    mask = np.empty(x.size + 1, dtype=bool)
+    mask[0] = True
+    op(x, y, out=mask[1:])
+    return mask
+
+
 def region_boundary(
     fit: CurveFit,
     gains,
@@ -156,7 +165,9 @@ def region_boundary(
         raise InfeasibleError(
             f"no feasible cycle count: need C in [{c_min}, {c_max}]"
         )
-    cs = np.unique(np.linspace(c_min, c_max, num_points).round().astype(int))
+    # The rounded grid never falls, so dropping adjacent repeats is np.unique.
+    cs = np.linspace(c_min, c_max, num_points).round().astype(int)
+    cs = cs[_true_then(np.not_equal, cs[1:], cs[:-1])]
     acc = eval_curve(fit, cs.astype(float))  # from c_min to c_max
     if abs(acc[-1] - acc[0]) < 1e-9:
         raise InfeasibleError(
@@ -176,9 +187,37 @@ def region_boundary(
     # kept after the first point; a NaN first point is never beaten.
     floor = np.where(np.isnan(acc), -np.inf, acc)
     floor[0] = acc[0]
-    keep = np.r_[True, acc[1:] > np.maximum.accumulate(floor)[:-1]]
+    keep = _true_then(np.greater, acc[1:], np.maximum.accumulate(floor)[:-1])
     return RegionBoundary(cycles=cs[keep], accuracies=acc[keep], rates=rates[keep],
                           zones=[""] * int(keep.sum()))
+
+
+def _slopes(f: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """df/dx of 1-d float arrays of at least 2 points, bit for bit
+    ``np.gradient(f, x)``: on spacings dx all equal to h,
+    ``(f[i+1] - f[i-1]) / (2 h)``; otherwise the three-point weights of
+    the second-order formula on uneven spacing,
+    ``-dx2 / (dx1 (dx1 + dx2)) f[i-1] + (dx2 - dx1) / (dx1 dx2) f[i]
+    + dx1 / (dx2 (dx1 + dx2)) f[i+1]`` with ``dx1 = x[i] - x[i-1]`` and
+    ``dx2 = x[i+1] - x[i]``; first-order differences at both ends."""
+    dx = x[1:] - x[:-1]
+    out = np.empty_like(f)
+    if (dx == dx[0]).all():
+        out[1:-1] = (f[2:] - f[:-2]) / (2.0 * dx[0])
+    else:
+        dx1, dx2 = dx[:-1], dx[1:]
+        span = dx1 + dx2
+        out[1:-1] = (-dx2 / (dx1 * span) * f[:-2] + (dx2 - dx1) / (dx1 * dx2) * f[1:-1]
+                     + dx1 / (dx2 * span) * f[2:])
+    out[0] = (f[1] - f[0]) / dx[0]
+    out[-1] = (f[-1] - f[-2]) / dx[-1]
+    return out
+
+
+def _run_length(holds: np.ndarray) -> int:
+    """Length of the leading run of True in a non-empty bool array."""
+    first_fail = int(holds.argmin())
+    return len(holds) if holds[first_fail] else first_fail
 
 
 def classify_zones(
@@ -188,25 +227,27 @@ def classify_zones(
 ) -> RegionBoundary:
     """Label boundary points by the normalized rate-accuracy slope.
 
-    The slope dR/dA (central differences, one-sided at the ends) is
-    normalized by R_max / A_range.  A prefix of points with |slope| below
-    ``slope_lo`` forms the communication-saturation zone; a suffix with
-    |slope| above ``slope_hi`` the sensing-saturation zone; everything
-    between is the adversarial zone where the two functions genuinely
-    compete.  The labels always form at most three contiguous bands.
+    The slope dR/dA is ``np.gradient(R, A)``'s: at each inner point the
+    three-point formula exact for quadratics on the uneven accuracy
+    spacing (see :func:`_slopes`), first-order differences at the two
+    ends.  It is normalized by R_max / A_range.  A prefix of points with
+    |slope| below ``slope_lo`` forms the communication-saturation zone; a
+    suffix with |slope| above ``slope_hi`` the sensing-saturation zone;
+    everything between is the adversarial zone where the two functions
+    genuinely compete.  The labels always form at most three contiguous bands.
     """
-    if len(boundary) < 3:
+    if len(boundary) < MIN_ZONE_POINTS:
         raise InfeasibleError(
-            f"need at least 3 boundary points, got {len(boundary)}: accuracy "
+            f"need at least {MIN_ZONE_POINTS} boundary points, got {len(boundary)}: accuracy "
             "stops rising with C (the fitted curve saturates or decreases)"
         )
     check_positive("slope_hi", slope_hi, strict=False)
     check_positive("slope_lo", slope_lo, strict=False)
     if slope_lo > slope_hi:
         raise ValueError("slope_lo must not exceed slope_hi")
-    a = boundary.accuracies
-    r = boundary.rates
-    slopes = np.gradient(r, a)
+    a = np.asarray(boundary.accuracies, dtype=float)
+    r = np.asarray(boundary.rates, dtype=float)
+    slopes = _slopes(r, a)
     r_max = float(np.max(np.abs(r)))
     a_range = float(a[-1] - a[0])
     if r_max == 0.0 or a_range == 0.0:
@@ -215,8 +256,8 @@ def classify_zones(
 
     n = len(boundary)
     # The prefix (< slope_lo) and the suffix (> slope_hi) never overlap.
-    comm_end = int(np.logical_and.accumulate(norm < slope_lo).sum())
-    sens_start = n - int(np.logical_and.accumulate(norm[::-1] > slope_hi).sum())
+    comm_end = _run_length(norm < slope_lo)
+    sens_start = n - _run_length(norm[::-1] > slope_hi)
     boundary.zones = ([ZONE_COMM] * comm_end + [ZONE_ADVERSARIAL] * (sens_start - comm_end)
                       + [ZONE_SENSING] * (n - sens_start))
     return boundary

@@ -128,6 +128,9 @@ class TestHelp:
             (["pipeline", "--stft-window", "1"], "--stft-window"),
             (["region", "--num-points", "1"], "--num-points"),
             (["pipeline", "--num-points", "1"], "--num-points"),
+            # classify_zones needs tradeoff.MIN_ZONE_POINTS boundary points
+            (["region", "--num-points", "2"], "--num-points"),
+            (["pipeline", "--num-points", "2"], "--num-points"),
             (["region", "--slope-hi", "nan"], "--slope-hi"),
             (["region", "--slope-lo", "-1"], "--slope-lo"),
             (["calibrate", "--reference", "ref.pgm", "--grid-stop", "1.2",
@@ -172,6 +175,8 @@ class TestHelp:
             (["dataset", "--cycles", "64", "--stft-window", "65"], "--cycles"),
             (["calibrate", "--reference", "{ref}", "--cycles", "100"], "--cycles"),
             (["pipeline", "--cycles-list", "16,64,128"], "--cycles-list"),
+            # one cycle count fits no curve family; found before any simulation
+            (["pipeline", "--cycles-list", "64"], "--cycles-list"),
             (["spectrogram", "--heading", "0", "0"], "--heading"),
             (["region", "--slope-lo", "6"], "--slope-lo"),
             (["region", "--params", "1,2"], "--params"),

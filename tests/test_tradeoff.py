@@ -643,6 +643,72 @@ class TestColumnSweepMatchesLoop:
                 assert boundary.zones == loop_zones(norm, lo, hi)
 
 
+def unique_grid_trace(fit, gains, cfg, num_points, slope_hi, slope_lo):
+    """``region_boundary`` then ``classify_zones`` as first written in
+    columns: the grid through ``np.unique``, the Pareto mask through
+    ``np.r_``, the slopes through ``np.gradient`` and the band ends through
+    ``logical_and.accumulate``.  The boundary columns and the zones, or the
+    message ``classify_zones`` raises on too few points."""
+    cs = np.array(swept_cycles(fit, cfg, num_points))
+    acc = eval_curve(fit, cs.astype(float))
+    rates = tradeoff._max_min_rate(cs, tradeoff._rate_weights(gains, cfg), cfg)
+    floor = np.where(np.isnan(acc), -np.inf, acc)
+    floor[0] = acc[0]
+    keep = np.r_[True, acc[1:] > np.maximum.accumulate(floor)[:-1]]
+    c, a, r = cs[keep], acc[keep], rates[keep]
+    if len(c) < 3:
+        return c, a, r, f"need at least 3 boundary points, got {len(c)}"
+    norm = np.abs(np.gradient(r, a)) / (float(np.max(np.abs(r))) / float(a[-1] - a[0]))
+    n = len(c)
+    comm_end = int(np.logical_and.accumulate(norm < slope_lo).sum())
+    sens_start = n - int(np.logical_and.accumulate(norm[::-1] > slope_hi).sum())
+    zones = ([ZONE_COMM] * comm_end + [ZONE_ADVERSARIAL] * (sens_start - comm_end)
+             + [ZONE_SENSING] * (n - sens_start))
+    return c, a, r, zones
+
+
+class TestTraceMatchesUniqueGridFormulation:
+    """``region_boundary`` drops the rounded grid's adjacent repeats and
+    ``classify_zones`` takes its slopes from ``tradeoff._slopes`` and its
+    band ends from the first failing point; both keep the bytes of the
+    ``np.unique`` / ``np.gradient`` formulation (``unique_grid_trace``)."""
+
+    @pytest.mark.parametrize("num_points", [2, 3, 20, 300])
+    def test_bundled_fits_byte_equal(self, bundled_fits, num_points):
+        cfg = load_config(resources.files("isacsim").joinpath("data", "default.cfg"))
+        for draw in range(4):
+            gains = sample_user_gains(cfg, RngStream(draw, "unique-grid-gains"))
+            for fit in bundled_fits:
+                boundary = region_boundary(fit, gains, cfg, num_points)
+                for lo, hi in [(DEFAULT_SLOPE_LO, DEFAULT_SLOPE_HI), (1.0, 1.0), (0.0, 0.0)]:
+                    c, a, r, zones = unique_grid_trace(fit, gains, cfg, num_points, hi, lo)
+                    assert boundary.cycles.dtype == c.dtype
+                    assert boundary.cycles.tobytes() == c.tobytes()
+                    assert boundary.accuracies.tobytes() == a.tobytes()
+                    assert boundary.rates.tobytes() == r.tobytes()
+                    if isinstance(zones, str):
+                        with pytest.raises(InfeasibleError, match=f"^{zones}: "):
+                            classify_zones(boundary, slope_hi=hi, slope_lo=lo)
+                    else:
+                        assert classify_zones(boundary, slope_hi=hi, slope_lo=lo).zones == zones
+
+    @pytest.mark.parametrize("x", [
+        np.cumsum(np.random.default_rng(3).uniform(1e-4, 0.02, 300)),  # uneven
+        7.0 + 3.0 * np.arange(300),  # exactly equal spacing, not a power of 2
+        np.array([0.1, 0.35, 0.4]),  # three points, uneven
+        np.array([1.0, 4.0, 7.0]),  # three points, equal
+        np.array([0.2, 0.2 + 1e-12, 0.9, 0.9000001]),  # spacings far apart
+    ])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_slopes_equal_gradient(self, x, sign):
+        rng = np.random.default_rng(x.size)
+        for f in (sign * 1e6 * (1.0 - x) ** 2, sign * np.sort(rng.uniform(0, 1e7, x.size)),
+                  sign * np.exp(-3 * x)):
+            got = tradeoff._slopes(f, x)
+            assert got.tobytes() == np.gradient(f, x).tobytes()
+        assert np.all(tradeoff._slopes(-1e6 * x, x) < 0)
+
+
 # Parameter boxes of increasing curves, for random fits.
 INCREASING_RANGES = {
     "vapor_pressure": ([-1.0, -2000.0], [0.5, -10.0]),

@@ -7,8 +7,20 @@ that tree, with the same seed S (the pair's number, from 1) on both sides;
 the side that goes first alternates from pair to pair, the parent first
 in pair 1.  Per end-to-end metric of ``BENCHMARK.json`` it prints each
 side's median and quartiles, the change/parent ratio of the medians and
-the change's wins over the pairs, judged by the metric's ``better``; it
-lists every run whose result is not ``correct``, that has failed
+the change's wins over the pairs, judged by the metric's ``better``
+(a tie wins for neither side).  A ``verdict`` line per metric then gives
+the parent's relative IQR (quartile distance over median) and the claim
+rule's reading of the pairs:
+
+- ``gain``: the change wins at least 9 in 10 pairs and its median beats
+  the parent's by more than the parent's IQR;
+- ``worse``: the change's median is worse than the parent's by more than
+  the metric's ``bound``, relative to the parent's median;
+- ``unresolved``: the parent's relative IQR exceeds the bound, unless
+  every change run beats every parent run;
+- ``within bound``: none of these.
+
+Last it lists every run whose result is not ``correct``, that has failed
 operations or that printed no result.  It gates nothing and always exits
 0; the trees keep their files (``run.py`` writes only its ignored
 ``.bench_out/``).
@@ -60,6 +72,28 @@ def spread(values: list[float]) -> tuple[float, float, float]:
     return med, q1, q3
 
 
+def verdict(pairs: list[tuple[float, float]], wins: int, higher: bool,
+            bound: float) -> tuple[float, str]:
+    """The parent's relative IQR and the claim rule's verdict on the
+    (parent, change) value pairs of one metric, of which the change won
+    ``wins``."""
+    parent, change = (list(values) for values in zip(*pairs))
+    med, q1, q3 = spread(parent)
+    iqr = q3 - q1
+    relative_iqr = iqr / abs(med) if med else (0.0 if iqr == 0 else math.inf)
+    gained = spread(change)[0] - med
+    if not higher:
+        gained = -gained  # > 0 when the change's median is better
+    if 10 * wins >= 9 * len(pairs) and gained > iqr:
+        return relative_iqr, "gain"
+    if -gained > bound * abs(med):
+        return relative_iqr, "worse"
+    beats_all = (min(change) > max(parent)) if higher else (max(change) < min(parent))
+    if relative_iqr > bound and not beats_all:
+        return relative_iqr, "unresolved"
+    return relative_iqr, "within bound"
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--parent", type=Path, required=True)
@@ -69,6 +103,7 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
     runs = {side: [] for side in trees}  # one result per pair, None when absent
@@ -87,6 +122,7 @@ def main(argv=None) -> int:
     print(f"\n{args.workload}: {args.pairs} pairs")
     print(f"{'metric':28} {'parent median [q1, q3]':>30} {'change median [q1, q3]':>30}"
           f" {'ratio':>8} {'wins':>6}")
+    verdicts = []
     for name, direction in better.items():
         pairs = [(a["metrics"][name]["value"], b["metrics"][name]["value"])
                  for a, b in zip(runs["parent"], runs["change"])
@@ -98,6 +134,11 @@ def main(argv=None) -> int:
         ratio = sides[1][0] / sides[0][0] if sides[0][0] else math.nan
         wins = sum(b > a if direction == "higher" else b < a for a, b in pairs)
         print(f"{name:28} {cells[0]:>30} {cells[1]:>30} {ratio:>8.4f} {wins:>3}/{len(pairs)}")
+        relative_iqr, reading = verdict(pairs, wins, direction == "higher", bounds[name])
+        verdicts.append(f"verdict {name:28} {reading:<13} parent relative IQR "
+                        f"{relative_iqr:.4f}, bound {bounds[name]:g}")
+    if verdicts:
+        print("\n" + "\n".join(verdicts))
     print("\nruns not correct, with failed operations or without a result:")
     for line in problems or ["none"]:
         print(f"  {line}")
